@@ -18,7 +18,7 @@ from math import comb
 from .direct import GreedyTrace
 from .errors import StructuralError
 from .model import Instance, Metrics, Schedule, compute_metrics
-from .rational import render_decimal, render_rational
+from .rational import ceil_frac, render_decimal, render_rational
 from .verifier import verify
 
 
@@ -177,10 +177,6 @@ class BoundsReport:
         }
 
 
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
@@ -194,7 +190,7 @@ def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
     load = Fraction(load)
     if n < 2 or load <= 0:
         raise StructuralError("need n >= 2 and B > 0")
-    ceil_load = _ceil_frac(load)
+    ceil_load = ceil_frac(load)
     log_lb = _ceil_log2(n)
     mid_lb = None
     if 2 <= load <= n:
@@ -208,7 +204,7 @@ def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
     max_lb = max(candidates)
 
     if load >= n:
-        upper = Fraction((n - 1) * _ceil_frac(load / n))
+        upper = Fraction((n - 1) * ceil_frac(load / n))
     elif load <= 2:
         upper = Fraction(2 * log_lb)
     else:

@@ -27,10 +27,7 @@ from .model import (
     Transfer,
     schedule_from_steps,
 )
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
+from .rational import ceil_frac
 
 
 def _integer_root(n: int, d: int) -> int | None:
@@ -252,9 +249,9 @@ def round_robin_schedule(
     """
     n = instance.n
     load = Fraction(nominal_load if nominal_load is not None else instance.load_bound)
-    m = max(_ceil_frac(load / n), 1)
+    m = max(ceil_frac(load / n), 1)
     max_entry = max((d for _, _, d in instance.commodities()), default=Fraction(0))
-    m = max(m, _ceil_frac(max_entry))
+    m = max(m, ceil_frac(max_entry))
     scheme = RoundRobinScheme(n, m)
     steps: list[list[Transfer]] = [[] for _ in range(scheme.horizon)]
     for i, j, demand in instance.commodities():
@@ -310,7 +307,7 @@ def _elementary_scheme(n: int, d: int, load: Fraction) -> ElementaryBasisScheme:
     q = _integer_root(n, d)
     if q is None:
         return ElementaryBasisScheme(n, d, 1)  # raises with a suggestion
-    m = max(_ceil_frac(load / q), 1)
+    m = max(ceil_frac(load / q), 1)
     return ElementaryBasisScheme(n, d, m)
 
 
@@ -351,16 +348,13 @@ def grid_schedule(instance: Instance) -> Schedule:
     return schedule_from_steps(n, steps)
 
 
-SCHEME_BUILDERS = ("round-robin", "hypercube", "elementary-basis")
-
-
 def _build_scheme(scheme_id: str, n: int, load: Fraction) -> ConnectionScheme:
     if scheme_id == "hypercube":
         return hypercube_scheme(n)
     if scheme_id == "elementary-basis":
         return _elementary_scheme(n, _auto_dimension(n, load), load)
     if scheme_id == "round-robin":
-        return RoundRobinScheme(n, max(_ceil_frac(load / n), 1))
+        return RoundRobinScheme(n, max(ceil_frac(load / n), 1))
     raise ValueError(f"unknown scheme id {scheme_id!r}")
 
 

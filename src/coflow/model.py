@@ -254,9 +254,6 @@ class IntegralMatching:
         if len(set(srcs)) != len(srcs) or len(set(dsts)) != len(dsts):
             raise StructuralError("repeated node in integral matching")
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.edges)
-
 
 @dataclass(frozen=True)
 class Metrics:

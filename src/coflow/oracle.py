@@ -7,7 +7,9 @@ with a single 1/4 cap family are the sender- and receiver-bound
 relaxations whose optima upper-bound the dual certificate objectives.
 
 The oracle exists to verify other code, so it refuses large inputs and
-re-checks every solution by substitution.
+proves every optimum it reports: the primal solution is substituted into
+every constraint, and the simplex duals are checked for dual feasibility
+and strong duality against the instance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .errors import SizeGuardError, StructuralError
 from .model import Instance
-from .rational import render_rational
+from .rational import ceil_frac, render_rational
 from . import simplex
 
 OPTIMAL = "optimal"
@@ -32,6 +34,9 @@ class LPSolution:
     status: str
     objective: Fraction | None
     x: dict  # (i, j, t) -> Fraction, slots t = 1..T
+    # Nonzero duals, checked to prove ``objective`` optimal:
+    # ("demand", i, j), ("sender", i, t), ("receiver", j, t) -> Fraction
+    duals: dict
 
     def to_json(self) -> dict:
         return {
@@ -40,79 +45,75 @@ class LPSolution:
             "x": [
                 [i, j, t, render_rational(v)] for (i, j, t), v in sorted(self.x.items())
             ],
+            "duals": [
+                [*key, render_rational(v)] for key, v in sorted(self.duals.items())
+            ],
         }
 
 
 def _solve_at_horizon(instance, sender_cap, receiver_cap, horizon):
     pairs = [(i, j) for i, j, _ in instance.commodities()]
-    if not pairs:
-        return simplex.SimplexResult(simplex.OPTIMAL, Fraction(0), ()), {}
     # variable layout: pair-major, slot-minor
-    nvars = len(pairs) * horizon
-    index = {}
-    k = 0
-    for i, j in pairs:
-        for t in range(1, horizon + 1):
-            index[(i, j, t)] = k
-            k += 1
-    c = [Fraction(0)] * nvars
-    for (i, j, t), k in index.items():
-        c[k] = Fraction(t)
+    slots = range(1, horizon + 1)
+    keys = [(i, j, t) for i, j in pairs for t in slots]
+    index = {key: k for k, key in enumerate(keys)}
+    nvars = len(keys)
+    c = [Fraction(t) for _, _, t in keys]
 
-    a_ge, b_ge = [], []
-    for i, j in pairs:
+    def row_of(cells):
         row = [Fraction(0)] * nvars
-        for t in range(1, horizon + 1):
-            row[index[(i, j, t)]] = Fraction(1)
-        a_ge.append(row)
-        b_ge.append(instance.demands[i][j])
+        for cell in cells:
+            row[index[cell]] = Fraction(1)
+        return row
 
-    a_ub, b_ub = [], []
-    senders = sorted({i for i, _ in pairs})
-    receivers = sorted({j for _, j in pairs})
-    if sender_cap is not None:
-        for i in senders:
-            for t in range(1, horizon + 1):
-                row = [Fraction(0)] * nvars
-                for _, j in [(p, q) for p, q in pairs if p == i]:
-                    row[index[(i, j, t)]] = Fraction(1)
-                a_ub.append(row)
-                b_ub.append(Fraction(sender_cap))
-    if receiver_cap is not None:
-        for j in receivers:
-            for t in range(1, horizon + 1):
-                row = [Fraction(0)] * nvars
-                for i, _ in [(p, q) for p, q in pairs if q == j]:
-                    row[index[(i, j, t)]] = Fraction(1)
-                a_ub.append(row)
-                b_ub.append(Fraction(receiver_cap))
+    a_ge = [row_of((i, j, t) for t in slots) for i, j in pairs]
+    b_ge = [instance.demands[i][j] for i, j in pairs]
+    ge_keys = [("demand", i, j) for i, j in pairs]
+
+    a_ub, b_ub, ub_keys = [], [], []
+    for kind, cap, side in (("sender", sender_cap, 0), ("receiver", receiver_cap, 1)):
+        if cap is None:
+            continue
+        for node in sorted({pair[side] for pair in pairs}):
+            members = [pair for pair in pairs if pair[side] == node]
+            for t in slots:
+                a_ub.append(row_of((i, j, t) for i, j in members))
+                b_ub.append(Fraction(cap))
+                ub_keys.append((kind, node, t))
 
     result = simplex.solve_lp(c, a_ub, b_ub, a_ge, b_ge)
     if result.status != simplex.OPTIMAL:
-        return result, None
-    x = {
-        key: result.x[k]
-        for key, k in index.items()
-        if result.x[k] != 0
-    }
-    _check_solution(instance, sender_cap, receiver_cap, horizon, x, result.objective)
-    return simplex.SimplexResult(OPTIMAL, result.objective, None), x
+        return result, None, None
+    x = {key: result.x[k] for key, k in index.items() if result.x[k] != 0}
+    duals = {key: y for key, y in zip(ub_keys + ge_keys, result.duals) if y != 0}
+    _check_solution(instance, sender_cap, receiver_cap, horizon, x, duals, result.objective)
+    return result, x, duals
 
 
-def _check_solution(instance, sender_cap, receiver_cap, horizon, x, objective):
-    """Plug the solution back into every constraint; exact, so no slop."""
+def _check_solution(instance, sender_cap, receiver_cap, horizon, x, duals, objective):
+    """Prove ``objective`` optimal from the instance alone; exact, so no slop.
+
+    Primal: ``x`` satisfies every constraint and costs ``objective``.
+    Dual: ``y >= 0`` on demand rows, ``y <= 0`` on cap rows, each
+    variable's reduced cost ``t - y.A`` is nonnegative, and ``b.y`` equals
+    ``objective``. Weak duality then bounds every feasible solution below
+    by ``objective``.
+    """
+    demands = {(i, j): d for i, j, d in instance.commodities()}
     shipped: dict[tuple[int, int], Fraction] = {}
     per_sender: dict[tuple[int, int], Fraction] = {}
     per_receiver: dict[tuple[int, int], Fraction] = {}
     obj = Fraction(0)
     for (i, j, t), v in x.items():
+        if (i, j) not in demands or not 1 <= t <= horizon:
+            raise StructuralError("LP solution names a variable outside the LP")
         if v < 0:
             raise StructuralError("LP returned a negative amount")
         shipped[(i, j)] = shipped.get((i, j), Fraction(0)) + v
         per_sender[(i, t)] = per_sender.get((i, t), Fraction(0)) + v
         per_receiver[(j, t)] = per_receiver.get((j, t), Fraction(0)) + v
         obj += t * v
-    for i, j, d in instance.commodities():
+    for (i, j), d in demands.items():
         if shipped.get((i, j), Fraction(0)) < d:
             raise StructuralError("LP solution violates demand satisfaction")
     if sender_cap is not None and any(v > sender_cap for v in per_sender.values()):
@@ -121,6 +122,29 @@ def _check_solution(instance, sender_cap, receiver_cap, horizon, x, objective):
         raise StructuralError("LP solution violates a receiver cap")
     if obj != objective:
         raise StructuralError("LP objective does not match its solution")
+
+    caps = {"sender": sender_cap, "receiver": receiver_cap}
+    bound = Fraction(0)
+    for key, y in duals.items():
+        kind, a, b = key
+        if kind == "demand" and (a, b) in demands:
+            if y < 0:
+                raise StructuralError("LP dual is negative on a demand row")
+            bound += demands[(a, b)] * y
+        elif caps.get(kind) is not None and 0 <= a < instance.n and 1 <= b <= horizon:
+            if y > 0:
+                raise StructuralError("LP dual is positive on a cap row")
+            bound += caps[kind] * y
+        else:
+            raise StructuralError("LP dual names a row outside the LP")
+    for (i, j) in demands:
+        y_demand = duals.get(("demand", i, j), 0)
+        for t in range(1, horizon + 1):
+            y_cap = duals.get(("sender", i, t), 0) + duals.get(("receiver", j, t), 0)
+            if y_demand + y_cap > t:
+                raise StructuralError("LP dual is infeasible")
+    if bound != objective:
+        raise StructuralError("LP dual bound does not match the objective")
 
 
 def solve_completion_lp(
@@ -146,22 +170,18 @@ def solve_completion_lp(
             f"oracle guard: horizon {t_max} exceeds {max_horizon} "
             "(override max_horizon to force)"
         )
-    result, x = _solve_at_horizon(instance, sender_cap, receiver_cap, t_max)
+    result, x, duals = _solve_at_horizon(instance, sender_cap, receiver_cap, t_max)
     if result.status == simplex.OPTIMAL:
-        return LPSolution(OPTIMAL, result.objective, x if x else {})
-    probe, _ = _solve_at_horizon(instance, sender_cap, receiver_cap, 2 * t_max)
+        return LPSolution(OPTIMAL, result.objective, x, duals)
+    probe, _, _ = _solve_at_horizon(instance, sender_cap, receiver_cap, 2 * t_max)
     if probe.status == simplex.OPTIMAL:
-        return LPSolution(HORIZON_TOO_SHORT, None, {})
-    return LPSolution(INFEASIBLE, None, {})
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
+        return LPSolution(HORIZON_TOO_SHORT, None, {}, {})
+    return LPSolution(INFEASIBLE, None, {}, {})
 
 
 def opt_direct_fractional(instance: Instance, **guards) -> Fraction:
     """Optimal direct fractional total completion time (caps 1, 1)."""
-    horizon = _ceil_frac(instance.total_demand) + instance.n
+    horizon = ceil_frac(instance.total_demand) + instance.n
     sol = solve_completion_lp(instance, Fraction(1), Fraction(1), horizon, **guards)
     if sol.status != OPTIMAL:
         raise StructuralError(f"direct LP unexpectedly {sol.status}")
@@ -171,7 +191,7 @@ def opt_direct_fractional(instance: Instance, **guards) -> Fraction:
 def _one_sided_horizon(sums) -> int:
     # A 1/4-capped side finishes by front-loading each node at full rate;
     # per-node decoupling makes this horizon provably sufficient.
-    return max((_ceil_frac(4 * s) for s in sums), default=0)
+    return max((ceil_frac(4 * s) for s in sums), default=0)
 
 
 def opt_sender_bound(instance: Instance, **guards) -> Fraction:

@@ -21,6 +21,11 @@ def parse_rational(text: str | int) -> Fraction:
         raise StructuralError(f"not a rational: {text!r}") from exc
 
 
+def ceil_frac(q: Fraction) -> int:
+    """Exact ceiling of a rational."""
+    return -((-q.numerator) // q.denominator)
+
+
 def render_rational(q: Fraction | int) -> str:
     """Render a rational as "p/q", or "p" when it is an integer."""
     q = Fraction(q)

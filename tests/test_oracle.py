@@ -4,11 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from coflow.errors import SizeGuardError
+import reference_simplex
+from coflow import simplex
+from coflow.errors import SizeGuardError, StructuralError
 from coflow.model import make_instance, uniform_instance
 from coflow.oracle import (
     HORIZON_TOO_SHORT,
     OPTIMAL,
+    _check_solution,
     opt_direct_fractional,
     opt_receiver_bound,
     opt_sender_bound,
@@ -85,3 +88,67 @@ def test_bounds_never_exceed_direct_quadruple(tiny_corpus):
 def test_greedy_within_sixteen_of_direct(tiny_corpus):
     for inst, trace, opt_d, _, _ in tiny_corpus:
         assert trace.total_completion <= 16 * opt_d
+
+
+def _solved(inst, sender_cap, receiver_cap, t_max):
+    sol = solve_completion_lp(inst, sender_cap, receiver_cap, t_max)
+    assert sol.status == OPTIMAL
+    return sol
+
+
+def test_optimal_answers_carry_checked_duals():
+    inst = make_instance(3, [[F(0), F(1), F(1, 2)], [F(1, 3), F(0), F(0)], [F(0), F(3, 2), F(0)]])
+    for caps, t_max in (((F(1), F(1)), 6), ((F(1, 4), None), 12), ((None, F(1, 4)), 12)):
+        sol = _solved(inst, *caps, t_max)
+        assert sol.duals  # a positive optimum needs a nonzero dual
+        _check_solution(inst, *caps, t_max, sol.x, sol.duals, sol.objective)
+        assert [tuple(d[:3]) for d in sol.to_json()["duals"]] == sorted(sol.duals)
+
+
+def test_flipped_dual_fails_the_check():
+    inst = make_instance(2, [[F(0), F(3, 2)], [F(1), F(0)]])
+    sol = _solved(inst, F(1), F(1), 4)
+    for key, y in sol.duals.items():
+        forged = dict(sol.duals)
+        forged[key] = -y
+        with pytest.raises(StructuralError):
+            _check_solution(inst, F(1), F(1), 4, sol.x, forged, sol.objective)
+
+
+def test_dual_must_be_feasible_not_just_tight():
+    # y = 4/3 on the demand row has the right sign and b.y = 3/2 * 4/3 = 2
+    # equals the optimum, but the slot-1 variable's reduced cost is
+    # 1 - 4/3 < 0.
+    inst = make_instance(2, [[F(0), F(3, 2)], [F(0), F(0)]])
+    sol = _solved(inst, F(1), F(1), 4)
+    assert sol.objective == 2
+    with pytest.raises(StructuralError, match="infeasible"):
+        _check_solution(inst, F(1), F(1), 4, sol.x, {("demand", 0, 1): F(4, 3)}, 2)
+
+
+def test_stale_dual_fails_the_check():
+    # Duals proving one instance's optimum do not prove a smaller one's.
+    inst = make_instance(2, [[F(0), F(3)], [F(0), F(0)]])
+    sol = _solved(inst, F(1), F(1), 4)
+    smaller = make_instance(2, [[F(0), F(1)], [F(0), F(0)]])
+    other = _solved(smaller, F(1), F(1), 4)
+    with pytest.raises(StructuralError):
+        _check_solution(smaller, F(1), F(1), 4, other.x, sol.duals, other.objective)
+
+
+def test_oracle_lps_match_reference_simplex(tiny_corpus, monkeypatch):
+    # Every LP the oracle builds for every fourth corpus member (n = 2, 3, 4
+    # in turn) solves identically on the integer-row simplex and on the
+    # dense Fraction reference, which is too slow to run on all 200.
+    solve = simplex.solve_lp
+
+    def both(*lp):
+        res, ref = solve(*lp), reference_simplex.solve_lp(*lp)
+        assert (res.status, res.objective, res.x) == (ref.status, ref.objective, ref.x)
+        return res
+
+    monkeypatch.setattr(simplex, "solve_lp", both)
+    for inst, _, opt_d, opt_s, opt_r in tiny_corpus[::4]:
+        assert opt_direct_fractional(inst) == opt_d
+        assert opt_sender_bound(inst) == opt_s
+        assert opt_receiver_bound(inst) == opt_r

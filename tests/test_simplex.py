@@ -2,9 +2,10 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import reference_simplex
 from coflow.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
 
 
@@ -73,3 +74,61 @@ def test_optimal_solutions_satisfy_all_constraints(c, rows, rhs):
             assert sum(a * x for a, x in zip(row, res.x)) <= b
         assert sum(a * x for a, x in zip(c, res.x)) == res.objective
         assert res.objective <= 0  # x = 0 is feasible with value 0
+
+
+def _assert_duals_prove_optimum(c, a_ub, b_ub, a_ge, b_ge, res):
+    """y <= 0 on ub rows, y >= 0 on ge rows, A^T y <= c, b.y = c.x."""
+    rows, rhs = a_ub + a_ge, b_ub + b_ge
+    y = res.duals
+    assert len(y) == len(rows)
+    assert all(v <= 0 for v in y[: len(a_ub)])
+    assert all(v >= 0 for v in y[len(a_ub):])
+    for j, cj in enumerate(c):
+        assert sum(row[j] * v for row, v in zip(rows, y)) <= cj
+    assert sum(b * v for b, v in zip(rhs, y)) == res.objective
+
+
+def test_duals_read_off_final_tableau():
+    # min x + 2y  s.t. x + y >= 3, y >= 1, x <= 5: y = (0, 1, 1) prices
+    # the optimum 4 exactly.
+    c, a_ub, b_ub = [F(1), F(2)], [[F(1), F(0)]], [F(5)]
+    a_ge, b_ge = [[F(1), F(1)], [F(0), F(1)]], [F(3), F(1)]
+    res = solve_lp(c, a_ub, b_ub, a_ge, b_ge)
+    assert res.objective == 4
+    assert res.duals == (F(0), F(1), F(1))
+    _assert_duals_prove_optimum(c, a_ub, b_ub, a_ge, b_ge, res)
+
+
+_any_rhs = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=3)
+
+
+@st.composite
+def _systems(draw):
+    nvar = draw(st.integers(1, 4))
+    row = st.lists(_coef, min_size=nvar, max_size=nvar)
+    n_ub, n_ge = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return (
+        draw(row),
+        draw(st.lists(row, min_size=n_ub, max_size=n_ub)),
+        draw(st.lists(_any_rhs, min_size=n_ub, max_size=n_ub)),
+        draw(st.lists(row, min_size=n_ge, max_size=n_ge)),
+        draw(st.lists(_any_rhs, min_size=n_ge, max_size=n_ge)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=_systems())
+# ge rows, a negative ub rhs, an infeasible and an unbounded system.
+@example(system=([F(1), F(2)], [], [], [[F(1), F(1)], [F(0), F(1)]], [F(3), F(1)]))
+@example(system=([F(1)], [[F(-1)]], [F(-5)], [[F(2)]], [F(-1)]))
+@example(system=([F(1)], [[F(1)]], [F(1)], [[F(1)]], [F(2)]))
+@example(system=([F(-1), F(0)], [[F(0), F(1)]], [F(1)], [[F(1), F(-1)]], [F(0)]))
+def test_integer_rows_match_reference_simplex(system):
+    res = solve_lp(*system)
+    ref = reference_simplex.solve_lp(*system)
+    event(res.status)
+    assert (res.status, res.objective, res.x) == (ref.status, ref.objective, ref.x)
+    if res.status == OPTIMAL:
+        _assert_duals_prove_optimum(*system, res)
+    else:
+        assert res.duals is None
