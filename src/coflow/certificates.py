@@ -17,7 +17,14 @@ from math import comb
 
 from .direct import GreedyTrace
 from .errors import StructuralError
-from .model import Instance, Metrics, Schedule, compute_metrics
+from .model import (
+    Instance,
+    Metrics,
+    Schedule,
+    compute_metrics,
+    matrix_col_sums,
+    matrix_row_sums,
+)
 from .rational import ceil_frac, render_decimal, render_rational
 from .verifier import verify
 
@@ -50,6 +57,8 @@ def build_certificate(trace: GreedyTrace) -> DualCertificate:
     inst = trace.instance
     n = inst.n
     horizon = trace.horizon
+    if len(trace.sender_residual) != horizon + 1:
+        raise StructuralError("greedy trace needs one residual per matching, plus one")
     final = trace.residuals[-1]
     if any(x != 0 for row in final for x in row):
         raise StructuralError("greedy trace is incomplete: residual nonzero")
@@ -95,16 +104,69 @@ class CertificateReport:
         }
 
 
+def _replay_failures(instance: Instance, trace: GreedyTrace) -> list[str]:
+    """Re-derive the greedy run from ``instance`` and the trace's matchings.
+
+    Every rate must fit its residual, every matching must be maximal
+    against its residual, the derived residuals and their row and column
+    sums must equal the trace's, and the run must ship all demand. This
+    binds the trace, and any certificate built from it, to the instance.
+    """
+    n = instance.n
+    horizon = trace.horizon
+    lengths = {len(trace.residuals), len(trace.sender_residual),
+               len(trace.receiver_residual)}
+    if lengths != {horizon + 1}:
+        return [f"trace has {len(trace.residuals)} residuals for {horizon} matchings"]
+    residual = [list(row) for row in instance.demands]
+    rows = matrix_row_sums(instance.demands)
+    cols = matrix_col_sums(instance.demands)
+    positive = {(i, j) for i, j, _ in instance.commodities()}
+    for t in range(horizon + 1):
+        if tuple(map(tuple, residual)) != trace.residuals[t]:
+            return [f"residual before step {t} does not follow from the instance"]
+        if (tuple(rows) != trace.sender_residual[t]
+                or tuple(cols) != trace.receiver_residual[t]):
+            return [f"residual sums before step {t} do not match the trace"]
+        if t == horizon:
+            break
+        matching = trace.matchings[t]
+        sent: dict[int, Fraction] = {}
+        received: dict[int, Fraction] = {}
+        for i, j, p in matching.triples:
+            if not (0 <= i < n and 0 <= j < n) or p > residual[i][j]:
+                return [f"step {t} ships more than the residual of ({i},{j})"]
+            residual[i][j] -= p
+            if not residual[i][j]:
+                positive.discard((i, j))
+            sent[i] = sent.get(i, 0) + p
+            received[j] = received.get(j, 0) + p
+        for i, p in sent.items():
+            rows[i] -= p
+        for j, p in received.items():
+            cols[j] -= p
+        # Maximal: every pair still short has a saturated endpoint.
+        full_s = {i for i, p in sent.items() if p == matching.cap}
+        full_r = {j for j, p in received.items() if p == matching.cap}
+        for i, j in positive:
+            if i not in full_s and j not in full_r:
+                return [f"matching {t} is not maximal: ({i},{j}) could take more"]
+    if positive:
+        return ["the matchings leave demand unshipped"]
+    return []
+
+
 def check_certificate(
     instance: Instance, trace: GreedyTrace, cert: DualCertificate
 ) -> CertificateReport:
-    """Exact check of dual feasibility and the half-of-greedy bound.
+    """Exact check of the trace against the instance, dual feasibility and
+    the half-of-greedy bound.
 
     Reports the first violated inequality per check rather than raising.
     """
     n = instance.n
     horizon = trace.horizon
-    failures = []
+    failures = _replay_failures(instance, trace)
 
     def first_dual_violation(alpha, beta, tag):
         for i in range(n):

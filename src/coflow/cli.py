@@ -8,28 +8,15 @@ with rationals rendered as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 
 from . import certificates, experiment, generators, oracle
-from .direct import (
-    ORDER_CHOICES,
-    GreedyTrace,
-    edge_coloring_schedule,
-    greedy_schedule,
-    smeared_fractional_schedule,
-)
+from .direct import ORDER_CHOICES, GreedyTrace, greedy_schedule
 from .errors import CoflowError, UnsupportedSizeError
-from .indirect import (
-    auto_schedule,
-    elementary_basis_schedule,
-    grid_schedule,
-    hypercube_schedule,
-    pad_instance,
-    round_robin_schedule,
-    vlb_lift,
-)
+from .indirect import elementary_basis_schedule, pad_instance
 from .model import (
     compute_metrics,
     dump_instance,
@@ -39,11 +26,6 @@ from .model import (
 )
 from .rational import parse_rational
 from .verifier import verify
-
-ALGORITHMS = (
-    "greedy", "edge-coloring", "smeared",
-    "round-robin", "hypercube", "elementary-basis", "grid", "vlb", "auto",
-)
 
 
 def _emit(obj, args) -> None:
@@ -63,27 +45,11 @@ def _build_schedule(args, instance):
             with open(args.trace_out, "w") as fh:
                 json.dump(trace.to_json(), fh)
         return schedule
-    if alg == "edge-coloring":
-        return edge_coloring_schedule(instance)
-    if alg == "smeared":
-        return smeared_fractional_schedule(instance)
-    if alg == "round-robin":
-        return round_robin_schedule(instance, nominal_load=nominal)
-    if alg == "hypercube":
-        return hypercube_schedule(instance)
-    if alg == "elementary-basis":
+    if alg == "elementary-basis" and args.dimension is not None:
         return elementary_basis_schedule(
             instance, d=args.dimension, nominal_load=nominal
         )
-    if alg == "grid":
-        return grid_schedule(instance)
-    if alg == "vlb":
-        load = nominal if nominal is not None else instance.load_bound
-        base = "hypercube" if load <= 2 else "elementary-basis"
-        return vlb_lift(instance, base, nominal_load=nominal)
-    if alg == "auto":
-        return auto_schedule(instance, nominal_load=nominal)
-    raise CoflowError(f"unknown algorithm {alg!r}")
+    return experiment.ALGORITHMS[alg](instance, nominal)
 
 
 def cmd_generate(args) -> int:
@@ -159,22 +125,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = experiment.ExperimentConfig.load(args.config)
-    if args.workers is not None:
-        config = experiment.ExperimentConfig(
-            n_values=config.n_values, load_values=config.load_values,
-            algorithms=config.algorithms, family=config.family,
-            seed=config.seed if args.seed is None else args.seed,
-            repetitions=config.repetitions, output=args.out or config.output,
-            workers=args.workers,
-        )
-    elif args.out or args.seed is not None:
-        config = experiment.ExperimentConfig(
-            n_values=config.n_values, load_values=config.load_values,
-            algorithms=config.algorithms, family=config.family,
-            seed=config.seed if args.seed is None else args.seed,
-            repetitions=config.repetitions, output=args.out or config.output,
-            workers=config.workers,
-        )
+    overrides = {"seed": args.seed, "output": args.out or None, "workers": args.workers}
+    config = dataclasses.replace(
+        config, **{k: v for k, v in overrides.items() if v is not None}
+    )
     rows = experiment.run_experiment(config)
     if not config.output:
         for row in rows:
@@ -203,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("schedule", help="run a scheduler on an instance")
-    p.add_argument("--algorithm", choices=ALGORITHMS, required=True)
+    p.add_argument("--algorithm", choices=tuple(experiment.ALGORITHMS),
+                   required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--out")
     p.add_argument("--order", choices=ORDER_CHOICES, default="lex")
@@ -211,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pad", action="store_true",
                    help="embed into the next supported node count on size errors")
     p.add_argument("--trace-out", help="write the greedy residual trace here")
-    p.add_argument("--nominal-B", help="override the load bound used for regime choices")
+    p.add_argument("--nominal-B", help="overstate the load bound used for regime choices")
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("verify", help="check a schedule against an instance")

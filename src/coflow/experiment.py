@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .certificates import lower_bounds
 from .direct import edge_coloring_schedule, greedy_schedule, smeared_fractional_schedule
-from .generators import generate
+from .errors import SizeGuardError, StructuralError
+from .generators import FAMILIES, generate
 from .indirect import (
     auto_schedule,
     elementary_basis_schedule,
@@ -37,9 +38,13 @@ CSV_COLUMNS = [
     "wall_time_ms",
 ]
 
-# Builders take (instance, nominal_load): the requested B of a cell, which
-# regime-sensitive schemes need (a diagonal-free uniform instance has actual
-# load bound B(n-1)/n, which would flip regime choices at the boundaries).
+# The one scheduler registry, shared with the CLI. Builders take (instance,
+# nominal_load): the requested B of a cell, which regime-sensitive schemes
+# need (a diagonal-free uniform instance has actual load bound B(n-1)/n,
+# which would flip regime choices at the boundaries), or None for the
+# instance's own load bound. Entries look the schedulers up at call time,
+# so a tracer that replaces the module-level names (perfbench/spans.py)
+# sees every call.
 ALGORITHMS = {
     "greedy": lambda inst, load: greedy_schedule(inst)[0],
     "edge-coloring": lambda inst, load: edge_coloring_schedule(inst),
@@ -50,9 +55,7 @@ ALGORITHMS = {
         inst, nominal_load=load
     ),
     "grid": lambda inst, load: grid_schedule(inst),
-    "vlb": lambda inst, load: vlb_lift(
-        inst, "hypercube" if load <= 2 else "elementary-basis", nominal_load=load
-    ),
+    "vlb": lambda inst, load: vlb_lift(inst, nominal_load=load),
     "auto": lambda inst, load: auto_schedule(inst, nominal_load=load),
 }
 
@@ -67,6 +70,13 @@ class ExperimentConfig:
     repetitions: int = 1
     output: str | None = None
     workers: int = 1
+
+    def __post_init__(self):
+        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
+        if unknown:
+            raise StructuralError(f"unknown algorithm(s) {unknown}")
+        if self.family not in FAMILIES:
+            raise StructuralError(f"unknown instance family {self.family!r}")
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
@@ -122,7 +132,7 @@ def _run_cell(cell) -> dict:
             opt = opt_direct_fractional(instance)
             if opt > 0:
                 oracle_ratio = render_decimal(metrics.total_completion / opt)
-        except Exception:
+        except SizeGuardError:
             pass  # oracle guard tripped; the column stays blank
     row.update({
         "makespan": metrics.makespan,

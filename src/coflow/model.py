@@ -279,12 +279,12 @@ _AMOUNT_CAP = 2**40
 _SUM_CAP = 2**53
 
 
-def step_arrays(transfers, scaled: dict, mult: dict):
+def step_arrays(transfers, scaled: dict, mult: dict, n: int):
     """Columnar int64 arrays (src, dst, origin, dest, amount) for one step.
 
     ``scaled`` caches scaled amounts by object identity (amount objects are
     shared heavily in large schedules). Returns None when the data cannot
-    be represented safely in int64.
+    be represented safely in int64, or when a node column leaves 0..n-1.
     """
     src, dst, origin, dest, amounts = zip(*transfers)
     vals = []
@@ -307,6 +307,8 @@ def step_arrays(transfers, scaled: dict, mult: dict):
     except (OverflowError, TypeError, ValueError, AttributeError, KeyError):
         return None
     if count and int(arr.max()) >= _AMOUNT_CAP:
+        return None
+    if any(int(col.min()) < 0 or int(col.max()) >= n for col in cols):
         return None
     return (*cols, arr)
 
@@ -331,22 +333,11 @@ def _fast_metrics(
         ts = step.transfers
         if not ts:
             continue
-        cols = step_arrays(ts, scaled, mult)
+        cols = step_arrays(ts, scaled, mult, n)
         if cols is None:
             return None
         src, dst, origin, dest, amt = cols
         if int(amt.max()) * count >= _SUM_CAP:
-            return None
-        if not (
-            0 <= int(src.min())
-            and int(src.max()) < n
-            and 0 <= int(dst.min())
-            and int(dst.max()) < n
-            and 0 <= int(origin.min())
-            and int(origin.max()) < n
-            and 0 <= int(dest.min())
-            and int(dest.max()) < n
-        ):
             return None
         pair = origin * n + dest
         if (origin == dest).any() or not positive[pair].all():

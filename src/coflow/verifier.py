@@ -14,12 +14,8 @@ from math import lcm
 
 import numpy as np
 
-from .model import Instance, Matrix, Schedule, step_arrays
+from .model import _SUM_CAP, Instance, Matrix, Schedule, step_arrays
 from .rational import render_rational
-
-# Caps under which scaled amounts can be accumulated in float64 with every
-# partial sum staying an exact integer below 2**53.
-_SUM_CAP = 2**53
 
 
 @dataclass(frozen=True)
@@ -113,22 +109,11 @@ def _fast_verify(
         ts = step.transfers
         if not ts:
             continue
-        cols = step_arrays(ts, scaled, mult)
+        cols = step_arrays(ts, scaled, mult, n)
         if cols is None:
             return None
         src, dst, origin, dest, amt = cols
         if int(amt.max()) * budget >= _SUM_CAP or int(amt.min()) <= 0:
-            return None
-        if not (
-            0 <= int(src.min())
-            and int(src.max()) < n
-            and 0 <= int(dst.min())
-            and int(dst.max()) < n
-            and 0 <= int(origin.min())
-            and int(origin.max()) < n
-            and 0 <= int(dest.min())
-            and int(dest.max()) < n
-        ):
             return None
         if (src == dst).any() or (origin == dest).any():
             return None

@@ -146,7 +146,7 @@ def test_vlb_doubles_makespan_on_random_instances():
             d = {9: 2, 27: 3, 16: 2}[n]
             base, base_horizon = "elementary-basis", d * (q - 1)
         inst = random_sparse_instance(n, load, seed=rng.randrange(10**6))
-        metrics = _feasible_metrics(inst, vlb_lift(inst, base, nominal_load=load))
+        metrics = _feasible_metrics(inst, vlb_lift(inst, nominal_load=load))
         assert metrics.makespan == 2 * base_horizon
         checked += 1
     assert checked == 50

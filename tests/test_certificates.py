@@ -13,9 +13,9 @@ from coflow.certificates import (
     lower_bounds,
     path_count_feasible,
 )
-from coflow.direct import greedy_schedule
+from coflow.direct import GreedyTrace, greedy_schedule
 from coflow.errors import StructuralError
-from coflow.model import make_instance, uniform_instance
+from coflow.model import FractionalMatching, make_instance, uniform_instance
 from coflow.indirect import hypercube_schedule
 
 
@@ -91,6 +91,62 @@ def test_incomplete_trace_rejected():
     truncated = replace(trace, residuals=trace.residuals[:1])
     with pytest.raises(StructuralError):
         build_certificate(truncated)
+
+
+def test_trace_not_following_the_instance_is_rejected():
+    inst = make_instance(3, [[F(0), F(1), F(1, 2)], [F(0), F(0), F(1)], [F(0)] * 3])
+    _, trace = greedy_schedule(inst)
+    assert check_certificate(inst, trace, build_certificate(trace)).ok
+    # Same trace, a different instance: the residuals no longer follow.
+    other = make_instance(3, [[F(0), F(1), F(1)], [F(0), F(0), F(1)], [F(0)] * 3])
+    report = check_certificate(other, trace, build_certificate(trace))
+    assert not report.ok
+    assert any("does not follow" in f for f in report.failures)
+
+
+def test_non_maximal_matching_is_rejected():
+    # Shipping (0,1) and (1,2) one step at a time is feasible but not
+    # maximal: both pairs fit into the first matching.
+    inst = make_instance(3, [[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(0)] * 3])
+    _, trace = greedy_schedule(inst)
+    assert trace.horizon == 1
+    first = FractionalMatching(((0, 1, F(1)),))
+    second = FractionalMatching(((1, 2, F(1)),))
+    mid = ((F(0), F(0), F(0)), (F(0), F(0), F(1)), (F(0),) * 3)
+    slow = GreedyTrace.from_json(
+        {"residuals": [[[str(x) for x in row] for row in m]
+                       for m in (inst.demands, mid, ((F(0),) * 3,) * 3)],
+         "matchings": [[[s, r, str(p)] for s, r, p in m.triples]
+                       for m in (first, second)]},
+        inst,
+    )
+    report = check_certificate(inst, slow, build_certificate(slow))
+    assert not report.ok
+    assert any("not maximal" in f for f in report.failures)
+
+
+def test_unfinished_or_overshipping_trace_is_rejected():
+    inst = make_instance(2, [[F(0), F(3, 2)], [F(0), F(0)]])
+    _, trace = greedy_schedule(inst)
+    cert = build_certificate(trace)
+    unfinished = replace(
+        trace,
+        residuals=trace.residuals[:2],
+        sender_residual=trace.sender_residual[:2],
+        receiver_residual=trace.receiver_residual[:2],
+        matchings=trace.matchings[:1],
+    )
+    report = check_certificate(inst, unfinished, cert)
+    assert any("unshipped" in f for f in report.failures)
+    small = make_instance(2, [[F(0), F(1, 2)], [F(0), F(0)]])
+    over = GreedyTrace.from_json(
+        {"residuals": [[["0", "1/2"], ["0", "0"]], [["0", "-1/2"], ["0", "0"]]],
+         "matchings": [[[0, 1, "1"]]]},
+        small,
+    )
+    genuine = build_certificate(greedy_schedule(small)[1])
+    report = check_certificate(small, over, genuine)
+    assert any("ships more than the residual" in f for f in report.failures)
 
 
 def test_certificate_json_round_values():

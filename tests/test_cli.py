@@ -125,3 +125,49 @@ def test_bad_rational_is_exit_two(capsys):
     code, _, err = run(capsys, "bounds", "--n", "4", "--B", "two")
     assert code == 2
     assert "error" in err
+
+
+def test_understated_nominal_b_is_exit_two(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    run(capsys, "--seed", "3", "generate", "--family", "random-sparse",
+        "--n", "16", "--B", "4", "--out", str(inst))
+    # Schemes sized for B=2 would overload their edges on a B=4 instance.
+    for alg in ("vlb", "elementary-basis"):
+        code, _, err = run(capsys, "schedule", "--algorithm", alg,
+                           "--instance", str(inst), "--nominal-B", "2",
+                           "--out", str(sched))
+        assert code == 2, alg
+        assert "nominal load" in err
+        assert not sched.exists()
+
+
+def test_forged_trace_fails_certify(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    trace = tmp_path / "trace.json"
+    run(capsys, "--seed", "3", "generate", "--family", "random-sparse",
+        "--n", "16", "--B", "4", "--out", str(inst))
+    zeros = [["0"] * 16 for _ in range(16)]
+    trace.write_text(json.dumps({"n": 16, "residuals": [zeros], "matchings": []}))
+    code, out, _ = run(capsys, "certify", "--instance", str(inst),
+                       "--trace", str(trace))
+    assert code == 1
+    assert json.loads(out)["check"]["ok"] is False
+    # One matching but a single residual: malformed, not a failed check.
+    trace.write_text(json.dumps(
+        {"n": 16, "residuals": [zeros], "matchings": [[[0, 1, "1/2"]]]}
+    ))
+    code, _, err = run(capsys, "certify", "--instance", str(inst),
+                       "--trace", str(trace))
+    assert code == 2
+    assert "residual" in err
+
+
+def test_experiment_config_unknown_names_are_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"algorithms": ["no-such-scheduler"]}, {"family": "no-such-family"}):
+        obj = {"n_values": [4], "load_values": ["2"], "algorithms": ["greedy"]}
+        cfg.write_text(json.dumps({**obj, **bad}))
+        code, _, err = run(capsys, "experiment", "--config", str(cfg))
+        assert code == 2, bad
+        assert "unknown" in err

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from coflow.errors import StructuralError
 from coflow.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -83,3 +84,15 @@ def test_table_readout_mentions_measured_ratios():
     assert "fractional" in text and "integral" in text
     assert "out of scope" in text
     assert "no data" not in text.split("\n")[2]  # smeared makespan row has data
+
+
+def test_config_rejects_unknown_algorithm():
+    with pytest.raises(StructuralError):
+        ExperimentConfig(n_values=(4,), load_values=(F(2),), algorithms=("fastest",))
+
+
+def test_config_rejects_unknown_family():
+    with pytest.raises(StructuralError):
+        ExperimentConfig(
+            n_values=(4,), load_values=(F(2),), algorithms=("greedy",), family="dense"
+        )

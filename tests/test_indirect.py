@@ -10,7 +10,6 @@ from coflow.errors import StructuralError, UnsupportedSizeError
 from coflow.generators import random_sparse_instance
 from coflow.indirect import (
     ElementaryBasisScheme,
-    RoundRobinScheme,
     auto_schedule,
     elementary_basis_schedule,
     grid_schedule,
@@ -47,6 +46,7 @@ def test_hypercube_makespan_is_log_n(n, makespan):
         (81, F(3), 4, 8),  # q=3, m=1: 4 * 2
         (256, F(4), 4, 12),
         (9, F(3), 2, 4),
+        (16, F(8), 2, 12),  # q=4, m=2: 2 * 3 * 2
     ],
 )
 def test_elementary_basis_makespan(n, load, d, makespan):
@@ -71,22 +71,15 @@ def test_base_two_elementary_matches_hypercube():
         assert sorted(a.transfers) == sorted(b.transfers)
 
 
-def test_emit_agrees_with_route_expansion():
-    # The inlined emit is a pure speedup; the hop expansion stays canonical.
-    scheme = ElementaryBasisScheme(27, 3, 2)
-    fast = [[] for _ in range(scheme.horizon)]
-    slow = [[] for _ in range(scheme.horizon)]
-    for u, v in [(0, 26), (5, 5), (13, 2), (26, 1)]:
-        scheme.emit(fast, u, v, u, v, F(3, 7), 0)
-        ElementaryBasisScheme.__mro__[1].emit(scheme, slow, u, v, u, v, F(3, 7), 0)
-    for a, b in zip(fast, slow):
-        assert sorted(a) == sorted(b)
-
-
 def test_round_robin_slot_blocks_partition_horizon():
-    scheme = RoundRobinScheme(5, 3)
-    seen = [sorted(scheme.slot_block(0, v)) for v in range(1, 5)]
-    assert sorted(s for block in seen for s in block) == list(range(scheme.horizon))
+    # n=5, B=15: m=3, so shift s // 3 + 1 owns step s, and nothing else runs.
+    sched = round_robin_schedule(uniform_instance(5, 15))
+    assert sched.horizon == 12
+    for s, step in enumerate(sched.steps):
+        shift = s // 3 + 1
+        assert sorted((t.src, t.dst) for t in step.transfers) == [
+            (u, (u + shift) % 5) for u in range(5)
+        ]
 
 
 @pytest.mark.parametrize(
@@ -99,7 +92,7 @@ def test_round_robin_slot_blocks_partition_horizon():
 )
 def test_vlb_doubles_base_horizon(n, load, base, horizon):
     inst = random_sparse_instance(n, load, seed=7)
-    metrics = _check(inst, vlb_lift(inst, base, nominal_load=load))
+    metrics = _check(inst, vlb_lift(inst, nominal_load=load))
     assert metrics.makespan == horizon
 
 
@@ -107,7 +100,7 @@ def test_vlb_doubles_base_horizon(n, load, base, horizon):
 @given(seed=st.integers(0, 10**6))
 def test_vlb_makespan_independent_of_demand_pattern(seed):
     inst = random_sparse_instance(4, F(2), seed=seed)
-    metrics = _check(inst, vlb_lift(inst, "hypercube", nominal_load=F(2)))
+    metrics = _check(inst, vlb_lift(inst, nominal_load=F(2)))
     assert metrics.makespan == 4
 
 

@@ -5,12 +5,15 @@ import random
 from fractions import Fraction as F
 
 import coflow.verifier
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coflow.direct import greedy_schedule
+from coflow.errors import StructuralError
 from coflow.indirect import hypercube_schedule
 from coflow.model import (
     Transfer,
+    compute_metrics,
     make_instance,
     schedule_from_steps,
     uniform_instance,
@@ -97,6 +100,21 @@ def test_self_loop_and_bad_commodity():
     assert any(v.kind == "node_range" for v in r.violations)
     r = verify(inst, schedule_from_steps(3, [[Transfer(0, 1, 2, 2, F(1, 2))]]))
     assert any(v.kind == "commodity" for v in r.violations)
+
+
+def test_out_of_range_nodes_fall_back_to_the_reference_loop():
+    # Node ids outside 0..n-1 would index the int64 path's arrays out of
+    # place; both int64 paths must refuse them so the exact loops report.
+    inst = uniform_instance(3, 3)
+    for t in (Transfer(0, 3, 0, 1, F(1, 2)), Transfer(-1, 1, 0, 1, F(1, 2))):
+        r = verify(inst, schedule_from_steps(3, [[t]]))
+        assert any(v.kind == "node_range" for v in r.violations)
+        with pytest.raises(StructuralError):
+            compute_metrics(inst, schedule_from_steps(3, [[t]]))
+    bad_dest = schedule_from_steps(3, [[Transfer(0, 1, 0, 3, F(1, 2))]])
+    assert any(v.kind == "commodity" for v in verify(inst, bad_dest).violations)
+    with pytest.raises(StructuralError):
+        compute_metrics(inst, bad_dest)
 
 
 def test_empty_schedule_on_zero_demand_instance():
