@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, default=None)
     p.add_argument("--pad", action="store_true",
                    help="embed into the next supported node count on size errors")
-    p.add_argument("--trace-out", help="write the greedy residual trace here")
+    p.add_argument("--trace-out", help="write the greedy trace (its matchings) here")
     p.add_argument("--nominal-B", help="overstate the load bound used for regime choices")
     p.set_defaults(func=cmd_schedule)
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil
 
 from .coloring import color_bipartite_multigraph
-from .errors import NegativeDemandError, SchedulingError
+from .errors import NegativeDemandError, SchedulingError, StructuralError
 from .model import (
     FractionalMatching,
     Instance,
@@ -35,18 +36,17 @@ ORDER_CHOICES = ("lex", "residual", "sums", "random")
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """Everything the dual certificate needs from a greedy run.
+    """A greedy run: its instance and the matching shipped at each step.
 
-    ``residuals[t]`` is the residual matrix before step ``t`` (so
-    ``residuals[0]`` is the input and ``residuals[horizon]`` is all zero);
+    Everything else the dual certificate needs is derived by one replay of
+    the matchings over ``instance.demands``: ``residuals[t]`` is the
+    residual matrix before step ``t`` (so ``residuals[0]`` is the input and
+    ``residuals[horizon]`` is all zero for a finished run), and
     ``sender_residual[t][i]`` / ``receiver_residual[t][j]`` are its row and
     column sums.
     """
 
     instance: Instance
-    residuals: tuple
-    sender_residual: tuple
-    receiver_residual: tuple
     matchings: tuple[FractionalMatching, ...]
 
     @property
@@ -60,15 +60,41 @@ class GreedyTrace:
             total += (t + 1) * m.total_rate
         return total
 
+    @cached_property
+    def _replay(self) -> tuple[tuple, tuple, tuple]:
+        residual = [list(row) for row in self.instance.demands]
+        rows = matrix_row_sums(self.instance.demands)
+        cols = matrix_col_sums(self.instance.demands)
+        residuals = [tuple(map(tuple, residual))]
+        senders = [tuple(rows)]
+        receivers = [tuple(cols)]
+        for matching in self.matchings:
+            for i, j, p in matching.triples:
+                residual[i][j] -= p
+                rows[i] -= p
+                cols[j] -= p
+            residuals.append(tuple(map(tuple, residual)))
+            senders.append(tuple(rows))
+            receivers.append(tuple(cols))
+        return tuple(residuals), tuple(senders), tuple(receivers)
+
+    @property
+    def residuals(self) -> tuple:
+        return self._replay[0]
+
+    @property
+    def sender_residual(self) -> tuple:
+        return self._replay[1]
+
+    @property
+    def receiver_residual(self) -> tuple:
+        return self._replay[2]
+
     def to_json(self) -> dict:
         from .rational import render_rational
 
         return {
             "n": self.instance.n,
-            "residuals": [
-                [[render_rational(x) for x in row] for row in mat]
-                for mat in self.residuals
-            ],
             "matchings": [
                 [[s, r, render_rational(p)] for s, r, p in m.triples]
                 for m in self.matchings
@@ -77,25 +103,32 @@ class GreedyTrace:
 
     @staticmethod
     def from_json(obj: dict, instance: Instance) -> "GreedyTrace":
+        """Read the matchings of a trace; any stored residuals are ignored."""
         from .rational import parse_rational
 
-        residuals = tuple(
-            tuple(tuple(parse_rational(x) for x in row) for row in mat)
-            for mat in obj["residuals"]
-        )
-        matchings = tuple(
-            FractionalMatching(
-                tuple((int(s), int(r), parse_rational(p)) for s, r, p in trip)
-            )
-            for trip in obj["matchings"]
-        )
-        return GreedyTrace(
-            instance=instance,
-            residuals=residuals,
-            sender_residual=tuple(tuple(matrix_row_sums(m)) for m in residuals),
-            receiver_residual=tuple(tuple(matrix_col_sums(m)) for m in residuals),
-            matchings=matchings,
-        )
+        n = instance.n
+        raw = obj.get("matchings") if isinstance(obj, dict) else None
+        if not isinstance(raw, list):
+            raise StructuralError("greedy trace needs a list of matchings")
+        matchings = []
+        for t, trip in enumerate(raw):
+            if not isinstance(trip, list):
+                raise StructuralError(f"matching {t} is not a list of triples")
+            triples = []
+            for x in trip:
+                if not (isinstance(x, list) and len(x) == 3
+                        and type(x[0]) is int and type(x[1]) is int):
+                    raise StructuralError(
+                        f"matching {t}: {x!r} is not [sender, receiver, rate]"
+                    )
+                s, r, p = x
+                if not (0 <= s < n and 0 <= r < n):
+                    raise StructuralError(
+                        f"matching {t}: node outside 0..{n - 1} in {x!r}"
+                    )
+                triples.append((s, r, parse_rational(p)))
+            matchings.append(FractionalMatching(tuple(triples)))
+        return GreedyTrace(instance=instance, matchings=tuple(matchings))
 
 
 def _pair_order(residual, order: str, rng) -> list[tuple[int, int]]:
@@ -148,7 +181,6 @@ def greedy_schedule(
     """Repeat maximal fractional matchings on the residuals until empty."""
     rng = random.Random(seed) if order == "random" else None
     residual = [list(row) for row in instance.demands]
-    residuals = [tuple(tuple(row) for row in residual)]
     matchings = []
     steps = []
     # Defensive bound; greedy provably finishes well before it.
@@ -160,16 +192,8 @@ def greedy_schedule(
         for i, j, p in matching.triples:
             residual[i][j] -= p
         matchings.append(matching)
-        residuals.append(tuple(tuple(row) for row in residual))
         steps.append([Transfer(i, j, i, j, p) for i, j, p in matching.triples])
-    residual_mats = tuple(residuals)
-    trace = GreedyTrace(
-        instance=instance,
-        residuals=residual_mats,
-        sender_residual=tuple(tuple(matrix_row_sums(m)) for m in residual_mats),
-        receiver_residual=tuple(tuple(matrix_col_sums(m)) for m in residual_mats),
-        matchings=tuple(matchings),
-    )
+    trace = GreedyTrace(instance=instance, matchings=tuple(matchings))
     return schedule_from_steps(instance.n, steps), trace
 
 

@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import (
     DiagonalDemandError,
     DimensionError,
@@ -273,103 +271,6 @@ class Metrics:
         }
 
 
-# Caps under which scaled amounts can be summed in float64 without any
-# rounding: every partial sum stays an integer below 2**53.
-_AMOUNT_CAP = 2**40
-_SUM_CAP = 2**53
-
-
-def step_arrays(transfers, scaled: dict, mult: dict, n: int):
-    """Columnar int64 arrays (src, dst, origin, dest, amount) for one step.
-
-    ``scaled`` caches scaled amounts by object identity (amount objects are
-    shared heavily in large schedules). Returns None when the data cannot
-    be represented safely in int64, or when a node column leaves 0..n-1.
-    """
-    src, dst, origin, dest, amounts = zip(*transfers)
-    vals = []
-    ap = vals.append
-    get = scaled.get
-    try:
-        for a in amounts:
-            v = get(id(a))
-            if v is None:
-                v = scaled[id(a)] = a.numerator * mult[a.denominator]
-            ap(v)
-        count = len(vals)
-        arr = np.array(vals, dtype=np.int64)
-        cols = (
-            np.fromiter(src, np.int64, count),
-            np.fromiter(dst, np.int64, count),
-            np.fromiter(origin, np.int64, count),
-            np.fromiter(dest, np.int64, count),
-        )
-    except (OverflowError, TypeError, ValueError, AttributeError, KeyError):
-        return None
-    if count and int(arr.max()) >= _AMOUNT_CAP:
-        return None
-    if any(int(col.min()) < 0 or int(col.max()) >= n for col in cols):
-        return None
-    return (*cols, arr)
-
-
-def _fast_metrics(
-    instance: Instance, schedule: Schedule, scale: int, mult: dict
-) -> Metrics | None:
-    """Vectorized metrics for well-formed schedules; None means the caller
-    must use the reference loop (bad data, or numbers too large)."""
-    n = instance.n
-    count = sum(len(st.transfers) for st in schedule.steps)
-    if count == 0:
-        return None
-    positive = np.array(
-        [[x.numerator > 0 for x in row] for row in instance.demands], dtype=bool
-    ).ravel()
-    scaled: dict[int, int] = {}
-    delivered = np.zeros(n * n)
-    total = 0
-    makespan = 0
-    for s, step in enumerate(schedule.steps):
-        ts = step.transfers
-        if not ts:
-            continue
-        cols = step_arrays(ts, scaled, mult, n)
-        if cols is None:
-            return None
-        src, dst, origin, dest, amt = cols
-        if int(amt.max()) * count >= _SUM_CAP:
-            return None
-        pair = origin * n + dest
-        if (origin == dest).any() or not positive[pair].all():
-            return None
-        mask = dst == dest
-        if mask.any():
-            a = amt[mask].astype(np.float64)
-            delivered += np.bincount(pair[mask], weights=a, minlength=n * n)
-            total += int(a.sum()) * (s + 1)
-            makespan = s + 1
-    cache = {0: Fraction(0)}
-    rows = []
-    flat = delivered.astype(np.int64).tolist()
-    for i in range(n):
-        row = []
-        for x in flat[i * n : (i + 1) * n]:
-            f = cache.get(x)
-            if f is None:
-                f = cache[x] = Fraction(x, scale)
-            row.append(f)
-        rows.append(tuple(row))
-    total_completion = Fraction(total, scale)
-    demand_sum = instance.total_demand
-    avg = total_completion / demand_sum if demand_sum > 0 else Fraction(0)
-    return Metrics(
-        makespan=makespan,
-        total_completion=total_completion,
-        average_completion=avg,
-        delivered=tuple(rows),
-    )
-
-
 def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     """Makespan, total and average completion time of a schedule.
 
@@ -383,9 +284,6 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     dens = {t[4].denominator for step in schedule.steps for t in step.transfers}
     scale = lcm(*dens) if dens else 1
     mult = {den: scale // den for den in dens}
-    fast = _fast_metrics(instance, schedule, scale, mult)
-    if fast is not None:
-        return fast
     positive = [bytes(x > 0 for x in row) for row in instance.demands]
     delivered = [[0] * n for _ in range(n)]
     total = 0
@@ -401,8 +299,11 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
                 raise StructuralError(
                     f"positive flow for zero-demand pair ({origin},{dest})"
                 )
+            num = amount.numerator
+            if num <= 0:
+                raise StructuralError(f"non-positive amount at step {s}")
             if dst == dest:
-                a = amount.numerator * mult[amount.denominator]
+                a = num * mult[amount.denominator]
                 delivered[origin][dest] += a
                 total += a * done
                 if done > makespan:

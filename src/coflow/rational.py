@@ -13,8 +13,10 @@ from .errors import StructuralError
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse "p/q" or "p" into a Fraction."""
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
+    if not isinstance(text, str):
+        raise StructuralError(f"not a rational: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -14,7 +14,7 @@ from math import lcm
 
 import numpy as np
 
-from .model import _SUM_CAP, Instance, Matrix, Schedule, step_arrays
+from .model import Instance, Matrix, Schedule
 from .rational import render_rational
 
 
@@ -68,6 +68,46 @@ def classify(schedule: Schedule) -> tuple[bool, bool]:
         if any(len(s) > 1 for s in in_edges.values()):
             integral = False
     return direct, integral
+
+
+# Caps under which scaled amounts can be summed in float64 without any
+# rounding: every partial sum stays an integer below 2**53.
+_AMOUNT_CAP = 2**40
+_SUM_CAP = 2**53
+
+
+def step_arrays(transfers, scaled: dict, mult: dict, n: int):
+    """Columnar int64 arrays (src, dst, origin, dest, amount) for one step.
+
+    ``scaled`` caches scaled amounts by object identity (amount objects are
+    shared heavily in large schedules). Returns None when the data cannot
+    be represented safely in int64, or when a node column leaves 0..n-1.
+    """
+    src, dst, origin, dest, amounts = zip(*transfers)
+    vals = []
+    ap = vals.append
+    get = scaled.get
+    try:
+        for a in amounts:
+            v = get(id(a))
+            if v is None:
+                v = scaled[id(a)] = a.numerator * mult[a.denominator]
+            ap(v)
+        count = len(vals)
+        arr = np.array(vals, dtype=np.int64)
+        cols = (
+            np.fromiter(src, np.int64, count),
+            np.fromiter(dst, np.int64, count),
+            np.fromiter(origin, np.int64, count),
+            np.fromiter(dest, np.int64, count),
+        )
+    except (OverflowError, TypeError, ValueError, AttributeError, KeyError):
+        return None
+    if count and int(arr.max()) >= _AMOUNT_CAP:
+        return None
+    if any(int(col.min()) < 0 or int(col.max()) >= n for col in cols):
+        return None
+    return (*cols, arr)
 
 
 def _fast_verify(

@@ -85,14 +85,6 @@ def test_perturbed_certificate_is_rejected():
     assert any("DS infeasible" in f or "beta_S" in f for f in report.failures)
 
 
-def test_incomplete_trace_rejected():
-    inst = make_instance(2, [[F(0), F(1)], [F(0), F(0)]])
-    _, trace = greedy_schedule(inst)
-    truncated = replace(trace, residuals=trace.residuals[:1])
-    with pytest.raises(StructuralError):
-        build_certificate(truncated)
-
-
 def test_trace_not_following_the_instance_is_rejected():
     inst = make_instance(3, [[F(0), F(1), F(1, 2)], [F(0), F(0), F(1)], [F(0)] * 3])
     _, trace = greedy_schedule(inst)
@@ -112,11 +104,8 @@ def test_non_maximal_matching_is_rejected():
     assert trace.horizon == 1
     first = FractionalMatching(((0, 1, F(1)),))
     second = FractionalMatching(((1, 2, F(1)),))
-    mid = ((F(0), F(0), F(0)), (F(0), F(0), F(1)), (F(0),) * 3)
     slow = GreedyTrace.from_json(
-        {"residuals": [[[str(x) for x in row] for row in m]
-                       for m in (inst.demands, mid, ((F(0),) * 3,) * 3)],
-         "matchings": [[[s, r, str(p)] for s, r, p in m.triples]
+        {"matchings": [[[s, r, str(p)] for s, r, p in m.triples]
                        for m in (first, second)]},
         inst,
     )
@@ -129,24 +118,36 @@ def test_unfinished_or_overshipping_trace_is_rejected():
     inst = make_instance(2, [[F(0), F(3, 2)], [F(0), F(0)]])
     _, trace = greedy_schedule(inst)
     cert = build_certificate(trace)
-    unfinished = replace(
-        trace,
-        residuals=trace.residuals[:2],
-        sender_residual=trace.sender_residual[:2],
-        receiver_residual=trace.receiver_residual[:2],
-        matchings=trace.matchings[:1],
-    )
+    unfinished = replace(trace, matchings=trace.matchings[:1])
     report = check_certificate(inst, unfinished, cert)
     assert any("unshipped" in f for f in report.failures)
     small = make_instance(2, [[F(0), F(1, 2)], [F(0), F(0)]])
     over = GreedyTrace.from_json(
-        {"residuals": [[["0", "1/2"], ["0", "0"]], [["0", "-1/2"], ["0", "0"]]],
-         "matchings": [[[0, 1, "1"]]]},
+        {"matchings": [[[0, 1, "1"]]]},
         small,
     )
     genuine = build_certificate(greedy_schedule(small)[1])
     report = check_certificate(small, over, genuine)
     assert any("ships more than the residual" in f for f in report.failures)
+
+
+def test_dual_violation_names_the_perturbed_entry():
+    inst = make_instance(
+        3, [[F(0), F(2), F(1)], [F(1), F(0), F(3)], [F(2), F(1), F(0)]]
+    )
+    _, trace = greedy_schedule(inst)
+    cert = build_certificate(trace)
+    assert check_certificate(inst, trace, cert).ok
+    # alpha_S[1][2] one above sender 1's initial residual breaks DS at t=0
+    # only through j=2; alpha_R[0][2] breaks DR for receiver 2 through i=0.
+    bump = lambda m, i, j: tuple(
+        tuple(x + 1 if (r, c) == (i, j) else x for c, x in enumerate(row))
+        for r, row in enumerate(m)
+    )
+    report = check_certificate(inst, trace, replace(cert, alpha_s=bump(cert.alpha_s, 1, 2)))
+    assert report.failures == ("DS infeasible at (i=1, j=2, t=0)",)
+    report = check_certificate(inst, trace, replace(cert, alpha_r=bump(cert.alpha_r, 0, 2)))
+    assert report.failures == ("DR infeasible at (i=2, j=0, t=0)",)
 
 
 def test_certificate_json_round_values():

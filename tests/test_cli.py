@@ -147,20 +147,44 @@ def test_forged_trace_fails_certify(tmp_path, capsys):
     trace = tmp_path / "trace.json"
     run(capsys, "--seed", "3", "generate", "--family", "random-sparse",
         "--n", "16", "--B", "4", "--out", str(inst))
-    zeros = [["0"] * 16 for _ in range(16)]
-    trace.write_text(json.dumps({"n": 16, "residuals": [zeros], "matchings": []}))
+    trace.write_text(json.dumps({"n": 16, "matchings": []}))
     code, out, _ = run(capsys, "certify", "--instance", str(inst),
                        "--trace", str(trace))
     assert code == 1
     assert json.loads(out)["check"]["ok"] is False
-    # One matching but a single residual: malformed, not a failed check.
-    trace.write_text(json.dumps(
-        {"n": 16, "residuals": [zeros], "matchings": [[[0, 1, "1/2"]]]}
-    ))
+    # Node 16 does not exist on n=16: malformed, not a failed check.
+    trace.write_text(json.dumps({"n": 16, "matchings": [[[0, 16, "1/2"]]]}))
     code, _, err = run(capsys, "certify", "--instance", str(inst),
                        "--trace", str(trace))
     assert code == 2
-    assert "residual" in err
+    assert "node outside" in err
+
+
+def test_malformed_trace_is_exit_two(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    trace = tmp_path / "trace.json"
+    run(capsys, "generate", "--n", "4", "--B", "2", "--out", str(inst))
+    for bad in ({}, {"matchings": {}}, {"matchings": [[[0, 1]]]},
+                {"matchings": [[["0", 1, "1/2"]]]}, {"matchings": [[[0, 1, 0.5]]]},
+                {"matchings": [[[-1, 1, "1/2"]]]}):
+        trace.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "certify", "--instance", str(inst),
+                           "--trace", str(trace))
+        assert code == 2, bad
+        assert err.startswith("error: "), bad
+
+
+def test_metrics_refuses_non_positive_amount(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    inst.write_text(json.dumps({"n": 2, "demands": [["0", "1"], ["0", "0"]]}))
+    transfer = {"from": 0, "to": 1, "commodity": [0, 1], "amount": "-1"}
+    sched.write_text(json.dumps({"horizon": 1, "steps": [{"transfers": [transfer]}]}))
+    code, out, err = run(capsys, "metrics", "--instance", str(inst),
+                         "--schedule", str(sched))
+    assert code == 2
+    assert out == ""
+    assert "non-positive amount" in err
 
 
 def test_experiment_config_unknown_names_are_exit_two(tmp_path, capsys):
