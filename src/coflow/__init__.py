@@ -9,7 +9,6 @@ from .certificates import (
     DualCertificate,
     build_certificate,
     check_certificate,
-    compare,
     lower_bounds,
     path_count_feasible,
 )
@@ -46,13 +45,13 @@ from .oracle import (
     opt_sender_bound,
     solve_completion_lp,
 )
-from .verifier import VerificationReport, classify, verify
+from .verifier import VerificationReport, verify
 
 __all__ = [
     "BoundsReport", "DualCertificate", "FractionalMatching", "GreedyTrace",
     "Instance", "IntegralMatching", "Metrics", "Schedule", "Step",
     "Transfer", "VerificationReport", "auto_schedule", "build_certificate",
-    "check_certificate", "classify", "compare", "compute_metrics",
+    "check_certificate", "compute_metrics",
     "edge_coloring_schedule", "elementary_basis_schedule", "greedy_schedule",
     "grid_schedule", "hypercube_schedule", "lower_bounds", "make_instance",
     "maximal_fractional_matching", "opt_direct_fractional",

@@ -17,9 +17,8 @@ from math import comb
 
 from .direct import GreedyTrace
 from .errors import StructuralError
-from .model import Instance, Metrics, Schedule, compute_metrics
-from .rational import ceil_frac, render_decimal, render_rational
-from .verifier import verify
+from .model import Instance
+from .rational import ceil_frac, render_rational
 
 
 @dataclass(frozen=True)
@@ -183,17 +182,15 @@ def check_certificate(
 class BoundsReport:
     """Computable makespan bound values for a node count and load bound.
 
-    ``log_lb`` is the path-counting bound (smallest L with 2^L >= n) and is
-    exact; ``mid_lb`` is the averaging bound B*d/2 with d = log2(n) /
-    (3 log2(B)), reported only for 2 <= B <= n and computed through a
-    float-backed rational, so it is informational, never an exact oracle.
+    ``log_lb`` is the path-counting bound (smallest L with 2^L >= n);
+    ``max_lb`` is the larger of it and ``ceil_load``, so every ratio taken
+    against it divides by an exact bound.
     """
 
     n: int
     load: Fraction
     ceil_load: int
     log_lb: int
-    mid_lb: Fraction | None
     max_lb: Fraction
     upper_formula: Fraction
 
@@ -203,7 +200,6 @@ class BoundsReport:
             "B": render_rational(self.load),
             "ceil_B": self.ceil_load,
             "log_lb": self.log_lb,
-            "mid_lb": None if self.mid_lb is None else render_rational(self.mid_lb),
             "max_lb": render_rational(self.max_lb),
             "upper_formula": render_rational(self.upper_formula),
         }
@@ -224,16 +220,7 @@ def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
         raise StructuralError("need n >= 2 and B > 0")
     ceil_load = ceil_frac(load)
     log_lb = _ceil_log2(n)
-    mid_lb = None
-    if 2 <= load <= n:
-        d = Fraction(math.log2(n) / (3 * math.log2(float(load)))).limit_denominator(
-            10**6
-        )
-        mid_lb = load * d / 2
-    candidates = [Fraction(ceil_load), Fraction(log_lb)]
-    if mid_lb is not None:
-        candidates.append(mid_lb)
-    max_lb = max(candidates)
+    max_lb = Fraction(max(ceil_load, log_lb))
 
     if load >= n:
         upper = Fraction((n - 1) * ceil_frac(load / n))
@@ -249,7 +236,6 @@ def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
         load=load,
         ceil_load=ceil_load,
         log_lb=log_lb,
-        mid_lb=mid_lb,
         max_lb=max_lb,
         upper_formula=upper,
     )
@@ -265,40 +251,3 @@ def path_count_feasible(length: int, hops: int, n: int) -> bool:
         raise StructuralError("L and h must be nonnegative")
     count = sum(comb(length, i) for i in range(1, hops + 1))
     return 2 * count >= n
-
-
-@dataclass(frozen=True)
-class GapReport:
-    metrics: Metrics
-    bounds: BoundsReport
-    ratio_makespan: Fraction
-    ratio_avg: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "makespan": self.metrics.makespan,
-            "average_completion": render_rational(self.metrics.average_completion),
-            "max_lb": render_rational(self.bounds.max_lb),
-            "ratio_makespan": render_rational(self.ratio_makespan),
-            "ratio_makespan_decimal": render_decimal(self.ratio_makespan),
-            "ratio_avg": render_rational(self.ratio_avg),
-            "ratio_avg_decimal": render_decimal(self.ratio_avg),
-        }
-
-
-def compare(
-    instance: Instance, schedule: Schedule, bounds: BoundsReport | None = None
-) -> GapReport:
-    """Ratios of achieved makespan and average completion to the best bound."""
-    report = verify(instance, schedule)
-    if not report.feasible:
-        raise StructuralError("refusing to compare an infeasible schedule")
-    if bounds is None:
-        bounds = lower_bounds(instance.n, instance.load_bound)
-    metrics = compute_metrics(instance, schedule)
-    denom = bounds.max_lb
-    ratio_mk = Fraction(metrics.makespan) / denom
-    ratio_avg = metrics.average_completion / denom
-    return GapReport(
-        metrics=metrics, bounds=bounds, ratio_makespan=ratio_mk, ratio_avg=ratio_avg
-    )

@@ -115,10 +115,7 @@ def cmd_oracle(args) -> int:
     instance = load_instance(args.instance)
     sender_cap = parse_rational(args.sender_cap) if args.sender_cap else Fraction(1)
     receiver_cap = parse_rational(args.receiver_cap) if args.receiver_cap else Fraction(1)
-    horizon = args.horizon
-    if horizon is None:
-        horizon = -(-instance.total_demand.numerator // instance.total_demand.denominator) + instance.n
-    sol = oracle.solve_completion_lp(instance, sender_cap, receiver_cap, horizon)
+    sol = oracle.solve_completion_lp(instance, sender_cap, receiver_cap)
     _emit(sol.to_json(), args)
     return 0
 
@@ -193,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--sender-cap")
     p.add_argument("--receiver-cap")
-    p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="run a sweep from a config file")
@@ -211,7 +207,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CoflowError as exc:
+    except (CoflowError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -103,11 +103,14 @@ class GreedyTrace:
 
     @staticmethod
     def from_json(obj: dict, instance: Instance) -> "GreedyTrace":
-        """Read the matchings of a trace; any stored residuals are ignored."""
+        """Read the matchings of a trace whose ``n`` is ``instance.n``; any
+        stored residuals are ignored."""
         from .rational import parse_rational
 
         n = instance.n
-        raw = obj.get("matchings") if isinstance(obj, dict) else None
+        if not isinstance(obj, dict) or obj.get("n") != n:
+            raise StructuralError(f"greedy trace does not name the instance's n={n}")
+        raw = obj.get("matchings")
         if not isinstance(raw, list):
             raise StructuralError("greedy trace needs a list of matchings")
         matchings = []

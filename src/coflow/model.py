@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -80,8 +81,12 @@ class Instance:
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
-        demands = [[parse_rational(x) for x in row] for row in obj["demands"]]
-        return make_instance(int(obj["n"]), demands)
+        try:
+            demands = [[parse_rational(x) for x in row] for row in obj["demands"]]
+            n = index(obj["n"])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise StructuralError(f"malformed instance: {exc}") from exc
+        return make_instance(n, demands)
 
 
 def make_instance(n: int, demands: Sequence[Sequence]) -> Instance:
@@ -186,20 +191,24 @@ class Schedule:
     @staticmethod
     def from_json(obj: dict, n: int) -> "Schedule":
         steps = []
-        for step in obj["steps"]:
-            transfers = tuple(
-                Transfer(
-                    src=int(t["from"]),
-                    dst=int(t["to"]),
-                    origin=int(t["commodity"][0]),
-                    dest=int(t["commodity"][1]),
-                    amount=parse_rational(t["amount"]),
+        try:
+            for step in obj["steps"]:
+                transfers = tuple(
+                    Transfer(
+                        src=index(t["from"]),
+                        dst=index(t["to"]),
+                        origin=index(t["commodity"][0]),
+                        dest=index(t["commodity"][1]),
+                        amount=parse_rational(t["amount"]),
+                    )
+                    for t in step["transfers"]
                 )
-                for t in step["transfers"]
-            )
-            steps.append(Step(transfers))
+                steps.append(Step(transfers))
+            horizon = index(obj["horizon"])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise StructuralError(f"malformed schedule: {exc}") from exc
         sched = Schedule(n=n, steps=tuple(steps))
-        if sched.horizon != int(obj["horizon"]):
+        if sched.horizon != horizon:
             raise StructuralError("declared horizon does not match step count")
         return sched
 

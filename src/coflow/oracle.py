@@ -2,9 +2,13 @@
 
 Builds the direct fractional completion-time LP: variables x[i,j,t] for
 each positive demand and each slot t = 1..T, demand rows sum_t x >= D_ij,
-per-slot sender/receiver cap rows, objective sum t*x. The special cases
-with a single 1/4 cap family are the sender- and receiver-bound
-relaxations whose optima upper-bound the dual certificate objectives.
+per-slot sender/receiver cap rows, objective sum t*x. The horizon T is an
+output, not an input: the oracle searches upward for the first horizon
+whose optimum is proved to be the optimum over every horizon.
+
+The sender- and receiver-bound relaxations (one 1/4 cap family, whose
+optima upper-bound the dual certificate objectives) decouple per node and
+have a closed form, so they solve no LP.
 
 The oracle exists to verify other code, so it refuses large inputs and
 proves every optimum it reports: the primal solution is substituted into
@@ -17,13 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import SizeGuardError, StructuralError
-from .model import Instance
+from .model import Instance, matrix_col_sums, matrix_row_sums
 from .rational import ceil_frac, render_rational
 from . import simplex
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-HORIZON_TOO_SHORT = "horizon-too-short"
 
 DEFAULT_MAX_N = 6
 DEFAULT_MAX_HORIZON = 24
@@ -31,17 +31,17 @@ DEFAULT_MAX_HORIZON = 24
 
 @dataclass(frozen=True)
 class LPSolution:
-    status: str
-    objective: Fraction | None
-    x: dict  # (i, j, t) -> Fraction, slots t = 1..T
+    objective: Fraction
+    horizon: int  # the LP's slot count; the optimum holds at every longer one
+    x: dict  # (i, j, t) -> Fraction, slots t = 1..horizon
     # Nonzero duals, checked to prove ``objective`` optimal:
     # ("demand", i, j), ("sender", i, t), ("receiver", j, t) -> Fraction
     duals: dict
 
     def to_json(self) -> dict:
         return {
-            "status": self.status,
-            "objective": None if self.objective is None else render_rational(self.objective),
+            "objective": render_rational(self.objective),
+            "horizon": self.horizon,
             "x": [
                 [i, j, t, render_rational(v)] for (i, j, t), v in sorted(self.x.items())
             ],
@@ -51,7 +51,9 @@ class LPSolution:
         }
 
 
-def _solve_at_horizon(instance, sender_cap, receiver_cap, horizon):
+def _solve_at_horizon(instance, sender_cap, receiver_cap, horizon) -> LPSolution | None:
+    """The checked optimum of the LP with ``horizon`` slots, or None when
+    that horizon is too short to ship the demand."""
     pairs = [(i, j) for i, j, _ in instance.commodities()]
     # variable layout: pair-major, slot-minor
     slots = range(1, horizon + 1)
@@ -72,8 +74,6 @@ def _solve_at_horizon(instance, sender_cap, receiver_cap, horizon):
 
     a_ub, b_ub, ub_keys = [], [], []
     for kind, cap, side in (("sender", sender_cap, 0), ("receiver", receiver_cap, 1)):
-        if cap is None:
-            continue
         for node in sorted({pair[side] for pair in pairs}):
             members = [pair for pair in pairs if pair[side] == node]
             for t in slots:
@@ -81,13 +81,15 @@ def _solve_at_horizon(instance, sender_cap, receiver_cap, horizon):
                 b_ub.append(Fraction(cap))
                 ub_keys.append((kind, node, t))
 
+    # The objective is bounded below by 0, so anything but OPTIMAL is
+    # infeasibility.
     result = simplex.solve_lp(c, a_ub, b_ub, a_ge, b_ge)
     if result.status != simplex.OPTIMAL:
-        return result, None, None
+        return None
     x = {key: result.x[k] for key, k in index.items() if result.x[k] != 0}
     duals = {key: y for key, y in zip(ub_keys + ge_keys, result.duals) if y != 0}
     _check_solution(instance, sender_cap, receiver_cap, horizon, x, duals, result.objective)
-    return result, x, duals
+    return LPSolution(result.objective, horizon, x, duals)
 
 
 def _check_solution(instance, sender_cap, receiver_cap, horizon, x, duals, objective):
@@ -116,9 +118,9 @@ def _check_solution(instance, sender_cap, receiver_cap, horizon, x, duals, objec
     for (i, j), d in demands.items():
         if shipped.get((i, j), Fraction(0)) < d:
             raise StructuralError("LP solution violates demand satisfaction")
-    if sender_cap is not None and any(v > sender_cap for v in per_sender.values()):
+    if any(v > sender_cap for v in per_sender.values()):
         raise StructuralError("LP solution violates a sender cap")
-    if receiver_cap is not None and any(v > receiver_cap for v in per_receiver.values()):
+    if any(v > receiver_cap for v in per_receiver.values()):
         raise StructuralError("LP solution violates a receiver cap")
     if obj != objective:
         raise StructuralError("LP objective does not match its solution")
@@ -131,7 +133,7 @@ def _check_solution(instance, sender_cap, receiver_cap, horizon, x, duals, objec
             if y < 0:
                 raise StructuralError("LP dual is negative on a demand row")
             bound += demands[(a, b)] * y
-        elif caps.get(kind) is not None and 0 <= a < instance.n and 1 <= b <= horizon:
+        elif kind in caps and 0 <= a < instance.n and 1 <= b <= horizon:
             if y > 0:
                 raise StructuralError("LP dual is positive on a cap row")
             bound += caps[kind] * y
@@ -149,72 +151,66 @@ def _check_solution(instance, sender_cap, receiver_cap, horizon, x, duals, objec
 
 def solve_completion_lp(
     instance: Instance,
-    sender_cap: Fraction | None,
-    receiver_cap: Fraction | None,
-    t_max: int,
+    sender_cap: Fraction,
+    receiver_cap: Fraction,
     max_n: int = DEFAULT_MAX_N,
     max_horizon: int = DEFAULT_MAX_HORIZON,
 ) -> LPSolution:
-    """Exact optimum of the completion-time LP at horizon ``t_max``.
+    """Exact optimum of the completion-time LP over every horizon.
 
-    Caps of None mean uncapped. Infeasibility at ``t_max`` is probed again
-    at twice the horizon to distinguish a too-short horizon from a truly
-    infeasible system.
+    Tries horizons upward from the load bound's slot count and returns the
+    first whose checked optimum has every demand dual y_ij <= T + 1. A
+    slot after T enters the LP with zero cap duals, so its variables keep
+    reduced cost t - y_ij >= 0: the dual stays feasible at every longer
+    horizon, and no longer horizon does better. Shorter horizons restrict
+    the LP, so none does better either. The search ends once an optimum
+    leaves a slot empty: that slot's cap duals are 0 by complementary
+    slackness, so dual feasibility there gives y_ij <= T.
     """
+    if not (sender_cap > 0 and receiver_cap > 0):
+        raise StructuralError(
+            f"LP caps must be positive, got {sender_cap} and {receiver_cap}"
+        )
     if instance.n > max_n:
         raise SizeGuardError(
             f"oracle guard: n={instance.n} exceeds {max_n} (override max_n to force)"
         )
-    if t_max > max_horizon:
-        raise SizeGuardError(
-            f"oracle guard: horizon {t_max} exceeds {max_horizon} "
-            "(override max_horizon to force)"
-        )
-    result, x, duals = _solve_at_horizon(instance, sender_cap, receiver_cap, t_max)
-    if result.status == simplex.OPTIMAL:
-        return LPSolution(OPTIMAL, result.objective, x, duals)
-    probe, _, _ = _solve_at_horizon(instance, sender_cap, receiver_cap, 2 * t_max)
-    if probe.status == simplex.OPTIMAL:
-        return LPSolution(HORIZON_TOO_SHORT, None, {}, {})
-    return LPSolution(INFEASIBLE, None, {}, {})
+    start = max(1, ceil_frac(instance.load_bound / max(sender_cap, receiver_cap)))
+    for horizon in range(start, max_horizon + 1):
+        sol = _solve_at_horizon(instance, sender_cap, receiver_cap, horizon)
+        if sol is not None and all(
+            y <= horizon + 1 for (kind, _, _), y in sol.duals.items() if kind == "demand"
+        ):
+            return sol
+    raise SizeGuardError(
+        f"oracle guard: no optimum proved within horizon {max_horizon} "
+        "(override max_horizon to force)"
+    )
 
 
 def opt_direct_fractional(instance: Instance, **guards) -> Fraction:
     """Optimal direct fractional total completion time (caps 1, 1)."""
-    horizon = ceil_frac(instance.total_demand) + instance.n
-    sol = solve_completion_lp(instance, Fraction(1), Fraction(1), horizon, **guards)
-    if sol.status != OPTIMAL:
-        raise StructuralError(f"direct LP unexpectedly {sol.status}")
-    return sol.objective
+    return solve_completion_lp(instance, Fraction(1), Fraction(1), **guards).objective
 
 
-def _one_sided_horizon(sums) -> int:
-    # A 1/4-capped side finishes by front-loading each node at full rate;
-    # per-node decoupling makes this horizon provably sufficient.
-    return max((ceil_frac(4 * s) for s in sums), default=0)
+def _one_sided_optimum(sums) -> Fraction:
+    # With one cap family the LP splits into one problem per node: ship s
+    # at rate at most c per slot, cheapest by filling slots 1..k with
+    # k = floor(s / c) and the remainder in slot k + 1. Which of the node's
+    # pairs ships when does not change the cost.
+    c = Fraction(1, 4)
+    total = Fraction(0)
+    for s in sums:
+        k = s // c
+        total += c * k * (k + 1) / 2 + (k + 1) * (s - k * c)
+    return total
 
 
-def opt_sender_bound(instance: Instance, **guards) -> Fraction:
+def opt_sender_bound(instance: Instance) -> Fraction:
     """Optimum of the sender-bound relaxation (sender cap 1/4, no receiver cap)."""
-    from .model import matrix_row_sums
-
-    horizon = _one_sided_horizon(matrix_row_sums(instance.demands))
-    if horizon == 0:
-        return Fraction(0)
-    sol = solve_completion_lp(instance, Fraction(1, 4), None, horizon, **guards)
-    if sol.status != OPTIMAL:
-        raise StructuralError(f"sender-bound LP unexpectedly {sol.status}")
-    return sol.objective
+    return _one_sided_optimum(matrix_row_sums(instance.demands))
 
 
-def opt_receiver_bound(instance: Instance, **guards) -> Fraction:
+def opt_receiver_bound(instance: Instance) -> Fraction:
     """Optimum of the receiver-bound relaxation (receiver cap 1/4)."""
-    from .model import matrix_col_sums
-
-    horizon = _one_sided_horizon(matrix_col_sums(instance.demands))
-    if horizon == 0:
-        return Fraction(0)
-    sol = solve_completion_lp(instance, None, Fraction(1, 4), horizon, **guards)
-    if sol.status != OPTIMAL:
-        raise StructuralError(f"receiver-bound LP unexpectedly {sol.status}")
-    return sol.objective
+    return _one_sided_optimum(matrix_col_sums(instance.demands))

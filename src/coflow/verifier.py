@@ -51,25 +51,6 @@ class VerificationReport:
         }
 
 
-def classify(schedule: Schedule) -> tuple[bool, bool]:
-    """Return (direct, integral) for a schedule; purely descriptive."""
-    direct = True
-    integral = True
-    for step in schedule.steps:
-        out_edges: dict[int, set] = {}
-        in_edges: dict[int, set] = {}
-        for t in step.transfers:
-            if t.src != t.origin or t.dst != t.dest:
-                direct = False
-            out_edges.setdefault(t.src, set()).add(t.dst)
-            in_edges.setdefault(t.dst, set()).add(t.src)
-        if any(len(s) > 1 for s in out_edges.values()):
-            integral = False
-        if any(len(s) > 1 for s in in_edges.values()):
-            integral = False
-    return direct, integral
-
-
 # Caps under which scaled amounts can be summed in float64 without any
 # rounding: every partial sum stays an integer below 2**53.
 _AMOUNT_CAP = 2**40

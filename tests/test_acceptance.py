@@ -28,7 +28,7 @@ from coflow.indirect import (
     vlb_lift,
 )
 from coflow.model import compute_metrics, make_instance, uniform_instance
-from coflow.verifier import classify, verify
+from coflow.verifier import verify
 
 import random
 
@@ -195,8 +195,8 @@ def test_edge_coloring_hits_degree_bound():
             max(sum(demands[i][j] for i in range(n)) for j in range(n)),
         )
         assert metrics.makespan == degree
-        direct, integral = classify(sched)
-        assert direct and integral
+        report = verify(inst, sched)
+        assert report.is_direct and report.is_integral
 
 
 def test_schedules_respect_computed_lower_bounds():

@@ -1,4 +1,4 @@
-"""Dual certificates for greedy runs, worst-case bounds, and gap reports."""
+"""Dual certificates for greedy runs and worst-case bounds."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -9,14 +9,12 @@ import pytest
 from coflow.certificates import (
     build_certificate,
     check_certificate,
-    compare,
     lower_bounds,
     path_count_feasible,
 )
 from coflow.direct import GreedyTrace, greedy_schedule
 from coflow.errors import StructuralError
-from coflow.model import FractionalMatching, make_instance, uniform_instance
-from coflow.indirect import hypercube_schedule
+from coflow.model import FractionalMatching, make_instance
 
 
 def test_two_node_certificate_values():
@@ -105,8 +103,8 @@ def test_non_maximal_matching_is_rejected():
     first = FractionalMatching(((0, 1, F(1)),))
     second = FractionalMatching(((1, 2, F(1)),))
     slow = GreedyTrace.from_json(
-        {"matchings": [[[s, r, str(p)] for s, r, p in m.triples]
-                       for m in (first, second)]},
+        {"n": 3, "matchings": [[[s, r, str(p)] for s, r, p in m.triples]
+                               for m in (first, second)]},
         inst,
     )
     report = check_certificate(inst, slow, build_certificate(slow))
@@ -123,7 +121,7 @@ def test_unfinished_or_overshipping_trace_is_rejected():
     assert any("unshipped" in f for f in report.failures)
     small = make_instance(2, [[F(0), F(1, 2)], [F(0), F(0)]])
     over = GreedyTrace.from_json(
-        {"matchings": [[[0, 1, "1"]]]},
+        {"n": 2, "matchings": [[[0, 1, "1"]]]},
         small,
     )
     genuine = build_certificate(greedy_schedule(small)[1])
@@ -166,7 +164,7 @@ def test_lower_bound_components(n, load, log_lb, ceil_load):
     rep = lower_bounds(n, load)
     assert rep.log_lb == log_lb
     assert rep.ceil_load == ceil_load
-    assert rep.max_lb >= max(log_lb, ceil_load)
+    assert rep.max_lb == max(log_lb, ceil_load)
 
 
 def test_bounds_upper_formula_extremes():
@@ -187,18 +185,3 @@ def test_bounds_reject_degenerate_inputs():
 )
 def test_path_count_truth_table(length, hops, n, ok):
     assert path_count_feasible(length, hops, n) is ok
-
-
-def test_compare_uniform_hypercube_is_tight():
-    inst = uniform_instance(16, F(2))
-    rep = compare(inst, hypercube_schedule(inst))
-    assert rep.ratio_makespan == 1  # makespan 4 == log2(16)
-    assert rep.bounds.max_lb == 4
-
-
-def test_compare_rejects_infeasible_schedule():
-    inst = make_instance(2, [[F(0), F(1)], [F(0), F(0)]])
-    other = make_instance(2, [[F(0), F(2)], [F(0), F(0)]])
-    sched, _ = greedy_schedule(other)
-    with pytest.raises(StructuralError):
-        compare(inst, sched)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coflow.cli import main
 
 
@@ -92,7 +94,19 @@ def test_oracle_command(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "--instance", str(inst),
                        "--sender-cap", "1", "--receiver-cap", "1")
     assert code == 0
-    assert json.loads(out)["status"] == "optimal"
+    # Each half unit ships in slot 1, and one slot is proved enough.
+    obj = json.loads(out)
+    assert (obj["objective"], obj["horizon"]) == ("1", 1)
+
+
+@pytest.mark.parametrize("cap", [["--sender-cap", "0"], ["--receiver-cap", "-1"]])
+def test_oracle_non_positive_cap_is_exit_two(tmp_path, capsys, cap):
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "2", "--B", "1", "--out", str(inst))
+    code, out, err = run(capsys, "oracle", "--instance", str(inst), *cap)
+    assert code == 2
+    assert out == ""
+    assert "positive" in err
 
 
 def test_experiment_command(tmp_path, capsys):
@@ -164,9 +178,10 @@ def test_malformed_trace_is_exit_two(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     trace = tmp_path / "trace.json"
     run(capsys, "generate", "--n", "4", "--B", "2", "--out", str(inst))
-    for bad in ({}, {"matchings": {}}, {"matchings": [[[0, 1]]]},
-                {"matchings": [[["0", 1, "1/2"]]]}, {"matchings": [[[0, 1, 0.5]]]},
-                {"matchings": [[[-1, 1, "1/2"]]]}):
+    for bad in ({}, {"n": 4, "matchings": {}}, {"n": 4, "matchings": [[[0, 1]]]},
+                {"n": 4, "matchings": [[["0", 1, "1/2"]]]},
+                {"n": 4, "matchings": [[[0, 1, 0.5]]]},
+                {"n": 4, "matchings": [[[-1, 1, "1/2"]]]}):
         trace.write_text(json.dumps(bad))
         code, _, err = run(capsys, "certify", "--instance", str(inst),
                            "--trace", str(trace))
@@ -195,3 +210,52 @@ def test_experiment_config_unknown_names_are_exit_two(tmp_path, capsys):
         code, _, err = run(capsys, "experiment", "--config", str(cfg))
         assert code == 2, bad
         assert "unknown" in err
+
+
+GOOD_INSTANCE = {"n": 2, "demands": [["0", "1"], ["0", "0"]]}
+
+
+def test_trace_names_its_instance_size(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    trace = tmp_path / "trace.json"
+    inst.write_text(json.dumps(GOOD_INSTANCE))
+    for declared in ({"n": 5}, {}):
+        trace.write_text(json.dumps({**declared, "matchings": [[[0, 1, "1"]]]}))
+        code, out, err = run(capsys, "certify", "--instance", str(inst),
+                             "--trace", str(trace))
+        assert code == 2, declared
+        assert out == ""
+        assert "n=2" in err
+
+
+def _one_transfer(**fields):
+    transfer = {"from": 0, "to": 1, "commodity": [0, 1], "amount": "1", **fields}
+    transfer = {k: v for k, v in transfer.items() if v is not None}
+    return {"horizon": 1, "steps": [{"transfers": [transfer]}]}
+
+
+@pytest.mark.parametrize("instance,schedule", [
+    pytest.param(GOOD_INSTANCE, _one_transfer(**{"from": "x"}), id="from-string"),
+    pytest.param(GOOD_INSTANCE, _one_transfer(to=1.9), id="to-float"),
+    pytest.param(GOOD_INSTANCE, _one_transfer(to=None), id="to-missing"),
+    pytest.param(GOOD_INSTANCE, [_one_transfer()], id="schedule-array"),
+    pytest.param(GOOD_INSTANCE, {**_one_transfer(), "horizon": "z"}, id="horizon-string"),
+    pytest.param({**GOOD_INSTANCE, "n": "x"}, _one_transfer(), id="n-string"),
+    pytest.param(GOOD_INSTANCE, "{not json", id="schedule-not-json"),
+    pytest.param(GOOD_INSTANCE, b"\xff{}", id="schedule-not-utf8"),
+    pytest.param(GOOD_INSTANCE, None, id="schedule-missing"),
+])
+def test_malformed_instance_or_schedule_is_exit_two(tmp_path, capsys, instance, schedule):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    inst.write_text(json.dumps(instance))
+    if isinstance(schedule, bytes):
+        sched.write_bytes(schedule)
+    elif schedule is not None:
+        sched.write_text(schedule if isinstance(schedule, str) else json.dumps(schedule))
+    for command in ("verify", "metrics"):
+        code, out, err = run(capsys, command, "--instance", str(inst),
+                             "--schedule", str(sched))
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err

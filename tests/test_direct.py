@@ -15,7 +15,7 @@ from coflow.direct import (
     smeared_fractional_schedule,
 )
 from coflow.model import compute_metrics, make_instance, uniform_instance
-from coflow.verifier import classify, verify
+from coflow.verifier import verify
 
 
 def random_instance(seed, n_max=5, int_only=False):
@@ -54,9 +54,9 @@ def test_greedy_two_node_residual_trace():
 def test_greedy_is_direct():
     inst = uniform_instance(4, 3)
     sched, _ = greedy_schedule(inst)
-    direct, _ = classify(sched)
-    assert direct
-    assert verify(inst, sched).feasible
+    report = verify(inst, sched)
+    assert report.is_direct
+    assert report.feasible
 
 
 @pytest.mark.parametrize("order", ORDER_CHOICES)

@@ -47,6 +47,14 @@ def test_hypercube_ratio_is_one():
             assert r["ratio_makespan"] == "1"
 
 
+def test_uniform_hypercube_row_is_tight():
+    # Makespan 4 == log2(16), the larger exact lower bound.
+    config = ExperimentConfig(n_values=(16,), load_values=(F(2),), algorithms=("hypercube",))
+    (row,) = run_experiment(config)
+    assert row["lower_bound_max"] == "4"
+    assert row["ratio_makespan"] == "1"
+
+
 def test_csv_round_trip(tmp_path):
     rows = run_experiment(CONFIG)
     path = tmp_path / "out.csv"

@@ -1,17 +1,17 @@
 """Time-indexed completion-time LPs: exact optima and size guards."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 import reference_simplex
-from coflow import simplex
+from coflow import oracle, simplex
 from coflow.errors import SizeGuardError, StructuralError
 from coflow.model import make_instance, uniform_instance
 from coflow.oracle import (
-    HORIZON_TOO_SHORT,
-    OPTIMAL,
     _check_solution,
+    _solve_at_horizon,
     opt_direct_fractional,
     opt_receiver_bound,
     opt_sender_bound,
@@ -48,29 +48,44 @@ def test_zero_instance_is_free():
 
 def test_lp_solution_reports_flows():
     inst = make_instance(2, [[F(0), F(1)], [F(0), F(0)]])
-    sol = solve_completion_lp(inst, F(1), F(1), t_max=2)
-    assert sol.status == OPTIMAL
+    sol = solve_completion_lp(inst, F(1), F(1))
     assert sol.objective == 1
+    assert sol.horizon == 1
     shipped = sum(v for (i, j, t), v in sol.x.items() if (i, j) == (0, 1))
     assert shipped == 1
-
-
-def test_horizon_too_short_status():
-    inst = make_instance(2, [[F(0), F(3)], [F(0), F(0)]])
-    sol = solve_completion_lp(inst, F(1), F(1), t_max=2)
-    assert sol.status == HORIZON_TOO_SHORT
-    assert sol.objective is None
 
 
 def test_size_guards_fire():
     big = uniform_instance(8, F(2))
     with pytest.raises(SizeGuardError):
         opt_direct_fractional(big)
-    small = make_instance(2, [[F(0), F(1)], [F(0), F(0)]])
+    # A demand of 30 needs 30 slots, past the default horizon guard of 24.
+    long = make_instance(2, [[F(0), F(30)], [F(0), F(0)]])
     with pytest.raises(SizeGuardError):
-        solve_completion_lp(small, F(1), F(1), t_max=200)
+        solve_completion_lp(long, F(1), F(1))
     # Overrides lift the guards.
     assert opt_direct_fractional(big, max_n=8, max_horizon=120) > 0
+    assert opt_direct_fractional(long, max_horizon=40) == 465  # 1 + ... + 30
+
+
+def test_search_passes_an_uncertified_horizon(monkeypatch):
+    # Raise one demand dual past T + 1 at the first horizon tried, after
+    # its check has run: that optimum is not proved over longer horizons,
+    # so the search must go on to the next one.
+    inst = make_instance(2, [[F(0), F(3, 2)], [F(1), F(0)]])
+    first = solve_completion_lp(inst, F(1), F(1))
+    solve = oracle._solve_at_horizon
+
+    def uncertified_first(instance, sender_cap, receiver_cap, horizon):
+        sol = solve(instance, sender_cap, receiver_cap, horizon)
+        if sol is not None and horizon == first.horizon:
+            sol = replace(sol, duals={**sol.duals, ("demand", 0, 1): F(horizon + 2)})
+        return sol
+
+    monkeypatch.setattr(oracle, "_solve_at_horizon", uncertified_first)
+    sol = solve_completion_lp(inst, F(1), F(1))
+    assert sol.horizon == first.horizon + 1
+    assert sol.objective == first.objective
 
 
 def test_guard_override_passthrough():
@@ -91,14 +106,15 @@ def test_greedy_within_sixteen_of_direct(tiny_corpus):
 
 
 def _solved(inst, sender_cap, receiver_cap, t_max):
-    sol = solve_completion_lp(inst, sender_cap, receiver_cap, t_max)
-    assert sol.status == OPTIMAL
+    sol = _solve_at_horizon(inst, sender_cap, receiver_cap, t_max)
+    assert sol is not None
     return sol
 
 
 def test_optimal_answers_carry_checked_duals():
     inst = make_instance(3, [[F(0), F(1), F(1, 2)], [F(1, 3), F(0), F(0)], [F(0), F(3, 2), F(0)]])
-    for caps, t_max in (((F(1), F(1)), 6), ((F(1, 4), None), 12), ((None, F(1, 4)), 12)):
+    never = inst.total_demand  # a cap no slot can exceed
+    for caps, t_max in (((F(1), F(1)), 6), ((F(1, 4), never), 12), ((never, F(1, 4)), 12)):
         sol = _solved(inst, *caps, t_max)
         assert sol.duals  # a positive optimum needs a nonzero dual
         _check_solution(inst, *caps, t_max, sol.x, sol.duals, sol.objective)
@@ -137,9 +153,10 @@ def test_stale_dual_fails_the_check():
 
 
 def test_oracle_lps_match_reference_simplex(tiny_corpus, monkeypatch):
-    # Every LP the oracle builds for every fourth corpus member (n = 2, 3, 4
-    # in turn) solves identically on the integer-row simplex and on the
-    # dense Fraction reference, which is too slow to run on all 200.
+    # Every LP the direct oracle builds for every fourth corpus member
+    # (n = 2, 3, 4 in turn) solves identically on the integer-row simplex
+    # and on the dense Fraction reference, which is too slow to run on all
+    # 200.
     solve = simplex.solve_lp
 
     def both(*lp):
@@ -147,8 +164,13 @@ def test_oracle_lps_match_reference_simplex(tiny_corpus, monkeypatch):
         assert (res.status, res.objective, res.x) == (ref.status, ref.objective, ref.x)
         return res
 
-    monkeypatch.setattr(simplex, "solve_lp", both)
-    for inst, _, opt_d, opt_s, opt_r in tiny_corpus[::4]:
-        assert opt_direct_fractional(inst) == opt_d
-        assert opt_sender_bound(inst) == opt_s
-        assert opt_receiver_bound(inst) == opt_r
+    with monkeypatch.context() as patched:
+        patched.setattr(simplex, "solve_lp", both)
+        for inst, _, opt_d, _, _ in tiny_corpus[::4]:
+            assert opt_direct_fractional(inst) == opt_d
+    # The closed-form one-sided bounds equal their LPs, with the other cap
+    # family set to the total demand, which no slot can exceed.
+    for inst, _, _, opt_s, opt_r in tiny_corpus:
+        never = inst.total_demand
+        assert solve_completion_lp(inst, F(1, 4), never).objective == opt_s
+        assert solve_completion_lp(inst, never, F(1, 4)).objective == opt_r

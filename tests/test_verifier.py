@@ -18,7 +18,7 @@ from coflow.model import (
     schedule_from_steps,
     uniform_instance,
 )
-from coflow.verifier import classify, verify
+from coflow.verifier import verify
 
 
 def _reference_verify(instance, schedule):
@@ -134,12 +134,11 @@ def test_shipping_more_than_demand_breaks_conservation():
 
 def test_classify_quadrants():
     inst = uniform_instance(4, 2)
-    sched = hypercube_schedule(inst)
-    direct, integral = classify(sched)
-    assert integral and not direct
+    report = verify(inst, hypercube_schedule(inst))
+    assert report.is_integral and not report.is_direct
     g, _ = greedy_schedule(inst)
-    direct, integral = classify(g)
-    assert direct and not integral  # fractional matchings split nodes
+    report = verify(inst, g)
+    assert report.is_direct and not report.is_integral  # fractional matchings split nodes
 
 
 def test_report_json_shape():
