@@ -23,6 +23,7 @@ from .model import (
     dump_schedule,
     load_instance,
     load_schedule,
+    write_json,
 )
 from .rational import parse_rational
 from .verifier import verify
@@ -42,8 +43,7 @@ def _build_schedule(args, instance):
     if alg == "greedy":
         schedule, trace = greedy_schedule(instance, order=args.order, seed=args.seed)
         if args.trace_out:
-            with open(args.trace_out, "w") as fh:
-                json.dump(trace.to_json(), fh)
+            write_json(trace.to_json(), args.trace_out)
         return schedule
     if alg == "elementary-basis" and args.dimension is not None:
         return elementary_basis_schedule(

@@ -30,6 +30,7 @@ from .model import (
     matrix_row_sums,
     schedule_from_steps,
 )
+from .rational import rational_parser, rational_renderer
 
 ORDER_CHOICES = ("lex", "residual", "sums", "random")
 
@@ -91,12 +92,11 @@ class GreedyTrace:
         return self._replay[2]
 
     def to_json(self) -> dict:
-        from .rational import render_rational
-
+        render = rational_renderer()
         return {
             "n": self.instance.n,
             "matchings": [
-                [[s, r, render_rational(p)] for s, r, p in m.triples]
+                [[s, r, render(p)] for s, r, p in m.triples]
                 for m in self.matchings
             ],
         }
@@ -105,8 +105,7 @@ class GreedyTrace:
     def from_json(obj: dict, instance: Instance) -> "GreedyTrace":
         """Read the matchings of a trace whose ``n`` is ``instance.n``; any
         stored residuals are ignored."""
-        from .rational import parse_rational
-
+        parse = rational_parser()
         n = instance.n
         if not isinstance(obj, dict) or obj.get("n") != n:
             raise StructuralError(f"greedy trace does not name the instance's n={n}")
@@ -129,7 +128,7 @@ class GreedyTrace:
                     raise StructuralError(
                         f"matching {t}: node outside 0..{n - 1} in {x!r}"
                     )
-                triples.append((s, r, parse_rational(p)))
+                triples.append((s, r, parse(p)))
             matchings.append(FractionalMatching(tuple(triples)))
         return GreedyTrace(instance=instance, matchings=tuple(matchings))
 

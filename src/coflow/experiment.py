@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .certificates import lower_bounds
 from .direct import edge_coloring_schedule, greedy_schedule, smeared_fractional_schedule
@@ -80,16 +81,23 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
-        return ExperimentConfig(
-            n_values=tuple(int(x) for x in obj["n_values"]),
-            load_values=tuple(parse_rational(str(x)) for x in obj["load_values"]),
-            algorithms=tuple(obj["algorithms"]),
-            family=obj.get("family", "uniform"),
-            seed=int(obj.get("seed", 0)),
-            repetitions=int(obj.get("repetitions", 1)),
-            output=obj.get("output"),
-            workers=int(obj.get("workers", 1)),
-        )
+        try:
+            algorithms = obj["algorithms"]
+            if not (isinstance(algorithms, list)
+                    and all(type(a) is str for a in algorithms)):
+                raise TypeError(f"algorithms is not a list of names: {algorithms!r}")
+            return ExperimentConfig(
+                n_values=tuple(index(x) for x in obj["n_values"]),
+                load_values=tuple(parse_rational(str(x)) for x in obj["load_values"]),
+                algorithms=tuple(algorithms),
+                family=obj.get("family", "uniform"),
+                seed=index(obj.get("seed", 0)),
+                repetitions=index(obj.get("repetitions", 1)),
+                output=obj.get("output"),
+                workers=index(obj.get("workers", 1)),
+            )
+        except (KeyError, TypeError) as exc:
+            raise StructuralError(f"malformed experiment config: {exc}") from exc
 
     @staticmethod
     def load(path: str) -> "ExperimentConfig":

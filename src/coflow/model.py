@@ -23,7 +23,7 @@ from .errors import (
     NegativeDemandError,
     StructuralError,
 )
-from .rational import parse_rational, render_rational
+from .rational import parse_rational, rational_parser, rational_renderer
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -74,15 +74,17 @@ class Instance:
                     yield i, j, row[j]
 
     def to_json(self) -> dict:
+        render = rational_renderer()
         return {
             "n": self.n,
-            "demands": [[render_rational(x) for x in row] for row in self.demands],
+            "demands": [[render(x) for x in row] for row in self.demands],
         }
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
+        parse = rational_parser()
         try:
-            demands = [[parse_rational(x) for x in row] for row in obj["demands"]]
+            demands = [[parse(x) for x in row] for row in obj["demands"]]
             n = index(obj["n"])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed instance: {exc}") from exc
@@ -170,6 +172,7 @@ class Schedule:
         return len(self.steps)
 
     def to_json(self) -> dict:
+        render = rational_renderer()
         return {
             "horizon": self.horizon,
             "steps": [
@@ -179,7 +182,7 @@ class Schedule:
                             "from": t.src,
                             "to": t.dst,
                             "commodity": [t.origin, t.dest],
-                            "amount": render_rational(t.amount),
+                            "amount": render(t.amount),
                         }
                         for t in step.transfers
                     ]
@@ -190,24 +193,21 @@ class Schedule:
 
     @staticmethod
     def from_json(obj: dict, n: int) -> "Schedule":
-        steps = []
+        parse = rational_parser()
+        make = Transfer._make  # cheaper per row than calling Transfer(...)
         try:
-            for step in obj["steps"]:
-                transfers = tuple(
-                    Transfer(
-                        src=index(t["from"]),
-                        dst=index(t["to"]),
-                        origin=index(t["commodity"][0]),
-                        dest=index(t["commodity"][1]),
-                        amount=parse_rational(t["amount"]),
-                    )
+            steps = tuple(
+                Step(tuple([
+                    make((index(t["from"]), index(t["to"]), index(t["commodity"][0]),
+                          index(t["commodity"][1]), parse(t["amount"])))
                     for t in step["transfers"]
-                )
-                steps.append(Step(transfers))
+                ]))
+                for step in obj["steps"]
+            )
             horizon = index(obj["horizon"])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed schedule: {exc}") from exc
-        sched = Schedule(n=n, steps=tuple(steps))
+        sched = Schedule(n=n, steps=steps)
         if sched.horizon != horizon:
             raise StructuralError("declared horizon does not match step count")
         return sched
@@ -270,13 +270,12 @@ class Metrics:
     delivered: Matrix
 
     def to_json(self) -> dict:
+        render = rational_renderer()
         return {
             "makespan": self.makespan,
-            "total_completion": render_rational(self.total_completion),
-            "average_completion": render_rational(self.average_completion),
-            "delivered": [
-                [render_rational(x) for x in row] for row in self.delivered
-            ],
+            "total_completion": render(self.total_completion),
+            "average_completion": render(self.average_completion),
+            "delivered": [[render(x) for x in row] for row in self.delivered],
         }
 
 
@@ -331,14 +330,21 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     )
 
 
+def write_json(obj, path: str, indent: int | None = None) -> None:
+    """Write ``obj`` as one ``json.dumps`` string in one write: ``json.dump``
+    encodes in pure Python and writes once per token, for the same bytes."""
+    text = json.dumps(obj, indent=indent)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def load_instance(path: str) -> Instance:
     with open(path) as fh:
         return Instance.from_json(json.load(fh))
 
 
 def dump_instance(instance: Instance, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance.to_json(), fh, indent=2)
+    write_json(instance.to_json(), path, indent=2)
 
 
 def load_schedule(path: str, n: int) -> Schedule:
@@ -347,5 +353,4 @@ def load_schedule(path: str, n: int) -> Schedule:
 
 
 def dump_schedule(schedule: Schedule, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(schedule.to_json(), fh)
+    write_json(schedule.to_json(), path)

@@ -7,6 +7,8 @@ format is "p/q" (or just "p" for integers).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from typing import Callable
 
 from .errors import StructuralError
 
@@ -23,6 +25,14 @@ def parse_rational(text: str | int) -> Fraction:
         raise StructuralError(f"not a rational: {text!r}") from exc
 
 
+def rational_parser() -> Callable[[object], Fraction]:
+    """``parse_rational`` that parses each distinct string once; make one per
+    document. Only ``str`` values reach the memo: ``1``, ``1.0`` and ``True``
+    hash alike, so every other value goes to ``parse_rational`` each time."""
+    parse_str = cache(parse_rational)
+    return lambda text: parse_str(text) if type(text) is str else parse_rational(text)
+
+
 def ceil_frac(q: Fraction) -> int:
     """Exact ceiling of a rational."""
     return -((-q.numerator) // q.denominator)
@@ -34,6 +44,14 @@ def render_rational(q: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def rational_renderer() -> Callable[[Fraction | int], str]:
+    """``render_rational`` that renders each distinct value once; make one
+    per document. The memo is keyed by (numerator, denominator), which equal
+    values share and which hashes far faster than a Fraction."""
+    render_pair = cache(lambda num, den: render_rational(Fraction(num, den)))
+    return lambda q: render_pair(q.numerator, q.denominator)
 
 
 def render_decimal(q: Fraction, sig_digits: int = 6) -> str:

@@ -15,7 +15,7 @@ from math import lcm
 import numpy as np
 
 from .model import Instance, Matrix, Schedule
-from .rational import render_rational
+from .rational import rational_renderer, render_rational
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,15 @@ class VerificationReport:
     is_direct: bool
 
     def to_json(self) -> dict:
+        render = rational_renderer()
         return {
             "feasible": self.feasible,
             "violations": [
                 {"kind": v.kind, "step": v.step, "where": list(v.where), "detail": v.detail}
                 for v in self.violations
             ],
-            "max_edge_load": render_rational(self.max_edge_load),
-            "unmet_demand": [
-                [render_rational(x) for x in row] for row in self.unmet_demand
-            ],
+            "max_edge_load": render(self.max_edge_load),
+            "unmet_demand": [[render(x) for x in row] for row in self.unmet_demand],
             "is_integral": self.is_integral,
             "is_direct": self.is_direct,
         }

@@ -212,6 +212,17 @@ def test_experiment_config_unknown_names_are_exit_two(tmp_path, capsys):
         assert "unknown" in err
 
 
+def test_malformed_experiment_config_is_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"n_values": [4.7]}, {"seed": "x"}, {"algorithms": "greedy"}):
+        obj = {"n_values": [4], "load_values": ["2"], "algorithms": ["greedy"]}
+        cfg.write_text(json.dumps({**obj, **bad}))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg))
+        assert code == 2, bad
+        assert out == ""
+        assert err.startswith("error: malformed experiment config"), bad
+
+
 GOOD_INSTANCE = {"n": 2, "demands": [["0", "1"], ["0", "0"]]}
 
 
@@ -253,6 +264,27 @@ def test_malformed_instance_or_schedule_is_exit_two(tmp_path, capsys, instance, 
         sched.write_bytes(schedule)
     elif schedule is not None:
         sched.write_text(schedule if isinstance(schedule, str) else json.dumps(schedule))
+    for command in ("verify", "metrics"):
+        code, out, err = run(capsys, command, "--instance", str(inst),
+                             "--schedule", str(sched))
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("first", [1, "1"])
+@pytest.mark.parametrize("later", [True, 1.0, [1]])
+def test_amount_memo_refuses_what_hashes_like_an_earlier_amount(
+    tmp_path, capsys, first, later
+):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    inst.write_text(json.dumps({"n": 2, "demands": [["0", "2"], ["0", "0"]]}))
+    steps = [
+        {"transfers": [{"from": 0, "to": 1, "commodity": [0, 1], "amount": amount}]}
+        for amount in (first, later)
+    ]
+    sched.write_text(json.dumps({"horizon": 2, "steps": steps}))
     for command in ("verify", "metrics"):
         code, out, err = run(capsys, command, "--instance", str(inst),
                              "--schedule", str(sched))

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -9,16 +10,26 @@ from coflow.errors import (
     NegativeDemandError,
     StructuralError,
 )
+from coflow.experiment import ALGORITHMS
 from coflow.model import (
     Instance,
     Schedule,
     Transfer,
     compute_metrics,
+    dump_instance,
+    dump_schedule,
+    load_schedule,
     make_instance,
     schedule_from_steps,
     uniform_instance,
 )
-from coflow.rational import parse_rational, render_decimal, render_rational
+from coflow.rational import (
+    parse_rational,
+    rational_parser,
+    rational_renderer,
+    render_decimal,
+    render_rational,
+)
 
 
 def test_load_bound_is_max_row_or_col_sum():
@@ -72,6 +83,25 @@ def test_schedule_json_round_trip():
     }
     again = Schedule.from_json(obj, 2)
     assert again == sched
+    # One Fraction per distinct amount string in a decoded document.
+    assert again.steps[0].transfers[0].amount is again.steps[1].transfers[0].amount
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_wire_files_are_one_shot_dumps(tmp_path, algorithm):
+    instance = uniform_instance(16, 4)
+    schedule = ALGORITHMS[algorithm](instance, F(4))
+    inst_path, sched_path = str(tmp_path / "inst.json"), str(tmp_path / "sched.json")
+    dump_schedule(schedule, sched_path)
+    dump_instance(instance, inst_path)
+    with open(sched_path) as fh:
+        # A bare bool: pytest's diff of two long one-line strings takes minutes.
+        same = fh.read() == json.dumps(schedule.to_json())
+    assert same
+    with open(inst_path) as fh:
+        same = fh.read() == json.dumps(instance.to_json(), indent=2)
+    assert same
+    assert load_schedule(sched_path, instance.n) == schedule
 
 
 def test_schedule_json_horizon_mismatch():
@@ -127,6 +157,8 @@ def test_metrics_rejects_node_count_mismatch():
 def test_parse_render_round_trip(text, value):
     assert parse_rational(text) == value
     assert parse_rational(render_rational(value)) == value
+    assert rational_parser()(text) == value
+    assert rational_renderer()(value) == render_rational(value) == text
 
 
 def test_render_decimal_is_display_only():
