@@ -10,7 +10,6 @@ of a concrete run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -184,7 +183,9 @@ class BoundsReport:
 
     ``log_lb`` is the path-counting bound (smallest L with 2^L >= n);
     ``max_lb`` is the larger of it and ``ceil_load``, so every ratio taken
-    against it divides by an exact bound.
+    against it divides by an exact bound. ``upper_formula`` is the regime
+    schemes' makespan bound, exact: (n-1)ceil(B/n) for B >= n, 2 log_lb for
+    B <= 2, and 2B(d+1) otherwise, d the least dimension with B^d >= n.
     """
 
     n: int
@@ -226,11 +227,11 @@ def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
         upper = Fraction((n - 1) * ceil_frac(load / n))
     elif load <= 2:
         upper = Fraction(2 * log_lb)
-    else:
-        ratio = Fraction(
-            math.log2(n) / math.log2(float(load))
-        ).limit_denominator(10**6)
-        upper = 2 * load * (ratio + 1)
+    else:  # 2B(d + 1), d the least dimension with B^d >= n, as the scheme picks
+        d = 1
+        while load**d < n:
+            d += 1
+        upper = 2 * load * (d + 1)
     return BoundsReport(
         n=n,
         load=load,

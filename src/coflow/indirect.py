@@ -141,25 +141,13 @@ def _elementary_scheme(
     return ElementaryBasisScheme(n, d, max(ceil_frac(load / q), 1))
 
 
-def _schedule_from_routes(
-    n: int, scheme: ElementaryBasisScheme, horizon: int, offset_pairs
-) -> Schedule:
-    """Assemble per-step transfers from per-commodity routed flow.
-
-    ``offset_pairs`` yields (origin, dest, start_node, end_node, amount,
-    slot_offset) tuples; the scheme routes (start, end) over its matchings.
-    """
-    steps: list[list[Transfer]] = [[] for _ in range(horizon)]
-    emit = scheme.emit
-    for origin, dest, a, b, amount, offset in offset_pairs:
-        emit(steps, origin, dest, a, b, amount, offset)
-    return schedule_from_steps(n, steps)
-
-
 def _route_directly(instance: Instance, scheme: ElementaryBasisScheme) -> Schedule:
     """Route every commodity from its origin to its destination."""
-    pairs = ((i, j, i, j, d, 0) for i, j, d in instance.commodities())
-    return _schedule_from_routes(instance.n, scheme, scheme.horizon, pairs)
+    steps: list[list[Transfer]] = [[] for _ in range(scheme.horizon)]
+    emit = scheme.emit
+    for i, j, demand in instance.commodities():
+        emit(steps, i, j, i, j, demand, 0)
+    return schedule_from_steps(instance.n, steps)
 
 
 def round_robin_schedule(
@@ -248,30 +236,63 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
     """Valiant lifting: run a base scheme twice over doubled matchings.
 
     The base is the hypercube for B <= 2 and the elementary basis
-    otherwise. Phase 1 spreads each commodity (u, v) in shares of 1/n to
-    every intermediate node; phase 2 routes each share on to v. Shares
-    whose intermediate already is u (or v) skip phase 1 (or phase 2).
+    otherwise. Each commodity (u, v) is split into n shares of demand/n,
+    one per intermediate node w, and emitted as two merged flow trees with
+    one row per (step, edge, commodity):
+
+    * phase 1 spreads the shares from u, fixing coordinates in schedule
+      order; the edge into a node first reached at coordinate i carries
+      the q^(d-i-1) shares bound for the nodes below it. v is a sink: it
+      forwards nothing, so the shares bound for its subtree (the w that
+      agree with v on coordinates 0..top, top being the highest coordinate
+      where u and v differ) are delivered when they reach v;
+    * phase 2 converges every other share, u's included, onto v; masses
+      merge where their coordinate-fixing routes meet.
+
     Makespan is exactly twice the base scheme's horizon whenever demand is
     nonzero.
     """
     n = instance.n
     load = _regime_load(instance, nominal_load)
     scheme = hypercube_scheme(n) if load <= 2 else _elementary_scheme(n, load)
-    horizon = scheme.horizon
+    q, d, m, horizon = scheme.base, scheme.d, scheme.multiplicity, scheme.horizon
+    pw = [q**i for i in range(d + 1)]
+    steps: list[list[Transfer]] = [[] for _ in range(2 * horizon)]
+    new = tuple.__new__
 
-    def pairs():
-        for u, v, demand in instance.commodities():
-            share = demand / n
-            for w in range(n):
-                if w != u and w != v:
-                    yield (u, v, u, w, share, 0)
-                    yield (u, v, w, v, share, horizon)
-                elif w == v:
-                    yield (u, v, u, v, share, 0)  # delivered in phase 1
-                else:  # w == u: waits at u, moves only in phase 2
-                    yield (u, v, u, v, share, horizon)
+    def put(slot, transfers):  # one matching's m repetitions share the rows
+        for k in range(slot, slot + m):
+            steps[k].extend(transfers)
 
-    return _schedule_from_routes(n, scheme, 2 * horizon, pairs())
+    for u, v, demand in instance.commodities():
+        num, den = demand.numerator, demand.denominator * n * m
+        top = max(i for i in range(d) if u // pw[i] % q != v // pw[i] % q)
+        span, v_low = pw[top + 1], v % pw[top + 1]
+        for i in range(d):
+            p = pw[i]
+            # Phase 1: hi + y*p + lo is first reached at coordinate i, from
+            # hi + ui*p + lo; for i > top, v holds whatever is bound below it.
+            ui, hi = u // p % q, u - u % (p * q)
+            lows = range(p) if i <= top else [lo for lo in range(p) if lo % span != v_low]
+            amount = Fraction(num * pw[d - i - 1], den)
+            for y in range(q):
+                if y != ui:
+                    put((i * (q - 1) + (y - ui) % q - 1) * m, [
+                        new(Transfer, (hi + ui * p + lo, hi + y * p + lo, u, v, amount))
+                        for lo in lows
+                    ])
+            # Phase 2: the edge that fixes coordinate i to v's carries the
+            # shares of the q^i nodes that agree with its tail above i, less
+            # those v absorbed in phase 1.
+            vi, low = v // p % q, v % p
+            amount = Fraction(num * (p if i <= top else p - pw[i - top - 1]), den)
+            for x in range(q):
+                if x != vi:
+                    put((i * (q - 1) + (vi - x) % q - 1) * m + horizon, [
+                        new(Transfer, (h + x * p + low, h + vi * p + low, u, v, amount))
+                        for h in range(0, n, p * q)
+                    ])
+    return schedule_from_steps(n, steps)
 
 
 def auto_schedule(

@@ -283,8 +283,10 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     """Makespan, total and average completion time of a schedule.
 
     Only arrivals at a commodity's final destination count as completions;
-    relay hops do not. Works in integers over a common denominator so that
-    large schedules stay cheap to evaluate.
+    relay hops do not. A destination is a sink: a parcel that leaves its
+    commodity's destination is refused, so each parcel arrives there at
+    most once. Works in integers over a common denominator so that large
+    schedules stay cheap to evaluate.
     """
     n = instance.n
     if schedule.n != n:
@@ -310,6 +312,10 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
             num = amount.numerator
             if num <= 0:
                 raise StructuralError(f"non-positive amount at step {s}")
+            if src == dest:
+                raise StructuralError(
+                    f"commodity ({origin},{dest}) leaves its destination at step {s}"
+                )
             if dst == dest:
                 a = num * mult[amount.denominator]
                 delivered[origin][dest] += a

@@ -2,7 +2,8 @@
 
 The verifier knows nothing about how a schedule was produced. It checks,
 per step, edge capacities and per-node rate sums, cumulative per-commodity
-flow conservation (data may wait at a node between steps), and finally
+flow conservation (data may wait at a node between steps), that no
+commodity leaves its destination (the destination is a sink), and finally
 demand satisfaction. Problems are reported as violations, never raised.
 """
 
@@ -20,7 +21,7 @@ from .rational import rational_renderer, render_rational
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # capacity | node_rate | conservation | node_range | commodity
+    kind: str  # capacity | node_rate | conservation | sink | node_range | commodity
     step: int
     where: tuple
     detail: str
@@ -135,7 +136,7 @@ def _fast_verify(
         src, dst, origin, dest, amt = cols
         if int(amt.max()) * budget >= _SUM_CAP or int(amt.min()) <= 0:
             return None
-        if (src == dst).any() or (origin == dest).any():
+        if (src == dst).any() or (origin == dest).any() or (src == dest).any():
             return None
         af = amt.astype(np.float64)
         edges = src * n + dst
@@ -268,6 +269,13 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
                 continue
             edge = src * n + dst
             edge_load[edge] = eget(edge, 0) + a
+            if src == dest:
+                violations.append(
+                    Violation(
+                        "sink", s, (origin, dest, src),
+                        "commodity leaves its destination",
+                    )
+                )
             if src != origin or dst != dest:
                 direct = False
             pair = (origin * n + dest) * n

@@ -172,6 +172,14 @@ def test_bounds_upper_formula_extremes():
     assert lower_bounds(1024, F(2)).upper_formula == 20  # 2 * log2(n)
 
 
+@pytest.mark.parametrize(
+    "n,load,upper", [(2**30, 30, 480), (81, 9, 54), (64, 4, 32), (1000, 10, 80)]
+)
+def test_bounds_upper_formula_is_exact_between_regimes(n, load, upper):
+    # 2B(d + 1), d the least dimension with B^d >= n; no float logarithms.
+    assert lower_bounds(n, F(load)).upper_formula == upper
+
+
 def test_bounds_reject_degenerate_inputs():
     with pytest.raises(StructuralError):
         lower_bounds(1, F(2))

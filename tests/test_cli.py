@@ -202,6 +202,25 @@ def test_metrics_refuses_non_positive_amount(tmp_path, capsys):
     assert "non-positive amount" in err
 
 
+def test_leaving_the_destination_fails_verify_and_metrics(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    inst.write_text(json.dumps({"n": 3, "demands": [["0", "1", "0"], ["0"] * 3, ["0"] * 3]}))
+    hops = [(0, 1), (1, 2), (2, 1)]
+    sched.write_text(json.dumps({"horizon": 3, "steps": [
+        {"transfers": [{"from": a, "to": b, "commodity": [0, 1], "amount": "1"}]}
+        for a, b in hops
+    ]}))
+    files = ("--instance", str(inst), "--schedule", str(sched))
+    code, out, _ = run(capsys, "verify", *files)
+    assert code == 1
+    assert [v["kind"] for v in json.loads(out)["violations"]] == ["sink"]
+    code, out, err = run(capsys, "metrics", *files)
+    assert code == 2
+    assert out == ""
+    assert "leaves its destination" in err
+
+
 def test_experiment_config_unknown_names_are_exit_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for bad in ({"algorithms": ["no-such-scheduler"]}, {"family": "no-such-family"}):

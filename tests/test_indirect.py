@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+import reference_vlb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +11,11 @@ from coflow.errors import StructuralError, UnsupportedSizeError
 from coflow.generators import random_sparse_instance
 from coflow.indirect import (
     ElementaryBasisScheme,
+    _elementary_scheme,
     auto_schedule,
     elementary_basis_schedule,
     grid_schedule,
+    hypercube_scheme,
     hypercube_schedule,
     pad_instance,
     round_robin_schedule,
@@ -102,6 +105,50 @@ def test_vlb_makespan_independent_of_demand_pattern(seed):
     inst = random_sparse_instance(4, F(2), seed=seed)
     metrics = _check(inst, vlb_lift(inst, nominal_load=F(2)))
     assert metrics.makespan == 4
+
+
+def _base_scheme(n, load):
+    return hypercube_scheme(n) if load <= 2 else _elementary_scheme(n, load)
+
+
+@pytest.mark.parametrize(
+    "n,load", [(4, F(2)), (8, F(3, 2)), (9, F(3)), (16, F(4)), (27, F(4))]
+)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_vlb_merged_trees_match_per_share_walk(n, load, seed):
+    inst = random_sparse_instance(n, load, seed=seed)
+    base = _base_scheme(n, load)
+    expected = reference_vlb.per_share_sums(inst, base.base, base.d, base.multiplicity)
+    merged = reference_vlb.merged_sums(vlb_lift(inst, nominal_load=load))
+    assert merged == expected
+
+
+@pytest.mark.parametrize("n,load,seed", [(16, 4, 1), (16, 2, 1), (32, 2, 2), (64, 2, 1)])
+@pytest.mark.parametrize("build", [vlb_lift, auto_schedule])
+def test_vlb_delivers_exactly_the_demand(n, load, seed, build):
+    # The destination is a sink: no parcel reaches it twice.
+    inst = random_sparse_instance(n, F(load), seed=seed)
+    base = _base_scheme(n, F(load))
+    metrics = _check(inst, build(inst))
+    assert metrics.delivered == inst.demands
+    assert metrics.makespan == 2 * base.horizon
+
+
+@pytest.mark.parametrize("n,load", [(8, F(3, 2)), (16, F(4)), (27, F(4))])
+def test_vlb_one_row_per_step_edge_commodity(n, load):
+    inst = random_sparse_instance(n, load, seed=3)
+    m = _base_scheme(n, load).multiplicity
+    keys = [
+        (s, t.src, t.dst, t.origin, t.dest)
+        for s, step in enumerate(vlb_lift(inst, nominal_load=load).steps)
+        for t in step.transfers
+    ]
+    assert len(keys) == len(set(keys))
+    per_commodity = {}
+    for _, _, _, u, v in keys:
+        per_commodity[u, v] = per_commodity.get((u, v), 0) + 1
+    assert max(per_commodity.values()) <= 2 * (n - 1) * m
 
 
 def test_grid_schedule_phases():

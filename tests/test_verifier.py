@@ -94,6 +94,24 @@ def test_conservation_violation_teleport():
     assert not verify(inst, good).violations  # partial delivery, no violation
 
 
+def test_leaving_the_destination_is_a_sink_violation():
+    # (0, 1) reaches 1, leaves for 2 and comes back: conservation holds and
+    # the demand is met, but the destination must absorb what reaches it.
+    inst = make_instance(3, [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    sched = schedule_from_steps(
+        3,
+        [[Transfer(0, 1, 0, 1, F(1))], [Transfer(1, 2, 0, 1, F(1))],
+         [Transfer(2, 1, 0, 1, F(1))]],
+    )
+    for check in (verify, _reference_verify):
+        r = check(inst, sched)
+        assert not r.feasible
+        assert [(v.kind, v.step, v.where) for v in r.violations] == [
+            ("sink", 1, (0, 1, 1))
+        ]
+        assert r.unmet_demand[0][1] == 0
+
+
 def test_self_loop_and_bad_commodity():
     inst = uniform_instance(3, 3)
     r = verify(inst, schedule_from_steps(3, [[Transfer(1, 1, 0, 1, F(1, 2))]]))
