@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from . import certificates, experiment, generators, oracle
 from .direct import ORDER_CHOICES, GreedyTrace, greedy_schedule
-from .errors import CoflowError, UnsupportedSizeError
-from .indirect import elementary_basis_schedule, pad_instance
+from .errors import CoflowError
+from .indirect import elementary_basis_schedule
 from .model import (
     compute_metrics,
     dump_instance,
@@ -30,7 +30,7 @@ from .verifier import verify
 
 
 def _emit(obj, args) -> None:
-    if getattr(args, "format", "json") == "csv" and isinstance(obj, dict):
+    if args.format == "csv" and isinstance(obj, dict):
         print(",".join(str(k) for k in obj))
         print(",".join(str(v) for v in obj.values()))
     else:
@@ -63,16 +63,7 @@ def cmd_generate(args) -> int:
 
 def cmd_schedule(args) -> int:
     instance = load_instance(args.instance)
-    try:
-        schedule = _build_schedule(args, instance)
-    except UnsupportedSizeError as exc:
-        if args.pad and exc.suggested_n:
-            instance = pad_instance(instance, exc.suggested_n)
-            schedule = _build_schedule(args, instance)
-        else:
-            hint = f" (retry with --pad to embed into n={exc.suggested_n})" if exc.suggested_n else ""
-            print(f"error: {exc}{hint}", file=sys.stderr)
-            return 2
+    schedule = _build_schedule(args, instance)
     if args.out:
         dump_schedule(schedule, args.out)
     else:
@@ -139,65 +130,77 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="coflow")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _global_options(default) -> argparse.ArgumentParser:
+    """--format, --seed and --workers, accepted before or after the
+    subcommand. The subcommand's copies default to SUPPRESS, so that they
+    leave a value given before the subcommand in place."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--format", choices=("json", "csv"), default=default)
+    parser.add_argument("--seed", type=int, default=default)
+    parser.add_argument("--workers", type=int, default=default)
+    return parser
 
-    p = sub.add_parser("generate", help="generate an instance")
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="coflow", parents=[_global_options(None)])
+    sub = parser.add_subparsers(dest="command", required=True)
+    shared = [_global_options(argparse.SUPPRESS)]
+
+    p = sub.add_parser("generate", help="generate an instance", parents=shared)
     p.add_argument("--family", choices=generators.FAMILIES, default="uniform")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--B", required=True, help="load bound as p/q")
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("schedule", help="run a scheduler on an instance")
+    p = sub.add_parser("schedule", parents=shared,
+                       help="run a scheduler on an instance")
     p.add_argument("--algorithm", choices=tuple(experiment.ALGORITHMS),
                    required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--out")
     p.add_argument("--order", choices=ORDER_CHOICES, default="lex")
     p.add_argument("--dimension", type=int, default=None)
-    p.add_argument("--pad", action="store_true",
-                   help="embed into the next supported node count on size errors")
     p.add_argument("--trace-out", help="write the greedy trace (its matchings) here")
     p.add_argument("--nominal-B", help="overstate the load bound used for regime choices")
     p.set_defaults(func=cmd_schedule)
 
-    p = sub.add_parser("verify", help="check a schedule against an instance")
+    p = sub.add_parser("verify", parents=shared,
+                       help="check a schedule against an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--schedule", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("metrics", help="makespan and completion times")
+    p = sub.add_parser("metrics", help="makespan and completion times", parents=shared)
     p.add_argument("--instance", required=True)
     p.add_argument("--schedule", required=True)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("certify", help="build and check a dual certificate")
+    p = sub.add_parser("certify", parents=shared,
+                       help="build and check a dual certificate")
     p.add_argument("--instance", required=True)
     p.add_argument("--trace", required=True)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("bounds", help="lower-bound values for (n, B)")
+    p = sub.add_parser("bounds", help="lower-bound values for (n, B)", parents=shared)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--B", required=True)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("oracle", help="exact LP optimum (tiny instances only)")
+    p = sub.add_parser("oracle", parents=shared,
+                       help="exact LP optimum (tiny instances only)")
     p.add_argument("--instance", required=True)
     p.add_argument("--sender-cap")
     p.add_argument("--receiver-cap")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("experiment", help="run a sweep from a config file")
+    p = sub.add_parser("experiment", parents=shared,
+                       help="run a sweep from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("table1", help="summarize results per quadrant")
+    p = sub.add_parser("table1", help="summarize results per quadrant", parents=shared)
     p.add_argument("--results", required=True)
     p.set_defaults(func=cmd_table1)
     return parser

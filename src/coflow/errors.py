@@ -25,10 +25,12 @@ class UnsupportedSizeError(CoflowError, ValueError):
     """Node count not supported by the requested scheme (e.g. not a power of 2).
 
     ``suggested_n`` is the smallest larger node count the scheme supports;
-    callers may pad the instance up to it.
+    the message names it.
     """
 
     def __init__(self, message, suggested_n=None):
+        if suggested_n:
+            message = f"{message} (the next supported size is n={suggested_n})"
         super().__init__(message)
         self.suggested_n = suggested_n
 

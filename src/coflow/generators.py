@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import StructuralError
+from .errors import DimensionError, StructuralError
 from .model import Instance, make_instance, uniform_instance
 
 FAMILIES = ("uniform", "random-sparse", "adversarial-single-row")
@@ -19,6 +19,8 @@ def generate(family: str, n: int, load, seed: int | None = None) -> Instance:
     requested load. adversarial-single-row: one row carrying the whole
     load, the worst case for the ceil(B) bound.
     """
+    if n < 2:  # random-sparse would search forever for a nonzero entry
+        raise DimensionError(f"need at least 2 nodes, got n={n}")
     load = Fraction(load)
     if family == "uniform":
         return uniform_instance(n, load)

@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, isqrt
 
-from .errors import DimensionError, StructuralError, UnsupportedSizeError
-from .model import Instance, Schedule, Transfer, make_instance, schedule_from_steps
+from .errors import StructuralError, UnsupportedSizeError
+from .model import Instance, Schedule, Transfer, schedule_from_steps
 from .rational import ceil_frac
 
 
@@ -309,17 +309,3 @@ def auto_schedule(
     if load >= instance.n:
         return round_robin_schedule(instance, nominal_load=load)
     return vlb_lift(instance, nominal_load=load)
-
-
-def pad_instance(instance: Instance, new_n: int) -> Instance:
-    """Embed an instance into a larger node count with zero extra demand."""
-    if new_n < instance.n:
-        raise DimensionError(f"cannot pad from n={instance.n} down to {new_n}")
-    demands = [
-        [
-            instance.demands[i][j] if i < instance.n and j < instance.n else Fraction(0)
-            for j in range(new_n)
-        ]
-        for i in range(new_n)
-    ]
-    return make_instance(new_n, demands)

@@ -1,8 +1,14 @@
 """End-to-end command-line flows over temp files."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coflow.cli import main
 
@@ -54,12 +60,37 @@ def test_unsupported_size_hint_and_pad(tmp_path, capsys):
     code, _, err = run(capsys, "schedule", "--algorithm", "hypercube",
                        "--instance", str(inst), "--out", str(sched))
     assert code == 2
-    assert "--pad" in err
-    code, _, _ = run(capsys, "schedule", "--algorithm", "hypercube",
-                     "--instance", str(inst), "--out", str(sched),
-                     "--pad")
-    assert code == 0
-    assert json.loads(sched.read_text())["horizon"] == 3  # log2 of padded n=8
+    assert "n=8" in err  # the next power of two
+    assert not sched.exists()
+    # --pad is gone: its padded schedule failed verify against its instance.
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", "--algorithm", "hypercube", "--instance", str(inst),
+              "--out", str(sched), "--pad"])
+    assert exc.value.code == 2
+    assert not sched.exists()
+
+
+def test_global_options_on_either_side_of_the_subcommand(tmp_path, capsys):
+    spec = ["--family", "random-sparse", "--n", "16", "--B", "2"]
+    _, before, _ = run(capsys, "--seed", "1", "generate", *spec)
+    _, after, _ = run(capsys, "generate", *spec, "--seed", "1")
+    _, other, _ = run(capsys, "generate", *spec, "--seed", "2")
+    assert before == after != other
+    # A subcommand that does not repeat the option keeps the top-level value.
+    _, both, _ = run(capsys, "--seed", "1", "--format", "json", "generate", *spec)
+    assert both == before
+
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    run(capsys, "generate", "--n", "4", "--B", "2", "--out", str(inst))
+    run(capsys, "schedule", "--algorithm", "hypercube", "--instance", str(inst),
+        "--out", str(sched))
+    for argv in (["verify", "--format", "csv"], ["--format", "csv", "verify"]):
+        code, out, _ = run(capsys, *argv, "--instance", str(inst),
+                           "--schedule", str(sched))
+        assert code == 0
+        header, values = out.splitlines()
+        assert header.split(",")[0] == "feasible" and values.startswith("True,")
 
 
 def test_greedy_trace_certify(tmp_path, capsys):
@@ -310,3 +341,89 @@ def test_amount_memo_refuses_what_hashes_like_an_earlier_amount(
         assert code == 2, command
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- exit-code contract under malformed files ----------------------------------
+
+FUZZ_INSTANCE = {"n": 3, "demands": [["0", "1/2", "0"], ["0", "0", "1"], ["1/3", "0", "0"]]}
+FUZZ_SCHEDULE = {"horizon": 2, "steps": [
+    {"transfers": [
+        {"from": 0, "to": 1, "commodity": [0, 1], "amount": "1/2"},
+        {"from": 2, "to": 0, "commodity": [2, 0], "amount": "1/3"},
+    ]},
+    {"transfers": [
+        {"from": 1, "to": 2, "commodity": [1, 2], "amount": "1"},
+    ]},
+]}
+FUZZ_TRACE = {"n": 3, "matchings": [[[0, 1, "1/2"], [1, 2, "1"], [2, 0, "1/3"]]]}
+FUZZ_CONFIG = {"n_values": [4], "load_values": ["2"], "algorithms": ["hypercube"],
+               "family": "uniform", "seed": 1, "repetitions": 1, "workers": 1}
+DROP = object()
+HUGE_DENOMINATOR = f"1/{2**521 - 1}"
+# Config values stay small: a config names sizes and worker counts that the
+# run then allocates.
+CONFIG_VALUES = [DROP, None, True, 1.5, "x", [], {}, -1, 0, "0", "-1/3", "1/0",
+                 HUGE_DENOMINATOR, ["x"], [1.5]]
+FILE_VALUES = CONFIG_VALUES + [2**70, -2**70, [2**70, 1], [0, -2**70]]
+
+
+def _paths(doc, path=()):
+    """Every path of keys and indices into a JSON document, root first."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return {} if value is DROP else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_malformed_files_keep_the_exit_code_contract(data):
+    docs = {"instance": FUZZ_INSTANCE, "schedule": FUZZ_SCHEDULE,
+            "trace": FUZZ_TRACE, "config": FUZZ_CONFIG}
+    name = data.draw(st.sampled_from(sorted(docs)))
+    values = CONFIG_VALUES if name == "config" else FILE_VALUES
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(docs[name]))
+        path = paths[data.draw(st.integers(0, len(paths) - 1))]
+        docs[name] = _mutated(docs[name], path, data.draw(st.sampled_from(values)))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for key, doc in docs.items():
+            files[key] = os.path.join(tmp, f"{key}.json")
+            with open(files[key], "w") as fh:
+                json.dump(doc, fh)
+        pair = ["--instance", files["instance"]]
+        commands = {
+            "instance": [["verify", *pair, "--schedule", files["schedule"]],
+                         ["metrics", *pair, "--schedule", files["schedule"]],
+                         ["certify", *pair, "--trace", files["trace"]]],
+            "schedule": [["verify", *pair, "--schedule", files["schedule"]],
+                         ["metrics", *pair, "--schedule", files["schedule"]]],
+            "trace": [["certify", *pair, "--trace", files["trace"]]],
+            "config": [["experiment", "--config", files["config"]]],
+        }[name]
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], docs[name])
+            assert "Traceback" not in err.getvalue(), (argv[0], docs[name])

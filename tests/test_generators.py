@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from coflow.errors import StructuralError
+from coflow.errors import DimensionError, StructuralError
 from coflow.generators import (
     FAMILIES,
     generate,
@@ -50,3 +50,12 @@ def test_families_dispatch(family):
 def test_unknown_family_rejected():
     with pytest.raises(StructuralError):
         generate("triangular", 3, F(1))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_nodes_rejected(family, n):
+    # random-sparse used to loop forever here, and uniform (n=0) and
+    # adversarial-single-row (n=1) divided by zero.
+    with pytest.raises(DimensionError):
+        generate(family, n, F(2), seed=1)

@@ -17,7 +17,6 @@ from coflow.indirect import (
     grid_schedule,
     hypercube_scheme,
     hypercube_schedule,
-    pad_instance,
     round_robin_schedule,
     vlb_lift,
 )
@@ -197,17 +196,6 @@ def test_unsupported_size_suggests_next_n(build, expected):
     with pytest.raises(UnsupportedSizeError) as exc:
         build()
     assert exc.value.suggested_n == expected
-
-
-def test_pad_instance_preserves_demands_and_load():
-    inst = random_sparse_instance(3, F(3, 2), seed=1)
-    padded = pad_instance(inst, 4)
-    assert padded.n == 4
-    assert padded.load_bound == inst.load_bound
-    for i in range(3):
-        assert padded.demands[i][:3] == inst.demands[i]
-    assert all(padded.demands[3][j] == 0 for j in range(4))
-    assert all(padded.demands[i][3] == 0 for i in range(4))
 
 
 def test_auto_dispatch_by_load_regime():
