@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -78,6 +79,8 @@ class ExperimentConfig:
             raise StructuralError(f"unknown algorithm(s) {unknown}")
         if self.family not in FAMILIES:
             raise StructuralError(f"unknown instance family {self.family!r}")
+        if self.workers < 1:
+            raise StructuralError(f"workers must be at least 1, got {self.workers}")
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
@@ -155,6 +158,12 @@ def _run_cell(cell) -> dict:
     return row
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run every cell of the grid; returns rows in deterministic order."""
     cells = [
@@ -164,8 +173,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         for alg in config.algorithms
         for rep in range(config.repetitions)
     ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # A pool starts all its workers at once, so it gets no more than there
+    # are cells to run and cores to run them on.
+    workers = min(config.workers, len(cells), _usable_cores())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells))
     else:
         rows = [_run_cell(c) for c in cells]

@@ -18,10 +18,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, isqrt
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import StructuralError, UnsupportedSizeError
-from .model import Instance, Schedule, Transfer, schedule_from_steps
+from .model import Instance, Schedule, Transfer, scaled_column, schedule_from_steps
 from .rational import ceil_frac
+
+# VLB expands the rows of a run of commodities at a time, about this many,
+# so that its temporaries stay small next to the schedule.
+_CHUNK_ROWS = 1 << 16
 
 
 def _integer_root(n: int, d: int) -> int | None:
@@ -54,48 +61,6 @@ class ElementaryBasisScheme:
         self.base = q
         self.multiplicity = multiplicity
         self.horizon = d * (q - 1) * multiplicity
-
-    # The digit walk is the hot path for large hypercube and elementary-
-    # basis schedules (millions of transfers), so it avoids per-hop objects
-    # and uses tuple.__new__ directly.
-    def emit(self, steps, origin, dest, a, b, amount, offset) -> None:
-        """Append the transfers routing ``amount`` of (origin, dest) from
-        node a to node b onto ``steps``, shifted by ``offset`` slots."""
-        q, m, d = self.base, self.multiplicity, self.d
-        new = tuple.__new__
-        cur = a
-        da, db = a, b
-        pw = 1
-        if m == 1:
-            for i in range(d):
-                ai = da % q
-                bi = db % q
-                da //= q
-                db //= q
-                if ai != bi:
-                    nxt = cur + (bi - ai) * pw
-                    slot = i * (q - 1) + (bi - ai) % q - 1 + offset
-                    steps[slot].append(
-                        new(Transfer, (cur, nxt, origin, dest, amount))
-                    )
-                    cur = nxt
-                pw *= q
-            return
-        amt = amount / m
-        for i in range(d):
-            ai = da % q
-            bi = db % q
-            da //= q
-            db //= q
-            if ai != bi:
-                nxt = cur + (bi - ai) * pw
-                base_slot = (i * (q - 1) + (bi - ai) % q - 1) * m + offset
-                for k in range(m):
-                    steps[base_slot + k].append(
-                        new(Transfer, (cur, nxt, origin, dest, amt))
-                    )
-                cur = nxt
-            pw *= q
 
 
 def hypercube_scheme(n: int) -> ElementaryBasisScheme:
@@ -141,13 +106,85 @@ def _elementary_scheme(
     return ElementaryBasisScheme(n, d, max(ceil_frac(load / q), 1))
 
 
+def _commodities(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Origin and destination columns of every commodity, in
+    ``commodities()`` order, and their demands as integer numerators over
+    the instance's common denominator, with that denominator."""
+    column, scale = instance.scaled_demands
+    cells = np.flatnonzero(column > 0)
+    return cells // instance.n, cells % instance.n, column[cells], scale
+
+
+class _Blocks:
+    """The rows of a connection schedule, one block per matching.
+
+    A block holds the rows one matching carries, in commodity order, and
+    fills the matching's ``multiplicity`` consecutive slots. Blocks may be
+    added in pieces, each piece a run of commodities in order; ``schedule``
+    sorts the pieces by slot, stably, so the rows come out sorted by (slot,
+    commodity, position).
+    """
+
+    def __init__(self, multiplicity: int):
+        self.multiplicity = multiplicity
+        self.pieces: list[tuple] = []
+
+    def add(self, slot: int, src, dst, commodity, amount) -> None:
+        """Rows src -> dst of the given commodities (indices into the
+        commodity columns) with the given amounts (indices into the amount
+        table), in the ``multiplicity`` slots from ``slot`` on."""
+        for k in range(slot, slot + self.multiplicity):
+            self.pieces.append((k, src, dst, commodity, amount))
+
+    def schedule(self, n, horizon, origin, dest, table, scale) -> Schedule:
+        pieces = sorted(self.pieces, key=itemgetter(0))
+        self.pieces = []
+        empty = np.zeros(0, np.int64)
+        slots, srcs, dsts, comms, amounts = (
+            list(field) for field in zip((0, empty, empty, empty, empty), *pieces)
+        )
+        del pieces
+        step = np.repeat(np.array(slots, np.int64), list(map(len, srcs)))
+        # Each column is joined and its pieces dropped before the next, so
+        # that the pieces and the columns are not all alive at once.
+        src = np.concatenate(srcs)
+        del srcs
+        dst = np.concatenate(dsts)
+        del dsts
+        commodity = np.concatenate(comms)
+        del comms
+        origin, dest = origin[commodity], dest[commodity]
+        del commodity
+        amount = table[np.concatenate(amounts)]
+        return Schedule(n, horizon, step, src, dst, origin, dest, amount, scale)
+
+
 def _route_directly(instance: Instance, scheme: ElementaryBasisScheme) -> Schedule:
-    """Route every commodity from its origin to its destination."""
-    steps: list[list[Transfer]] = [[] for _ in range(scheme.horizon)]
-    emit = scheme.emit
-    for i, j, demand in instance.commodities():
-        emit(steps, i, j, i, j, demand, 0)
-    return schedule_from_steps(instance.n, steps)
+    """Route every commodity from its origin to its destination, fixing
+    coordinates in schedule order; each hop's flow splits equally over the
+    repetitions of its matching. Rows are emitted one matching at a time,
+    vectorized over the commodities."""
+    q, d, m = scheme.base, scheme.d, scheme.multiplicity
+    origin, dest, table, scale = _commodities(instance)
+    if m > 1:
+        table, scale = scaled_column([Fraction(x, scale * m) for x in table.tolist()])
+    blocks = _Blocks(m)
+    cur = origin.copy()
+    p = 1
+    for i in range(d):
+        delta = (dest // p % q - origin // p % q) * p
+        shift = delta // p % q
+        hops = np.flatnonzero(shift)
+        hops = hops[np.argsort(shift[hops], kind="stable")]
+        ends = np.cumsum(np.bincount(shift[hops], minlength=q)).tolist()
+        for t in range(1, q):
+            sel = hops[ends[t - 1]:ends[t]]
+            if sel.size:
+                src = cur[sel]
+                blocks.add((i * (q - 1) + t - 1) * m, src, src + delta[sel], sel, sel)
+        cur += delta
+        p *= q
+    return blocks.schedule(instance.n, scheme.horizon, origin, dest, table, scale)
 
 
 def round_robin_schedule(
@@ -250,49 +287,82 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
       merge where their coordinate-fixing routes meet.
 
     Makespan is exactly twice the base scheme's horizon whenever demand is
-    nonzero.
+    nonzero. Rows are emitted one matching at a time, vectorized over runs
+    of commodities.
     """
     n = instance.n
     load = _regime_load(instance, nominal_load)
     scheme = hypercube_scheme(n) if load <= 2 else _elementary_scheme(n, load)
     q, d, m, horizon = scheme.base, scheme.d, scheme.multiplicity, scheme.horizon
     pw = [q**i for i in range(d + 1)]
-    steps: list[list[Transfer]] = [[] for _ in range(2 * horizon)]
-    new = tuple.__new__
+    origin, dest, demands, scale = _commodities(instance)
+    blocks = _Blocks(m)
+    every = np.arange(origin.size)
+    # Each row moves demand * k / (n*m) for a factor k of its level; the
+    # amount table has one entry per (distinct demand, k), so commodities
+    # with equal demands share their entries.
+    group_of: dict[int, int] = {}
+    group = np.fromiter(
+        (group_of.setdefault(x, len(group_of)) for x in demands.tolist()),
+        np.int64, demands.size,
+    )
+    factors = sorted({pw[i] - (pw[j] if j < i else 0) for i in range(d) for j in range(i + 1)})
+    used = np.zeros(len(group_of) * len(factors), bool)
 
-    def put(slot, transfers):  # one matching's m repetitions share the rows
-        for k in range(slot, slot + m):
-            steps[k].extend(transfers)
+    def codes(k):  # amount-table index of every commodity for factor(s) k
+        code = group * len(factors) + np.searchsorted(factors, k)
+        used[code] = True
+        return code
 
-    for u, v, demand in instance.commodities():
-        num, den = demand.numerator, demand.denominator * n * m
-        top = max(i for i in range(d) if u // pw[i] % q != v // pw[i] % q)
-        span, v_low = pw[top + 1], v % pw[top + 1]
-        for i in range(d):
-            p = pw[i]
-            # Phase 1: hi + y*p + lo is first reached at coordinate i, from
-            # hi + ui*p + lo; for i > top, v holds whatever is bound below it.
-            ui, hi = u // p % q, u - u % (p * q)
-            lows = range(p) if i <= top else [lo for lo in range(p) if lo % span != v_low]
-            amount = Fraction(num * pw[d - i - 1], den)
-            for y in range(q):
-                if y != ui:
-                    put((i * (q - 1) + (y - ui) % q - 1) * m, [
-                        new(Transfer, (hi + ui * p + lo, hi + y * p + lo, u, v, amount))
-                        for lo in lows
-                    ])
-            # Phase 2: the edge that fixes coordinate i to v's carries the
-            # shares of the q^i nodes that agree with its tail above i, less
-            # those v absorbed in phase 1.
-            vi, low = v // p % q, v % p
-            amount = Fraction(num * (p if i <= top else p - pw[i - top - 1]), den)
-            for x in range(q):
-                if x != vi:
-                    put((i * (q - 1) + (vi - x) % q - 1) * m + horizon, [
-                        new(Transfer, (h + x * p + low, h + vi * p + low, u, v, amount))
-                        for h in range(0, n, p * q)
-                    ])
-    return schedule_from_steps(n, steps)
+    # top: the highest coordinate where u and v differ. For i > top, v
+    # absorbs the phase-1 shares bound for the w below it in the tree: the
+    # lows lo with lo % span == v % span.
+    top = np.zeros(origin.size, np.int64)
+    for i in range(d):
+        top[origin // pw[i] % q != dest // pw[i] % q] = i
+    powers = np.array(pw, np.int64)
+    span = powers[top + 1]
+    v_low = dest % span
+    for i in range(d):
+        p = pw[i]
+        # Phase 1: hi + y*p + lo is first reached at coordinate i, from
+        # hi + ui*p + lo = u - u % p + lo.
+        code = codes(pw[d - i - 1])
+        chunk = max(1, _CHUNK_ROWS // p)
+        for c0 in range(0, origin.size, chunk):
+            cm = np.repeat(every[c0:c0 + chunk], p)
+            lo = np.resize(np.arange(p), cm.size)
+            keep = (top[cm] >= i) | (lo % span[cm] != v_low[cm])
+            cm, lo = cm[keep], lo[keep]
+            src = (origin - origin % p)[cm] + lo
+            ui = (origin // p % q)[cm]
+            amount = code[cm]
+            for t in range(1, q):
+                blocks.add((i * (q - 1) + t - 1) * m, src, src + ((ui + t) % q - ui) * p,
+                           cm, amount)
+        # Phase 2: the edge that fixes coordinate i to v's carries the
+        # shares of the q^i nodes that agree with its tail above i, less
+        # those v absorbed in phase 1. Its head is h + v % (p*q) for each
+        # multiple h of p*q.
+        code = codes(np.where(top >= i, p, p - powers[np.maximum(i - top - 1, 0)]))
+        heads = n // (p * q)
+        chunk = max(1, _CHUNK_ROWS // heads)
+        for c0 in range(0, origin.size, chunk):
+            cm = np.repeat(every[c0:c0 + chunk], heads)
+            dst = np.resize(np.arange(0, n, p * q), cm.size) + (dest % (p * q))[cm]
+            vi = (dest // p % q)[cm]
+            amount = code[cm]
+            for t in range(1, q):
+                blocks.add((i * (q - 1) + t - 1) * m + horizon,
+                           dst + ((vi - t) % q - vi) * p, dst, cm, amount)
+    keys, kinds = list(group_of), len(factors)
+    entries = np.flatnonzero(used).tolist()
+    column, scale = scaled_column([
+        Fraction(keys[e // kinds] * factors[e % kinds], scale * n * m) for e in entries
+    ])
+    table = np.zeros(used.size, column.dtype)
+    table[entries] = column
+    return blocks.schedule(n, 2 * horizon, origin, dest, table, scale)
 
 
 def auto_schedule(

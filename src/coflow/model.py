@@ -1,8 +1,12 @@
 """Core domain types: instances, matchings, schedules and metrics.
 
-Everything is exact: demands, flow amounts and derived quantities are
-:class:`fractions.Fraction`. Types are immutable after construction and
-safe to share across threads.
+Everything is exact. Demands and derived quantities are
+:class:`fractions.Fraction`. A schedule is columnar: int64 step and node
+columns plus integer amount numerators over one common denominator, so
+that the verifier and the metrics read it in whole-schedule numpy passes;
+``Schedule.steps`` is a view that gives the rows back as ``Transfer``
+objects. Types are immutable after construction and safe to share across
+threads.
 
 Time convention: step index ``s`` covers the interval ``[s, s+1]``; data
 moved during step ``s`` completes at time ``s + 1``.
@@ -11,11 +15,15 @@ moved during step ``s`` completes at time ``s + 1``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import lcm
-from operator import index
+from operator import index, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DiagonalDemandError,
@@ -23,9 +31,10 @@ from .errors import (
     NegativeDemandError,
     StructuralError,
 )
-from .rational import parse_rational, rational_parser, rational_renderer
+from .rational import parse_rational, rational_parser, rational_renderer, render_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+INT64_MAX = 2**63 - 1
 
 
 def _freeze_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -49,29 +58,29 @@ class Instance:
     """A coflow instance: node count and an exact demand matrix.
 
     ``load_bound`` caches the maximum row or column sum of the demands,
-    a lower bound on the makespan of any feasible schedule.
+    a lower bound on the makespan of any feasible schedule, and
+    ``scaled_demands`` the demands, row-major, as a :func:`scaled_column`:
+    integer numerators over the lcm of their denominators, and that lcm.
     """
 
     n: int
     demands: Matrix
     load_bound: Fraction
+    scaled_demands: tuple[np.ndarray, int] = field(compare=False, repr=False)
 
     @property
     def total_demand(self) -> Fraction:
-        dens = {x.denominator for row in self.demands for x in row}
-        sc = lcm(*dens)
-        tot = sum(
-            x.numerator * (sc // x.denominator) for row in self.demands for x in row
-        )
-        return Fraction(tot, sc)
+        column, scale = self.scaled_demands
+        return Fraction(sum(column.tolist()), scale)
 
     def commodities(self) -> Iterable[tuple[int, int, Fraction]]:
         """Yield (origin, destination, demand) for every positive demand."""
-        for i in range(self.n):
-            row = self.demands[i]
-            for j in range(self.n):
-                if row[j] > 0:
-                    yield i, j, row[j]
+        # make_instance refuses negative entries, so a nonzero numerator is a
+        # positive demand; comparing Fractions costs about 1 us per entry.
+        for i, row in enumerate(self.demands):
+            for j, x in enumerate(row):
+                if x.numerator:
+                    yield i, j, x
 
     def to_json(self) -> dict:
         render = rational_renderer()
@@ -98,30 +107,21 @@ def make_instance(n: int, demands: Sequence[Sequence]) -> Instance:
     if len(demands) != n or any(len(row) != n for row in demands):
         raise DimensionError(f"demand matrix is not {n}x{n}")
     mat = _freeze_matrix(demands)
-    # Sums are taken over integers scaled by the common denominator so that
-    # validation stays cheap on large all-to-all matrices.
-    scale = lcm(*{x.denominator for row in mat for x in row})
-    mult = {}
-    col = [0] * n
-    best = 0
-    for i in range(n):
-        if mat[i][i] != 0:
+    scaled = scaled_column(list(chain.from_iterable(mat)))
+    column, scale = scaled
+    square = column.reshape(n, n)
+    diagonal = square.diagonal() != 0
+    negative = square < 0
+    bad = diagonal | negative.any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        if diagonal[i]:
             raise DiagonalDemandError(f"nonzero diagonal demand at ({i},{i})")
-        acc = 0
-        for j, x in enumerate(mat[i]):
-            num, den = x.numerator, x.denominator
-            if num < 0:
-                raise NegativeDemandError(f"negative demand at ({i},{j})")
-            m = mult.get(den)
-            if m is None:
-                m = mult[den] = scale // den
-            a = num * m
-            acc += a
-            col[j] += a
-        if acc > best:
-            best = acc
-    load = Fraction(max(best, max(col)), scale)
-    return Instance(n=n, demands=mat, load_bound=load)
+        raise NegativeDemandError(f"negative demand at ({i},{int(negative[i].argmax())})")
+    if column.dtype != object and int(column.max()) * n > INT64_MAX:
+        square = square.astype(object)  # row and column sums stay exact
+    load = Fraction(int(max(square.sum(axis=1).max(), square.sum(axis=0).max())), scale)
+    return Instance(n=n, demands=mat, load_bound=load, scaled_demands=scaled)
 
 
 def uniform_instance(n: int, load: Fraction | int | str) -> Instance:
@@ -160,61 +160,153 @@ class Step:
     transfers: tuple[Transfer, ...]
 
 
-@dataclass(frozen=True)
+def int_column(values: Sequence[int]) -> np.ndarray:
+    """int64 column of Python ints, or an ``object`` column holding the same
+    int objects when one of them does not fit in int64."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
+def scaled_column(amounts: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """The numerators of exact amounts over the lcm of their denominators, as
+    an :func:`int_column`, and that lcm."""
+    dens = {a.denominator for a in amounts}
+    scale = lcm(*dens)
+    mult = {den: scale // den for den in dens}
+    return int_column([a.numerator * mult[a.denominator] for a in amounts]), scale
+
+
+def node_ids(column: np.ndarray, n: int) -> np.ndarray:
+    """A node column as int64, every id outside 0..n-1 in an ``object``
+    column (one beyond int64) replaced by -1; int64 columns pass as they are."""
+    if column.dtype != object:
+        return column
+    return np.where((column >= 0) & (column < n), column, -1).astype(np.int64)
+
+
+def outside(ids: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the ids that name no node of 0..n-1."""
+    return (ids < 0) | (ids >= n)
+
+
+def group_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in sorted nonnegative keys."""
+    return np.flatnonzero(np.diff(keys, prepend=-1))
+
+
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """A horizon plus one set of per-edge, per-commodity parcels per step."""
+    """A horizon plus per-edge, per-commodity parcels, held as columns.
+
+    Row r moves ``Fraction(amount[r], scale)`` of commodity
+    (``origin[r]``, ``dest[r]``) over the edge ``src[r]`` -> ``dst[r]``
+    during step ``step[r]``. Rows are in step-major order. The node and
+    step columns are int64 (a node column is ``object`` only when an id does
+    not fit in int64), and ``amount`` holds integer numerators over one
+    common denominator, ``scale``, the lcm of the amounts' denominators: an
+    int64 column, or Python ints in ``object`` when one does not fit. The
+    columns are read-only. Equal rows give equal columns, so schedules
+    compare by their columns.
+
+    Build one with :func:`schedule_from_steps`, or with the emitters in
+    ``indirect``; :attr:`steps` gives the rows back as objects.
+    """
 
     n: int
-    steps: tuple[Step, ...]
+    horizon: int
+    step: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    origin: np.ndarray
+    dest: np.ndarray
+    amount: np.ndarray
+    scale: int
 
-    @property
-    def horizon(self) -> int:
-        return len(self.steps)
+    def __post_init__(self):
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.step, self.src, self.dst, self.origin, self.dest, self.amount
+
+    def __eq__(self, other):
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        same = (self.n, self.horizon, self.scale) == (other.n, other.horizon, other.scale)
+        return same and all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(self._columns(), other._columns())
+        )
+
+    def _step_bounds(self) -> list[int]:
+        """Row index where each step starts, and the row count at the end."""
+        return np.searchsorted(self.step, np.arange(self.horizon + 1)).tolist()
+
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        """The rows as ``Step``s of ``Transfer``s, with one ``Fraction`` per
+        distinct amount: a read-only view, built on first use."""
+        nums = self.amount.tolist()
+        value = {num: Fraction(num, self.scale) for num in set(nums)}
+        rows = list(map(Transfer._make, zip(
+            self.src.tolist(), self.dst.tolist(), self.origin.tolist(),
+            self.dest.tolist(), map(value.__getitem__, nums),
+        )))
+        bounds = self._step_bounds()
+        return tuple(Step(tuple(rows[a:b])) for a, b in zip(bounds, bounds[1:]))
 
     def to_json(self) -> dict:
-        render = rational_renderer()
+        nums = self.amount.tolist()
+        text = {num: render_rational(Fraction(num, self.scale)) for num in set(nums)}
+        rows = [
+            {"from": a, "to": b, "commodity": [u, v], "amount": text[x]}
+            for a, b, u, v, x in zip(
+                self.src.tolist(), self.dst.tolist(), self.origin.tolist(),
+                self.dest.tolist(), nums,
+            )
+        ]
+        bounds = self._step_bounds()
         return {
             "horizon": self.horizon,
-            "steps": [
-                {
-                    "transfers": [
-                        {
-                            "from": t.src,
-                            "to": t.dst,
-                            "commodity": [t.origin, t.dest],
-                            "amount": render(t.amount),
-                        }
-                        for t in step.transfers
-                    ]
-                }
-                for step in self.steps
-            ],
+            "steps": [{"transfers": rows[a:b]} for a, b in zip(bounds, bounds[1:])],
         }
 
     @staticmethod
     def from_json(obj: dict, n: int) -> "Schedule":
         parse = rational_parser()
-        make = Transfer._make  # cheaper per row than calling Transfer(...)
         try:
-            steps = tuple(
-                Step(tuple([
-                    make((index(t["from"]), index(t["to"]), index(t["commodity"][0]),
-                          index(t["commodity"][1]), parse(t["amount"])))
+            steps = [
+                [
+                    (index(t["from"]), index(t["to"]), index(t["commodity"][0]),
+                     index(t["commodity"][1]), parse(t["amount"]))
                     for t in step["transfers"]
-                ]))
+                ]
                 for step in obj["steps"]
-            )
+            ]
             horizon = index(obj["horizon"])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed schedule: {exc}") from exc
-        sched = Schedule(n=n, steps=steps)
-        if sched.horizon != horizon:
+        if len(steps) != horizon:
             raise StructuralError("declared horizon does not match step count")
-        return sched
+        return schedule_from_steps(n, steps)
 
 
 def schedule_from_steps(n: int, step_transfers: Sequence[Sequence[Transfer]]) -> Schedule:
-    return Schedule(n=n, steps=tuple(Step(tuple(ts)) for ts in step_transfers))
+    """The schedule whose step s moves the (src, dst, origin, dest, amount)
+    rows ``step_transfers[s]``, in that order."""
+    counts = list(map(len, step_transfers))
+    rows = list(chain.from_iterable(step_transfers))
+    amount, scale = scaled_column(list(map(itemgetter(4), rows)))
+    return Schedule(
+        n,
+        len(counts),
+        np.repeat(np.arange(len(counts), dtype=np.int64), counts),
+        *(int_column(list(map(itemgetter(field), rows))) for field in range(4)),
+        amount,
+        scale,
+    )
 
 
 @dataclass(frozen=True)
@@ -285,54 +377,67 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     Only arrivals at a commodity's final destination count as completions;
     relay hops do not. A destination is a sink: a parcel that leaves its
     commodity's destination is refused, so each parcel arrives there at
-    most once. Works in integers over a common denominator so that large
-    schedules stay cheap to evaluate.
+    most once. The first bad row, in row order, raises ``StructuralError``.
+
+    One pass over the columns: rows are checked with masks, deliveries are
+    summed per commodity and completion per step, exactly, over the
+    schedule's common denominator.
     """
     n = instance.n
     if schedule.n != n:
         raise StructuralError("schedule node count does not match instance")
-    dens = {t[4].denominator for step in schedule.steps for t in step.transfers}
-    scale = lcm(*dens) if dens else 1
-    mult = {den: scale // den for den in dens}
-    positive = [bytes(x > 0 for x in row) for row in instance.demands]
-    delivered = [[0] * n for _ in range(n)]
-    total = 0
-    makespan = 0
-    for s, step in enumerate(schedule.steps):
-        done = s + 1
-        for src, dst, origin, dest, amount in step.transfers:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise StructuralError(f"transfer references unknown node at step {s}")
-            if origin == dest or not (0 <= origin < n and 0 <= dest < n):
-                raise StructuralError(f"invalid commodity ({origin},{dest})")
-            if not positive[origin][dest]:
-                raise StructuralError(
-                    f"positive flow for zero-demand pair ({origin},{dest})"
-                )
-            num = amount.numerator
-            if num <= 0:
-                raise StructuralError(f"non-positive amount at step {s}")
-            if src == dest:
-                raise StructuralError(
-                    f"commodity ({origin},{dest}) leaves its destination at step {s}"
-                )
-            if dst == dest:
-                a = num * mult[amount.denominator]
-                delivered[origin][dest] += a
-                total += a * done
-                if done > makespan:
-                    makespan = done
+    step, amount = schedule.step, schedule.amount
+    src, dst, origin, dest = (
+        node_ids(c, n) for c in (schedule.src, schedule.dst, schedule.origin, schedule.dest)
+    )
+    positive = instance.scaled_demands[0] > 0
+    bad_node = outside(src, n) | outside(dst, n)
+    bad_pair = outside(origin, n) | outside(dest, n) | (origin == dest)
+    pair = origin * n + dest
+    no_demand = ~positive[np.where(bad_pair, 0, pair)]
+    non_positive = amount <= 0
+    leaves = src == dest
+    bad = bad_node | bad_pair | no_demand | non_positive | leaves
+    if bad.any():
+        r = int(bad.argmax())
+        s = int(step[r])
+        if bad_node[r]:
+            raise StructuralError(f"transfer references unknown node at step {s}")
+        u, v = schedule.origin[r], schedule.dest[r]
+        if bad_pair[r]:
+            raise StructuralError(f"invalid commodity ({u},{v})")
+        if no_demand[r]:
+            raise StructuralError(f"positive flow for zero-demand pair ({u},{v})")
+        if non_positive[r]:
+            raise StructuralError(f"non-positive amount at step {s}")
+        raise StructuralError(f"commodity ({u},{v}) leaves its destination at step {s}")
+
+    arrivals = np.flatnonzero(dst == dest)
+    got = amount[arrivals]
+    when = step[arrivals]
+    # Every sum below is of positive amounts, at most one per row.
+    if got.dtype != object and got.size and int(amount.max()) * step.size > INT64_MAX:
+        got = got.astype(object)
+    delivered = np.zeros(n * n, got.dtype)
+    np.add.at(delivered, pair[arrivals], got)
+    total = makespan = 0
+    if got.size:
+        starts = group_starts(when)  # rows are step-major
+        done = (when[starts] + 1).tolist()
+        total = sum(map(mul, done, np.add.reduceat(got, starts).tolist()))
+        makespan = done[-1]
+    scale = schedule.scale
     total_completion = Fraction(total, scale)
     demand_sum = instance.total_demand
     avg = total_completion / demand_sum if demand_sum > 0 else Fraction(0)
-    delivered_mat = tuple(
-        tuple(Fraction(x, scale) for x in row) for row in delivered
-    )
+    sums = delivered.tolist()
+    value = {x: Fraction(x, scale) for x in set(sums)}
+    fractions = list(map(value.__getitem__, sums))
     return Metrics(
         makespan=makespan,
         total_completion=total_completion,
         average_completion=avg,
-        delivered=delivered_mat,
+        delivered=tuple(tuple(fractions[i:i + n]) for i in range(0, n * n, n)),
     )
 
 

@@ -4,7 +4,6 @@ Collected in one module so the headline claims are auditable in one place.
 Everything is exact rational arithmetic except wall-clock budgets.
 """
 
-import gc
 import time
 from fractions import Fraction as F
 from math import lcm, log2
@@ -92,16 +91,12 @@ def test_relaxation_chain_on_corpus():
 
 def test_hypercube_regime_through_n_1024():
     start = time.monotonic()
-    gc.disable()  # millions of long-lived transfer tuples; see ledger
-    try:
-        for exp in range(1, 11):
-            n = 2**exp
-            inst = uniform_instance(n, F(2))
-            metrics = _feasible_metrics(inst, hypercube_schedule(inst))
-            assert metrics.makespan == exp  # log2(n), exactly the lower bound
-            assert lower_bounds(n, F(2)).log_lb == exp
-    finally:
-        gc.enable()
+    for exp in range(1, 11):
+        n = 2**exp
+        inst = uniform_instance(n, F(2))
+        metrics = _feasible_metrics(inst, hypercube_schedule(inst))
+        assert metrics.makespan == exp  # log2(n), exactly the lower bound
+        assert lower_bounds(n, F(2)).log_lb == exp
     assert time.monotonic() - start < 60
 
 
@@ -113,12 +108,8 @@ def test_elementary_basis_regime(n, b, d):
     q = round(n ** (1 / d))
     assert q**d == n
     inst = uniform_instance(n, F(b))
-    gc.disable()
-    try:
-        sched = elementary_basis_schedule(inst, nominal_load=F(b))
-        metrics = _feasible_metrics(inst, sched)
-    finally:
-        gc.enable()
+    sched = elementary_basis_schedule(inst, nominal_load=F(b))
+    metrics = _feasible_metrics(inst, sched)
     expected = d * (q - 1) * -(-b // q)
     assert metrics.makespan == expected
     assert metrics.makespan <= 2 * b * (log2(n) / log2(b) + 1)

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from coflow import experiment
+from coflow.cli import main
 from coflow.errors import StructuralError
 from coflow.experiment import (
     CSV_COLUMNS,
@@ -104,3 +106,47 @@ def test_config_rejects_unknown_family():
         ExperimentConfig(
             n_values=(4,), load_values=(F(2),), algorithms=("greedy",), family="dense"
         )
+
+
+def test_config_rejects_fewer_than_one_worker(tmp_path):
+    for workers in (0, -1):
+        with pytest.raises(StructuralError):
+            ExperimentConfig(n_values=(4,), load_values=(F(2),), algorithms=("greedy",),
+                             workers=workers)
+    path = tmp_path / "config.json"
+    path.write_text('{"n_values": [4], "load_values": ["2"], "algorithms": ["greedy"]}')
+    assert main(["experiment", "--config", str(path), "--workers", "0"]) == 2
+
+
+def test_pool_gets_no_more_workers_than_cells_and_cores(monkeypatch):
+    # No process is started: the stand-in records its size and maps serially.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiment, "_usable_cores", lambda: 3)
+    strip = lambda rows: [
+        {k: v for k, v in r.items() if k != "wall_time_ms"} for r in rows
+    ]
+    serial = strip(run_experiment(CONFIG))
+    one_cell = ExperimentConfig(n_values=(4,), load_values=(F(2),),
+                                algorithms=("hypercube",), workers=10_000)
+    assert len(run_experiment(one_cell)) == 1
+    assert sizes == []  # one cell runs in this process
+    for workers, size in ((10_000, 3), (2, 2)):
+        config = ExperimentConfig(n_values=(4, 8), load_values=(F(2),),
+                                  algorithms=("hypercube", "greedy"), workers=workers)
+        assert strip(run_experiment(config)) == serial
+        assert sizes[-1] == size

@@ -2,7 +2,10 @@
 
 from fractions import Fraction as F
 
+import random
+
 import pytest
+import reference_routes
 import reference_vlb
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +124,46 @@ def test_vlb_merged_trees_match_per_share_walk(n, load, seed):
     expected = reference_vlb.per_share_sums(inst, base.base, base.d, base.multiplicity)
     merged = reference_vlb.merged_sums(vlb_lift(inst, nominal_load=load))
     assert merged == expected
+
+
+def _direct_schedule(inst, load):
+    if load <= 2:
+        return hypercube_schedule(inst)
+    return elementary_basis_schedule(inst, nominal_load=load)
+
+
+ROUTE_CASES = [(4, F(2)), (8, F(3, 2)), (9, F(3)), (16, F(4)), (27, F(4))]
+
+
+@pytest.mark.parametrize("n,load", ROUTE_CASES)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_emitted_columns_equal_reference_rows(n, load, seed):
+    # Row for row, in order: the columns against the per-commodity walks.
+    inst = random_sparse_instance(n, load, seed=seed)
+    base = _base_scheme(n, load)
+    assert _direct_schedule(inst, load) == reference_routes.route_directly(inst, base)
+    assert vlb_lift(inst, nominal_load=load) == reference_vlb.merged_rows(inst, base)
+
+
+@pytest.mark.parametrize("load", [F(2), F(4)])
+def test_prime_denominator_columns_equal_reference_rows(load):
+    # A common denominator of hundreds of bits: the amounts are Python ints.
+    rng = random.Random(3)
+    primes = [p for p in range(100, 400) if all(p % k for k in range(2, 20))]
+    demands = [
+        [F(rng.randint(1, 13), rng.choice(primes)) if i != j and rng.random() < 0.5 else F(0)
+         for j in range(16)]
+        for i in range(16)
+    ]
+    inst = make_instance(16, demands)
+    base = _base_scheme(16, load)
+    direct = _direct_schedule(inst, load)
+    lifted = vlb_lift(inst, nominal_load=load)
+    assert direct.amount.dtype == lifted.amount.dtype == object
+    assert direct == reference_routes.route_directly(inst, base)
+    assert lifted == reference_vlb.merged_rows(inst, base)
+    assert _check(inst, lifted).delivered == inst.demands
 
 
 @pytest.mark.parametrize("n,load,seed", [(16, 4, 1), (16, 2, 1), (32, 2, 2), (64, 2, 1)])

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +103,34 @@ def test_wire_files_are_one_shot_dumps(tmp_path, algorithm):
         same = fh.read() == json.dumps(instance.to_json(), indent=2)
     assert same
     assert load_schedule(sched_path, instance.n) == schedule
+
+
+def test_schedule_from_steps_round_trip():
+    # .steps gives back the rows given, whatever their values: ids beyond
+    # int64, zero and negative amounts, trailing empty steps.
+    huge = 2**70
+    half, big = F(1, 2), F(2**70, 3)
+    steps = [
+        [Transfer(0, 1, 0, 1, half), Transfer(huge, -huge, 1, 0, half)],
+        [],
+        [Transfer(1, 0, -huge, huge, F(0)), Transfer(0, 1, 0, 1, F(-1, 3)),
+         Transfer(1, 2, 1, 2, big), Transfer(1, 0, 1, 0, half)],
+        [],
+        [],
+    ]
+    sched = schedule_from_steps(3, steps)
+    assert sched.horizon == 5
+    assert [list(step.transfers) for step in sched.steps] == steps
+    assert sched.src.dtype == sched.amount.dtype == object
+    assert sched.step.dtype == np.int64
+    # One Fraction per distinct amount, however often the rows repeat it.
+    assert sched.steps[0].transfers[0].amount is sched.steps[2].transfers[3].amount
+    assert sched == schedule_from_steps(3, steps)
+    assert sched != schedule_from_steps(3, steps[:-1])
+    assert Schedule.from_json(sched.to_json(), 3) == sched
+    small = schedule_from_steps(2, [[Transfer(0, 1, 0, 1, half)], []])
+    assert small.src.dtype == small.amount.dtype == np.int64
+    assert small.scale == 2
 
 
 def test_schedule_json_horizon_mismatch():
