@@ -30,7 +30,6 @@ from .indirect import (
 from .model import (
     FractionalMatching,
     Instance,
-    IntegralMatching,
     Metrics,
     Schedule,
     Step,
@@ -49,7 +48,7 @@ from .verifier import VerificationReport, verify
 
 __all__ = [
     "BoundsReport", "DualCertificate", "FractionalMatching", "GreedyTrace",
-    "Instance", "IntegralMatching", "Metrics", "Schedule", "Step",
+    "Instance", "Metrics", "Schedule", "Step",
     "Transfer", "VerificationReport", "auto_schedule", "build_certificate",
     "check_certificate", "compute_metrics",
     "edge_coloring_schedule", "elementary_basis_schedule", "greedy_schedule",

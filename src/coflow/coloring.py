@@ -10,13 +10,11 @@ two-color path starting at the right endpoint.
 from __future__ import annotations
 
 
-def color_bipartite_multigraph(
-    n: int, edges: list[tuple[int, int]]
-) -> list[list[tuple[int, int]]]:
+def color_bipartite_multigraph(n: int, edges: list[tuple[int, int]]) -> list[int]:
     """Color edges (left, right) of a bipartite multigraph with max-degree colors.
 
-    Returns the color classes in color order; each class is a matching.
-    Parallel edges are allowed and end up in distinct classes.
+    Returns the color of each edge, in 0..delta-1; the edges of one color
+    form a matching. Parallel edges are allowed and get distinct colors.
     """
     if not edges:
         return []
@@ -70,8 +68,4 @@ def color_bipartite_multigraph(
         edge_color[eid] = a
         left_tab[u][a] = (eid, v)
         right_tab[v][a] = (eid, u)
-
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(delta)]
-    for eid, (u, v) in enumerate(edges):
-        classes[edge_color[eid]].append((u, v))
-    return classes
+    return edge_color

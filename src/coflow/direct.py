@@ -8,6 +8,8 @@ its destination:
 * integral makespan via bipartite multigraph edge coloring;
 * fractional makespan by smearing the demand matrix uniformly over
   ``ceil(load_bound)`` steps.
+
+Each builds its schedule's columns through ``model.Blocks``.
 """
 
 from __future__ import annotations
@@ -18,17 +20,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import ceil
 
+import numpy as np
+
 from .coloring import color_bipartite_multigraph
 from .errors import NegativeDemandError, SchedulingError, StructuralError
 from .model import (
-    FractionalMatching,
-    Instance,
-    IntegralMatching,
-    Schedule,
-    Transfer,
-    matrix_col_sums,
-    matrix_row_sums,
-    schedule_from_steps,
+    Blocks, FractionalMatching, Instance, Schedule, commodity_columns, matrix_col_sums,
+    matrix_row_sums, scaled_column, unit_parcels,
 )
 from .rational import rational_parser, rational_renderer
 
@@ -184,7 +182,6 @@ def greedy_schedule(
     rng = random.Random(seed) if order == "random" else None
     residual = [list(row) for row in instance.demands]
     matchings = []
-    steps = []
     # Defensive bound; greedy provably finishes well before it.
     horizon_cap = ceil(instance.total_demand) + instance.n**2
     while any(x > 0 for row in residual for x in row):
@@ -194,9 +191,16 @@ def greedy_schedule(
         for i, j, p in matching.triples:
             residual[i][j] -= p
         matchings.append(matching)
-        steps.append([Transfer(i, j, i, j, p) for i, j, p in matching.triples])
     trace = GreedyTrace(instance=instance, matchings=tuple(matchings))
-    return schedule_from_steps(instance.n, steps), trace
+    # Row r ships rate r of the flattened matchings; it is its own commodity.
+    triples = [x for m in matchings for x in m.triples]
+    src, dst = (np.array([x[k] for x in triples], np.int64) for k in (0, 1))
+    table, scale = scaled_column([p for _, _, p in triples])
+    bounds = np.cumsum([0] + [len(m.triples) for m in matchings]).tolist()
+    blocks = Blocks(1)
+    for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        blocks.add(t, src[a:b], dst[a:b], np.arange(a, b), np.arange(a, b))
+    return blocks.schedule(instance.n, len(matchings), src, dst, table, scale), trace
 
 
 def edge_coloring_schedule(instance: Instance) -> Schedule:
@@ -204,34 +208,35 @@ def edge_coloring_schedule(instance: Instance) -> Schedule:
 
     Demands are rounded up to integers; the multigraph with multiplicity
     ``ceil(D_ij)`` is colored with exactly max-degree colors, and each
-    color class becomes one step. Slots ship only the true demand, so
-    every slot of pair (i, j) carries min(1, what remains).
+    color is one step. Every edge ships 1, except the highest-colored edge
+    of each pair (i, j), which ships what remains of D_ij.
     """
     n = instance.n
-    edges = []
-    for i, j, d in instance.commodities():
-        edges.extend([(i, j)] * ceil(d))
-    color_classes = color_bipartite_multigraph(n, edges)
-    remaining = [list(row) for row in instance.demands]
-    steps = []
-    for cls in color_classes:
-        IntegralMatching(tuple(cls))  # sanity: each class is a matching
-        transfers = []
-        for i, j in cls:
-            amount = min(Fraction(1), remaining[i][j])
-            if amount > 0:
-                remaining[i][j] -= amount
-                transfers.append(Transfer(i, j, i, j, amount))
-        steps.append(transfers)
-    return schedule_from_steps(n, steps)
+    origin, dest, demand, scale = commodity_columns(instance)
+    count, last, one, table = unit_parcels(demand, scale)
+    edge = np.repeat(np.arange(origin.size), count)  # the commodity of each edge
+    pairs = list(zip(origin[edge].tolist(), dest[edge].tolist()))
+    color = np.array(color_bipartite_multigraph(n, pairs), np.int64)
+    top = np.zeros(origin.size, np.int64)
+    np.maximum.at(top, edge, color)
+    code = np.where(color == top[edge], last[edge], one)
+    order = np.argsort(color, kind="stable")
+    edge, color, code = edge[order], color[order], code[order]
+    horizon = int(color[-1]) + 1 if color.size else 0
+    bounds = np.searchsorted(color, np.arange(horizon + 1)).tolist()
+    blocks = Blocks(1)
+    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        sel = edge[a:b]
+        blocks.add(c, origin[sel], dest[sel], sel, code[a:b])
+    return blocks.schedule(n, horizon, origin, dest, table, scale)
 
 
 def smeared_fractional_schedule(instance: Instance) -> Schedule:
     """Optimal fractional makespan: ship D / ceil(B) in each of ceil(B) steps."""
     horizon = ceil(instance.load_bound)
-    if horizon == 0:
-        return schedule_from_steps(instance.n, [])
-    transfers = [
-        Transfer(i, j, i, j, d / horizon) for i, j, d in instance.commodities()
-    ]
-    return schedule_from_steps(instance.n, [list(transfers) for _ in range(horizon)])
+    origin, dest, demand, scale = commodity_columns(instance)
+    keys, code = np.unique(demand, return_inverse=True)
+    table, scale = scaled_column([Fraction(x, scale * horizon) for x in keys.tolist()])
+    blocks = Blocks(horizon)
+    blocks.add(0, origin, dest, np.arange(origin.size), code)
+    return blocks.schedule(instance.n, horizon, origin, dest, table, scale)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import DimensionError, StructuralError
+from .errors import DimensionError, NegativeDemandError, StructuralError
 from .model import Instance, make_instance, uniform_instance
 
 FAMILIES = ("uniform", "random-sparse", "adversarial-single-row")
@@ -22,6 +22,8 @@ def generate(family: str, n: int, load, seed: int | None = None) -> Instance:
     if n < 2:  # random-sparse would search forever for a nonzero entry
         raise DimensionError(f"need at least 2 nodes, got n={n}")
     load = Fraction(load)
+    if load <= 0:
+        raise NegativeDemandError(f"load bound must be positive, got {load}")
     if family == "uniform":
         return uniform_instance(n, load)
     if family == "random-sparse":

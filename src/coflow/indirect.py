@@ -12,18 +12,22 @@ schemes:
 * VLB lifting: run the hypercube (B <= 2) or the elementary basis twice,
   spreading every commodity uniformly over all intermediate nodes, to
   handle arbitrary demand matrices.
+
+Each scheme emits its rows into ``model.Blocks`` one matching at a time,
+vectorized over the commodities.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, isqrt
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import StructuralError, UnsupportedSizeError
-from .model import Instance, Schedule, Transfer, scaled_column, schedule_from_steps
+from .model import (
+    Blocks, Instance, Schedule, commodity_columns, scaled_column, unit_parcels,
+)
 from .rational import ceil_frac
 
 # VLB expands the rows of a run of commodities at a time, about this many,
@@ -31,36 +35,31 @@ from .rational import ceil_frac
 _CHUNK_ROWS = 1 << 16
 
 
-def _integer_root(n: int, d: int) -> int | None:
-    """Exact d-th root of n, or None."""
-    q = round(n ** (1.0 / d))
-    for cand in (q - 1, q, q + 1):
-        if cand >= 1 and cand**d == n:
-            return cand
-    return None
-
-
 class ElementaryBasisScheme:
-    """d-dimensional coordinate-shift schedule, base q = n^(1/d).
+    """d-dimensional coordinate-shift schedule, base q = n^(1/d), for load
+    bound ``load``.
 
     Matching (i, s) adds s to coordinate i mod q; matchings are ordered by
-    coordinate then shift, each repeated ``multiplicity`` times. Routing
-    fixes coordinates in schedule order and splits each hop's flow equally
-    over the repetitions of its matching. Base 2 with multiplicity 1 is
-    exactly the hypercube schedule.
+    coordinate then shift, each repeated ``multiplicity`` = ceil(load / q)
+    times (at least once). Routing fixes coordinates in schedule order and
+    splits each hop's flow equally over the repetitions of its matching.
+    Base 2 with multiplicity 1 is exactly the hypercube schedule.
     """
 
-    def __init__(self, n: int, d: int, multiplicity: int):
-        q = _integer_root(n, d)
-        if q is None or q < 2:
+    def __init__(self, n: int, d: int, load: Fraction | int = 1):
+        if d < 1:
+            raise StructuralError(f"dimension must be at least 1, got d={d}")
+        root = round(n ** (1.0 / d))
+        q = next((c for c in (root - 1, root, root + 1) if c >= 2 and c**d == n), None)
+        if q is None:
             suggested = (ceil(n ** (1.0 / d))) ** d
             raise UnsupportedSizeError(
                 f"n={n} is not a perfect {d}-th power", suggested_n=max(suggested, 2**d)
             )
         self.d = d
         self.base = q
-        self.multiplicity = multiplicity
-        self.horizon = d * (q - 1) * multiplicity
+        self.multiplicity = max(ceil_frac(Fraction(load) / q), 1)
+        self.horizon = d * (q - 1) * self.multiplicity
 
 
 def hypercube_scheme(n: int) -> ElementaryBasisScheme:
@@ -69,7 +68,7 @@ def hypercube_scheme(n: int) -> ElementaryBasisScheme:
         raise UnsupportedSizeError(
             f"n={n} is not a power of 2", suggested_n=2 ** max(d + 1, 1)
         )
-    return ElementaryBasisScheme(n, d, 1)
+    return ElementaryBasisScheme(n, d)
 
 
 def _regime_load(instance: Instance, nominal_load: Fraction | None) -> Fraction:
@@ -100,63 +99,16 @@ def _elementary_scheme(
         d = 1
         while load**d < n:
             d += 1
-    q = _integer_root(n, d)
-    if q is None:
-        return ElementaryBasisScheme(n, d, 1)  # raises with a suggestion
-    return ElementaryBasisScheme(n, d, max(ceil_frac(load / q), 1))
+    return ElementaryBasisScheme(n, d, load)
 
 
-def _commodities(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Origin and destination columns of every commodity, in
-    ``commodities()`` order, and their demands as integer numerators over
-    the instance's common denominator, with that denominator."""
-    column, scale = instance.scaled_demands
-    cells = np.flatnonzero(column > 0)
-    return cells // instance.n, cells % instance.n, column[cells], scale
-
-
-class _Blocks:
-    """The rows of a connection schedule, one block per matching.
-
-    A block holds the rows one matching carries, in commodity order, and
-    fills the matching's ``multiplicity`` consecutive slots. Blocks may be
-    added in pieces, each piece a run of commodities in order; ``schedule``
-    sorts the pieces by slot, stably, so the rows come out sorted by (slot,
-    commodity, position).
-    """
-
-    def __init__(self, multiplicity: int):
-        self.multiplicity = multiplicity
-        self.pieces: list[tuple] = []
-
-    def add(self, slot: int, src, dst, commodity, amount) -> None:
-        """Rows src -> dst of the given commodities (indices into the
-        commodity columns) with the given amounts (indices into the amount
-        table), in the ``multiplicity`` slots from ``slot`` on."""
-        for k in range(slot, slot + self.multiplicity):
-            self.pieces.append((k, src, dst, commodity, amount))
-
-    def schedule(self, n, horizon, origin, dest, table, scale) -> Schedule:
-        pieces = sorted(self.pieces, key=itemgetter(0))
-        self.pieces = []
-        empty = np.zeros(0, np.int64)
-        slots, srcs, dsts, comms, amounts = (
-            list(field) for field in zip((0, empty, empty, empty, empty), *pieces)
-        )
-        del pieces
-        step = np.repeat(np.array(slots, np.int64), list(map(len, srcs)))
-        # Each column is joined and its pieces dropped before the next, so
-        # that the pieces and the columns are not all alive at once.
-        src = np.concatenate(srcs)
-        del srcs
-        dst = np.concatenate(dsts)
-        del dsts
-        commodity = np.concatenate(comms)
-        del comms
-        origin, dest = origin[commodity], dest[commodity]
-        del commodity
-        amount = table[np.concatenate(amounts)]
-        return Schedule(n, horizon, step, src, dst, origin, dest, amount, scale)
+def _shift_groups(shift: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each nonzero value t of ``shift``, ascending, with the indices where
+    it occurs, in order."""
+    hops = np.flatnonzero(shift)
+    hops = hops[np.argsort(shift[hops], kind="stable")]
+    values, starts = np.unique(shift[hops], return_index=True)
+    return list(zip(values.tolist(), np.split(hops, starts[1:])))
 
 
 def _route_directly(instance: Instance, scheme: ElementaryBasisScheme) -> Schedule:
@@ -165,23 +117,17 @@ def _route_directly(instance: Instance, scheme: ElementaryBasisScheme) -> Schedu
     repetitions of its matching. Rows are emitted one matching at a time,
     vectorized over the commodities."""
     q, d, m = scheme.base, scheme.d, scheme.multiplicity
-    origin, dest, table, scale = _commodities(instance)
+    origin, dest, table, scale = commodity_columns(instance)
     if m > 1:
         table, scale = scaled_column([Fraction(x, scale * m) for x in table.tolist()])
-    blocks = _Blocks(m)
+    blocks = Blocks(m)
     cur = origin.copy()
     p = 1
     for i in range(d):
         delta = (dest // p % q - origin // p % q) * p
-        shift = delta // p % q
-        hops = np.flatnonzero(shift)
-        hops = hops[np.argsort(shift[hops], kind="stable")]
-        ends = np.cumsum(np.bincount(shift[hops], minlength=q)).tolist()
-        for t in range(1, q):
-            sel = hops[ends[t - 1]:ends[t]]
-            if sel.size:
-                src = cur[sel]
-                blocks.add((i * (q - 1) + t - 1) * m, src, src + delta[sel], sel, sel)
+        for t, sel in _shift_groups(delta // p % q):
+            src = cur[sel]
+            blocks.add((i * (q - 1) + t - 1) * m, src, src + delta[sel], sel, sel)
         cur += delta
         p *= q
     return blocks.schedule(instance.n, scheme.horizon, origin, dest, table, scale)
@@ -195,22 +141,24 @@ def round_robin_schedule(
     Shift s = 1..n-1 (the identity is all self-loops) owns ``m`` consecutive
     steps, m = ceil(B/n), bumped when an individual demand exceeds its
     dedicated slot capacity (only possible outside the uniform regime).
+    The k-th step of commodity (i, j), on shift j - i, carries min(1, d - k).
     """
     n = instance.n
     load = _regime_load(instance, nominal_load)
-    max_entry = max((d for _, _, d in instance.commodities()), default=Fraction(0))
-    m = max(ceil_frac(load / n), ceil_frac(max_entry), 1)
-    steps: list[list[Transfer]] = [[] for _ in range((n - 1) * m)]
-    for i, j, demand in instance.commodities():
-        start = ((j - i) % n - 1) * m
-        remaining = demand
-        for slot in range(start, start + m):
-            amount = min(Fraction(1), remaining)
-            if amount <= 0:
-                break
-            remaining -= amount
-            steps[slot].append(Transfer(i, j, i, j, amount))
-    return schedule_from_steps(n, steps)
+    origin, dest, demand, scale = commodity_columns(instance)
+    count, last, one, table = unit_parcels(demand, scale)
+    parcels = int(count.max(initial=0))
+    m = max(ceil_frac(load / n), parcels, 1)
+    shift = (dest - origin) % n
+    blocks = Blocks(1)
+    live = np.arange(origin.size)  # the commodities with more than k parcels
+    for k in range(parcels):
+        live = live[count[live] > k]
+        for s, sel in _shift_groups(shift[live]):
+            sel = live[sel]
+            code = np.where(count[sel] > k + 1, one, last[sel])
+            blocks.add((s - 1) * m + k, origin[sel], dest[sel], sel, code)
+    return blocks.schedule(n, (n - 1) * m, origin, dest, table, scale)
 
 
 def hypercube_schedule(instance: Instance) -> Schedule:
@@ -245,28 +193,22 @@ def grid_schedule(instance: Instance) -> Schedule:
         raise UnsupportedSizeError(
             f"n={n} is not a perfect square", suggested_n=(side + 1) ** 2
         )
-    entries = {d for _, _, d in instance.commodities()}
+    origin, dest, demand, scale = commodity_columns(instance)
+    entries = np.unique(demand).tolist()
     if len(entries) > 1:
         raise StructuralError("grid scheme needs uniform off-diagonal demands")
-    if entries:
-        c = entries.pop()
-        if c * side > 1:
-            raise StructuralError(
-                f"grid scheme infeasible: entry {c} exceeds 1/sqrt(n)"
-            )
-    horizon = 2 * (side - 1)
-    steps: list[list[Transfer]] = [[] for _ in range(horizon)]
-    for i, j, demand in instance.commodities():
-        ri, ci = divmod(i, side)
-        rj, cj = divmod(j, side)
-        mid = rj * side + ci  # destination row, source column
-        if ri != rj:
-            k = (rj - ri) % side
-            steps[k - 1].append(Transfer(i, mid, i, j, demand))
-        if ci != cj:
-            k = (cj - ci) % side
-            steps[(side - 1) + (k - 1)].append(Transfer(mid, j, i, j, demand))
-    return schedule_from_steps(n, steps)
+    if entries and entries[0] * side > scale:
+        c = Fraction(entries[0], scale)
+        raise StructuralError(f"grid scheme infeasible: entry {c} exceeds 1/sqrt(n)")
+    ri, ci = origin // side, origin % side
+    rj, cj = dest // side, dest % side
+    mid = rj * side + ci  # destination row, source column
+    blocks = Blocks(1)
+    phases = ((origin, mid, (rj - ri) % side), (mid, dest, (cj - ci) % side))
+    for phase, (src, dst, shift) in enumerate(phases):
+        for k, sel in _shift_groups(shift):
+            blocks.add(phase * (side - 1) + k - 1, src[sel], dst[sel], sel, sel)
+    return blocks.schedule(n, 2 * (side - 1), origin, dest, demand, scale)
 
 
 def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedule:
@@ -295,19 +237,15 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
     scheme = hypercube_scheme(n) if load <= 2 else _elementary_scheme(n, load)
     q, d, m, horizon = scheme.base, scheme.d, scheme.multiplicity, scheme.horizon
     pw = [q**i for i in range(d + 1)]
-    origin, dest, demands, scale = _commodities(instance)
-    blocks = _Blocks(m)
+    origin, dest, demands, scale = commodity_columns(instance)
+    blocks = Blocks(m)
     every = np.arange(origin.size)
     # Each row moves demand * k / (n*m) for a factor k of its level; the
     # amount table has one entry per (distinct demand, k), so commodities
     # with equal demands share their entries.
-    group_of: dict[int, int] = {}
-    group = np.fromiter(
-        (group_of.setdefault(x, len(group_of)) for x in demands.tolist()),
-        np.int64, demands.size,
-    )
+    keys, group = np.unique(demands, return_inverse=True)
     factors = sorted({pw[i] - (pw[j] if j < i else 0) for i in range(d) for j in range(i + 1)})
-    used = np.zeros(len(group_of) * len(factors), bool)
+    used = np.zeros(keys.size * len(factors), bool)
 
     def codes(k):  # amount-table index of every commodity for factor(s) k
         code = group * len(factors) + np.searchsorted(factors, k)
@@ -355,7 +293,7 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
             for t in range(1, q):
                 blocks.add((i * (q - 1) + t - 1) * m + horizon,
                            dst + ((vi - t) % q - vi) * p, dst, cm, amount)
-    keys, kinds = list(group_of), len(factors)
+    keys, kinds = keys.tolist(), len(factors)
     entries = np.flatnonzero(used).tolist()
     column, scale = scaled_column([
         Fraction(keys[e // kinds] * factors[e % kinds], scale * n * m) for e in entries

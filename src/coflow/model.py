@@ -3,7 +3,9 @@
 Everything is exact. Demands and derived quantities are
 :class:`fractions.Fraction`. A schedule is columnar: int64 step and node
 columns plus integer amount numerators over one common denominator, so
-that the verifier and the metrics read it in whole-schedule numpy passes;
+that the verifier and the metrics read it in whole-schedule numpy passes.
+Every scheduler builds its columns through :class:`Blocks`, from the
+commodity columns of :func:`commodity_columns` and an amount table;
 ``Schedule.steps`` is a view that gives the rows back as ``Transfer``
 objects. Types are immutable after construction and safe to share across
 threads.
@@ -210,8 +212,9 @@ class Schedule:
     columns are read-only. Equal rows give equal columns, so schedules
     compare by their columns.
 
-    Build one with :func:`schedule_from_steps`, or with the emitters in
-    ``indirect``; :attr:`steps` gives the rows back as objects.
+    The schedulers build one with :class:`Blocks`, and ``from_json`` with
+    :func:`schedule_from_steps`; :attr:`steps` gives the rows back as
+    objects.
     """
 
     n: int
@@ -309,6 +312,75 @@ def schedule_from_steps(n: int, step_transfers: Sequence[Sequence[Transfer]]) ->
     )
 
 
+def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Origin and destination columns of every commodity, in
+    ``Instance.commodities()`` order, and their demands as integer
+    numerators over the instance's common denominator, with that
+    denominator."""
+    column, scale = instance.scaled_demands
+    cells = np.flatnonzero(column > 0)
+    return cells // instance.n, cells % instance.n, column[cells], scale
+
+
+def unit_parcels(demand: np.ndarray, scale: int):
+    """Each demand d as ceil(d) parcels of 1, the last cut to d - (ceil(d) - 1):
+    per commodity the parcel count and the table index of its last parcel,
+    the index of a parcel of 1 (in the table only if some count exceeds 1),
+    and the amount table, over ``scale``."""
+    keys, code = np.unique(demand, return_inverse=True)
+    keys = keys.tolist()
+    counts = [-(-x // scale) for x in keys]
+    table = [x - (c - 1) * scale for x, c in zip(keys, counts)]
+    if max(counts, default=0) > 1:
+        table.append(scale)
+    return np.array(counts, np.int64)[code], code, len(keys), int_column(table)
+
+
+class Blocks:
+    """The rows of a schedule, one block per matching.
+
+    A block holds the rows one matching carries, in commodity order, and
+    fills the matching's ``multiplicity`` consecutive slots. Blocks may be
+    added in pieces, each piece a run of commodities in order; ``schedule``
+    sorts the pieces by slot, stably, so the rows come out sorted by (slot,
+    commodity, position). Every entry of the amount table must fill some row,
+    since the table's dtype and scale become the schedule's.
+    """
+
+    def __init__(self, multiplicity: int):
+        self.multiplicity = multiplicity
+        self.pieces: list[tuple] = []
+
+    def add(self, slot: int, src, dst, commodity, amount) -> None:
+        """Rows src -> dst of the given commodities (indices into the
+        commodity columns) with the given amounts (indices into the amount
+        table), in the ``multiplicity`` slots from ``slot`` on."""
+        for k in range(slot, slot + self.multiplicity):
+            self.pieces.append((k, src, dst, commodity, amount))
+
+    def schedule(self, n, horizon, origin, dest, table, scale) -> Schedule:
+        pieces = sorted(self.pieces, key=itemgetter(0))
+        self.pieces = []
+        empty = np.zeros(0, np.int64)
+        slots, srcs, dsts, comms, amounts = (
+            list(field) for field in zip((0, empty, empty, empty, empty), *pieces)
+        )
+        del pieces
+        step = np.repeat(np.array(slots, np.int64), list(map(len, srcs)))
+        # Each column is joined and its pieces dropped before the next, so
+        # that the pieces and the columns are not all alive at once.
+        src = np.concatenate(srcs)
+        del srcs
+        dst = np.concatenate(dsts)
+        del dsts
+        commodity = np.concatenate(comms)
+        del comms
+        origin, dest = origin[commodity], dest[commodity]
+        del commodity
+        amount = table[np.concatenate(amounts)]
+        return Schedule(n, horizon, step, src, dst, origin, dest, amount, scale)
+
+
 @dataclass(frozen=True)
 class FractionalMatching:
     """(source, receiver, rate) triples with per-node rate sums <= cap."""
@@ -337,21 +409,6 @@ class FractionalMatching:
     @property
     def total_rate(self) -> Fraction:
         return sum((p for _, _, p in self.triples), Fraction(0))
-
-
-@dataclass(frozen=True)
-class IntegralMatching:
-    """Partial injective map from source nodes to receiver nodes."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        srcs = [s for s, _ in self.edges]
-        dsts = [d for _, d in self.edges]
-        if any(s == d for s, d in self.edges):
-            raise StructuralError("self-loop in integral matching")
-        if len(set(srcs)) != len(srcs) or len(set(dsts)) != len(dsts):
-            raise StructuralError("repeated node in integral matching")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,106 @@
+"""Row-by-row schedulers: the independent reference for the columns that
+round robin, grid, smeared, edge coloring and greedy emit.
+
+Each loop builds one ``Transfer`` of ``Fraction``s per row, collects the
+rows per step and hands them to ``schedule_from_steps``: the loops the
+schedulers ran before they emitted columns, so the reference gives the rows,
+their amounts and their order.
+"""
+
+from fractions import Fraction
+from math import ceil, isqrt
+
+from coflow.coloring import color_bipartite_multigraph
+from coflow.direct import greedy_schedule
+from coflow.errors import StructuralError, UnsupportedSizeError
+from coflow.indirect import _regime_load
+from coflow.model import Transfer, schedule_from_steps
+from coflow.rational import ceil_frac
+
+
+def round_robin(instance, nominal_load=None):
+    n = instance.n
+    load = _regime_load(instance, nominal_load)
+    max_entry = max((d for _, _, d in instance.commodities()), default=Fraction(0))
+    m = max(ceil_frac(load / n), ceil_frac(max_entry), 1)
+    steps = [[] for _ in range((n - 1) * m)]
+    for i, j, demand in instance.commodities():
+        start = ((j - i) % n - 1) * m
+        remaining = demand
+        for slot in range(start, start + m):
+            amount = min(Fraction(1), remaining)
+            if amount <= 0:
+                break
+            remaining -= amount
+            steps[slot].append(Transfer(i, j, i, j, amount))
+    return schedule_from_steps(n, steps)
+
+
+def grid(instance):
+    n = instance.n
+    side = isqrt(n)
+    if side * side != n:
+        raise UnsupportedSizeError(
+            f"n={n} is not a perfect square", suggested_n=(side + 1) ** 2
+        )
+    entries = {d for _, _, d in instance.commodities()}
+    if len(entries) > 1:
+        raise StructuralError("grid scheme needs uniform off-diagonal demands")
+    if entries:
+        c = entries.pop()
+        if c * side > 1:
+            raise StructuralError(
+                f"grid scheme infeasible: entry {c} exceeds 1/sqrt(n)"
+            )
+    horizon = 2 * (side - 1)
+    steps = [[] for _ in range(horizon)]
+    for i, j, demand in instance.commodities():
+        ri, ci = divmod(i, side)
+        rj, cj = divmod(j, side)
+        mid = rj * side + ci
+        if ri != rj:
+            k = (rj - ri) % side
+            steps[k - 1].append(Transfer(i, mid, i, j, demand))
+        if ci != cj:
+            k = (cj - ci) % side
+            steps[(side - 1) + (k - 1)].append(Transfer(mid, j, i, j, demand))
+    return schedule_from_steps(n, steps)
+
+
+def smeared(instance):
+    horizon = ceil(instance.load_bound)
+    if horizon == 0:
+        return schedule_from_steps(instance.n, [])
+    transfers = [
+        Transfer(i, j, i, j, d / horizon) for i, j, d in instance.commodities()
+    ]
+    return schedule_from_steps(instance.n, [list(transfers) for _ in range(horizon)])
+
+
+def edge_coloring(instance):
+    n = instance.n
+    edges = []
+    for i, j, d in instance.commodities():
+        edges.extend([(i, j)] * ceil(d))
+    colors = color_bipartite_multigraph(n, edges)
+    color_classes = [[] for _ in range(max(colors, default=-1) + 1)]
+    for edge, color in zip(edges, colors):
+        color_classes[color].append(edge)
+    remaining = [list(row) for row in instance.demands]
+    steps = []
+    for cls in color_classes:
+        transfers = []
+        for i, j in cls:
+            amount = min(Fraction(1), remaining[i][j])
+            if amount > 0:
+                remaining[i][j] -= amount
+                transfers.append(Transfer(i, j, i, j, amount))
+        steps.append(transfers)
+    return schedule_from_steps(n, steps)
+
+
+def greedy(instance, order="lex", seed=None):
+    """The schedule of greedy's trace, one step per matching."""
+    _, trace = greedy_schedule(instance, order=order, seed=seed)
+    steps = [[Transfer(i, j, i, j, p) for i, j, p in m.triples] for m in trace.matchings]
+    return schedule_from_steps(instance.n, steps)

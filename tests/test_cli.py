@@ -166,6 +166,18 @@ def test_nominal_b_flag(tmp_path, capsys):
     assert json.loads(sched.read_text())["horizon"] == 4
 
 
+
+@pytest.mark.parametrize("dimension", ["0", "-1"])
+def test_dimension_below_one_is_exit_two(tmp_path, capsys, dimension):
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "16", "--B", "4", "--out", str(inst))
+    code, out, err = run(capsys, "schedule", "--algorithm", "elementary-basis",
+                         "--instance", str(inst), "--dimension", dimension)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "supported size" not in err
+
 def test_bad_rational_is_exit_two(capsys):
     code, _, err = run(capsys, "bounds", "--n", "4", "--B", "two")
     assert code == 2

@@ -15,8 +15,13 @@ def degrees(n, edges):
 
 
 def check_coloring(n, edges):
-    classes = color_bipartite_multigraph(n, edges)
-    assert len(classes) == degrees(n, edges)
+    colors = color_bipartite_multigraph(n, edges)
+    assert len(colors) == len(edges)
+    delta = degrees(n, edges)
+    assert set(colors) == set(range(delta))
+    classes = [[] for _ in range(delta)]
+    for edge, color in zip(edges, colors):
+        classes[color].append(edge)
     colored = []
     for cls in classes:
         assert len({u for u, _ in cls}) == len(cls)

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from coflow.errors import DimensionError, StructuralError
+from coflow.cli import main
+from coflow.errors import DimensionError, NegativeDemandError, StructuralError
 from coflow.generators import (
     FAMILIES,
     generate,
@@ -59,3 +60,14 @@ def test_fewer_than_two_nodes_rejected(family, n):
     # adversarial-single-row (n=1) divided by zero.
     with pytest.raises(DimensionError):
         generate(family, n, F(2), seed=1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("load", ["0", "-1"])
+def test_non_positive_load_rejected(family, load, capsys):
+    with pytest.raises(NegativeDemandError, match="load bound must be positive"):
+        generate(family, 4, F(load), seed=1)
+    code = main(["generate", "--family", family, "--n", "4", "--B", load])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: load bound must be positive")

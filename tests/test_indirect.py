@@ -241,6 +241,14 @@ def test_unsupported_size_suggests_next_n(build, expected):
     assert exc.value.suggested_n == expected
 
 
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_dimension_below_one_rejected(d):
+    with pytest.raises(StructuralError, match="dimension must be at least 1"):
+        elementary_basis_schedule(uniform_instance(16, F(4)), d=d)
+    with pytest.raises(StructuralError, match="dimension must be at least 1"):
+        ElementaryBasisScheme(16, d)
+
 def test_auto_dispatch_by_load_regime():
     # B >= n: direct round robin, makespan (n-1) * ceil(B/n).
     big = uniform_instance(4, F(8))
