@@ -16,7 +16,6 @@ from .direct import (
     GreedyTrace,
     edge_coloring_schedule,
     greedy_schedule,
-    maximal_fractional_matching,
     smeared_fractional_schedule,
 )
 from .indirect import (
@@ -28,7 +27,6 @@ from .indirect import (
     vlb_lift,
 )
 from .model import (
-    FractionalMatching,
     Instance,
     Metrics,
     Schedule,
@@ -47,13 +45,13 @@ from .oracle import (
 from .verifier import VerificationReport, verify
 
 __all__ = [
-    "BoundsReport", "DualCertificate", "FractionalMatching", "GreedyTrace",
+    "BoundsReport", "DualCertificate", "GreedyTrace",
     "Instance", "Metrics", "Schedule", "Step",
     "Transfer", "VerificationReport", "auto_schedule", "build_certificate",
     "check_certificate", "compute_metrics",
     "edge_coloring_schedule", "elementary_basis_schedule", "greedy_schedule",
     "grid_schedule", "hypercube_schedule", "lower_bounds", "make_instance",
-    "maximal_fractional_matching", "opt_direct_fractional",
+    "opt_direct_fractional",
     "opt_receiver_bound", "opt_sender_bound", "path_count_feasible",
     "round_robin_schedule", "smeared_fractional_schedule",
     "solve_completion_lp", "uniform_instance", "verify", "vlb_lift",

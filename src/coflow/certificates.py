@@ -6,12 +6,17 @@ of pair (i, j) is sender i's initial residual, and the beta value of
 both dual programs plus the half-of-greedy objective bound are checked
 exactly; together with weak duality they certify the approximation ratio
 of a concrete run.
+
+The trace's residual sums come from its integer replay
+(``GreedyTrace.replay``); the certificate's entries are ``Fraction``s, and
+the check reads any certificate, not only a built one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .direct import GreedyTrace
@@ -44,32 +49,27 @@ class DualCertificate:
 
 
 def build_certificate(trace: GreedyTrace) -> DualCertificate:
-    """Populate the dual solutions from a completed greedy trace."""
-    inst = trace.instance
-    n = inst.n
-    horizon = trace.horizon
-    alpha_s = tuple(
-        tuple(trace.sender_residual[0][i] for _ in range(n)) for i in range(n)
+    """Populate the dual solutions from a completed greedy trace.
+
+    With R_i node i's initial residual and S_ti its residual before step t,
+    over the replay's denominator den, sum_ij D_ij alpha_ij - sum beta is
+    (4 sum R_i^2 - den sum S_ti) / (4 den^2).
+    """
+    n = trace.instance.n
+    replay = trace.replay
+    den = replay.scale
+    alpha = cache(lambda x: Fraction(x, den))
+    beta = cache(lambda x: Fraction(x, 4 * den))
+    rows, cols = replay.senders[0], replay.receivers[0]
+    alpha_s = tuple((a,) * n for a in map(alpha, rows))
+    alpha_r = (tuple(map(alpha, cols)),) * n
+    beta_s = tuple(tuple(map(beta, node)) for node in zip(*replay.senders))
+    beta_r = tuple(tuple(map(beta, node)) for node in zip(*replay.receivers))
+    objective = lambda start, sums: Fraction(
+        4 * sum(x * x for x in start) - den * sum(map(sum, sums)), 4 * den * den
     )
-    alpha_r = tuple(
-        tuple(trace.receiver_residual[0][j] for j in range(n)) for _ in range(n)
-    )
-    beta_s = tuple(
-        tuple(trace.sender_residual[t][i] / 4 for t in range(horizon + 1))
-        for i in range(n)
-    )
-    beta_r = tuple(
-        tuple(trace.receiver_residual[t][j] / 4 for t in range(horizon + 1))
-        for j in range(n)
-    )
-    obj_ds = sum(
-        (inst.demands[i][j] * alpha_s[i][j] for i in range(n) for j in range(n)),
-        Fraction(0),
-    ) - sum((b for row in beta_s for b in row), Fraction(0))
-    obj_dr = sum(
-        (inst.demands[i][j] * alpha_r[i][j] for i in range(n) for j in range(n)),
-        Fraction(0),
-    ) - sum((b for row in beta_r for b in row), Fraction(0))
+    obj_ds = objective(rows, replay.senders)
+    obj_dr = objective(cols, replay.receivers)
     return DualCertificate(alpha_s, beta_s, alpha_r, beta_r, obj_ds, obj_dr)
 
 
@@ -98,27 +98,8 @@ def _replay_failures(instance: Instance, trace: GreedyTrace) -> list[str]:
     """
     if trace.instance != instance:
         return ["the trace does not follow from the instance"]
-    n = instance.n
-    residuals = trace.residuals
-    senders, receivers = trace.sender_residual, trace.receiver_residual
-    for t, matching in enumerate(trace.matchings):
-        before = residuals[t]
-        for i, j, p in matching.triples:
-            if p > before[i][j]:
-                return [f"step {t} ships more than the residual of ({i},{j})"]
-        # Maximal: every pair still short has a saturated endpoint.
-        cap = matching.cap
-        full_s = {i for i in range(n) if senders[t][i] - senders[t + 1][i] == cap}
-        full_r = {j for j in range(n) if receivers[t][j] - receivers[t + 1][j] == cap}
-        after = residuals[t + 1]
-        for i in range(n):
-            if i not in full_s:
-                for j in range(n):
-                    if after[i][j] and j not in full_r:
-                        return [f"matching {t} is not maximal: ({i},{j}) could take more"]
-    if any(x for row in residuals[-1] for x in row):
-        return ["the matchings leave demand unshipped"]
-    return []
+    failure = trace.replay.failure
+    return [failure] if failure else []
 
 
 def check_certificate(
@@ -159,13 +140,15 @@ def check_certificate(
         )
 
     # Residual identity: 4*beta_S[i][t] is sender i's residual, which can
-    # drop by at most one per step.
+    # drop by at most one per step; both over the replay's denominator.
+    replay = trace.replay
     for i in range(n):
         for t in range(horizon + 1):
-            if 4 * cert.beta_s[i][t] != trace.sender_residual[t][i]:
+            residual = 4 * cert.beta_s[i][t] * replay.scale
+            if residual != replay.senders[t][i]:
                 failures.append(f"beta_S[{i}][{t}] does not match the trace")
                 break
-            if 4 * cert.beta_s[i][t] < trace.sender_residual[0][i] - t:
+            if residual < replay.senders[0][i] - t * replay.scale:
                 failures.append(f"sender {i} residual dropped too fast by t={t}")
                 break
 

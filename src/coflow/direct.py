@@ -9,44 +9,60 @@ its destination:
 * fractional makespan by smearing the demand matrix uniformly over
   ``ceil(load_bound)`` steps.
 
-Each builds its schedule's columns through ``model.Blocks``.
+Each builds its schedule's columns through ``model.Blocks``. Greedy and the
+replay of its trace run on Python ints: the residual is the instance's demand
+numerators over its common denominator, and a node's cap of 1 is that
+denominator.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import ceil
+from functools import cache, cached_property
+from math import ceil, lcm
+from typing import NamedTuple
 
 import numpy as np
 
 from .coloring import color_bipartite_multigraph
-from .errors import NegativeDemandError, SchedulingError, StructuralError
+from .errors import SchedulingError, StructuralError
 from .model import (
-    Blocks, FractionalMatching, Instance, Schedule, commodity_columns, matrix_col_sums,
-    matrix_row_sums, scaled_column, unit_parcels,
+    Blocks, Instance, Schedule, commodity_columns, int_column, scaled_column,
+    square_sums, unit_parcels,
 )
 from .rational import rational_parser, rational_renderer
 
 ORDER_CHOICES = ("lex", "residual", "sums", "random")
 
 
+class TraceReplay(NamedTuple):
+    """A trace on integer numerators over ``scale``, the lcm of the
+    instance's denominator and the rates': the demands (row-major), each
+    matching's triples, and what walking them gives. ``senders[t]`` /
+    ``receivers[t]`` are the row and column sums of the residual before step
+    t, t = 0..horizon, and ``failure`` is the first way the matchings are not
+    a greedy run of the instance (None for a genuine run)."""
+
+    scale: int
+    demands: list[int]
+    steps: list[list[tuple[int, int, int]]]
+    senders: list[list[int]]
+    receivers: list[list[int]]
+    failure: str | None
+    total_completion: Fraction
+
+
 @dataclass(frozen=True)
 class GreedyTrace:
-    """A greedy run: its instance and the matching shipped at each step.
-
-    Everything else the dual certificate needs is derived by one replay of
-    the matchings over ``instance.demands``: ``residuals[t]`` is the
-    residual matrix before step ``t`` (so ``residuals[0]`` is the input and
-    ``residuals[horizon]`` is all zero for a finished run), and
-    ``sender_residual[t][i]`` / ``receiver_residual[t][j]`` are its row and
-    column sums.
-    """
+    """A greedy run: its instance and the matching shipped at each step,
+    each a tuple of (sender, receiver, rate) triples. The certificate reads
+    the run off one integer replay, :attr:`replay`."""
 
     instance: Instance
-    matchings: tuple[FractionalMatching, ...]
+    matchings: tuple[tuple[tuple[int, int, Fraction], ...], ...]
 
     @property
     def horizon(self) -> int:
@@ -54,47 +70,63 @@ class GreedyTrace:
 
     @property
     def total_completion(self) -> Fraction:
-        total = Fraction(0)
-        for t, m in enumerate(self.matchings):
-            total += (t + 1) * m.total_rate
-        return total
+        return self.replay.total_completion
 
     @cached_property
-    def _replay(self) -> tuple[tuple, tuple, tuple]:
-        residual = [list(row) for row in self.instance.demands]
-        rows = matrix_row_sums(self.instance.demands)
-        cols = matrix_col_sums(self.instance.demands)
-        residuals = [tuple(map(tuple, residual))]
-        senders = [tuple(rows)]
-        receivers = [tuple(cols)]
-        for matching in self.matchings:
-            for i, j, p in matching.triples:
-                residual[i][j] -= p
-                rows[i] -= p
-                cols[j] -= p
-            residuals.append(tuple(map(tuple, residual)))
-            senders.append(tuple(rows))
-            receivers.append(tuple(cols))
-        return tuple(residuals), tuple(senders), tuple(receivers)
+    def replay(self) -> TraceReplay:
+        n = self.instance.n
+        column, scale = self.instance.scaled_demands
+        den = lcm(scale, *{p.denominator for m in self.matchings for _, _, p in m})
+        demands = [x * (den // scale) for x in column.tolist()]
+        steps = [
+            [(i, j, p.numerator * (den // p.denominator)) for i, j, p in m]
+            for m in self.matchings
+        ]
+        residual = list(demands)
+        rows, cols = square_sums(residual, n)
+        senders, receivers = [rows], [cols]
+        failure = None
+        total = 0
+        for t, triples in enumerate(steps):
+            sent, received = [0] * n, [0] * n
+            for i, j, p in triples:
+                if failure is None and p > residual[i * n + j]:
+                    failure = f"step {t} ships more than the residual of ({i},{j})"
+                residual[i * n + j] -= p
+                sent[i] += p
+                received[j] += p
+            total += (t + 1) * sum(sent)
+            rows = [a - b for a, b in zip(rows, sent)]
+            cols = [a - b for a, b in zip(cols, received)]
+            senders.append(rows)
+            receivers.append(cols)
+            failure = failure or _not_maximal(t, residual, n, sent, received, den)
+        if failure is None and any(residual):
+            failure = "the matchings leave demand unshipped"
+        return TraceReplay(
+            den, demands, steps, senders, receivers, failure, Fraction(total, den)
+        )
 
     @property
     def residuals(self) -> tuple:
-        return self._replay[0]
-
-    @property
-    def sender_residual(self) -> tuple:
-        return self._replay[1]
-
-    @property
-    def receiver_residual(self) -> tuple:
-        return self._replay[2]
+        """The residual ``Fraction`` matrix before each step, and after the
+        last: a read-only view, rebuilt from the replay on each use."""
+        n, replay = self.instance.n, self.replay
+        value = cache(lambda x: Fraction(x, replay.scale))
+        residual = list(replay.demands)
+        out = []
+        for triples in [*replay.steps, ()]:
+            out.append(tuple(tuple(map(value, residual[a:a + n])) for a in range(0, n * n, n)))
+            for i, j, p in triples:
+                residual[i * n + j] -= p
+        return tuple(out)
 
     def to_json(self) -> dict:
         render = rational_renderer()
         return {
             "n": self.instance.n,
             "matchings": [
-                [[s, r, render(p)] for s, r, p in m.triples]
+                [[s, r, render(p)] for s, r, p in m]
                 for m in self.matchings
             ],
         }
@@ -102,7 +134,8 @@ class GreedyTrace:
     @staticmethod
     def from_json(obj: dict, instance: Instance) -> "GreedyTrace":
         """Read the matchings of a trace whose ``n`` is ``instance.n``; any
-        stored residuals are ignored."""
+        stored residuals are ignored. Each matching must be a fractional
+        matching (see ``_check_matching``)."""
         parse = rational_parser()
         n = instance.n
         if not isinstance(obj, dict) or obj.get("n") != n:
@@ -127,80 +160,109 @@ class GreedyTrace:
                         f"matching {t}: node outside 0..{n - 1} in {x!r}"
                     )
                 triples.append((s, r, parse(p)))
-            matchings.append(FractionalMatching(tuple(triples)))
+            _check_matching(triples)
+            matchings.append(tuple(triples))
         return GreedyTrace(instance=instance, matchings=tuple(matchings))
 
 
-def _pair_order(residual, order: str, rng) -> list[tuple[int, int]]:
-    n = len(residual)
-    pairs = [
-        (i, j) for i in range(n) for j in range(n) if i != j and residual[i][j] > 0
-    ]
+def _check_matching(triples: list[tuple[int, int, Fraction]]) -> None:
+    """Refuse a self-loop, a non-positive rate, a repeated pair, or a node
+    whose rates in or out add up to more than 1."""
+    seen = set()
+    for s, r, p in triples:
+        if s == r:
+            raise StructuralError(f"self-loop ({s},{r}) in fractional matching")
+        if p <= 0:
+            raise StructuralError(f"non-positive rate on ({s},{r})")
+        if (s, r) in seen:
+            raise StructuralError(f"duplicate pair ({s},{r})")
+        seen.add((s, r))
+    den = lcm(*{p.denominator for _, _, p in triples})
+    out, into = Counter(), Counter()
+    for s, r, p in triples:
+        out[s] += p.numerator * (den // p.denominator)
+        into[r] += p.numerator * (den // p.denominator)
+    for v, total in [*out.items(), *into.items()]:
+        if total > den:
+            raise StructuralError(f"node {v} exceeds matching cap 1")
+
+
+def _not_maximal(t, residual, n, sent, received, cap) -> str | None:
+    """Name the first pair, row-major, that matching t left with residual
+    and with room at both ends."""
+    open_receivers = [j for j in range(n) if received[j] != cap]
+    for i in range(n):
+        if sent[i] != cap:
+            for j in open_receivers:
+                if residual[i * n + j]:
+                    return f"matching {t} is not maximal: ({i},{j}) could take more"
+    return None
+
+
+def _pair_order(live: list[int], residual: list[int], n: int, order: str, rng) -> list[int]:
+    """The flat indices ``i * n + j`` of the live pairs, in the order the
+    matching visits them; ``live`` is in flat-index order."""
     if order == "lex":
-        return pairs
+        return live
     if order == "residual":
-        return sorted(pairs, key=lambda p: (-residual[p[0]][p[1]], p))
+        return sorted(live, key=lambda k: (-residual[k], k))
     if order == "sums":
-        rows = matrix_row_sums(residual)
-        cols = matrix_col_sums(residual)
-        return sorted(pairs, key=lambda p: (-(rows[p[0]] + cols[p[1]]), p))
+        rows, cols = square_sums(residual, n)
+        return sorted(live, key=lambda k: (-(rows[k // n] + cols[k % n]), k))
     if order == "random":
+        pairs = live[:]
         rng.shuffle(pairs)
         return pairs
     raise ValueError(f"unknown pair order {order!r}")
 
 
-def maximal_fractional_matching(
-    residual, cap: Fraction = Fraction(1), order: str = "lex", rng=None
-) -> FractionalMatching:
-    """Greedy maximal fractional matching of a residual demand matrix.
-
-    Pairs are visited in the configured order; each receives the largest
-    rate its residual and the two endpoint caps allow. The result is
-    maximal: any pair left short has a saturated sender or receiver.
-    """
-    cap = Fraction(cap)
-    if cap <= 0:
-        raise NegativeDemandError("matching cap must be positive")
-    n = len(residual)
-    sent = [Fraction(0)] * n
-    received = [Fraction(0)] * n
-    triples = []
-    for i, j in _pair_order(residual, order, rng):
-        rate = min(residual[i][j], cap - sent[i], cap - received[j])
-        if rate > 0:
-            triples.append((i, j, rate))
-            sent[i] += rate
-            received[j] += rate
-    return FractionalMatching(tuple(triples), cap=cap)
-
-
 def greedy_schedule(
     instance: Instance, order: str = "lex", seed: int | None = None
 ) -> tuple[Schedule, GreedyTrace]:
-    """Repeat maximal fractional matchings on the residuals until empty."""
+    """Repeat maximal fractional matchings on the residuals until empty.
+
+    Each matching visits the pairs with residual left in the given order;
+    each pair takes the largest rate its residual and the two endpoint caps
+    allow, so any pair left short has a saturated sender or receiver.
+    """
     rng = random.Random(seed) if order == "random" else None
-    residual = [list(row) for row in instance.demands]
+    n = instance.n
+    column, scale = instance.scaled_demands
+    residual = column.tolist()
+    live = [k for k, x in enumerate(residual) if x]
     matchings = []
     # Defensive bound; greedy provably finishes well before it.
-    horizon_cap = ceil(instance.total_demand) + instance.n**2
-    while any(x > 0 for row in residual for x in row):
+    horizon_cap = ceil(instance.total_demand) + n**2
+    while live:
         if len(matchings) >= horizon_cap:
             raise SchedulingError("greedy exceeded its defensive horizon")
-        matching = maximal_fractional_matching(residual, order=order, rng=rng)
-        for i, j, p in matching.triples:
-            residual[i][j] -= p
-        matchings.append(matching)
-    trace = GreedyTrace(instance=instance, matchings=tuple(matchings))
+        sent, received = [0] * n, [0] * n
+        triples = []
+        for k in _pair_order(live, residual, n, order, rng):
+            i, j = divmod(k, n)
+            rate = min(residual[k], scale - sent[i], scale - received[j])
+            if rate > 0:
+                triples.append((i, j, rate))
+                residual[k] -= rate
+                sent[i] += rate
+                received[j] += rate
+        matchings.append(triples)
+        live = [k for k in live if residual[k]]
+    value = cache(lambda p: Fraction(p, scale))
+    trace = GreedyTrace(instance, tuple(
+        tuple((i, j, value(p)) for i, j, p in m) for m in matchings
+    ))
     # Row r ships rate r of the flattened matchings; it is its own commodity.
-    triples = [x for m in matchings for x in m.triples]
+    # Each pair's rates add up to its demand, so no factor of scale divides
+    # every rate: scale is already the least common denominator.
+    triples = [x for m in matchings for x in m]
+    table = int_column([p for _, _, p in triples])
     src, dst = (np.array([x[k] for x in triples], np.int64) for k in (0, 1))
-    table, scale = scaled_column([p for _, _, p in triples])
-    bounds = np.cumsum([0] + [len(m.triples) for m in matchings]).tolist()
+    bounds = np.cumsum([0] + list(map(len, matchings))).tolist()
     blocks = Blocks(1)
     for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
         blocks.add(t, src[a:b], dst[a:b], np.arange(a, b), np.arange(a, b))
-    return blocks.schedule(instance.n, len(matchings), src, dst, table, scale), trace
+    return blocks.schedule(n, len(matchings), src, dst, table, scale), trace
 
 
 def edge_coloring_schedule(instance: Instance) -> Schedule:

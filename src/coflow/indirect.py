@@ -49,12 +49,13 @@ class ElementaryBasisScheme:
     def __init__(self, n: int, d: int, load: Fraction | int = 1):
         if d < 1:
             raise StructuralError(f"dimension must be at least 1, got d={d}")
+        if n.bit_length() <= d:  # 2**d > n: not even base 2 fits
+            raise StructuralError(f"dimension d={d} needs at least 2**{d} nodes, got n={n}")
         root = round(n ** (1.0 / d))
         q = next((c for c in (root - 1, root, root + 1) if c >= 2 and c**d == n), None)
         if q is None:
-            suggested = (ceil(n ** (1.0 / d))) ** d
             raise UnsupportedSizeError(
-                f"n={n} is not a perfect {d}-th power", suggested_n=max(suggested, 2**d)
+                f"n={n} is not a perfect {d}-th power", suggested_n=ceil(n ** (1.0 / d)) ** d
             )
         self.d = d
         self.base = q

@@ -1,4 +1,4 @@
-"""Core domain types: instances, matchings, schedules and metrics.
+"""Core domain types: instances, schedules and metrics.
 
 Everything is exact. Demands and derived quantities are
 :class:`fractions.Fraction`. A schedule is columnar: int64 step and node
@@ -46,13 +46,9 @@ def _freeze_matrix(rows: Sequence[Sequence]) -> Matrix:
     )
 
 
-def matrix_row_sums(m: Matrix) -> list[Fraction]:
-    return [sum(row, Fraction(0)) for row in m]
-
-
-def matrix_col_sums(m: Matrix) -> list[Fraction]:
-    n = len(m)
-    return [sum((m[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
+def square_sums(flat: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """Row and column sums of the n x n matrix held row-major in ``flat``."""
+    return [sum(flat[a:a + n]) for a in range(0, n * n, n)], [sum(flat[j::n]) for j in range(n)]
 
 
 @dataclass(frozen=True)
@@ -212,9 +208,9 @@ class Schedule:
     columns are read-only. Equal rows give equal columns, so schedules
     compare by their columns.
 
-    The schedulers build one with :class:`Blocks`, and ``from_json`` with
-    :func:`schedule_from_steps`; :attr:`steps` gives the rows back as
-    objects.
+    The schedulers build one with :class:`Blocks`, and ``from_json`` reads
+    the columns straight off the decoded rows; :attr:`steps` gives the rows
+    back as objects.
     """
 
     n: int
@@ -280,36 +276,23 @@ class Schedule:
     def from_json(obj: dict, n: int) -> "Schedule":
         parse = rational_parser()
         try:
-            steps = [
-                [
-                    (index(t["from"]), index(t["to"]), index(t["commodity"][0]),
-                     index(t["commodity"][1]), parse(t["amount"]))
-                    for t in step["transfers"]
-                ]
-                for step in obj["steps"]
+            steps = [step["transfers"] for step in obj["steps"]]
+            rows = list(chain.from_iterable(steps))
+            counts = list(map(len, steps))
+            commodity = list(map(itemgetter("commodity"), rows))
+            nodes = [
+                int_column(list(map(index, map(get, source))))
+                for get, source in ((itemgetter("from"), rows), (itemgetter("to"), rows),
+                                    (itemgetter(0), commodity), (itemgetter(1), commodity))
             ]
+            amount, scale = scaled_column(list(map(parse, map(itemgetter("amount"), rows))))
             horizon = index(obj["horizon"])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed schedule: {exc}") from exc
         if len(steps) != horizon:
             raise StructuralError("declared horizon does not match step count")
-        return schedule_from_steps(n, steps)
-
-
-def schedule_from_steps(n: int, step_transfers: Sequence[Sequence[Transfer]]) -> Schedule:
-    """The schedule whose step s moves the (src, dst, origin, dest, amount)
-    rows ``step_transfers[s]``, in that order."""
-    counts = list(map(len, step_transfers))
-    rows = list(chain.from_iterable(step_transfers))
-    amount, scale = scaled_column(list(map(itemgetter(4), rows)))
-    return Schedule(
-        n,
-        len(counts),
-        np.repeat(np.arange(len(counts), dtype=np.int64), counts),
-        *(int_column(list(map(itemgetter(field), rows))) for field in range(4)),
-        amount,
-        scale,
-    )
+        step = np.repeat(np.arange(horizon, dtype=np.int64), counts)
+        return Schedule(n, horizon, step, *nodes, amount, scale)
 
 
 def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -379,36 +362,6 @@ class Blocks:
         del commodity
         amount = table[np.concatenate(amounts)]
         return Schedule(n, horizon, step, src, dst, origin, dest, amount, scale)
-
-
-@dataclass(frozen=True)
-class FractionalMatching:
-    """(source, receiver, rate) triples with per-node rate sums <= cap."""
-
-    triples: tuple[tuple[int, int, Fraction], ...]
-    cap: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        out: dict[int, Fraction] = {}
-        into: dict[int, Fraction] = {}
-        seen = set()
-        for s, r, p in self.triples:
-            if s == r:
-                raise StructuralError(f"self-loop ({s},{r}) in fractional matching")
-            if p <= 0:
-                raise StructuralError(f"non-positive rate on ({s},{r})")
-            if (s, r) in seen:
-                raise StructuralError(f"duplicate pair ({s},{r})")
-            seen.add((s, r))
-            out[s] = out.get(s, Fraction(0)) + p
-            into[r] = into.get(r, Fraction(0)) + p
-        for v, tot in list(out.items()) + list(into.items()):
-            if tot > self.cap:
-                raise StructuralError(f"node {v} exceeds matching cap {self.cap}")
-
-    @property
-    def total_rate(self) -> Fraction:
-        return sum((p for _, _, p in self.triples), Fraction(0))
 
 
 @dataclass(frozen=True)

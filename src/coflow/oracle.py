@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import SizeGuardError, StructuralError
-from .model import Instance, matrix_col_sums, matrix_row_sums
+from .model import Instance, square_sums
 from .rational import ceil_frac, render_rational
 from . import simplex
 
@@ -193,24 +193,25 @@ def opt_direct_fractional(instance: Instance, **guards) -> Fraction:
     return solve_completion_lp(instance, Fraction(1), Fraction(1), **guards).objective
 
 
-def _one_sided_optimum(sums) -> Fraction:
-    # With one cap family the LP splits into one problem per node: ship s
-    # at rate at most c per slot, cheapest by filling slots 1..k with
-    # k = floor(s / c) and the remainder in slot k + 1. Which of the node's
-    # pairs ships when does not change the cost.
-    c = Fraction(1, 4)
-    total = Fraction(0)
-    for s in sums:
-        k = s // c
-        total += c * k * (k + 1) / 2 + (k + 1) * (s - k * c)
-    return total
+def _one_sided_optimum(instance: Instance, axis: int) -> Fraction:
+    # With one cap family the LP splits into one problem per node: ship its
+    # row (axis 0) or column (axis 1) sum x = s / scale at rate at most 1/4
+    # per slot, cheapest in slots 1..k, k = floor(4x), and the rest in slot
+    # k + 1: k(k + 1)/8 + (k + 1)(x - k/4) = (k + 1)(8x - k)/8. Which of the
+    # node's pairs ships when does not change the cost.
+    column, scale = instance.scaled_demands
+    total = 0
+    for s in square_sums(column.tolist(), instance.n)[axis]:
+        k = 4 * s // scale
+        total += (k + 1) * (8 * s - k * scale)
+    return Fraction(total, 8 * scale)
 
 
 def opt_sender_bound(instance: Instance) -> Fraction:
     """Optimum of the sender-bound relaxation (sender cap 1/4, no receiver cap)."""
-    return _one_sided_optimum(matrix_row_sums(instance.demands))
+    return _one_sided_optimum(instance, 0)
 
 
 def opt_receiver_bound(instance: Instance) -> Fraction:
     """Optimum of the receiver-bound relaxation (receiver cap 1/4)."""
-    return _one_sided_optimum(matrix_col_sums(instance.demands))
+    return _one_sided_optimum(instance, 1)

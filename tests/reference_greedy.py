@@ -1,0 +1,229 @@
+"""Greedy, its trace replay and the dual certificate on ``Fraction`` matrices:
+the independent reference for the integer greedy, replay and certificate.
+
+These are the loops the package ran before it moved the direct quadrant onto
+integer numerators: every residual, row sum, rate and objective is a
+``Fraction``, and the schedule is built row by row through
+``schedule_from_steps``. The reference gives the matchings, their order, the
+first failure of a replay and every certificate value.
+"""
+
+import random
+from fractions import Fraction
+from math import ceil
+
+from coflow.certificates import CertificateReport, DualCertificate
+from coflow.errors import NegativeDemandError, SchedulingError
+from coflow.model import Transfer
+from coflow.rational import render_rational
+from reference_rows import schedule_from_steps
+
+
+def matrix_row_sums(m):
+    return [sum(row, Fraction(0)) for row in m]
+
+
+def matrix_col_sums(m):
+    n = len(m)
+    return [sum((m[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
+
+
+class FractionTrace:
+    """A greedy run replayed on ``Fraction`` matrices: ``residuals[t]`` is the
+    residual before step t, ``sender_residual[t]``/``receiver_residual[t]``
+    its row and column sums."""
+
+    def __init__(self, instance, matchings):
+        self.instance = instance
+        self.matchings = tuple(tuple(m) for m in matchings)
+        residual = [list(row) for row in instance.demands]
+        rows = matrix_row_sums(instance.demands)
+        cols = matrix_col_sums(instance.demands)
+        residuals = [tuple(map(tuple, residual))]
+        senders = [tuple(rows)]
+        receivers = [tuple(cols)]
+        for matching in self.matchings:
+            for i, j, p in matching:
+                residual[i][j] -= p
+                rows[i] -= p
+                cols[j] -= p
+            residuals.append(tuple(map(tuple, residual)))
+            senders.append(tuple(rows))
+            receivers.append(tuple(cols))
+        self.residuals = tuple(residuals)
+        self.sender_residual = tuple(senders)
+        self.receiver_residual = tuple(receivers)
+
+    @property
+    def horizon(self):
+        return len(self.matchings)
+
+    @property
+    def total_completion(self):
+        total = Fraction(0)
+        for t, m in enumerate(self.matchings):
+            total += (t + 1) * sum((p for _, _, p in m), Fraction(0))
+        return total
+
+    def to_json(self):
+        return {
+            "n": self.instance.n,
+            "matchings": [[[s, r, render_rational(p)] for s, r, p in m] for m in self.matchings],
+        }
+
+
+def _pair_order(residual, order, rng):
+    n = len(residual)
+    pairs = [
+        (i, j) for i in range(n) for j in range(n) if i != j and residual[i][j] > 0
+    ]
+    if order == "lex":
+        return pairs
+    if order == "residual":
+        return sorted(pairs, key=lambda p: (-residual[p[0]][p[1]], p))
+    if order == "sums":
+        rows = matrix_row_sums(residual)
+        cols = matrix_col_sums(residual)
+        return sorted(pairs, key=lambda p: (-(rows[p[0]] + cols[p[1]]), p))
+    if order == "random":
+        rng.shuffle(pairs)
+        return pairs
+    raise ValueError(f"unknown pair order {order!r}")
+
+
+def maximal_fractional_matching(residual, cap=Fraction(1), order="lex", rng=None):
+    """Greedy maximal fractional matching of a residual demand matrix: each
+    pair, in the configured order, takes the largest rate its residual and
+    the two endpoint caps allow."""
+    cap = Fraction(cap)
+    if cap <= 0:
+        raise NegativeDemandError("matching cap must be positive")
+    n = len(residual)
+    sent = [Fraction(0)] * n
+    received = [Fraction(0)] * n
+    triples = []
+    for i, j in _pair_order(residual, order, rng):
+        rate = min(residual[i][j], cap - sent[i], cap - received[j])
+        if rate > 0:
+            triples.append((i, j, rate))
+            sent[i] += rate
+            received[j] += rate
+    return tuple(triples)
+
+
+def greedy_schedule(instance, order="lex", seed=None):
+    """Repeat maximal fractional matchings on the residuals until empty;
+    the schedule has one step per matching."""
+    rng = random.Random(seed) if order == "random" else None
+    residual = [list(row) for row in instance.demands]
+    matchings = []
+    horizon_cap = ceil(instance.total_demand) + instance.n**2
+    while any(x > 0 for row in residual for x in row):
+        if len(matchings) >= horizon_cap:
+            raise SchedulingError("greedy exceeded its defensive horizon")
+        matching = maximal_fractional_matching(residual, order=order, rng=rng)
+        for i, j, p in matching:
+            residual[i][j] -= p
+        matchings.append(matching)
+    steps = [[Transfer(i, j, i, j, p) for i, j, p in m] for m in matchings]
+    return schedule_from_steps(instance.n, steps), FractionTrace(instance, matchings)
+
+
+def build_certificate(trace):
+    """The dual solutions of a greedy trace, on ``Fraction`` matrices."""
+    inst = trace.instance
+    n = inst.n
+    horizon = trace.horizon
+    alpha_s = tuple(
+        tuple(trace.sender_residual[0][i] for _ in range(n)) for i in range(n)
+    )
+    alpha_r = tuple(
+        tuple(trace.receiver_residual[0][j] for j in range(n)) for _ in range(n)
+    )
+    beta_s = tuple(
+        tuple(trace.sender_residual[t][i] / 4 for t in range(horizon + 1))
+        for i in range(n)
+    )
+    beta_r = tuple(
+        tuple(trace.receiver_residual[t][j] / 4 for t in range(horizon + 1))
+        for j in range(n)
+    )
+    obj_ds = sum(
+        (inst.demands[i][j] * alpha_s[i][j] for i in range(n) for j in range(n)),
+        Fraction(0),
+    ) - sum((b for row in beta_s for b in row), Fraction(0))
+    obj_dr = sum(
+        (inst.demands[i][j] * alpha_r[i][j] for i in range(n) for j in range(n)),
+        Fraction(0),
+    ) - sum((b for row in beta_r for b in row), Fraction(0))
+    return DualCertificate(alpha_s, beta_s, alpha_r, beta_r, obj_ds, obj_dr)
+
+
+def replay_failures(instance, trace):
+    """The first failure of the greedy run the trace's matchings replay from
+    ``instance``: a rate above its residual, a matching that is not maximal,
+    or demand left unshipped."""
+    if trace.instance != instance:
+        return ["the trace does not follow from the instance"]
+    n = instance.n
+    residuals = trace.residuals
+    senders, receivers = trace.sender_residual, trace.receiver_residual
+    for t, matching in enumerate(trace.matchings):
+        before = residuals[t]
+        for i, j, p in matching:
+            if p > before[i][j]:
+                return [f"step {t} ships more than the residual of ({i},{j})"]
+        full_s = {i for i in range(n) if senders[t][i] - senders[t + 1][i] == 1}
+        full_r = {j for j in range(n) if receivers[t][j] - receivers[t + 1][j] == 1}
+        after = residuals[t + 1]
+        for i in range(n):
+            if i not in full_s:
+                for j in range(n):
+                    if after[i][j] and j not in full_r:
+                        return [f"matching {t} is not maximal: ({i},{j}) could take more"]
+    if any(x for row in residuals[-1] for x in row):
+        return ["the matchings leave demand unshipped"]
+    return []
+
+
+def check_certificate(instance, trace, cert):
+    """The trace against the instance, dual feasibility, the half-of-greedy
+    bound and the residual identity, on ``Fraction`` values."""
+    n = instance.n
+    horizon = trace.horizon
+    failures = replay_failures(instance, trace)
+
+    def first_dual_violation(alpha, beta, tag):
+        for i in range(n):
+            for t in range(horizon + 1):
+                for j in range(n):
+                    a = alpha[i][j] if tag == "DS" else alpha[j][i]
+                    if a - t > 4 * beta[i][t]:
+                        return f"{tag} infeasible at (i={i}, j={j}, t={t})"
+        return None
+
+    for tag, alpha, beta in (("DS", cert.alpha_s, cert.beta_s), ("DR", cert.alpha_r, cert.beta_r)):
+        msg = first_dual_violation(alpha, beta, tag)
+        if msg:
+            failures.append(msg)
+
+    alg = trace.total_completion
+    obj_sum = cert.obj_ds + cert.obj_dr
+    if 2 * obj_sum < alg:
+        failures.append(
+            f"dual objective sum {obj_sum} below half of greedy value {alg}"
+        )
+    for i in range(n):
+        for t in range(horizon + 1):
+            if 4 * cert.beta_s[i][t] != trace.sender_residual[t][i]:
+                failures.append(f"beta_S[{i}][{t}] does not match the trace")
+                break
+            if 4 * cert.beta_s[i][t] < trace.sender_residual[0][i] - t:
+                failures.append(f"sender {i} residual dropped too fast by t={t}")
+                break
+    return CertificateReport(
+        ok=not failures,
+        failures=tuple(failures),
+        total_completion=alg,
+        obj_sum=obj_sum,
+    )

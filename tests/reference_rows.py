@@ -2,20 +2,40 @@
 round robin, grid, smeared, edge coloring and greedy emit.
 
 Each loop builds one ``Transfer`` of ``Fraction``s per row, collects the
-rows per step and hands them to ``schedule_from_steps``: the loops the
-schedulers ran before they emitted columns, so the reference gives the rows,
-their amounts and their order.
+rows per step and hands them to ``schedule_from_steps``, which builds the
+columns row by row: the loops the schedulers ran before they emitted columns,
+so the reference gives the rows, their amounts and their order.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import ceil, isqrt
+from operator import itemgetter
+
+import numpy as np
 
 from coflow.coloring import color_bipartite_multigraph
 from coflow.direct import greedy_schedule
 from coflow.errors import StructuralError, UnsupportedSizeError
 from coflow.indirect import _regime_load
-from coflow.model import Transfer, schedule_from_steps
+from coflow.model import Schedule, Transfer, int_column, scaled_column
 from coflow.rational import ceil_frac
+
+
+def schedule_from_steps(n, step_transfers):
+    """The schedule whose step s moves the (src, dst, origin, dest, amount)
+    rows ``step_transfers[s]``, in that order."""
+    counts = list(map(len, step_transfers))
+    rows = list(chain.from_iterable(step_transfers))
+    amount, scale = scaled_column(list(map(itemgetter(4), rows)))
+    return Schedule(
+        n,
+        len(counts),
+        np.repeat(np.arange(len(counts), dtype=np.int64), counts),
+        *(int_column(list(map(itemgetter(field), rows))) for field in range(4)),
+        amount,
+        scale,
+    )
 
 
 def round_robin(instance, nominal_load=None):
@@ -102,5 +122,5 @@ def edge_coloring(instance):
 def greedy(instance, order="lex", seed=None):
     """The schedule of greedy's trace, one step per matching."""
     _, trace = greedy_schedule(instance, order=order, seed=seed)
-    steps = [[Transfer(i, j, i, j, p) for i, j, p in m.triples] for m in trace.matchings]
+    steps = [[Transfer(i, j, i, j, p) for i, j, p in m] for m in trace.matchings]
     return schedule_from_steps(instance.n, steps)

@@ -16,7 +16,8 @@ order.
 from collections import defaultdict
 from fractions import Fraction
 
-from coflow.model import Transfer, schedule_from_steps
+from coflow.model import Transfer
+from reference_rows import schedule_from_steps
 
 
 def walk(q: int, d: int, a: int, b: int, stop: int):

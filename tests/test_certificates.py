@@ -14,7 +14,7 @@ from coflow.certificates import (
 )
 from coflow.direct import GreedyTrace, greedy_schedule
 from coflow.errors import StructuralError
-from coflow.model import FractionalMatching, make_instance
+from coflow.model import make_instance
 
 
 def test_two_node_certificate_values():
@@ -100,13 +100,7 @@ def test_non_maximal_matching_is_rejected():
     inst = make_instance(3, [[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(0)] * 3])
     _, trace = greedy_schedule(inst)
     assert trace.horizon == 1
-    first = FractionalMatching(((0, 1, F(1)),))
-    second = FractionalMatching(((1, 2, F(1)),))
-    slow = GreedyTrace.from_json(
-        {"n": 3, "matchings": [[[s, r, str(p)] for s, r, p in m.triples]
-                               for m in (first, second)]},
-        inst,
-    )
+    slow = GreedyTrace.from_json({"n": 3, "matchings": [[[0, 1, "1"]], [[1, 2, "1"]]]}, inst)
     report = check_certificate(inst, slow, build_certificate(slow))
     assert not report.ok
     assert any("not maximal" in f for f in report.failures)

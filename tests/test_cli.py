@@ -167,7 +167,7 @@ def test_nominal_b_flag(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("dimension", ["0", "-1"])
+@pytest.mark.parametrize("dimension", ["0", "-1", "5", "20000"])
 def test_dimension_below_one_is_exit_two(tmp_path, capsys, dimension):
     inst = tmp_path / "inst.json"
     run(capsys, "generate", "--n", "16", "--B", "4", "--out", str(inst))
@@ -224,7 +224,11 @@ def test_malformed_trace_is_exit_two(tmp_path, capsys):
     for bad in ({}, {"n": 4, "matchings": {}}, {"n": 4, "matchings": [[[0, 1]]]},
                 {"n": 4, "matchings": [[["0", 1, "1/2"]]]},
                 {"n": 4, "matchings": [[[0, 1, 0.5]]]},
-                {"n": 4, "matchings": [[[-1, 1, "1/2"]]]}):
+                {"n": 4, "matchings": [[[-1, 1, "1/2"]]]},
+                {"n": 4, "matchings": [[[0, 0, "1"]]]},
+                {"n": 4, "matchings": [[[0, 1, "0"]]]},
+                {"n": 4, "matchings": [[[0, 1, "1/4"], [0, 1, "1/4"]]]},
+                {"n": 4, "matchings": [[[0, 1, "3/4"], [0, 2, "1/2"]]]}):
         trace.write_text(json.dumps(bad))
         code, _, err = run(capsys, "certify", "--instance", str(inst),
                            "--trace", str(trace))

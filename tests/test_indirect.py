@@ -242,11 +242,13 @@ def test_unsupported_size_suggests_next_n(build, expected):
 
 
 
-@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("d", [0, -1, 5, 20000])
 def test_dimension_below_one_rejected(d):
-    with pytest.raises(StructuralError, match="dimension must be at least 1"):
+    # Below 1, or so large that 2**d > n: refused before any float root.
+    match = r"dimension (must be at least 1|d=\d+ needs at least 2\*\*\d+ nodes, got n=16)"
+    with pytest.raises(StructuralError, match=match):
         elementary_basis_schedule(uniform_instance(16, F(4)), d=d)
-    with pytest.raises(StructuralError, match="dimension must be at least 1"):
+    with pytest.raises(StructuralError, match=match):
         ElementaryBasisScheme(16, d)
 
 def test_auto_dispatch_by_load_regime():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from reference_rows import schedule_from_steps
 
 from coflow.errors import (
     DiagonalDemandError,
@@ -21,7 +22,6 @@ from coflow.model import (
     dump_schedule,
     load_schedule,
     make_instance,
-    schedule_from_steps,
     uniform_instance,
 )
 from coflow.rational import (

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_rows import schedule_from_steps
 from reference_verify import verify as _reference_verify
 
 from coflow.direct import greedy_schedule
@@ -15,7 +16,6 @@ from coflow.model import (
     Transfer,
     compute_metrics,
     make_instance,
-    schedule_from_steps,
     uniform_instance,
 )
 from coflow.verifier import verify
