@@ -10,7 +10,6 @@ from .certificates import (
     build_certificate,
     check_certificate,
     lower_bounds,
-    path_count_feasible,
 )
 from .direct import (
     GreedyTrace,
@@ -52,7 +51,7 @@ __all__ = [
     "edge_coloring_schedule", "elementary_basis_schedule", "greedy_schedule",
     "grid_schedule", "hypercube_schedule", "lower_bounds", "make_instance",
     "opt_direct_fractional",
-    "opt_receiver_bound", "opt_sender_bound", "path_count_feasible",
+    "opt_receiver_bound", "opt_sender_bound",
     "round_robin_schedule", "smeared_fractional_schedule",
     "solve_completion_lp", "uniform_instance", "verify", "vlb_lift",
 ]

@@ -1,15 +1,12 @@
 """Dual-fitting certificates for greedy runs, and worst-case bound values.
 
-The certificate is built from the greedy residual trace: the alpha value
-of pair (i, j) is sender i's initial residual, and the beta value of
-(i, t) is a quarter of sender i's residual before step t. Feasibility of
-both dual programs plus the half-of-greedy objective bound are checked
-exactly; together with weak duality they certify the approximation ratio
-of a concrete run.
-
-The trace's residual sums come from its integer replay
-(``GreedyTrace.replay``); the certificate's entries are ``Fraction``s, and
-the check reads any certificate, not only a built one.
+A greedy run's certificate is the residual sums of its trace's integer replay
+(``GreedyTrace.replay``): with R_i sender i's initial residual and S_ti its
+residual before step t, the sender-bound dual sets alpha_ij = R_i and
+beta_it = S_ti / 4, and the receiver-bound dual does the same with column
+sums. The check compares every sum to the replay and checks both duals'
+feasibility and the half-of-greedy objective bound on integers; together with
+weak duality they certify the approximation ratio of a concrete run.
 """
 
 from __future__ import annotations
@@ -17,141 +14,134 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
 
 from .direct import GreedyTrace
 from .errors import StructuralError
 from .model import Instance
-from .rational import ceil_frac, render_rational
+from .rational import ceil_frac, rational_renderer, render_rational
+
+
+def _objective(sums: tuple, scale: int) -> Fraction:
+    """sum_ij D_ij alpha_ij - sum beta: (4 sum R^2 - scale sum S) / (4 scale^2)."""
+    return Fraction(
+        4 * sum(x * x for x in sums[0]) - scale * sum(map(sum, sums)), 4 * scale * scale
+    )
 
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Alpha/beta vectors for the sender- and receiver-bound duals."""
+    """Both duals of a greedy run over ``scale``: ``senders[t][i]`` and
+    ``receivers[t][j]`` are sender i's and receiver j's residual before step
+    t, t = 0..T. alpha_S[i][j] and alpha_R[i][j] are senders[0][i] and
+    receivers[0][j] over scale; beta_S[i][t] and beta_R[j][t] are the sums
+    over 4 scale."""
 
-    alpha_s: tuple  # [i][j]
-    beta_s: tuple  # [i][t], t = 0..T
-    alpha_r: tuple  # [i][j]
-    beta_r: tuple  # [j][t]
-    obj_ds: Fraction
-    obj_dr: Fraction
+    scale: int
+    senders: tuple[tuple[int, ...], ...]
+    receivers: tuple[tuple[int, ...], ...]
+
+    @property
+    def obj_ds(self) -> Fraction:
+        return _objective(self.senders, self.scale)
+
+    @property
+    def obj_dr(self) -> Fraction:
+        return _objective(self.receivers, self.scale)
 
     def to_json(self) -> dict:
-        mat = lambda m: [[render_rational(x) for x in row] for row in m]
+        render = rational_renderer()
+
+        def table(sums, den):  # [node][t]
+            value = cache(lambda x: render(Fraction(x, den)))
+            return [list(map(value, node)) for node in zip(*sums)]
+
+        n = len(self.senders[0])
         return {
-            "alpha_S": mat(self.alpha_s),
-            "beta_S": mat(self.beta_s),
-            "alpha_R": mat(self.alpha_r),
-            "beta_R": mat(self.beta_r),
+            "alpha_S": [row * n for row in table(self.senders[:1], self.scale)],
+            "beta_S": table(self.senders, 4 * self.scale),
+            "alpha_R": [[a for a, in table(self.receivers[:1], self.scale)]] * n,
+            "beta_R": table(self.receivers, 4 * self.scale),
             "obj_DS": render_rational(self.obj_ds),
             "obj_DR": render_rational(self.obj_dr),
         }
 
 
 def build_certificate(trace: GreedyTrace) -> DualCertificate:
-    """Populate the dual solutions from a completed greedy trace.
-
-    With R_i node i's initial residual and S_ti its residual before step t,
-    over the replay's denominator den, sum_ij D_ij alpha_ij - sum beta is
-    (4 sum R_i^2 - den sum S_ti) / (4 den^2).
-    """
-    n = trace.instance.n
+    """The certificate of a greedy trace: its replay's residual sums."""
     replay = trace.replay
-    den = replay.scale
-    alpha = cache(lambda x: Fraction(x, den))
-    beta = cache(lambda x: Fraction(x, 4 * den))
-    rows, cols = replay.senders[0], replay.receivers[0]
-    alpha_s = tuple((a,) * n for a in map(alpha, rows))
-    alpha_r = (tuple(map(alpha, cols)),) * n
-    beta_s = tuple(tuple(map(beta, node)) for node in zip(*replay.senders))
-    beta_r = tuple(tuple(map(beta, node)) for node in zip(*replay.receivers))
-    objective = lambda start, sums: Fraction(
-        4 * sum(x * x for x in start) - den * sum(map(sum, sums)), 4 * den * den
-    )
-    obj_ds = objective(rows, replay.senders)
-    obj_dr = objective(cols, replay.receivers)
-    return DualCertificate(alpha_s, beta_s, alpha_r, beta_r, obj_ds, obj_dr)
+    return DualCertificate(replay.scale, replay.senders, replay.receivers)
 
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """``obj_sum`` is None for a certificate whose scale or table shape is
+    not its trace's."""
+
     ok: bool
     failures: tuple[str, ...]
     total_completion: Fraction
-    obj_sum: Fraction
+    obj_sum: Fraction | None
 
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
             "failures": list(self.failures),
             "total_completion": render_rational(self.total_completion),
-            "obj_DS_plus_DR": render_rational(self.obj_sum),
+            "obj_DS_plus_DR": None if self.obj_sum is None else render_rational(self.obj_sum),
         }
 
 
-def _replay_failures(instance: Instance, trace: GreedyTrace) -> list[str]:
-    """Check the greedy run the trace's matchings replay from ``instance``.
-
-    Every rate must fit its residual, every matching must be maximal
-    against its residual, and the run must ship all demand. This binds the
-    trace, and any certificate built from it, to the instance.
-    """
-    if trace.instance != instance:
-        return ["the trace does not follow from the instance"]
-    failure = trace.replay.failure
-    return [failure] if failure else []
+def _shaped_like(table, like: tuple) -> bool:
+    """True iff ``table`` is a tuple of int tuples shaped like ``like``."""
+    return type(table) is tuple and len(table) == len(like) and all(
+        type(row) is tuple and len(row) == len(r) and all(type(x) is int for x in row)
+        for row, r in zip(table, like)
+    )
 
 
 def check_certificate(
     instance: Instance, trace: GreedyTrace, cert: DualCertificate
 ) -> CertificateReport:
-    """Exact check of the trace against the instance, dual feasibility and
-    the half-of-greedy bound.
+    """Exact check of the trace against the instance, of the certificate
+    against the trace's replay, of dual feasibility and of the half-of-greedy
+    bound, all on the replay's integers.
 
-    Reports the first violated inequality per check rather than raising.
+    The trace must replay a greedy run of ``instance``: every rate fits its
+    residual, every matching is maximal against its residual, and the run
+    ships all demand. The certificate's scale and sums must be the replay's.
+    Reports the first violation per check, node-major, rather than raising.
     """
-    n = instance.n
-    horizon = trace.horizon
-    failures = _replay_failures(instance, trace)
-
-    def first_dual_violation(alpha, beta, tag):
-        # Only the largest alpha of node i can violate first; the j scan
-        # runs only to name the first violating index.
-        for i in range(n):
-            column = [alpha[i][j] if tag == "DS" else alpha[j][i] for j in range(n)]
-            top = max(column)
-            for t in range(horizon + 1):
-                bound = 4 * beta[i][t]
-                if top - t > bound:
-                    j = next(j for j, a in enumerate(column) if a - t > bound)
-                    return f"{tag} infeasible at (i={i}, j={j}, t={t})"
-        return None
-
-    for tag, alpha, beta in (("DS", cert.alpha_s, cert.beta_s), ("DR", cert.alpha_r, cert.beta_r)):
-        msg = first_dual_violation(alpha, beta, tag)
-        if msg:
-            failures.append(msg)
-
+    replay = trace.replay
     alg = trace.total_completion
+    failures = []
+    if trace.instance != instance:
+        failures.append("the trace does not follow from the instance")
+    elif replay.failure:
+        failures.append(replay.failure)
+    scale = cert.scale
+    if not (type(scale) is int and scale == replay.scale
+            and _shaped_like(cert.senders, replay.senders)
+            and _shaped_like(cert.receivers, replay.receivers)):
+        failures.append("the certificate's scale or table shape does not match the trace")
+        return CertificateReport(False, tuple(failures), alg, None)
+
+    n, steps = len(replay.senders[0]), len(replay.senders)
+    first = lambda bad: next(((i, t) for i in range(n) for t in range(steps) if bad(i, t)), None)
+    for side, sums, like in (("S", cert.senders, replay.senders),
+                             ("R", cert.receivers, replay.receivers)):
+        at = sums != like and first(lambda i, t: sums[t][i] != like[t][i])
+        if at:
+            failures.append(f"beta_{side}[{at[0]}][{at[1]}] does not match the trace")
+        # alpha - t > 4 beta: more than t steps at the cap from the start.
+        at = first(lambda i, t: sums[0][i] - t * scale > sums[t][i])
+        if at:
+            failures.append(f"D{side} infeasible at (i={at[0]}, t={at[1]})")
+
     obj_sum = cert.obj_ds + cert.obj_dr
     if 2 * obj_sum < alg:
         failures.append(
             f"dual objective sum {obj_sum} below half of greedy value {alg}"
         )
-
-    # Residual identity: 4*beta_S[i][t] is sender i's residual, which can
-    # drop by at most one per step; both over the replay's denominator.
-    replay = trace.replay
-    for i in range(n):
-        for t in range(horizon + 1):
-            residual = 4 * cert.beta_s[i][t] * replay.scale
-            if residual != replay.senders[t][i]:
-                failures.append(f"beta_S[{i}][{t}] does not match the trace")
-                break
-            if residual < replay.senders[0][i] - t * replay.scale:
-                failures.append(f"sender {i} residual dropped too fast by t={t}")
-                break
-
     return CertificateReport(
         ok=not failures,
         failures=tuple(failures),
@@ -223,15 +213,3 @@ def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
         max_lb=max_lb,
         upper_formula=upper,
     )
-
-
-def path_count_feasible(length: int, hops: int, n: int) -> bool:
-    """True iff sum_{i=1..h} C(L, i) >= n/2, in exact integer arithmetic.
-
-    A makespan L consistent with reaching n/2 destinations within h
-    physical hops must satisfy this counting inequality.
-    """
-    if length < 0 or hops < 0:
-        raise StructuralError("L and h must be nonnegative")
-    count = sum(comb(length, i) for i in range(1, hops + 1))
-    return 2 * count >= n

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import ceil, lcm
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -43,14 +44,15 @@ class TraceReplay(NamedTuple):
     instance's denominator and the rates': the demands (row-major), each
     matching's triples, and what walking them gives. ``senders[t]`` /
     ``receivers[t]`` are the row and column sums of the residual before step
-    t, t = 0..horizon, and ``failure`` is the first way the matchings are not
-    a greedy run of the instance (None for a genuine run)."""
+    t, t = 0..horizon, as tuples that a certificate shares, and ``failure``
+    is the first way the matchings are not a greedy run of the instance (None
+    for a genuine run)."""
 
     scale: int
     demands: list[int]
     steps: list[list[tuple[int, int, int]]]
-    senders: list[list[int]]
-    receivers: list[list[int]]
+    senders: tuple[tuple[int, ...], ...]
+    receivers: tuple[tuple[int, ...], ...]
     failure: str | None
     total_completion: Fraction
 
@@ -83,7 +85,7 @@ class GreedyTrace:
             for m in self.matchings
         ]
         residual = list(demands)
-        rows, cols = square_sums(residual, n)
+        rows, cols = map(tuple, square_sums(residual, n))
         senders, receivers = [rows], [cols]
         failure = None
         total = 0
@@ -96,15 +98,16 @@ class GreedyTrace:
                 sent[i] += p
                 received[j] += p
             total += (t + 1) * sum(sent)
-            rows = [a - b for a, b in zip(rows, sent)]
-            cols = [a - b for a, b in zip(cols, received)]
+            rows = tuple(map(sub, rows, sent))
+            cols = tuple(map(sub, cols, received))
             senders.append(rows)
             receivers.append(cols)
             failure = failure or _not_maximal(t, residual, n, sent, received, den)
         if failure is None and any(residual):
             failure = "the matchings leave demand unshipped"
         return TraceReplay(
-            den, demands, steps, senders, receivers, failure, Fraction(total, den)
+            den, demands, steps, tuple(senders), tuple(receivers), failure,
+            Fraction(total, den),
         )
 
     @property

@@ -89,6 +89,9 @@ class ExperimentConfig:
             if not (isinstance(algorithms, list)
                     and all(type(a) is str for a in algorithms)):
                 raise TypeError(f"algorithms is not a list of names: {algorithms!r}")
+            output = obj.get("output")
+            if not (output is None or type(output) is str):
+                raise TypeError(f"output is not a path or null: {output!r}")
             return ExperimentConfig(
                 n_values=tuple(index(x) for x in obj["n_values"]),
                 load_values=tuple(parse_rational(str(x)) for x in obj["load_values"]),
@@ -96,7 +99,7 @@ class ExperimentConfig:
                 family=obj.get("family", "uniform"),
                 seed=index(obj.get("seed", 0)),
                 repetitions=index(obj.get("repetitions", 1)),
-                output=obj.get("output"),
+                output=output,
                 workers=index(obj.get("workers", 1)),
             )
         except (KeyError, TypeError) as exc:
@@ -198,11 +201,19 @@ def write_csv(rows: list[dict], path: str) -> None:
 def read_csv(path: str) -> list[dict]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        version = next(reader)[0]
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unknown results schema {version!r}")
-        header = next(reader)
-        return [dict(zip(header, row)) for row in reader]
+        version = next(reader, None)
+        if version != [SCHEMA_VERSION]:
+            raise StructuralError(f"unknown results schema {version!r}")
+        if next(reader, None) != CSV_COLUMNS:
+            raise StructuralError(f"results file lacks the {SCHEMA_VERSION} header")
+        return [dict(zip(CSV_COLUMNS, row)) for row in reader]
+
+
+def _ratio(row: dict, col: str) -> float:
+    try:
+        return float(row[col])
+    except ValueError:
+        raise StructuralError(f"results {col} {row[col]!r} is not a number") from None
 
 
 # Table quadrants: (matching, routing, objective) -> how we measure it.
@@ -239,7 +250,7 @@ def emit_table1(rows: list[dict]) -> str:
                 col = "oracle_ratio"  # vs the exact LP optimum
             else:
                 col = "ratio_avg"
-            vals = [float(r[col]) for r in by_alg.get(alg, []) if r.get(col)]
+            vals = [_ratio(r, col) for r in by_alg.get(alg, []) if r.get(col)]
             measured = f"{max(vals):.4g}" if vals else "no data"
         lines.append(
             f"{matching:<12} {routing:<10} {objective:<16} {claim:<24} {measured:<18}"

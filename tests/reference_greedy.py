@@ -9,10 +9,11 @@ first failure of a replay and every certificate value.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from coflow.certificates import CertificateReport, DualCertificate
+from coflow.certificates import CertificateReport
 from coflow.errors import NegativeDemandError, SchedulingError
 from coflow.model import Transfer
 from coflow.rational import render_rational
@@ -129,10 +130,49 @@ def greedy_schedule(instance, order="lex", seed=None):
     return schedule_from_steps(instance.n, steps), FractionTrace(instance, matchings)
 
 
+@dataclass(frozen=True)
+class FractionCertificate:
+    """The dual solutions of a greedy trace as ``Fraction`` matrices, with
+    the demands their objectives weigh alpha by."""
+
+    demands: tuple
+    alpha_s: tuple  # [i][j]
+    beta_s: tuple  # [i][t], t = 0..T
+    alpha_r: tuple  # [i][j]
+    beta_r: tuple  # [j][t]
+
+    @property
+    def obj_ds(self):
+        return _objective(self.demands, self.alpha_s, self.beta_s)
+
+    @property
+    def obj_dr(self):
+        return _objective(self.demands, self.alpha_r, self.beta_r)
+
+    def to_json(self):
+        mat = lambda m: [[render_rational(x) for x in row] for row in m]
+        return {
+            "alpha_S": mat(self.alpha_s),
+            "beta_S": mat(self.beta_s),
+            "alpha_R": mat(self.alpha_r),
+            "beta_R": mat(self.beta_r),
+            "obj_DS": render_rational(self.obj_ds),
+            "obj_DR": render_rational(self.obj_dr),
+        }
+
+
+def _objective(demands, alpha, beta):
+    """sum_ij D_ij alpha_ij - sum beta."""
+    n = len(demands)
+    return sum(
+        (demands[i][j] * alpha[i][j] for i in range(n) for j in range(n)),
+        Fraction(0),
+    ) - sum((b for row in beta for b in row), Fraction(0))
+
+
 def build_certificate(trace):
     """The dual solutions of a greedy trace, on ``Fraction`` matrices."""
-    inst = trace.instance
-    n = inst.n
+    n = trace.instance.n
     horizon = trace.horizon
     alpha_s = tuple(
         tuple(trace.sender_residual[0][i] for _ in range(n)) for i in range(n)
@@ -148,15 +188,7 @@ def build_certificate(trace):
         tuple(trace.receiver_residual[t][j] / 4 for t in range(horizon + 1))
         for j in range(n)
     )
-    obj_ds = sum(
-        (inst.demands[i][j] * alpha_s[i][j] for i in range(n) for j in range(n)),
-        Fraction(0),
-    ) - sum((b for row in beta_s for b in row), Fraction(0))
-    obj_dr = sum(
-        (inst.demands[i][j] * alpha_r[i][j] for i in range(n) for j in range(n)),
-        Fraction(0),
-    ) - sum((b for row in beta_r for b in row), Fraction(0))
-    return DualCertificate(alpha_s, beta_s, alpha_r, beta_r, obj_ds, obj_dr)
+    return FractionCertificate(trace.instance.demands, alpha_s, beta_s, alpha_r, beta_r)
 
 
 def replay_failures(instance, trace):
@@ -187,40 +219,48 @@ def replay_failures(instance, trace):
 
 
 def check_certificate(instance, trace, cert):
-    """The trace against the instance, dual feasibility, the half-of-greedy
-    bound and the residual identity, on ``Fraction`` values."""
+    """The trace against the instance, the certificate against the trace,
+    dual feasibility and the half-of-greedy bound, on ``Fraction`` values.
+
+    The certificate must be consistent (alpha_S[i][j] = 4 beta_S[i][0] and
+    alpha_R[i][j] = 4 beta_R[j][0]) and its betas must be a quarter of the
+    trace's residual sums; the objectives are recomputed from the matrices."""
     n = instance.n
     horizon = trace.horizon
     failures = replay_failures(instance, trace)
-
-    def first_dual_violation(alpha, beta, tag):
-        for i in range(n):
-            for t in range(horizon + 1):
-                for j in range(n):
-                    a = alpha[i][j] if tag == "DS" else alpha[j][i]
-                    if a - t > 4 * beta[i][t]:
-                        return f"{tag} infeasible at (i={i}, j={j}, t={t})"
-        return None
-
-    for tag, alpha, beta in (("DS", cert.alpha_s, cert.beta_s), ("DR", cert.alpha_r, cert.beta_r)):
-        msg = first_dual_violation(alpha, beta, tag)
-        if msg:
-            failures.append(msg)
-
     alg = trace.total_completion
+    shaped = lambda m, width: len(m) == n and all(len(row) == width for row in m)
+    if not (shaped(cert.alpha_s, n) and shaped(cert.alpha_r, n)
+            and shaped(cert.beta_s, horizon + 1) and shaped(cert.beta_r, horizon + 1)):
+        failures.append("the certificate's scale or table shape does not match the trace")
+        return CertificateReport(False, tuple(failures), alg, None)
+
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    bad = next(((i, j) for i, j in pairs if cert.alpha_s[i][j] != 4 * cert.beta_s[i][0]), None)
+    if bad:
+        failures.append(f"alpha_S[{bad[0]}][{bad[1]}] is not 4 beta_S[{bad[0]}][0]")
+    bad = next(((i, j) for i, j in pairs if cert.alpha_r[i][j] != 4 * cert.beta_r[j][0]), None)
+    if bad:
+        failures.append(f"alpha_R[{bad[0]}][{bad[1]}] is not 4 beta_R[{bad[1]}][0]")
+    for side, sums in (("S", trace.sender_residual), ("R", trace.receiver_residual)):
+        alpha, beta = (cert.alpha_s, cert.beta_s) if side == "S" else (cert.alpha_r, cert.beta_r)
+        for i in range(n):
+            t = next((t for t in range(horizon + 1) if 4 * beta[i][t] != sums[t][i]), None)
+            if t is not None:
+                failures.append(f"beta_{side}[{i}][{t}] does not match the trace")
+                break
+        violation = next((
+            (i, t) for i in range(n) for t in range(horizon + 1) for j in range(n)
+            if (alpha[i][j] if side == "S" else alpha[j][i]) - t > 4 * beta[i][t]
+        ), None)
+        if violation:
+            failures.append(f"D{side} infeasible at (i={violation[0]}, t={violation[1]})")
+
     obj_sum = cert.obj_ds + cert.obj_dr
     if 2 * obj_sum < alg:
         failures.append(
             f"dual objective sum {obj_sum} below half of greedy value {alg}"
         )
-    for i in range(n):
-        for t in range(horizon + 1):
-            if 4 * cert.beta_s[i][t] != trace.sender_residual[t][i]:
-                failures.append(f"beta_S[{i}][{t}] does not match the trace")
-                break
-            if 4 * cert.beta_s[i][t] < trace.sender_residual[0][i] - t:
-                failures.append(f"sender {i} residual dropped too fast by t={t}")
-                break
     return CertificateReport(
         ok=not failures,
         failures=tuple(failures),

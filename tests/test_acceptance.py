@@ -11,12 +11,7 @@ from math import lcm, log2
 import pytest
 
 from conftest import corpus_instance, corpus_runs, CORPUS_SIZE
-from coflow.certificates import (
-    build_certificate,
-    check_certificate,
-    lower_bounds,
-    path_count_feasible,
-)
+from coflow.certificates import build_certificate, check_certificate, lower_bounds
 from coflow.direct import edge_coloring_schedule, greedy_schedule
 from coflow.generators import random_sparse_instance
 from coflow.indirect import (
@@ -191,8 +186,8 @@ def test_edge_coloring_hits_degree_bound():
 
 
 def test_schedules_respect_computed_lower_bounds():
-    # ceil of the actual load, the log2 reachability bound, and path
-    # counting all hold for every feasible uniform-demand schedule above.
+    # ceil of the actual load and the log2 reachability bound hold for every
+    # feasible uniform-demand schedule above.
     cases = [
         (uniform_instance(64, F(2)), hypercube_schedule),
         (uniform_instance(81, F(3)), lambda i: elementary_basis_schedule(i, nominal_load=F(3))),
@@ -205,6 +200,5 @@ def test_schedules_respect_computed_lower_bounds():
         ceil_load = -((-inst.load_bound.numerator) // inst.load_bound.denominator)
         assert mk >= ceil_load
         assert 2**mk >= inst.n  # data from one source reaches <= 2^T nodes
-        assert path_count_feasible(mk, mk, inst.n)
         bounds = lower_bounds(inst.n, inst.load_bound)
         assert mk >= bounds.log_lb or inst.load_bound >= inst.n

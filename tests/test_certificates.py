@@ -7,10 +7,7 @@ from math import lcm
 import pytest
 
 from coflow.certificates import (
-    build_certificate,
-    check_certificate,
-    lower_bounds,
-    path_count_feasible,
+    DualCertificate, build_certificate, check_certificate, lower_bounds,
 )
 from coflow.direct import GreedyTrace, greedy_schedule
 from coflow.errors import StructuralError
@@ -21,8 +18,10 @@ def test_two_node_certificate_values():
     inst = make_instance(2, [[F(0), F(3, 2)], [F(0), F(0)]])
     _, trace = greedy_schedule(inst)
     cert = build_certificate(trace)
-    assert cert.beta_s[0] == (F(3, 8), F(1, 8), F(0))
-    assert cert.alpha_s[0] == (F(3, 2), F(3, 2))
+    # Residual sums over the replay's scale: 3/2, then 1/2, then 0.
+    assert (cert.scale, cert.senders) == (2, ((3, 0), (1, 0), (0, 0)))
+    assert cert.receivers == ((0, 3), (0, 1), (0, 0))
+    assert cert.senders is trace.replay.senders  # shared, not copied
     assert cert.obj_ds == F(7, 4)
     assert cert.obj_dr == F(7, 4)
     report = check_certificate(inst, trace, cert)
@@ -77,10 +76,9 @@ def test_perturbed_certificate_is_rejected():
     inst = make_instance(2, [[F(0), F(3, 2)], [F(0), F(0)]])
     _, trace = greedy_schedule(inst)
     cert = build_certificate(trace)
-    bad = replace(cert, beta_s=((F(0), F(0), F(0)), cert.beta_s[1]))
+    bad = replace(cert, senders=((0, 0), (0, 0), (0, 0)))
     report = check_certificate(inst, trace, bad)
-    assert not report.ok
-    assert any("DS infeasible" in f or "beta_S" in f for f in report.failures)
+    assert report.failures == ("beta_S[0][0] does not match the trace",)
 
 
 def test_trace_not_following_the_instance_is_rejected():
@@ -123,6 +121,12 @@ def test_unfinished_or_overshipping_trace_is_rejected():
     assert any("ships more than the residual" in f for f in report.failures)
 
 
+def moved(table, t, i, delta):
+    """``table`` with entry [t][i] moved by ``delta``."""
+    row = tuple(x + delta * (k == i) for k, x in enumerate(table[t]))
+    return table[:t] + (row,) + table[t + 1:]
+
+
 def test_dual_violation_names_the_perturbed_entry():
     inst = make_instance(
         3, [[F(0), F(2), F(1)], [F(1), F(0), F(3)], [F(2), F(1), F(0)]]
@@ -130,16 +134,102 @@ def test_dual_violation_names_the_perturbed_entry():
     _, trace = greedy_schedule(inst)
     cert = build_certificate(trace)
     assert check_certificate(inst, trace, cert).ok
-    # alpha_S[1][2] one above sender 1's initial residual breaks DS at t=0
-    # only through j=2; alpha_R[0][2] breaks DR for receiver 2 through i=0.
-    bump = lambda m, i, j: tuple(
-        tuple(x + 1 if (r, c) == (i, j) else x for c, x in enumerate(row))
-        for r, row in enumerate(m)
+    assert cert.scale == 1 and [s[1] for s in cert.senders] == [4, 3, 2, 2, 1, 0]
+    # Sender 1 one unit lower before step 2 than 4 - 2 allows; receiver 2
+    # two units lower before step 1 than 4 - 1 allows.
+    senders = lambda t, i, delta: replace(cert, senders=moved(cert.senders, t, i, delta))
+    report = check_certificate(inst, trace, senders(2, 1, -1))
+    assert report.failures == (
+        "beta_S[1][2] does not match the trace", "DS infeasible at (i=1, t=2)",
     )
-    report = check_certificate(inst, trace, replace(cert, alpha_s=bump(cert.alpha_s, 1, 2)))
-    assert report.failures == ("DS infeasible at (i=1, j=2, t=0)",)
-    report = check_certificate(inst, trace, replace(cert, alpha_r=bump(cert.alpha_r, 0, 2)))
-    assert report.failures == ("DR infeasible at (i=2, j=0, t=0)",)
+    receivers = moved(cert.receivers, 1, 2, -2)
+    report = check_certificate(inst, trace, replace(cert, receivers=receivers))
+    assert report.failures == (
+        "beta_R[2][1] does not match the trace", "DR infeasible at (i=2, t=1)",
+    )
+    # alpha_S[1][*] one above sender 1's initial residual moves beta_S[1][0]
+    # with it, so DS first fails one step later.
+    report = check_certificate(inst, trace, senders(0, 1, 1))
+    assert report.failures == (
+        "beta_S[1][0] does not match the trace", "DS infeasible at (i=1, t=1)",
+    )
+
+
+def test_perturbed_sender_sum_names_the_first_difference():
+    inst = make_instance(
+        3, [[F(0), F(2), F(1)], [F(1), F(0), F(3)], [F(2), F(1), F(0)]]
+    )
+    _, trace = greedy_schedule(inst)
+    cert = build_certificate(trace)
+    # Raising a sum keeps both duals feasible: only the differences show,
+    # node-major, the first one per table.
+    bad = moved(moved(cert.senders, 4, 1, 1), 1, 2, 1)
+    report = check_certificate(inst, trace, replace(cert, senders=bad))
+    assert report.failures == ("beta_S[1][4] does not match the trace",)
+    for t in range(trace.horizon + 1):
+        for i in range(inst.n):
+            for delta in (-1, 1):
+                report = check_certificate(
+                    inst, trace, replace(cert, senders=moved(cert.senders, t, i, delta))
+                )
+                assert not report.ok
+                assert report.failures[0] == f"beta_S[{i}][{t}] does not match the trace"
+
+
+def test_forged_objective_cannot_certify():
+    # The genuine certificate of a sub-unit demand fails the half bound. The
+    # objectives are read off the sums, so there is no field to inflate, and
+    # sums that would raise them no longer match the trace.
+    inst = make_instance(2, [[F(0), F(1, 4)], [F(0), F(0)]])
+    _, trace = greedy_schedule(inst)
+    cert = build_certificate(trace)
+    assert not check_certificate(inst, trace, cert).ok
+    with pytest.raises(TypeError):
+        replace(cert, obj_ds=F(10**6))
+    big = tuple(tuple(x * 10**6 for x in row) for row in cert.senders)
+    report = check_certificate(inst, trace, replace(cert, senders=big))
+    assert 2 * report.obj_sum > report.total_completion
+    assert not report.ok
+    assert report.failures[0] == "beta_S[0][0] does not match the trace"
+
+
+def test_another_traces_certificate_fails():
+    demands = [[F(0), F(2), F(1)], [F(1), F(0), F(3)], [F(2), F(1), F(0)]]
+    inst = make_instance(3, demands)
+    _, trace = greedy_schedule(inst)
+    # The transposed instance's run has the same shape and scale.
+    _, other = greedy_schedule(make_instance(3, [list(col) for col in zip(*demands)]))
+    report = check_certificate(inst, trace, build_certificate(other))
+    assert report.failures == (
+        "beta_S[1][0] does not match the trace", "beta_R[1][0] does not match the trace",
+    )
+
+
+def test_certificate_of_another_shape_or_scale_fails_without_raising():
+    inst = make_instance(
+        3, [[F(0), F(2), F(1)], [F(1), F(0), F(3)], [F(2), F(1), F(0)]]
+    )
+    _, trace = greedy_schedule(inst)
+    cert = build_certificate(trace)
+    other = build_certificate(greedy_schedule(make_instance(2, [[0, F(3, 2)], [0, 0]]))[1])
+    double = lambda table: tuple(tuple(2 * x for x in row) for row in table)
+    shape = "the certificate's scale or table shape does not match the trace"
+    for bad in (
+        other,
+        replace(cert, senders=cert.senders[:-1]),
+        replace(cert, receivers=(cert.receivers[0], *(r[:-1] for r in cert.receivers[1:]))),
+        replace(cert, senders=(*cert.senders[:-1], (0, 0, "0"))),
+        replace(cert, senders=list(cert.senders)),
+        replace(cert, scale=2 * cert.scale),
+        # The same rationals over twice the scale are not the replay's record.
+        DualCertificate(2 * cert.scale, double(cert.senders), double(cert.receivers)),
+        replace(cert, scale=0),
+        replace(cert, scale=F(1)),
+    ):
+        report = check_certificate(inst, trace, bad)
+        assert report.failures == (shape,)
+        assert report.obj_sum is None
+        assert report.to_json()["obj_DS_plus_DR"] is None
 
 
 def test_certificate_json_round_values():
@@ -179,11 +269,3 @@ def test_bounds_reject_degenerate_inputs():
         lower_bounds(1, F(2))
     with pytest.raises(StructuralError):
         lower_bounds(4, F(0))
-
-
-@pytest.mark.parametrize(
-    "length,hops,n,ok",
-    [(3, 3, 8, True), (2, 2, 8, False), (10, 2, 1024, False), (10, 3, 1024, False), (10, 10, 1024, True)],
-)
-def test_path_count_truth_table(length, hops, n, ok):
-    assert path_count_feasible(length, hops, n) is ok

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coflow.cli import main
+from coflow.experiment import CSV_COLUMNS, SCHEMA_VERSION
 
 
 def run(capsys, *argv):
@@ -154,6 +155,39 @@ def test_experiment_command(tmp_path, capsys):
     assert "makespan" in out
 
 
+def _results(ratio):
+    """A results file with one feasible smeared row whose ratio_makespan
+    cell is ``ratio``."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(family="uniform", n="4", B="2", algorithm="smeared", seed="0",
+               feasible="True", ratio_makespan=ratio)
+    return "\n".join([SCHEMA_VERSION, ",".join(CSV_COLUMNS), ",".join(row.values())]) + "\n"
+
+
+def test_results_file_fixture_reads_back(tmp_path, capsys):
+    results = tmp_path / "rows.csv"
+    results.write_text(_results("7"))
+    code, out, _ = run(capsys, "table1", "--results", str(results))
+    assert code == 0
+    # The first quadrant, fractional direct makespan, is measured by smeared.
+    assert out.splitlines()[2].split()[-1] == "7"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("some-other-schema\nfamily,n\n", "unknown results schema"),
+    ("", "unknown results schema"),
+    (f"{SCHEMA_VERSION}\n", f"lacks the {SCHEMA_VERSION} header"),
+    (_results("x"), "ratio_makespan 'x' is not a number"),
+], ids=["schema", "empty", "header-only", "non-numeric"])
+def test_malformed_results_file_is_exit_two(tmp_path, capsys, text, message):
+    results = tmp_path / "rows.csv"
+    results.write_text(text)
+    code, out, err = run(capsys, "table1", "--results", str(results))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_nominal_b_flag(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     sched = tmp_path / "sched.json"
@@ -280,7 +314,9 @@ def test_experiment_config_unknown_names_are_exit_two(tmp_path, capsys):
 
 def test_malformed_experiment_config_is_exit_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for bad in ({"n_values": [4.7]}, {"seed": "x"}, {"algorithms": "greedy"}):
+    for bad in ({"n_values": [4.7]}, {"seed": "x"}, {"algorithms": "greedy"},
+                {"output": True}, {"output": 1}, {"output": 1.5},
+                {"output": ["rows.csv"]}, {"output": {}}):
         obj = {"n_values": [4], "load_values": ["2"], "algorithms": ["greedy"]}
         cfg.write_text(json.dumps({**obj, **bad}))
         code, out, err = run(capsys, "experiment", "--config", str(cfg))

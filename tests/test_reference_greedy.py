@@ -5,12 +5,13 @@ traces."""
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
 import reference_greedy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coflow.certificates import build_certificate, check_certificate
 from coflow.direct import ORDER_CHOICES, GreedyTrace, greedy_schedule
@@ -49,10 +50,16 @@ def same_run(inst, order):
     assert trace.matchings == want.matchings
     assert json.dumps(trace.to_json()) == json.dumps(want.to_json())
     assert trace.residuals == want.residuals
+    same_certificate(inst, trace, want)
+
+
+def same_certificate(inst, trace, want):
+    """The integer certificate and its check against the ``Fraction`` ones:
+    the same JSON, objectives and report."""
     cert = build_certificate(trace)
     want_cert = reference_greedy.build_certificate(want)
-    assert cert == want_cert
     assert json.dumps(cert.to_json()) == json.dumps(want_cert.to_json())
+    assert (cert.obj_ds, cert.obj_dr) == (want_cert.obj_ds, want_cert.obj_dr)
     report = check_certificate(inst, trace, cert)
     assert report == reference_greedy.check_certificate(inst, want, want_cert)
 
@@ -110,15 +117,37 @@ def test_forged_trace_replay_matches_reference(case):
     assert trace.replay.failure == (failures[0] if failures else None)
     assert trace.total_completion == want.total_completion
     assert trace.residuals == want.residuals
-    cert = build_certificate(trace)
-    want_cert = reference_greedy.build_certificate(want)
-    assert cert == want_cert
-    assert check_certificate(inst, trace, cert) == reference_greedy.check_certificate(
-        inst, want, want_cert
-    )
+    same_certificate(inst, trace, want)
     # The wire form reads back to the same matchings.
     again = GreedyTrace.from_json(json.loads(json.dumps(trace.to_json())), inst)
     assert again.matchings == trace.matchings
+
+
+@settings(max_examples=200, deadline=None)
+@given(forged(), st.data())
+def test_perturbed_certificate_check_matches_reference(case, data):
+    # One residual sum moved at t >= 1, where it is only a beta: the integer
+    # check names the same entry and infeasibility and takes the same
+    # objective as the Fraction check of the same move of beta.
+    inst, matchings = case
+    assume(matchings)
+    trace = GreedyTrace(inst, matchings)
+    want = reference_greedy.FractionTrace(inst, matchings)
+    cert = build_certificate(trace)
+    want_cert = reference_greedy.build_certificate(want)
+    side, name = data.draw(st.sampled_from((("senders", "beta_s"), ("receivers", "beta_r"))))
+    t = data.draw(st.integers(1, trace.horizon))
+    i = data.draw(st.integers(0, inst.n - 1))
+    delta = data.draw(st.integers(-2 * cert.scale, 2 * cert.scale).filter(bool))
+    table = getattr(cert, side)
+    row = tuple(x + delta * (k == i) for k, x in enumerate(table[t]))
+    bad = replace(cert, **{side: table[:t] + (row,) + table[t + 1:]})
+    beta = getattr(want_cert, name)
+    moved = tuple(x + F(delta, 4 * cert.scale) * (k == t) for k, x in enumerate(beta[i]))
+    want_bad = replace(want_cert, **{name: beta[:i] + (moved,) + beta[i + 1:]})
+    report = check_certificate(inst, trace, bad)
+    assert not report.ok
+    assert report == reference_greedy.check_certificate(inst, want, want_bad)
 
 
 @pytest.mark.parametrize("triples,message", [
