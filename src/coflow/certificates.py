@@ -13,28 +13,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from math import ceil
 
 from .direct import GreedyTrace
 from .errors import StructuralError
-from .model import Instance
-from .rational import ceil_frac, rational_renderer, render_rational
+from .model import Instance, over_scale
+from .rational import render_rational
 
 
-def _objective(sums: tuple, scale: int) -> Fraction:
-    """sum_ij D_ij alpha_ij - sum beta: (4 sum R^2 - scale sum S) / (4 scale^2)."""
-    return Fraction(
-        4 * sum(x * x for x in sums[0]) - scale * sum(map(sum, sums)), 4 * scale * scale
-    )
+def _objective(sums: tuple, scale: int) -> int:
+    """sum_ij D_ij alpha_ij - sum beta, times 4 scale^2: 4 sum R^2 - scale sum S."""
+    return 4 * sum(x * x for x in sums[0]) - scale * sum(map(sum, sums))
 
 
 @dataclass(frozen=True)
 class DualCertificate:
     """Both duals of a greedy run over ``scale``: ``senders[t][i]`` and
     ``receivers[t][j]`` are sender i's and receiver j's residual before step
-    t, t = 0..T. alpha_S[i][j] and alpha_R[i][j] are senders[0][i] and
-    receivers[0][j] over scale; beta_S[i][t] and beta_R[j][t] are the sums
-    over 4 scale."""
+    t, t = 0..T. alpha_S[i] (alpha_ij for every j) and alpha_R[j] (alpha_ij
+    for every i) are senders[0][i] and receivers[0][j] over scale;
+    beta_S[i][t] and beta_R[j][t] are the sums over 4 scale."""
 
     scale: int
     senders: tuple[tuple[int, ...], ...]
@@ -42,25 +40,22 @@ class DualCertificate:
 
     @property
     def obj_ds(self) -> Fraction:
-        return _objective(self.senders, self.scale)
+        return Fraction(_objective(self.senders, self.scale), 4 * self.scale * self.scale)
 
     @property
     def obj_dr(self) -> Fraction:
-        return _objective(self.receivers, self.scale)
+        return Fraction(_objective(self.receivers, self.scale), 4 * self.scale * self.scale)
 
     def to_json(self) -> dict:
-        render = rational_renderer()
-
-        def table(sums, den):  # [node][t]
-            value = cache(lambda x: render(Fraction(x, den)))
-            return [list(map(value, node)) for node in zip(*sums)]
-
-        n = len(self.senders[0])
+        alpha = lambda sums: over_scale(sums[0], self.scale, render_rational)
+        beta = lambda sums: [  # [node][t]
+            over_scale(node, 4 * self.scale, render_rational) for node in zip(*sums)
+        ]
         return {
-            "alpha_S": [row * n for row in table(self.senders[:1], self.scale)],
-            "beta_S": table(self.senders, 4 * self.scale),
-            "alpha_R": [[a for a, in table(self.receivers[:1], self.scale)]] * n,
-            "beta_R": table(self.receivers, 4 * self.scale),
+            "alpha_S": alpha(self.senders),
+            "beta_S": beta(self.senders),
+            "alpha_R": alpha(self.receivers),
+            "beta_R": beta(self.receivers),
             "obj_DS": render_rational(self.obj_ds),
             "obj_DR": render_rational(self.obj_dr),
         }
@@ -69,7 +64,7 @@ class DualCertificate:
 def build_certificate(trace: GreedyTrace) -> DualCertificate:
     """The certificate of a greedy trace: its replay's residual sums."""
     replay = trace.replay
-    return DualCertificate(replay.scale, replay.senders, replay.receivers)
+    return DualCertificate(trace.scale, replay.senders, replay.receivers)
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ def check_certificate(
     elif replay.failure:
         failures.append(replay.failure)
     scale = cert.scale
-    if not (type(scale) is int and scale == replay.scale
+    if not (type(scale) is int and scale == trace.scale
             and _shaped_like(cert.senders, replay.senders)
             and _shaped_like(cert.receivers, replay.receivers)):
         failures.append("the certificate's scale or table shape does not match the trace")
@@ -137,8 +132,9 @@ def check_certificate(
         if at:
             failures.append(f"D{side} infeasible at (i={at[0]}, t={at[1]})")
 
-    obj_sum = cert.obj_ds + cert.obj_dr
-    if 2 * obj_sum < alg:
+    both = _objective(cert.senders, scale) + _objective(cert.receivers, scale)
+    obj_sum = Fraction(both, 4 * scale * scale)
+    if both < 2 * scale * replay.total:  # 2 obj_sum < alg
         failures.append(
             f"dual objective sum {obj_sum} below half of greedy value {alg}"
         )
@@ -179,10 +175,6 @@ class BoundsReport:
         }
 
 
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
-
-
 def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
     """All computable lower bounds for (n, B), plus the upper-bound formula.
 
@@ -192,12 +184,12 @@ def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
     load = Fraction(load)
     if n < 2 or load <= 0:
         raise StructuralError("need n >= 2 and B > 0")
-    ceil_load = ceil_frac(load)
-    log_lb = _ceil_log2(n)
+    ceil_load = ceil(load)
+    log_lb = (n - 1).bit_length()  # ceil(log2 n)
     max_lb = Fraction(max(ceil_load, log_lb))
 
     if load >= n:
-        upper = Fraction((n - 1) * ceil_frac(load / n))
+        upper = Fraction((n - 1) * ceil(load / n))
     elif load <= 2:
         upper = Fraction(2 * log_lb)
     else:  # 2B(d + 1), d the least dimension with B^d >= n, as the scheme picks

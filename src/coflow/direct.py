@@ -9,20 +9,20 @@ its destination:
 * fractional makespan by smearing the demand matrix uniformly over
   ``ceil(load_bound)`` steps.
 
-Each builds its schedule's columns through ``model.Blocks``. Greedy and the
-replay of its trace run on Python ints: the residual is the instance's demand
-numerators over its common denominator, and a node's cap of 1 is that
-denominator.
+Each builds its schedule's columns through ``model.Blocks``. Greedy, its
+trace and the trace's replay hold Python ints: rates and residuals are
+numerators over one scale (for greedy's own trace, the instance's common
+denominator), and a node's cap of 1 is that scale.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import ceil, lcm
+from itertools import chain
+from math import ceil, gcd, lcm
 from operator import sub
 from typing import NamedTuple
 
@@ -31,40 +31,39 @@ import numpy as np
 from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
-    Blocks, Instance, Schedule, commodity_columns, int_column, scaled_column,
+    Blocks, Instance, Schedule, as_rows, commodity_columns, int_column, over_scale,
     square_sums, unit_parcels,
 )
-from .rational import rational_parser, rational_renderer
+from .rational import parse_rational, render_rational
 
 ORDER_CHOICES = ("lex", "residual", "sums", "random")
 
 
 class TraceReplay(NamedTuple):
-    """A trace on integer numerators over ``scale``, the lcm of the
-    instance's denominator and the rates': the demands (row-major), each
-    matching's triples, and what walking them gives. ``senders[t]`` /
+    """What walking a trace's matchings over its scale gives: ``senders[t]`` /
     ``receivers[t]`` are the row and column sums of the residual before step
     t, t = 0..horizon, as tuples that a certificate shares, and ``failure``
     is the first way the matchings are not a greedy run of the instance (None
-    for a genuine run)."""
+    for a genuine run). ``total`` is the run's total completion time over the
+    scale."""
 
-    scale: int
-    demands: list[int]
-    steps: list[list[tuple[int, int, int]]]
     senders: tuple[tuple[int, ...], ...]
     receivers: tuple[tuple[int, ...], ...]
     failure: str | None
-    total_completion: Fraction
+    total: int
 
 
 @dataclass(frozen=True)
 class GreedyTrace:
     """A greedy run: its instance and the matching shipped at each step,
-    each a tuple of (sender, receiver, rate) triples. The certificate reads
-    the run off one integer replay, :attr:`replay`."""
+    each a tuple of (sender, receiver, rate) triples. Every rate is an
+    integer numerator over ``scale``, a multiple of the instance's
+    denominator, so a node's cap of 1 is ``scale``. The certificate reads the
+    run off one integer replay, :attr:`replay`."""
 
     instance: Instance
-    matchings: tuple[tuple[tuple[int, int, Fraction], ...], ...]
+    scale: int
+    matchings: tuple[tuple[tuple[int, int, int], ...], ...]
 
     @property
     def horizon(self) -> int:
@@ -72,24 +71,22 @@ class GreedyTrace:
 
     @property
     def total_completion(self) -> Fraction:
-        return self.replay.total_completion
+        return Fraction(self.replay.total, self.scale)
+
+    def _demands(self) -> list[int]:
+        """The demands, row-major, as numerators over ``scale``."""
+        column, den = self.instance.scaled_demands
+        return [x * (self.scale // den) for x in column.tolist()]
 
     @cached_property
     def replay(self) -> TraceReplay:
-        n = self.instance.n
-        column, scale = self.instance.scaled_demands
-        den = lcm(scale, *{p.denominator for m in self.matchings for _, _, p in m})
-        demands = [x * (den // scale) for x in column.tolist()]
-        steps = [
-            [(i, j, p.numerator * (den // p.denominator)) for i, j, p in m]
-            for m in self.matchings
-        ]
-        residual = list(demands)
+        n, cap = self.instance.n, self.scale
+        residual = self._demands()
         rows, cols = map(tuple, square_sums(residual, n))
         senders, receivers = [rows], [cols]
         failure = None
         total = 0
-        for t, triples in enumerate(steps):
+        for t, triples in enumerate(self.matchings):
             sent, received = [0] * n, [0] * n
             for i, j, p in triples:
                 if failure is None and p > residual[i * n + j]:
@@ -102,30 +99,26 @@ class GreedyTrace:
             cols = tuple(map(sub, cols, received))
             senders.append(rows)
             receivers.append(cols)
-            failure = failure or _not_maximal(t, residual, n, sent, received, den)
+            failure = failure or _not_maximal(t, residual, n, sent, received, cap)
         if failure is None and any(residual):
             failure = "the matchings leave demand unshipped"
-        return TraceReplay(
-            den, demands, steps, tuple(senders), tuple(receivers), failure,
-            Fraction(total, den),
-        )
+        return TraceReplay(tuple(senders), tuple(receivers), failure, total)
 
     @property
     def residuals(self) -> tuple:
         """The residual ``Fraction`` matrix before each step, and after the
-        last: a read-only view, rebuilt from the replay on each use."""
-        n, replay = self.instance.n, self.replay
-        value = cache(lambda x: Fraction(x, replay.scale))
-        residual = list(replay.demands)
+        last: a read-only view, rebuilt from the matchings on each use."""
+        n = self.instance.n
+        residual = self._demands()
         out = []
-        for triples in [*replay.steps, ()]:
-            out.append(tuple(tuple(map(value, residual[a:a + n])) for a in range(0, n * n, n)))
+        for triples in [*self.matchings, ()]:
+            out.append(as_rows(over_scale(residual, self.scale), n))
             for i, j, p in triples:
                 residual[i * n + j] -= p
         return tuple(out)
 
     def to_json(self) -> dict:
-        render = rational_renderer()
+        render = cache(lambda p: render_rational(Fraction(p, self.scale)))
         return {
             "n": self.instance.n,
             "matchings": [
@@ -137,56 +130,58 @@ class GreedyTrace:
     @staticmethod
     def from_json(obj: dict, instance: Instance) -> "GreedyTrace":
         """Read the matchings of a trace whose ``n`` is ``instance.n``; any
-        stored residuals are ignored. Each matching must be a fractional
+        stored residuals are ignored. The scale is the lcm of the instance's
+        denominator and the rates'. Each matching must be a fractional
         matching (see ``_check_matching``)."""
-        parse = rational_parser()
         n = instance.n
-        if not isinstance(obj, dict) or obj.get("n") != n:
+        if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] != n:
             raise StructuralError(f"greedy trace does not name the instance's n={n}")
         raw = obj.get("matchings")
         if not isinstance(raw, list):
             raise StructuralError("greedy trace needs a list of matchings")
-        matchings = []
+        texts = {}  # each distinct rate, in order of first use
         for t, trip in enumerate(raw):
             if not isinstance(trip, list):
                 raise StructuralError(f"matching {t} is not a list of triples")
-            triples = []
             for x in trip:
-                if not (isinstance(x, list) and len(x) == 3
-                        and type(x[0]) is int and type(x[1]) is int):
+                if not (isinstance(x, list) and len(x) == 3 and type(x[0]) is int
+                        and type(x[1]) is int and type(x[2]) in (str, int)):
                     raise StructuralError(
                         f"matching {t}: {x!r} is not [sender, receiver, rate]"
                     )
-                s, r, p = x
-                if not (0 <= s < n and 0 <= r < n):
+                if not (0 <= x[0] < n and 0 <= x[1] < n):
                     raise StructuralError(
                         f"matching {t}: node outside 0..{n - 1} in {x!r}"
                     )
-                triples.append((s, r, parse(p)))
-            _check_matching(triples)
-            matchings.append(tuple(triples))
-        return GreedyTrace(instance=instance, matchings=tuple(matchings))
+                texts[x[2]] = None
+        rates = {p: parse_rational(p) for p in texts}
+        scale = lcm(instance.scaled_demands[1], *(q.denominator for q in rates.values()))
+        num = {p: q.numerator * (scale // q.denominator) for p, q in rates.items()}
+        matchings = []
+        for trip in raw:
+            triples = tuple((s, r, num[p]) for s, r, p in trip)
+            _check_matching(triples, n, scale)
+            matchings.append(triples)
+        return GreedyTrace(instance, scale, tuple(matchings))
 
 
-def _check_matching(triples: list[tuple[int, int, Fraction]]) -> None:
+def _check_matching(triples: tuple[tuple[int, int, int], ...], n: int, cap: int) -> None:
     """Refuse a self-loop, a non-positive rate, a repeated pair, or a node
-    whose rates in or out add up to more than 1."""
+    whose rates in or out add up to more than ``cap``, a rate of 1."""
     seen = set()
+    out, into = [0] * n, [0] * n
     for s, r, p in triples:
         if s == r:
             raise StructuralError(f"self-loop ({s},{r}) in fractional matching")
         if p <= 0:
             raise StructuralError(f"non-positive rate on ({s},{r})")
-        if (s, r) in seen:
+        if s * n + r in seen:
             raise StructuralError(f"duplicate pair ({s},{r})")
-        seen.add((s, r))
-    den = lcm(*{p.denominator for _, _, p in triples})
-    out, into = Counter(), Counter()
-    for s, r, p in triples:
-        out[s] += p.numerator * (den // p.denominator)
-        into[r] += p.numerator * (den // p.denominator)
-    for v, total in [*out.items(), *into.items()]:
-        if total > den:
+        seen.add(s * n + r)
+        out[s] += p
+        into[r] += p
+    for v, total in chain(enumerate(out), enumerate(into)):
+        if total > cap:
             raise StructuralError(f"node {v} exceeds matching cap 1")
 
 
@@ -235,7 +230,7 @@ def greedy_schedule(
     live = [k for k, x in enumerate(residual) if x]
     matchings = []
     # Defensive bound; greedy provably finishes well before it.
-    horizon_cap = ceil(instance.total_demand) + n**2
+    horizon_cap = -(-sum(residual) // scale) + n**2
     while live:
         if len(matchings) >= horizon_cap:
             raise SchedulingError("greedy exceeded its defensive horizon")
@@ -251,10 +246,7 @@ def greedy_schedule(
                 received[j] += rate
         matchings.append(triples)
         live = [k for k in live if residual[k]]
-    value = cache(lambda p: Fraction(p, scale))
-    trace = GreedyTrace(instance, tuple(
-        tuple((i, j, value(p)) for i, j, p in m) for m in matchings
-    ))
+    trace = GreedyTrace(instance, scale, tuple(map(tuple, matchings)))
     # Row r ships rate r of the flattened matchings; it is its own commodity.
     # Each pair's rates add up to its demand, so no factor of scale divides
     # every rate: scale is already the least common denominator.
@@ -301,7 +293,12 @@ def smeared_fractional_schedule(instance: Instance) -> Schedule:
     horizon = ceil(instance.load_bound)
     origin, dest, demand, scale = commodity_columns(instance)
     keys, code = np.unique(demand, return_inverse=True)
-    table, scale = scaled_column([Fraction(x, scale * horizon) for x in keys.tolist()])
+    keys = keys.tolist()
+    # Each step ships d / (scale * horizon); the least common denominator of
+    # those is den / g.
+    den = scale * horizon
+    g = gcd(den, *keys)
+    table = int_column([x // g for x in keys])
     blocks = Blocks(horizon)
     blocks.add(0, origin, dest, np.arange(origin.size), code)
-    return blocks.schedule(instance.n, horizon, origin, dest, table, scale)
+    return blocks.schedule(instance.n, horizon, origin, dest, table, den // g if keys else 1)

@@ -79,8 +79,9 @@ class ExperimentConfig:
             raise StructuralError(f"unknown algorithm(s) {unknown}")
         if self.family not in FAMILIES:
             raise StructuralError(f"unknown instance family {self.family!r}")
-        if self.workers < 1:
-            raise StructuralError(f"workers must be at least 1, got {self.workers}")
+        for name in ("repetitions", "workers"):
+            if getattr(self, name) < 1:
+                raise StructuralError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":

@@ -57,10 +57,5 @@ def random_sparse_instance(n: int, load, seed: int | None) -> Instance:
 
 
 def single_row_instance(n: int, load) -> Instance:
-    load = Fraction(load)
-    entry = load / (n - 1)
-    demands = [
-        [entry if i == 0 and j != 0 else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    return make_instance(n, demands)
+    entry = Fraction(load) / (n - 1)
+    return make_instance(n, [[0] + [entry] * (n - 1)] + [[0] * n] * (n - 1))

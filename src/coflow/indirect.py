@@ -28,7 +28,6 @@ from .errors import StructuralError, UnsupportedSizeError
 from .model import (
     Blocks, Instance, Schedule, commodity_columns, scaled_column, unit_parcels,
 )
-from .rational import ceil_frac
 
 # VLB expands the rows of a run of commodities at a time, about this many,
 # so that its temporaries stay small next to the schedule.
@@ -59,7 +58,7 @@ class ElementaryBasisScheme:
             )
         self.d = d
         self.base = q
-        self.multiplicity = max(ceil_frac(Fraction(load) / q), 1)
+        self.multiplicity = max(ceil(Fraction(load) / q), 1)
         self.horizon = d * (q - 1) * self.multiplicity
 
 
@@ -149,7 +148,7 @@ def round_robin_schedule(
     origin, dest, demand, scale = commodity_columns(instance)
     count, last, one, table = unit_parcels(demand, scale)
     parcels = int(count.max(initial=0))
-    m = max(ceil_frac(load / n), parcels, 1)
+    m = max(ceil(load / n), parcels, 1)
     shift = (dest - origin) % n
     blocks = Blocks(1)
     live = np.arange(origin.size)  # the commodities with more than k parcels

@@ -1,9 +1,11 @@
 """Core domain types: instances, schedules and metrics.
 
-Everything is exact. Demands and derived quantities are
-:class:`fractions.Fraction`. A schedule is columnar: int64 step and node
-columns plus integer amount numerators over one common denominator, so
-that the verifier and the metrics read it in whole-schedule numpy passes.
+Everything is exact. An instance's demands are integer numerators over one
+common denominator, and a schedule is columnar: int64 step and node columns
+plus integer amount numerators over one common denominator, so that the
+verifier and the metrics read it in whole-schedule numpy passes.
+:class:`fractions.Fraction` appears only in derived values, in read-only
+views and at the wire.
 Every scheduler builds its columns through :class:`Blocks`, from the
 commodity columns of :func:`commodity_columns` and an amount table;
 ``Schedule.steps`` is a view that gives the rows back as ``Transfer``
@@ -17,7 +19,7 @@ moved during step ``s`` completes at time ``s + 1``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -39,32 +41,54 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 INT64_MAX = 2**63 - 1
 
 
-def _freeze_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(
-        tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-        for row in rows
-    )
-
-
 def square_sums(flat: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     """Row and column sums of the n x n matrix held row-major in ``flat``."""
     return [sum(flat[a:a + n]) for a in range(0, n * n, n)], [sum(flat[j::n]) for j in range(n)]
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A coflow instance: node count and an exact demand matrix.
+def over_scale(nums: Sequence[int], scale: int, form=lambda q: q) -> list:
+    """``form(Fraction(x, scale))`` for each numerator x, made once per
+    distinct x."""
+    value = {x: form(Fraction(x, scale)) for x in set(nums)}
+    return list(map(value.__getitem__, nums))
 
-    ``load_bound`` caches the maximum row or column sum of the demands,
-    a lower bound on the makespan of any feasible schedule, and
-    ``scaled_demands`` the demands, row-major, as a :func:`scaled_column`:
-    integer numerators over the lcm of their denominators, and that lcm.
+
+def as_rows(flat: list, n: int) -> Matrix:
+    """The n x n matrix held row-major in ``flat``, as row tuples."""
+    return tuple(tuple(flat[a:a + n]) for a in range(0, n * n, n))
+
+
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """A coflow instance: node count and exact demands.
+
+    ``scaled_demands`` holds the demands, row-major, as a
+    :func:`scaled_column`: integer numerators over the lcm of their
+    denominators (a read-only column), and that lcm. ``load_bound`` is the
+    maximum row or column sum of the demands, a lower bound on the makespan
+    of any feasible schedule. :attr:`demands` is a ``Fraction`` view of the
+    column. Instances compare by their columns, like schedules.
     """
 
     n: int
-    demands: Matrix
+    scaled_demands: tuple[np.ndarray, int]
     load_bound: Fraction
-    scaled_demands: tuple[np.ndarray, int] = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        self.scaled_demands[0].flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        (a, scale), (b, other_scale) = self.scaled_demands, other.scaled_demands
+        return (self.n, scale, a.dtype) == (other.n, other_scale, b.dtype) and np.array_equal(a, b)
+
+    @cached_property
+    def demands(self) -> Matrix:
+        """The demand matrix, one ``Fraction`` per distinct demand: a
+        read-only view, built on first use."""
+        column, scale = self.scaled_demands
+        return as_rows(over_scale(column.tolist(), scale), self.n)
 
     @property
     def total_demand(self) -> Fraction:
@@ -72,20 +96,16 @@ class Instance:
         return Fraction(sum(column.tolist()), scale)
 
     def commodities(self) -> Iterable[tuple[int, int, Fraction]]:
-        """Yield (origin, destination, demand) for every positive demand."""
-        # make_instance refuses negative entries, so a nonzero numerator is a
-        # positive demand; comparing Fractions costs about 1 us per entry.
-        for i, row in enumerate(self.demands):
-            for j, x in enumerate(row):
-                if x.numerator:
-                    yield i, j, x
+        """(origin, destination, demand) for every positive demand, row-major,
+        one ``Fraction`` per distinct demand."""
+        origin, dest, demand, scale = commodity_columns(self)
+        return zip(origin.tolist(), dest.tolist(), over_scale(demand.tolist(), scale))
 
     def to_json(self) -> dict:
-        render = rational_renderer()
-        return {
-            "n": self.n,
-            "demands": [[render(x) for x in row] for row in self.demands],
-        }
+        column, scale = self.scaled_demands
+        text = over_scale(column.tolist(), scale, render_rational)
+        n = self.n
+        return {"n": n, "demands": [text[a:a + n] for a in range(0, n * n, n)]}
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
@@ -99,17 +119,21 @@ class Instance:
 
 
 def make_instance(n: int, demands: Sequence[Sequence]) -> Instance:
-    """Validate a demand matrix and build an Instance with its load bound."""
-    if n < 2:
-        raise DimensionError(f"need at least 2 nodes, got n={n}")
+    """Validate a demand matrix of ints and ``Fraction``s and build an
+    Instance with its load bound."""
     if len(demands) != n or any(len(row) != n for row in demands):
         raise DimensionError(f"demand matrix is not {n}x{n}")
-    mat = _freeze_matrix(demands)
-    scaled = scaled_column(list(chain.from_iterable(mat)))
-    column, scale = scaled
-    square = column.reshape(n, n)
-    diagonal = square.diagonal() != 0
-    negative = square < 0
+    return _column_instance(n, *scaled_column(list(chain.from_iterable(demands))))
+
+
+def _column_instance(n: int, column: np.ndarray, scale: int) -> Instance:
+    """Validate the row-major demand numerators of an n x n instance over
+    ``scale`` and build it with its load bound."""
+    if n < 2:
+        raise DimensionError(f"need at least 2 nodes, got n={n}")
+    matrix = column.reshape(n, n)
+    diagonal = matrix.diagonal() != 0
+    negative = matrix < 0
     bad = diagonal | negative.any(axis=1)
     if bad.any():
         i = int(bad.argmax())
@@ -117,9 +141,9 @@ def make_instance(n: int, demands: Sequence[Sequence]) -> Instance:
             raise DiagonalDemandError(f"nonzero diagonal demand at ({i},{i})")
         raise NegativeDemandError(f"negative demand at ({i},{int(negative[i].argmax())})")
     if column.dtype != object and int(column.max()) * n > INT64_MAX:
-        square = square.astype(object)  # row and column sums stay exact
-    load = Fraction(int(max(square.sum(axis=1).max(), square.sum(axis=0).max())), scale)
-    return Instance(n=n, demands=mat, load_bound=load, scaled_demands=scaled)
+        matrix = matrix.astype(object)  # row and column sums stay exact
+    load = Fraction(int(max(matrix.sum(axis=1).max(), matrix.sum(axis=0).max())), scale)
+    return Instance(n=n, scaled_demands=(column, scale), load_bound=load)
 
 
 def uniform_instance(n: int, load: Fraction | int | str) -> Instance:
@@ -132,10 +156,9 @@ def uniform_instance(n: int, load: Fraction | int | str) -> Instance:
     if load <= 0:
         raise NegativeDemandError(f"load bound must be positive, got {load}")
     entry = load / n
-    demands = [
-        [entry if i != j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
-    return make_instance(n, demands)
+    column = np.repeat(int_column([entry.numerator]), n * n)
+    column[np.arange(n) * (n + 1)] = 0  # the diagonal
+    return _column_instance(n, column, entry.denominator)
 
 
 class Transfer(NamedTuple):
@@ -247,23 +270,20 @@ class Schedule:
     def steps(self) -> tuple[Step, ...]:
         """The rows as ``Step``s of ``Transfer``s, with one ``Fraction`` per
         distinct amount: a read-only view, built on first use."""
-        nums = self.amount.tolist()
-        value = {num: Fraction(num, self.scale) for num in set(nums)}
         rows = list(map(Transfer._make, zip(
             self.src.tolist(), self.dst.tolist(), self.origin.tolist(),
-            self.dest.tolist(), map(value.__getitem__, nums),
+            self.dest.tolist(), over_scale(self.amount.tolist(), self.scale),
         )))
         bounds = self._step_bounds()
         return tuple(Step(tuple(rows[a:b])) for a, b in zip(bounds, bounds[1:]))
 
     def to_json(self) -> dict:
-        nums = self.amount.tolist()
-        text = {num: render_rational(Fraction(num, self.scale)) for num in set(nums)}
         rows = [
-            {"from": a, "to": b, "commodity": [u, v], "amount": text[x]}
+            {"from": a, "to": b, "commodity": [u, v], "amount": x}
             for a, b, u, v, x in zip(
                 self.src.tolist(), self.dst.tolist(), self.origin.tolist(),
-                self.dest.tolist(), nums,
+                self.dest.tolist(),
+                over_scale(self.amount.tolist(), self.scale, render_rational),
             )
         ]
         bounds = self._step_bounds()
@@ -440,14 +460,11 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     total_completion = Fraction(total, scale)
     demand_sum = instance.total_demand
     avg = total_completion / demand_sum if demand_sum > 0 else Fraction(0)
-    sums = delivered.tolist()
-    value = {x: Fraction(x, scale) for x in set(sums)}
-    fractions = list(map(value.__getitem__, sums))
     return Metrics(
         makespan=makespan,
         total_completion=total_completion,
         average_completion=avg,
-        delivered=tuple(tuple(fractions[i:i + n]) for i in range(0, n * n, n)),
+        delivered=as_rows(over_scale(delivered.tolist(), scale), n),
     )
 
 

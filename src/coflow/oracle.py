@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from .errors import SizeGuardError, StructuralError
 from .model import Instance, square_sums
-from .rational import ceil_frac, render_rational
+from .rational import render_rational
 from . import simplex
 
 DEFAULT_MAX_N = 6
@@ -175,7 +176,7 @@ def solve_completion_lp(
         raise SizeGuardError(
             f"oracle guard: n={instance.n} exceeds {max_n} (override max_n to force)"
         )
-    start = max(1, ceil_frac(instance.load_bound / max(sender_cap, receiver_cap)))
+    start = max(1, ceil(instance.load_bound / max(sender_cap, receiver_cap)))
     for horizon in range(start, max_horizon + 1):
         sol = _solve_at_horizon(instance, sender_cap, receiver_cap, horizon)
         if sol is not None and all(

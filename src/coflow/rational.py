@@ -33,11 +33,6 @@ def rational_parser() -> Callable[[object], Fraction]:
     return lambda text: parse_str(text) if type(text) is str else parse_rational(text)
 
 
-def ceil_frac(q: Fraction) -> int:
-    """Exact ceiling of a rational."""
-    return -((-q.numerator) // q.denominator)
-
-
 def render_rational(q: Fraction | int) -> str:
     """Render a rational as "p/q", or "p" when it is an integer."""
     q = Fraction(q)

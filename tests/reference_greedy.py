@@ -11,13 +11,31 @@ first failure of a replay and every certificate value.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
 from coflow.certificates import CertificateReport
+from coflow.direct import GreedyTrace
 from coflow.errors import NegativeDemandError, SchedulingError
 from coflow.model import Transfer
 from coflow.rational import render_rational
 from reference_rows import schedule_from_steps
+
+
+def fraction_matchings(trace):
+    """A ``GreedyTrace``'s matchings with each rate a ``Fraction``."""
+    return tuple(
+        tuple((i, j, Fraction(p, trace.scale)) for i, j, p in m) for m in trace.matchings
+    )
+
+
+def integer_trace(instance, matchings):
+    """The ``GreedyTrace`` of matchings with ``Fraction`` rates, over the lcm
+    of the instance's denominator and the rates'."""
+    rates = [p for m in matchings for _, _, p in m]
+    scale = lcm(instance.scaled_demands[1], *(p.denominator for p in rates))
+    return GreedyTrace(instance, scale, tuple(
+        tuple((i, j, int(p * scale)) for i, j, p in m) for m in matchings
+    ))
 
 
 def matrix_row_sums(m):
@@ -150,11 +168,13 @@ class FractionCertificate:
         return _objective(self.demands, self.alpha_r, self.beta_r)
 
     def to_json(self):
+        """The wire form: alpha_S[i] and alpha_R[j] are one value per node,
+        read off the matrices' first column and first row."""
         mat = lambda m: [[render_rational(x) for x in row] for row in m]
         return {
-            "alpha_S": mat(self.alpha_s),
+            "alpha_S": [render_rational(row[0]) for row in self.alpha_s],
             "beta_S": mat(self.beta_s),
-            "alpha_R": mat(self.alpha_r),
+            "alpha_R": [render_rational(x) for x in self.alpha_r[0]],
             "beta_R": mat(self.beta_r),
             "obj_DS": render_rational(self.obj_ds),
             "obj_DR": render_rational(self.obj_dr),

@@ -19,7 +19,6 @@ from coflow.direct import greedy_schedule
 from coflow.errors import StructuralError, UnsupportedSizeError
 from coflow.indirect import _regime_load
 from coflow.model import Schedule, Transfer, int_column, scaled_column
-from coflow.rational import ceil_frac
 
 
 def schedule_from_steps(n, step_transfers):
@@ -42,7 +41,7 @@ def round_robin(instance, nominal_load=None):
     n = instance.n
     load = _regime_load(instance, nominal_load)
     max_entry = max((d for _, _, d in instance.commodities()), default=Fraction(0))
-    m = max(ceil_frac(load / n), ceil_frac(max_entry), 1)
+    m = max(ceil(load / n), ceil(max_entry), 1)
     steps = [[] for _ in range((n - 1) * m)]
     for i, j, demand in instance.commodities():
         start = ((j - i) % n - 1) * m
@@ -122,5 +121,8 @@ def edge_coloring(instance):
 def greedy(instance, order="lex", seed=None):
     """The schedule of greedy's trace, one step per matching."""
     _, trace = greedy_schedule(instance, order=order, seed=seed)
-    steps = [[Transfer(i, j, i, j, p) for i, j, p in m] for m in trace.matchings]
+    steps = [
+        [Transfer(i, j, i, j, Fraction(p, trace.scale)) for i, j, p in m]
+        for m in trace.matchings
+    ]
     return schedule_from_steps(instance.n, steps)

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coflow.cli import main
+from coflow.direct import GreedyTrace
 from coflow.experiment import CSV_COLUMNS, SCHEMA_VERSION
+from coflow.model import load_instance
 
 
 def run(capsys, *argv):
@@ -249,6 +251,19 @@ def test_forged_trace_fails_certify(tmp_path, capsys):
                        "--trace", str(trace))
     assert code == 2
     assert "node outside" in err
+    # Rates over denominators the instance lacks decode over the lcm, and
+    # the replay, not the decode, refuses them.
+    prime = 2**69 + 29  # 70 bits
+    inst.write_text(json.dumps({"n": 2, "demands": [["0", "1"], ["0", "0"]]}))
+    for first, rest, scale in (("1/3", "2/3", 3), (f"1/{prime}", f"{prime - 1}/{prime}", prime)):
+        obj = {"n": 2, "matchings": [[[0, 1, first]], [[0, 1, rest]]]}
+        assert GreedyTrace.from_json(obj, load_instance(str(inst))).scale == scale
+        trace.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "certify", "--instance", str(inst),
+                           "--trace", str(trace))
+        assert code == 1
+        failures = json.loads(out)["check"]["failures"]
+        assert failures[0] == "matching 0 is not maximal: (0,1) could take more"
 
 
 def test_malformed_trace_is_exit_two(tmp_path, capsys):
@@ -262,7 +277,9 @@ def test_malformed_trace_is_exit_two(tmp_path, capsys):
                 {"n": 4, "matchings": [[[0, 0, "1"]]]},
                 {"n": 4, "matchings": [[[0, 1, "0"]]]},
                 {"n": 4, "matchings": [[[0, 1, "1/4"], [0, 1, "1/4"]]]},
-                {"n": 4, "matchings": [[[0, 1, "3/4"], [0, 2, "1/2"]]]}):
+                {"n": 4, "matchings": [[[0, 1, "3/4"], [0, 2, "1/2"]]]},
+                {"n": 4.0, "matchings": [[[0, 1, "1/2"]]]},
+                {"n": True, "matchings": [[[0, 1, "1/2"]]]}):
         trace.write_text(json.dumps(bad))
         code, _, err = run(capsys, "certify", "--instance", str(inst),
                            "--trace", str(trace))
@@ -323,6 +340,11 @@ def test_malformed_experiment_config_is_exit_two(tmp_path, capsys):
         assert code == 2, bad
         assert out == ""
         assert err.startswith("error: malformed experiment config"), bad
+    # No repetitions would run no cells and print nothing: refused instead.
+    cfg.write_text(json.dumps({**obj, "repetitions": 0}))
+    code, out, err = run(capsys, "experiment", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: repetitions must be at least 1, got 0\n"
 
 
 GOOD_INSTANCE = {"n": 2, "demands": [["0", "1"], ["0", "0"]]}

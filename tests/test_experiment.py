@@ -113,6 +113,9 @@ def test_config_rejects_fewer_than_one_worker(tmp_path):
         with pytest.raises(StructuralError):
             ExperimentConfig(n_values=(4,), load_values=(F(2),), algorithms=("greedy",),
                              workers=workers)
+        with pytest.raises(StructuralError):
+            ExperimentConfig(n_values=(4,), load_values=(F(2),), algorithms=("greedy",),
+                             repetitions=workers)
     path = tmp_path / "config.json"
     path.write_text('{"n_values": [4], "load_values": ["2"], "algorithms": ["greedy"]}')
     assert main(["experiment", "--config", str(path), "--workers", "0"]) == 2

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from reference_rows import schedule_from_steps
 
 from coflow.errors import (
@@ -199,18 +199,28 @@ def test_render_decimal_is_display_only():
 small_fractions = st.fractions(
     min_value=0, max_value=3, max_denominator=8
 )
+# Primes whose lcm does not fit in int64, so the demand column holds Python ints.
+BIG_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1)
+prime_fractions = st.builds(F, st.integers(1, 13), st.sampled_from(BIG_PRIMES))
+# Loads whose entry load / n has a numerator beyond int64, and small ones.
+loads = st.one_of(
+    st.fractions(min_value=F(1, 8), max_value=40, max_denominator=8),
+    st.builds(F, st.integers(2**63, 2**70), st.integers(1, 9)),
+)
 
 
+@example(rows=[[F(0), F(1, 2**61 - 1)], [F(5, 2**89 - 1), F(0)]], load=F(2**70 + 1, 3))
 @given(
     st.integers(min_value=2, max_value=5).flatmap(
         lambda n: st.lists(
-            st.lists(small_fractions, min_size=n, max_size=n),
+            st.lists(st.one_of(small_fractions, prime_fractions), min_size=n, max_size=n),
             min_size=n,
             max_size=n,
         )
-    )
+    ),
+    loads,
 )
-def test_load_bound_matches_naive_computation(rows):
+def test_load_bound_matches_naive_computation(rows, load):
     n = len(rows)
     for i in range(n):
         rows[i][i] = F(0)
@@ -219,3 +229,17 @@ def test_load_bound_matches_naive_computation(rows):
     col_sums = [sum((rows[i][j] for i in range(n)), F(0)) for j in range(n)]
     assert inst.load_bound == max(row_sums + col_sums)
     assert inst.total_demand == sum(row_sums, F(0))
+    # The column reads back as the rows given, and through the wire as itself.
+    assert inst.demands == tuple(map(tuple, rows))
+    assert Instance.from_json(json.loads(json.dumps(inst.to_json()))) == inst
+    assert inst == make_instance(n, rows)
+    other = [row[:] for row in rows]
+    other[0][1] += F(1, 3)
+    assert make_instance(n, other) != inst
+    if any(map(any, rows)):  # the same numerators over another scale
+        assert make_instance(n, [[x / 2 for x in row] for row in rows]) != inst
+    # A uniform instance is the instance of its explicit matrix.
+    uniform = uniform_instance(n, load)
+    explicit = make_instance(n, [[load / n if i != j else 0 for j in range(n)] for i in range(n)])
+    assert uniform == explicit
+    assert uniform.load_bound == explicit.load_bound
