@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: generate, schedule, verify, metrics, certify, bounds,
-oracle, experiment, table1. Instances and schedules travel as JSON files
-with rationals rendered as "p/q" strings.
+oracle, experiment, table1. Instances, traces and reports travel as JSON
+with rationals rendered as "p/q" strings; schedules travel as the column
+document of ``Schedule.to_json``, integer numerators over one scale.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from .model import (
     compute_metrics,
     dump_instance,
     dump_schedule,
+    encode_json,
     load_instance,
     load_schedule,
+    read_json,
     write_json,
 )
 from .rational import parse_rational
@@ -67,7 +70,7 @@ def cmd_schedule(args) -> int:
     if args.out:
         dump_schedule(schedule, args.out)
     else:
-        _emit(schedule.to_json(), args)
+        print(encode_json(schedule.to_json()))
     return 0
 
 
@@ -88,8 +91,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_certify(args) -> int:
     instance = load_instance(args.instance)
-    with open(args.trace) as fh:
-        trace = GreedyTrace.from_json(json.load(fh), instance)
+    trace = GreedyTrace.from_json(read_json(args.trace), instance)
     cert = certificates.build_certificate(trace)
     report = certificates.check_certificate(instance, trace, cert)
     _emit({"certificate": cert.to_json(), "check": report.to_json()}, args)
@@ -210,7 +212,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CoflowError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (CoflowError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

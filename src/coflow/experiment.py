@@ -8,7 +8,6 @@ bit-for-bit reproducible from (family, n, B, seed).
 from __future__ import annotations
 
 import csv
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +27,7 @@ from .indirect import (
     round_robin_schedule,
     vlb_lift,
 )
-from .model import compute_metrics
+from .model import compute_metrics, read_json
 from .rational import parse_rational, render_decimal, render_rational
 from .verifier import verify
 
@@ -108,8 +107,7 @@ class ExperimentConfig:
 
     @staticmethod
     def load(path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_json(json.load(fh))
+        return ExperimentConfig.from_json(read_json(path))
 
 
 def _run_cell(cell) -> dict:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import index, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,6 +39,9 @@ from .rational import parse_rational, rational_parser, rational_renderer, render
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 INT64_MAX = 2**63 - 1
+COLUMNS_FORMAT = "coflow-columns-v1"
+# The row columns of a column document, in the order of Schedule's fields.
+ROW_COLUMNS = ("from", "to", "origin", "dest", "amount")
 
 
 def square_sums(flat: Sequence[int], n: int) -> tuple[list[int], list[int]]:
@@ -76,6 +79,11 @@ class Instance:
 
     def __post_init__(self):
         self.scaled_demands[0].flags.writeable = False
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, so the column is read-only again
+        # and the cached views are not pickled.
+        return Instance, (self.n, self.scaled_demands, self.load_bound)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -126,11 +134,15 @@ def make_instance(n: int, demands: Sequence[Sequence]) -> Instance:
     return _column_instance(n, *scaled_column(list(chain.from_iterable(demands))))
 
 
+def _check_nodes(n: int) -> None:
+    if n < 2:
+        raise DimensionError(f"need at least 2 nodes, got n={n}")
+
+
 def _column_instance(n: int, column: np.ndarray, scale: int) -> Instance:
     """Validate the row-major demand numerators of an n x n instance over
     ``scale`` and build it with its load bound."""
-    if n < 2:
-        raise DimensionError(f"need at least 2 nodes, got n={n}")
+    _check_nodes(n)
     matrix = column.reshape(n, n)
     diagonal = matrix.diagonal() != 0
     negative = matrix < 0
@@ -152,6 +164,7 @@ def uniform_instance(n: int, load: Fraction | int | str) -> Instance:
     The diagonal is zeroed, so the actual load bound is ``load*(n-1)/n``;
     the nominal ``load`` parameter is still the one used in bound formulas.
     """
+    _check_nodes(n)  # before dividing by n
     load = parse_rational(load) if isinstance(load, str) else Fraction(load)
     if load <= 0:
         raise NegativeDemandError(f"load bound must be positive, got {load}")
@@ -231,9 +244,9 @@ class Schedule:
     columns are read-only. Equal rows give equal columns, so schedules
     compare by their columns.
 
-    The schedulers build one with :class:`Blocks`, and ``from_json`` reads
-    the columns straight off the decoded rows; :attr:`steps` gives the rows
-    back as objects.
+    The schedulers build one with :class:`Blocks`; ``to_json`` writes the
+    columns as JSON integer lists, and :attr:`steps` gives the rows back as
+    objects.
     """
 
     n: int
@@ -249,6 +262,10 @@ class Schedule:
     def __post_init__(self):
         for column in self._columns():
             column.flags.writeable = False
+
+    def __reduce__(self):
+        # As Instance.__reduce__: read-only columns, no cached views.
+        return Schedule, (self.n, self.horizon, *self._columns(), self.scale)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return self.step, self.src, self.dst, self.origin, self.dest, self.amount
@@ -278,22 +295,25 @@ class Schedule:
         return tuple(Step(tuple(rows[a:b])) for a, b in zip(bounds, bounds[1:]))
 
     def to_json(self) -> dict:
-        rows = [
-            {"from": a, "to": b, "commodity": [u, v], "amount": x}
-            for a, b, u, v, x in zip(
-                self.src.tolist(), self.dst.tolist(), self.origin.tolist(),
-                self.dest.tolist(),
-                over_scale(self.amount.tolist(), self.scale, render_rational),
-            )
-        ]
-        bounds = self._step_bounds()
-        return {
+        """The column document: the row columns in step-major order,
+        ``counts[t]`` rows in step t, and ``amount`` the numerators over
+        ``scale``. Every field is a JSON integer or a list of them."""
+        doc = {
+            "format": COLUMNS_FORMAT,
+            "n": self.n,
             "horizon": self.horizon,
-            "steps": [{"transfers": rows[a:b]} for a, b in zip(bounds, bounds[1:])],
+            "scale": self.scale,
+            "counts": np.diff(self._step_bounds()).tolist(),
         }
+        doc.update(zip(ROW_COLUMNS, (column.tolist() for column in self._columns()[1:])))
+        return doc
 
     @staticmethod
     def from_json(obj: dict, n: int) -> "Schedule":
+        """Read a column document, or a row document (one dict per transfer,
+        one ``"p/q"`` string per amount, and no ``format`` key)."""
+        if isinstance(obj, dict) and "format" in obj:
+            return _schedule_from_columns(obj, n)
         parse = rational_parser()
         try:
             steps = [step["transfers"] for step in obj["steps"]]
@@ -313,6 +333,43 @@ class Schedule:
             raise StructuralError("declared horizon does not match step count")
         step = np.repeat(np.arange(horizon, dtype=np.int64), counts)
         return Schedule(n, horizon, step, *nodes, amount, scale)
+
+
+def _schedule_from_columns(obj: dict, n: int) -> Schedule:
+    """Check a column document's types and shape, then build its Schedule
+    over the lowest scale of its amounts."""
+    if obj["format"] != COLUMNS_FORMAT:
+        raise StructuralError(f"unknown schedule format {obj['format']!r:.60}")
+    try:
+        declared, horizon, scale, counts, *columns = (
+            obj[key] for key in ("n", "horizon", "scale", "counts", *ROW_COLUMNS)
+        )
+    except KeyError as exc:
+        raise StructuralError(f"malformed schedule: no {exc} key") from exc
+    # Types first: np.int64 would truncate 1.9 and take true for a node.
+    if not all(type(x) is int for x in (declared, horizon, scale)):
+        raise StructuralError("malformed schedule: n, horizon and scale must be integers")
+    for key, column in zip(("counts", *ROW_COLUMNS), (counts, *columns)):
+        if type(column) is not list or not set(map(type, column)) <= {int}:
+            raise StructuralError(f"malformed schedule: {key} is not a list of integers")
+    if declared != n:
+        raise StructuralError(f"schedule is for n={declared}, the instance has n={n}")
+    if scale < 1:
+        raise StructuralError(f"schedule scale must be positive, got {scale}")
+    rows = len(columns[0])
+    if any(len(column) != rows for column in columns):
+        raise StructuralError("malformed schedule: the row columns differ in length")
+    if len(counts) != horizon:
+        raise StructuralError("declared horizon does not match step count")
+    if min(counts, default=0) < 0 or sum(counts) != rows:
+        raise StructuralError(f"malformed schedule: counts do not add up to {rows} rows")
+    amount = columns.pop()
+    common = gcd(scale, *amount)
+    if common > 1:
+        scale //= common
+        amount = [x // common for x in amount]
+    step = np.repeat(np.arange(horizon, dtype=np.int64), counts)
+    return Schedule(n, horizon, step, *map(int_column, columns), int_column(amount), scale)
 
 
 def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -468,17 +525,38 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     )
 
 
+def encode_json(obj, indent: int | None = None) -> str:
+    """``json.dumps(obj, indent=indent)``. An integer beyond Python's
+    int-string limit (4,300 digits by default; a schedule's scale can pass
+    it) raises ``StructuralError``."""
+    try:
+        return json.dumps(obj, indent=indent)
+    except ValueError as exc:
+        raise StructuralError(f"cannot encode as JSON: {exc}") from exc
+
+
 def write_json(obj, path: str, indent: int | None = None) -> None:
-    """Write ``obj`` as one ``json.dumps`` string in one write: ``json.dump``
-    encodes in pure Python and writes once per token, for the same bytes."""
-    text = json.dumps(obj, indent=indent)
+    """Write ``obj`` as one :func:`encode_json` string in one write:
+    ``json.dump`` encodes in pure Python and writes once per token, for the
+    same bytes."""
+    text = encode_json(obj, indent)
     with open(path, "w") as fh:
         fh.write(text)
 
 
+def read_json(path: str):
+    """The JSON document in ``path``. Text that does not decode (not UTF-8,
+    not JSON, or an integer literal beyond Python's int-string limit, 4,300
+    digits by default) raises ``StructuralError``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise StructuralError(f"{path} is not a readable JSON document: {exc}") from exc
+
+
 def load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        return Instance.from_json(json.load(fh))
+    return Instance.from_json(read_json(path))
 
 
 def dump_instance(instance: Instance, path: str) -> None:
@@ -486,8 +564,7 @@ def dump_instance(instance: Instance, path: str) -> None:
 
 
 def load_schedule(path: str, n: int) -> Schedule:
-    with open(path) as fh:
-        return Schedule.from_json(json.load(fh), n)
+    return Schedule.from_json(read_json(path), n)
 
 
 def dump_schedule(schedule: Schedule, path: str) -> None:

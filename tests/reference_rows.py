@@ -5,6 +5,8 @@ Each loop builds one ``Transfer`` of ``Fraction``s per row, collects the
 rows per step and hands them to ``schedule_from_steps``, which builds the
 columns row by row: the loops the schedulers ran before they emitted columns,
 so the reference gives the rows, their amounts and their order.
+``row_document`` writes the row document that earlier versions of
+``Schedule.to_json`` wrote, for the reader's tests.
 """
 
 from fractions import Fraction
@@ -18,7 +20,8 @@ from coflow.coloring import color_bipartite_multigraph
 from coflow.direct import greedy_schedule
 from coflow.errors import StructuralError, UnsupportedSizeError
 from coflow.indirect import _regime_load
-from coflow.model import Schedule, Transfer, int_column, scaled_column
+from coflow.model import Schedule, Transfer, int_column, over_scale, scaled_column
+from coflow.rational import render_rational
 
 
 def schedule_from_steps(n, step_transfers):
@@ -126,3 +129,22 @@ def greedy(instance, order="lex", seed=None):
         for m in trace.matchings
     ]
     return schedule_from_steps(instance.n, steps)
+
+
+def row_document(schedule):
+    """The row document earlier versions wrote for ``schedule``: one dict per
+    transfer and one ``"p/q"`` string per amount, with no ``format`` key.
+    ``Schedule.from_json`` still reads it."""
+    rows = [
+        {"from": a, "to": b, "commodity": [u, v], "amount": x}
+        for a, b, u, v, x in zip(
+            schedule.src.tolist(), schedule.dst.tolist(), schedule.origin.tolist(),
+            schedule.dest.tolist(),
+            over_scale(schedule.amount.tolist(), schedule.scale, render_rational),
+        )
+    ]
+    bounds = schedule._step_bounds()
+    return {
+        "horizon": schedule.horizon,
+        "steps": [{"transfers": rows[a:b]} for a, b in zip(bounds, bounds[1:])],
+    }

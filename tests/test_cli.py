@@ -9,11 +9,12 @@ import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_rows import row_document
 
 from coflow.cli import main
 from coflow.direct import GreedyTrace
 from coflow.experiment import CSV_COLUMNS, SCHEMA_VERSION
-from coflow.model import load_instance
+from coflow.model import Schedule, load_instance, load_schedule
 
 
 def run(capsys, *argv):
@@ -39,6 +40,49 @@ def test_generate_schedule_verify_metrics_round_trip(tmp_path, capsys):
                        "--schedule", str(sched))
     assert code == 0
     assert json.loads(out)["makespan"] == 3
+
+
+def test_schedule_prints_the_document_it_writes(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    run(capsys, "generate", "--n", "8", "--B", "2", "--out", str(inst))
+    code, _, _ = run(capsys, "schedule", "--algorithm", "vlb", "--instance", str(inst),
+                     "--out", str(sched))
+    assert code == 0
+    code, out, _ = run(capsys, "schedule", "--algorithm", "vlb", "--instance", str(inst))
+    assert code == 0
+    assert out == sched.read_text() + "\n"
+    assert json.loads(out)["format"] == "coflow-columns-v1"
+
+
+@pytest.mark.parametrize("algorithm,family,n,load", [
+    ("hypercube", "uniform", 8, "2"),
+    ("vlb", "random-sparse", 16, "7/3"),
+    ("auto", "adversarial-single-row", 9, "3"),
+    ("greedy", "random-sparse", 6, "3/2"),
+    ("edge-coloring", "random-sparse", 6, "5/2"),
+    ("round-robin", "uniform", 5, "12"),
+    ("smeared", "uniform", 6, "7/3"),
+])
+def test_row_and_column_files_give_the_same_output(tmp_path, capsys, algorithm, family, n, load):
+    inst = tmp_path / "inst.json"
+    columns = tmp_path / "columns.json"
+    rows = tmp_path / "rows.json"
+    run(capsys, "--seed", "2", "generate", "--family", family, "--n", str(n), "--B", load,
+        "--out", str(inst))
+    code, _, _ = run(capsys, "schedule", "--algorithm", algorithm, "--instance", str(inst),
+                     "--out", str(columns))
+    assert code == 0
+    rows.write_text(json.dumps(row_document(load_schedule(str(columns), n))))
+    for command in ("verify", "metrics"):
+        for fmt in ("json", "csv"):
+            outputs = [
+                run(capsys, command, "--format", fmt, "--instance", str(inst),
+                    "--schedule", str(path))
+                for path in (columns, rows)
+            ]
+            assert outputs[0] == outputs[1], (command, fmt)
+            assert outputs[0][0] == 0
 
 
 def test_verify_exit_one_on_infeasible(tmp_path, capsys):
@@ -396,6 +440,96 @@ def test_malformed_instance_or_schedule_is_exit_two(tmp_path, capsys, instance, 
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _columns(**fields):
+    """A column document of two rows over two steps for GOOD_INSTANCE,
+    with ``fields`` replaced."""
+    return {"format": "coflow-columns-v1", "n": 2, "horizon": 2, "scale": 2,
+            "counts": [1, 1], "from": [0, 0], "to": [1, 1], "origin": [0, 0],
+            "dest": [1, 1], "amount": [1, 1], **fields}
+
+
+BIG_LITERAL = "1" * 4301
+
+
+def test_column_document_fixture_is_feasible(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    inst.write_text(json.dumps(GOOD_INSTANCE))
+    sched.write_text(json.dumps(_columns()))
+    code, out, _ = run(capsys, "verify", "--instance", str(inst), "--schedule", str(sched))
+    assert (code, json.loads(out)["feasible"]) == (0, True)
+
+
+@pytest.mark.parametrize("doc,message", [
+    pytest.param(_columns(format="coflow-columns-v2"), "unknown schedule format", id="format-v2"),
+    pytest.param(_columns(format=None), "unknown schedule format", id="format-null"),
+    pytest.param(_columns(to=[1, True]), "to is not a list of integers", id="bool"),
+    pytest.param(_columns(to=[1, 1.0]), "to is not a list of integers", id="float"),
+    pytest.param(_columns(origin=[0, "0"]), "origin is not a list", id="string"),
+    pytest.param(_columns(amount=[1, None]), "amount is not a list", id="null"),
+    pytest.param(_columns(dest=1), "dest is not a list", id="not-a-list"),
+    pytest.param(_columns(counts=[1, 1.0]), "counts is not a list", id="float-count"),
+    pytest.param(_columns(amount=[1]), "differ in length", id="length-mismatch"),
+    pytest.param(_columns(counts=[1, 2]), "do not add up to 2 rows", id="counts-sum"),
+    pytest.param(_columns(counts=[3, -1]), "do not add up to 2 rows", id="negative-count"),
+    pytest.param(_columns(counts=[1, 1, 0]), "declared horizon", id="counts-vs-horizon"),
+    pytest.param(_columns(horizon=3), "declared horizon", id="horizon-vs-counts"),
+    pytest.param(_columns(scale=0), "scale must be positive", id="scale-zero"),
+    pytest.param(_columns(scale=-2), "scale must be positive", id="scale-negative"),
+    pytest.param(_columns(scale="2"), "must be integers", id="scale-string"),
+    pytest.param(_columns(horizon=True), "must be integers", id="horizon-bool"),
+    pytest.param(_columns(n=3), "n=3, the instance has n=2", id="n-mismatch"),
+    pytest.param(_columns(n=2.0), "must be integers", id="n-float"),
+    pytest.param({k: v for k, v in _columns().items() if k != "scale"}, "no 'scale' key",
+                 id="no-scale"),
+    pytest.param(json.dumps(_columns()).replace('"scale": 2', f'"scale": {BIG_LITERAL}'),
+                 "integer string conversion", id="big-literal"),
+])
+def test_malformed_column_document_is_exit_two(tmp_path, capsys, doc, message):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    inst.write_text(json.dumps(GOOD_INSTANCE))
+    sched.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    for command in ("verify", "metrics"):
+        code, out, err = run(capsys, command, "--instance", str(inst),
+                             "--schedule", str(sched))
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: ") and message in err, err
+
+
+def test_big_integer_literal_is_exit_two_in_every_file(tmp_path, capsys):
+    # Python refuses to parse an integer of more than 4,300 digits; each
+    # reader turns that into bad input, not a failed check.
+    inst = tmp_path / "inst.json"
+    big = tmp_path / "big.json"
+    inst.write_text(json.dumps(GOOD_INSTANCE))
+    big.write_text(f'{{"n": {BIG_LITERAL}, "demands": [], "matchings": []}}')
+    for argv in (["verify", "--instance", str(big), "--schedule", str(inst)],
+                 ["verify", "--instance", str(inst), "--schedule", str(big)],
+                 ["certify", "--instance", str(inst), "--trace", str(big)],
+                 ["experiment", "--config", str(big)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {big} is not a readable JSON document: ")
+        assert "integer string conversion" in err, argv
+
+
+def test_schedule_beyond_the_integer_limit_is_exit_two(tmp_path, capsys):
+    # Each denominator has under 4,300 digits, but their lcm, the column
+    # document's scale, has more: the schedule cannot be written as JSON.
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    demands = [["0", f"1/{3**6000}"], [f"1/{5**4000}", "0"]]
+    inst.write_text(json.dumps({"n": 2, "demands": demands}))
+    for out in (["--out", str(sched)], []):
+        code, text, err = run(capsys, "schedule", "--algorithm", "round-robin",
+                              "--instance", str(inst), *out)
+        assert (code, text) == (2, "")
+        assert err.startswith("error: cannot encode as JSON: ")
+    assert not sched.exists()
+
+
 @pytest.mark.parametrize("first", [1, "1"])
 @pytest.mark.parametrize("later", [True, 1.0, [1]])
 def test_amount_memo_refuses_what_hashes_like_an_earlier_amount(
@@ -429,6 +563,10 @@ FUZZ_SCHEDULE = {"horizon": 2, "steps": [
         {"from": 1, "to": 2, "commodity": [1, 2], "amount": "1"},
     ]},
 ]}
+# The same schedule as a column document.
+FUZZ_COLUMNS = {"format": "coflow-columns-v1", "n": 3, "horizon": 2, "scale": 6,
+                "counts": [2, 1], "from": [0, 2, 1], "to": [1, 0, 2],
+                "origin": [0, 2, 1], "dest": [1, 0, 2], "amount": [3, 2, 6]}
 FUZZ_TRACE = {"n": 3, "matchings": [[[0, 1, "1/2"], [1, 2, "1"], [2, 0, "1/3"]]]}
 FUZZ_CONFIG = {"n_values": [4], "load_values": ["2"], "algorithms": ["hypercube"],
                "family": "uniform", "seed": 1, "repetitions": 1, "workers": 1}
@@ -468,11 +606,16 @@ def _mutated(doc, path, value):
     return doc
 
 
-@settings(max_examples=250, deadline=None)
+def test_fuzz_column_document_is_the_fuzz_schedule():
+    assert Schedule.from_json(FUZZ_COLUMNS, 3) == Schedule.from_json(FUZZ_SCHEDULE, 3)
+
+
+# 250 examples over the four other documents before the column twin came in.
+@settings(max_examples=320, deadline=None)
 @given(data=st.data())
 def test_malformed_files_keep_the_exit_code_contract(data):
     docs = {"instance": FUZZ_INSTANCE, "schedule": FUZZ_SCHEDULE,
-            "trace": FUZZ_TRACE, "config": FUZZ_CONFIG}
+            "columns": FUZZ_COLUMNS, "trace": FUZZ_TRACE, "config": FUZZ_CONFIG}
     name = data.draw(st.sampled_from(sorted(docs)))
     values = CONFIG_VALUES if name == "config" else FILE_VALUES
     for _ in range(data.draw(st.integers(1, 3))):
@@ -492,6 +635,8 @@ def test_malformed_files_keep_the_exit_code_contract(data):
                          ["certify", *pair, "--trace", files["trace"]]],
             "schedule": [["verify", *pair, "--schedule", files["schedule"]],
                          ["metrics", *pair, "--schedule", files["schedule"]]],
+            "columns": [["verify", *pair, "--schedule", files["columns"]],
+                        ["metrics", *pair, "--schedule", files["columns"]]],
             "trace": [["certify", *pair, "--trace", files["trace"]]],
             "config": [["experiment", "--config", files["config"]]],
         }[name]

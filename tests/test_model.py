@@ -1,18 +1,23 @@
+import copy
 import json
+import pickle
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from reference_rows import schedule_from_steps
+from reference_rows import row_document, schedule_from_steps
 
 from coflow.errors import (
+    CoflowError,
     DiagonalDemandError,
     DimensionError,
     NegativeDemandError,
     StructuralError,
 )
 from coflow.experiment import ALGORITHMS
+from coflow.generators import FAMILIES, generate
 from coflow.model import (
     Instance,
     Schedule,
@@ -42,6 +47,9 @@ def test_load_bound_is_max_row_or_col_sum():
 def test_validation_errors():
     with pytest.raises(DimensionError):
         make_instance(1, [[0]])
+    for n in (0, 1, -3):  # n = 0 is refused before the entry load / n
+        with pytest.raises(DimensionError, match="at least 2 nodes"):
+            uniform_instance(n, 2)
     with pytest.raises(DimensionError):
         make_instance(3, [[0, 1], [1, 0]])
     with pytest.raises(DiagonalDemandError):
@@ -61,6 +69,20 @@ def test_uniform_instance_shape():
     assert inst.total_demand == F(6)
 
 
+def test_columns_stay_read_only_across_pickling():
+    # Denominators whose lcm passes int64, so the columns hold Python ints.
+    instance = make_instance(3, [[0, F(1, 2**61 - 1), 2], [0, 0, F(5, 2**31 - 1)], [1, 0, 0]])
+    schedule = ALGORITHMS["greedy"](instance, None)
+    instance.demands, schedule.steps  # cached views are dropped, not pickled
+    for obj in (instance, schedule, copy.deepcopy(schedule)):
+        again = pickle.loads(pickle.dumps(obj))
+        assert again == obj
+        assert "demands" not in vars(again) and "steps" not in vars(again)
+        columns = again._columns() if isinstance(obj, Schedule) else [again.scaled_demands[0]]
+        assert not any(c.flags.writeable for c in columns)
+    assert again.steps == schedule.steps
+
+
 def test_commodities_skips_zeros():
     inst = make_instance(3, [[0, 1, 0], [0, 0, F(1, 3)], [0, 0, 0]])
     assert list(inst.commodities()) == [(0, 1, F(1)), (1, 2, F(1, 3))]
@@ -78,14 +100,23 @@ def test_schedule_json_round_trip():
         2, [[Transfer(0, 1, 0, 1, F(1, 2))], [Transfer(0, 1, 0, 1, F(1, 2))]]
     )
     obj = sched.to_json()
-    assert obj["horizon"] == 2
-    assert obj["steps"][0]["transfers"][0] == {
-        "from": 0, "to": 1, "commodity": [0, 1], "amount": "1/2",
+    assert obj == {
+        "format": "coflow-columns-v1", "n": 2, "horizon": 2, "scale": 2,
+        "counts": [1, 1], "from": [0, 0], "to": [1, 1], "origin": [0, 0],
+        "dest": [1, 1], "amount": [1, 1],
     }
     again = Schedule.from_json(obj, 2)
     assert again == sched
-    # One Fraction per distinct amount string in a decoded document.
+    # One Fraction per distinct amount in the decoded schedule's view.
     assert again.steps[0].transfers[0].amount is again.steps[1].transfers[0].amount
+    # The row document earlier versions wrote reads as the same schedule.
+    rows = row_document(sched)
+    assert rows["steps"][0]["transfers"][0] == {
+        "from": 0, "to": 1, "commodity": [0, 1], "amount": "1/2",
+    }
+    assert Schedule.from_json(rows, 2) == sched
+    # Numerators over a multiple of the lowest scale are reduced to it.
+    assert Schedule.from_json({**obj, "scale": 6, "amount": [3, 3]}, 2) == sched
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -127,7 +158,8 @@ def test_schedule_from_steps_round_trip():
     assert sched.steps[0].transfers[0].amount is sched.steps[2].transfers[3].amount
     assert sched == schedule_from_steps(3, steps)
     assert sched != schedule_from_steps(3, steps[:-1])
-    assert Schedule.from_json(sched.to_json(), 3) == sched
+    assert Schedule.from_json(json.loads(json.dumps(sched.to_json())), 3) == sched
+    assert Schedule.from_json(json.loads(json.dumps(row_document(sched))), 3) == sched
     small = schedule_from_steps(2, [[Transfer(0, 1, 0, 1, half)], []])
     assert small.src.dtype == small.amount.dtype == np.int64
     assert small.scale == 2
@@ -135,10 +167,66 @@ def test_schedule_from_steps_round_trip():
 
 def test_schedule_json_horizon_mismatch():
     sched = schedule_from_steps(2, [[Transfer(0, 1, 0, 1, F(1))]])
-    obj = sched.to_json()
-    obj["horizon"] = 5
-    with pytest.raises(StructuralError):
-        Schedule.from_json(obj, 2)
+    for obj in (sched.to_json(), row_document(sched)):
+        obj["horizon"] = 5
+        with pytest.raises(StructuralError, match="declared horizon"):
+            Schedule.from_json(obj, 2)
+
+
+# Ids beyond int64 and amounts over a 420-bit denominator: object columns.
+HUGE_ID = 2**70
+WIDE = 2**420 - 1
+
+
+@pytest.mark.parametrize("steps", [
+    [[Transfer(HUGE_ID, -HUGE_ID, 0, 1, F(1, 2))], [Transfer(0, 1, 0, 1, F(1, 2))]],
+    [[Transfer(0, 1, 0, 1, F(1, WIDE)), Transfer(1, 2, 1, 2, F(WIDE - 1, WIDE))],
+     [], [Transfer(2, 0, 2, 0, F(3))]],
+    [[Transfer(0, 1, 0, 1, F(2**80 + 1, 3)), Transfer(2, 1, 2, 1, F(5, 2**400))]],
+    [[], []],
+], ids=["huge-ids", "wide-denominator", "wide-numerator", "empty-steps"])
+def test_object_columns_round_trip_through_the_column_document(steps):
+    sched = schedule_from_steps(3, steps)
+    assert any(c.dtype == object for c in (sched.src, sched.amount)) or not sched.step.size
+    for doc in (sched.to_json(), row_document(sched)):
+        again = Schedule.from_json(json.loads(json.dumps(doc)), 3)
+        assert again == sched
+        assert again.scale == sched.scale
+        assert [c.dtype for c in again._columns()] == [c.dtype for c in sched._columns()]
+
+
+def round_trip_instances():
+    """(instance, load) for every family, size and load below, and a
+    16-node instance over primes between 100 and 400, whose common
+    denominator passes 350 bits, so that amount columns hold Python ints."""
+    for family in FAMILIES:
+        for n in (4, 9, 16):
+            for load in (F(1, 2), F(2), F(7, 3), F(16)):
+                yield generate(family, n, load, seed=n), load
+    rng = random.Random(1)
+    primes = [p for p in range(100, 400) if all(p % k for k in range(2, 20))]
+    yield make_instance(16, [
+        [F(0) if i == j or rng.random() < 0.5
+         else F(rng.randint(1, 13), rng.choice(primes)) for j in range(16)]
+        for i in range(16)
+    ]), None
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_every_schedule_round_trips_through_both_documents(algorithm):
+    checked = 0
+    for instance, load in round_trip_instances():
+        try:
+            schedule = ALGORITHMS[algorithm](instance, load)
+        except CoflowError:  # a size or regime the scheme does not support
+            continue
+        for doc in (schedule.to_json(), row_document(schedule)):
+            again = Schedule.from_json(json.loads(json.dumps(doc)), instance.n)
+            # A bare bool: pytest's diff of two schedules is slow to build.
+            same = again == schedule and again.scale == schedule.scale
+            assert same, (instance.n, load)
+        checked += 1
+    assert checked >= 8
 
 
 def test_metrics_counts_only_final_arrivals():
