@@ -1,0 +1,238 @@
+#!/usr/bin/env python3
+"""Time the wire, greedy and CLI stages on a fixed ladder of instances, each
+case in its own process so that its peak RSS is its own.
+
+Usage (from the repository root):
+
+    python3 scripts/bench_ladder.py --out BENCH.json [--parent PATH] [--repeats 3]
+
+The cases:
+
+* ``instance-uniform-1024``, ``instance-random-sparse-1024``: write the
+  instance file (``dump_instance``) and read it back (``load_instance``),
+  at n=1024, B=2 (random-sparse with seed 1);
+* ``trace-uniform-1024``: greedy trace encode (``json.dumps`` of
+  ``GreedyTrace.to_json``) and decode (``GreedyTrace.from_json`` of
+  ``json.loads``) at uniform n=1024, B=2;
+* ``greedy-certificate-uniform-256``: greedy, then building and checking the
+  dual certificate, at uniform n=256, B=8;
+* ``cli-hypercube-256``: ``coflow generate``, ``schedule``, ``verify`` and
+  ``metrics`` through files at n=256, B=2, in-process.
+
+Each stage is timed ``--repeats`` times with the garbage collector on;
+the record keeps every sample and their median. ``--parent PATH`` runs every
+case also against the checkout at PATH (its ``src/``), alternating with this
+one, and records both sides. The stamp names each side's commit, the Python
+and numpy versions, the CPU and the cores this process may use.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from contextlib import redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = (
+    "instance-uniform-1024",
+    "instance-random-sparse-1024",
+    "trace-uniform-1024",
+    "greedy-certificate-uniform-256",
+    "cli-hypercube-256",
+)
+
+
+def timed(fn, repeats: int) -> dict:
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return {"median": statistics.median(samples), "samples": samples}
+
+
+def instance_case(family: str, repeats: int, tmp: str) -> dict:
+    from coflow import generators, model
+
+    inst = generators.generate(family, 1024, Fraction(2), 1)
+    path = os.path.join(tmp, "inst.json")
+    write = timed(lambda: model.dump_instance(inst, path), repeats)
+    read = timed(lambda: model.load_instance(path), repeats)
+    return {
+        "stages_s": {"write": write, "read": read},
+        "bytes": os.path.getsize(path),
+        "ok": model.load_instance(path) == inst,
+    }
+
+
+def trace_case(repeats: int, tmp: str) -> dict:
+    from coflow import direct, model
+
+    inst = model.uniform_instance(1024, Fraction(2))
+    _, trace = direct.greedy_schedule(inst)
+    text = json.dumps(trace.to_json())
+    encode = timed(lambda: json.dumps(trace.to_json()), repeats)
+    decode = timed(lambda: direct.GreedyTrace.from_json(json.loads(text), inst), repeats)
+    again = direct.GreedyTrace.from_json(json.loads(text), inst)
+    return {
+        "stages_s": {"encode": encode, "decode": decode},
+        "bytes": len(text),
+        "ok": again.matchings == trace.matchings and again.scale == trace.scale,
+    }
+
+
+def greedy_case(repeats: int, tmp: str) -> dict:
+    from coflow import certificates, direct, model
+
+    inst = model.uniform_instance(256, Fraction(8))
+    runs = []
+    greedy = timed(lambda: runs.append(direct.greedy_schedule(inst)[1]), repeats)
+
+    def certify():
+        trace = runs.pop()  # a fresh trace each time: the replay is cached
+        report = certificates.check_certificate(
+            inst, trace, certificates.build_certificate(trace)
+        )
+        reports.append(report.ok)
+
+    reports = []
+    certificate = timed(certify, repeats)
+    return {"stages_s": {"greedy": greedy, "certificate": certificate}, "ok": all(reports)}
+
+
+def cli_case(repeats: int, tmp: str) -> dict:
+    from coflow import cli
+
+    inst, sched = os.path.join(tmp, "inst.json"), os.path.join(tmp, "sched.json")
+    files = ["--instance", inst, "--schedule", sched]
+    commands = {
+        "generate": ["generate", "--n", "256", "--B", "2", "--out", inst],
+        "schedule": ["schedule", "--algorithm", "hypercube", "--instance", inst, "--out", sched],
+        "verify": ["verify", *files],
+        "metrics": ["metrics", *files],
+    }
+    codes = []
+
+    def command(argv):
+        with redirect_stdout(io.StringIO()):
+            codes.append(cli.main(argv))
+
+    # Each command reads the file the one before it wrote, so the four run
+    # in order, once per repeat.
+    stages = {name: [] for name in commands}
+    for _ in range(repeats):
+        for name, argv in commands.items():
+            stages[name].append(timed(lambda: command(argv), 1)["samples"][0])
+    return {
+        "stages_s": {
+            name: {"median": statistics.median(s), "samples": s} for name, s in stages.items()
+        },
+        "bytes": os.path.getsize(sched),
+        "ok": not any(codes),
+    }
+
+
+def run_case(case: str, repeats: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        if case.startswith("instance-"):
+            out = instance_case(case[len("instance-"):-len("-1024")], repeats, tmp)
+        elif case == "trace-uniform-1024":
+            out = trace_case(repeats, tmp)
+        elif case == "greedy-certificate-uniform-256":
+            out = greedy_case(repeats, tmp)
+        else:
+            out = cli_case(repeats, tmp)
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out
+
+
+def stamp(checkout: Path) -> dict:
+    """The commit checked out at ``checkout``, and whether its ``src/``
+    differs from that commit."""
+    git = lambda *a: subprocess.run(["git", "-C", str(checkout), *a],
+                                    capture_output=True, text=True).stdout.strip()
+    return {"sha": git("rev-parse", "HEAD") or None,
+            "src_modified": bool(git("status", "--porcelain", "--", "src"))}
+
+
+def machine() -> dict:
+    import numpy
+
+    cpu = platform.processor() or None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpu": cpu,
+        "usable_cores": len(os.sched_getaffinity(0)),
+    }
+
+
+def in_subprocess(case: str, checkout: Path, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argv = [sys.executable, str(Path(__file__).resolve()), "--case", case,
+            "--repeats", str(repeats)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+    if done.returncode != 0:
+        raise SystemExit(f"{case} on {checkout} failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", help="write the record here (default: print it)")
+    ap.add_argument("--parent", type=Path, help="a checkout to measure alongside")
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.case:  # one case, in this process
+        print(json.dumps(run_case(args.case, args.repeats)))
+        return 0
+
+    sides = {"change": ROOT}
+    if args.parent:
+        sides["parent"] = args.parent.resolve()
+    record = {
+        "machine": machine(),
+        "repeats": args.repeats,
+        "sides": {name: stamp(path) for name, path in sides.items()},
+        "cases": {},
+    }
+    for case in CASES:
+        record["cases"][case] = {}
+        for name, path in sides.items():
+            result = in_subprocess(case, path, args.repeats)
+            record["cases"][case][name] = result
+            medians = ", ".join(
+                f"{stage} {s['median']:.3f} s" for stage, s in result["stages_s"].items()
+            )
+            print(f"{case:<32} {name:<7} {medians}; peak RSS {result['peak_rss_mb']:.1f} MB"
+                  f"{'' if result['ok'] else '; NOT OK'}", file=sys.stderr)
+    text = json.dumps(record, indent=1)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    ok = all(side["ok"] for sides_ in record["cases"].values() for side in sides_.values())
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

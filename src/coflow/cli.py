@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate, schedule, verify, metrics, certify, bounds,
-oracle, experiment, table1. Instances, traces and reports travel as JSON
-with rationals rendered as "p/q" strings; schedules travel as the column
-document of ``Schedule.to_json``, integer numerators over one scale.
+oracle, experiment, table1. Instances, schedules and greedy traces travel
+as integer documents (``Instance.to_json``, ``Schedule.to_json``,
+``GreedyTrace.to_json``): integer numerators over one scale. Reports
+render rationals as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from .model import (
 )
 from .rational import parse_rational
 from .verifier import verify
+
+# The most digits an integer may have in a file a command reads or in text
+# it writes. A document's scale is the lcm of its denominators, so it can
+# pass Python's default of 4,300 when no entry does.
+INT_DIGITS_CAP = 100_000
 
 
 def _emit(obj, args) -> None:
@@ -60,7 +66,7 @@ def cmd_generate(args) -> int:
     if args.out:
         dump_instance(instance, args.out)
     else:
-        _emit(instance.to_json(), args)
+        print(encode_json(instance.to_json()))
     return 0
 
 
@@ -209,12 +215,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command under Python's int-string limit raised to
+    ``INT_DIGITS_CAP``, and restore the caller's limit after."""
     args = build_parser().parse_args(argv)
+    # Pythons before 3.10.7 have no limit to raise.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(INT_DIGITS_CAP)
     try:
         return args.func(args)
     except (CoflowError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

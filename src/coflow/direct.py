@@ -18,12 +18,13 @@ denominator), and a node's cap of 1 is that scale.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import chain
+from functools import cached_property
+from itertools import accumulate, chain
 from math import ceil, gcd, lcm
-from operator import sub
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -31,12 +32,15 @@ import numpy as np
 from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
-    Blocks, Instance, Schedule, as_rows, commodity_columns, int_column, over_scale,
-    square_sums, unit_parcels,
+    INT64_MAX, Blocks, Instance, Schedule, as_rows, check_rows, commodity_columns,
+    int_column, integer_document, lowest_terms, node_ids, outside, square_sums, unit_parcels,
 )
-from .rational import parse_rational, render_rational
+from .rational import parse_rational
 
 ORDER_CHOICES = ("lex", "residual", "sums", "random")
+TRACE_FORMAT = "coflow-trace-v1"
+# The row columns of a trace document, in triple order.
+TRACE_COLUMNS = ("from", "to", "rate")
 
 
 class TraceReplay(NamedTuple):
@@ -107,70 +111,112 @@ class GreedyTrace:
     @property
     def residuals(self) -> tuple:
         """The residual ``Fraction`` matrix before each step, and after the
-        last: a read-only view, rebuilt from the matchings on each use."""
+        last: a read-only view, rebuilt from the matchings on each use. Each
+        step rebuilds only the rows its matching ships from, and every entry
+        comes from the instance's ``fractions`` memo, so equal entries of two
+        traces' views are the same object."""
         n = self.instance.n
+        value = self.instance.fractions(self.scale).__getitem__
         residual = self._demands()
-        out = []
-        for triples in [*self.matchings, ()]:
-            out.append(as_rows(over_scale(residual, self.scale), n))
+        view = list(as_rows(list(map(value, residual)), n))
+        rows = list(map(list, view))
+        out = [tuple(view)]
+        for triples in self.matchings:
             for i, j, p in triples:
-                residual[i * n + j] -= p
+                k = i * n + j
+                residual[k] -= p
+                rows[i][j] = value(residual[k])
+            for i in {i for i, _, _ in triples}:
+                view[i] = tuple(rows[i])
+            out.append(tuple(view))
         return tuple(out)
 
     def to_json(self) -> dict:
-        render = cache(lambda p: render_rational(Fraction(p, self.scale)))
-        return {
+        """The trace document: the triples in matching order as three
+        columns, ``counts[t]`` of them in matching t, each rate a numerator
+        over ``scale``. Every field is a JSON integer or a list of them."""
+        triples = list(chain.from_iterable(self.matchings))
+        doc = {
+            "format": TRACE_FORMAT,
             "n": self.instance.n,
-            "matchings": [
-                [[s, r, render(p)] for s, r, p in m]
-                for m in self.matchings
-            ],
+            "scale": self.scale,
+            "counts": list(map(len, self.matchings)),
         }
+        doc.update((key, list(map(itemgetter(k), triples))) for k, key in enumerate(TRACE_COLUMNS))
+        return doc
 
     @staticmethod
     def from_json(obj: dict, instance: Instance) -> "GreedyTrace":
-        """Read the matchings of a trace whose ``n`` is ``instance.n``; any
-        stored residuals are ignored. The scale is the lcm of the instance's
-        denominator and the rates'. Each matching must be a fractional
-        matching (see ``_check_matching``)."""
+        """Read a trace document, or the matchings document earlier versions
+        wrote (``{"n", "matchings"}``, one ``[sender, receiver, "p/q"]`` list
+        per triple, and no ``format`` key); any stored residuals are ignored.
+        The scale is the lcm of the instance's denominator and the rates'
+        lowest one. Each matching must be a fractional matching (see
+        ``_check_matching``) of nodes in 0..n-1."""
         n = instance.n
-        if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] != n:
-            raise StructuralError(f"greedy trace does not name the instance's n={n}")
-        raw = obj.get("matchings")
-        if not isinstance(raw, list):
-            raise StructuralError("greedy trace needs a list of matchings")
-        texts = {}  # each distinct rate, in order of first use
-        for t, trip in enumerate(raw):
-            if not isinstance(trip, list):
-                raise StructuralError(f"matching {t} is not a list of triples")
-            for x in trip:
-                if not (isinstance(x, list) and len(x) == 3 and type(x[0]) is int
-                        and type(x[1]) is int and type(x[2]) in (str, int)):
-                    raise StructuralError(
-                        f"matching {t}: {x!r} is not [sender, receiver, rate]"
-                    )
-                if not (0 <= x[0] < n and 0 <= x[1] < n):
-                    raise StructuralError(
-                        f"matching {t}: node outside 0..{n - 1} in {x!r}"
-                    )
-                texts[x[2]] = None
-        rates = {p: parse_rational(p) for p in texts}
-        scale = lcm(instance.scaled_demands[1], *(q.denominator for q in rates.values()))
-        num = {p: q.numerator * (scale // q.denominator) for p, q in rates.items()}
-        matchings = []
-        for trip in raw:
-            triples = tuple((s, r, num[p]) for s, r, p in trip)
-            _check_matching(triples, n, scale)
-            matchings.append(triples)
-        return GreedyTrace(instance, scale, tuple(matchings))
+        if isinstance(obj, dict) and "format" in obj:
+            declared, scale, counts, *columns = integer_document(
+                obj, "trace", TRACE_FORMAT, ("n", "scale"), ("counts", *TRACE_COLUMNS)
+            )
+            check_rows("trace", declared, n, counts, columns)
+        else:
+            counts, columns, scale = _matchings_document(obj, n)
+        senders, receivers, rates = columns
+        rates, scale = lowest_terms(rates, scale)
+        common = lcm(instance.scaled_demands[1], scale)
+        if common != scale:
+            rates = [x * (common // scale) for x in rates]
+        bounds = list(accumulate(counts, initial=0))
+        nodes = [node_ids(int_column(c), n) for c in (senders, receivers)]
+        bad = outside(nodes[0], n) | outside(nodes[1], n)
+        if bad.any():
+            r = int(bad.argmax())
+            raise StructuralError(
+                f"matching {bisect_right(bounds, r) - 1}: node outside 0..{n - 1}"
+                f" in ({senders[r]},{receivers[r]})"
+            )
+        if not _clearly_matchings(counts, *nodes, rates, n, common):
+            for a, b in zip(bounds, bounds[1:]):
+                _check_matching(senders[a:b], receivers[a:b], rates[a:b], n, common)
+        triples = list(zip(senders, receivers, rates))
+        matchings = tuple(tuple(triples[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return GreedyTrace(instance, common, matchings)
 
 
-def _check_matching(triples: tuple[tuple[int, int, int], ...], n: int, cap: int) -> None:
-    """Refuse a self-loop, a non-positive rate, a repeated pair, or a node
-    whose rates in or out add up to more than ``cap``, a rate of 1."""
+def _matchings_document(obj, n: int) -> tuple[list[int], list[list[int]], int]:
+    """The counts, the sender, receiver and rate columns, and the rates'
+    scale, of a matchings document: rates are parsed once per distinct
+    ``"p/q"`` and written over the lcm of their denominators."""
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] != n:
+        raise StructuralError(f"greedy trace does not name the instance's n={n}")
+    raw = obj.get("matchings")
+    if not isinstance(raw, list):
+        raise StructuralError("greedy trace needs a list of matchings")
+    for t, trip in enumerate(raw):
+        if not isinstance(trip, list):
+            raise StructuralError(f"matching {t} is not a list of triples")
+        for x in trip:
+            if not (isinstance(x, list) and len(x) == 3 and type(x[0]) is int
+                    and type(x[1]) is int and type(x[2]) in (str, int)):
+                raise StructuralError(
+                    f"matching {t}: {x!r} is not [sender, receiver, rate]"
+                )
+    rows = list(chain.from_iterable(raw))
+    rates = {p: parse_rational(p) for p in set(map(itemgetter(2), rows))}
+    scale = lcm(*(q.denominator for q in rates.values()))
+    num = {p: q.numerator * (scale // q.denominator) for p, q in rates.items()}
+    columns = [list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows)),
+               [num[x[2]] for x in rows]]
+    return list(map(len, raw)), columns, scale
+
+
+def _check_matching(senders: list, receivers: list, rates: list, n: int, cap: int) -> None:
+    """Refuse a matching, given as columns, with a self-loop, a non-positive
+    rate, a repeated pair, or a node whose rates in or out add up to more
+    than ``cap``, a rate of 1."""
     seen = set()
     out, into = [0] * n, [0] * n
-    for s, r, p in triples:
+    for s, r, p in zip(senders, receivers, rates):
         if s == r:
             raise StructuralError(f"self-loop ({s},{r}) in fractional matching")
         if p <= 0:
@@ -183,6 +229,35 @@ def _check_matching(triples: tuple[tuple[int, int, int], ...], n: int, cap: int)
     for v, total in chain(enumerate(out), enumerate(into)):
         if total > cap:
             raise StructuralError(f"node {v} exceeds matching cap 1")
+
+
+def _clearly_matchings(counts: list, s: np.ndarray, r: np.ndarray, rates: list,
+                       n: int, cap: int) -> bool:
+    """True when one int64 pass over the whole trace shows every matching to
+    keep ``_check_matching``'s rules. False when a matching breaks one, and
+    when a rate or a node's total might not fit in int64 or the table of
+    (matching, node) totals would outgrow the rows: ``_check_matching`` then
+    looks at each matching. ``s`` and ``r`` are the sender and receiver
+    columns, int64 and in 0..n-1."""
+    if not rates:
+        return True
+    steps = len(counts)
+    rate = int_column(rates)
+    if (rate.dtype == object or steps * n > 16 * len(rates) or steps * n * n > INT64_MAX
+            or int(rate.max()) * max(counts) > INT64_MAX):
+        return False
+    if (s == r).any() or (rate <= 0).any():
+        return False
+    first = np.repeat(np.arange(0, steps * n, n, dtype=np.int64), counts)  # step * n
+    pairs = np.sort((first + s) * n + r)
+    if (pairs[1:] == pairs[:-1]).any():
+        return False
+    for nodes in (s, r):
+        total = np.zeros(steps * n, np.int64)
+        np.add.at(total, first + nodes, rate)
+        if int(total.max()) > cap:
+            return False
+    return True
 
 
 def _not_maximal(t, residual, n, sent, received, cap) -> str | None:

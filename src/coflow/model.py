@@ -5,7 +5,9 @@ common denominator, and a schedule is columnar: int64 step and node columns
 plus integer amount numerators over one common denominator, so that the
 verifier and the metrics read it in whole-schedule numpy passes.
 :class:`fractions.Fraction` appears only in derived values, in read-only
-views and at the wire.
+views, which take their entries from one memo per instance, and in the
+``"p/q"`` documents earlier versions wrote: instance and schedule files
+are integer documents.
 Every scheduler builds its columns through :class:`Blocks`, from the
 commodity columns of :func:`commodity_columns` and an amount table;
 ``Schedule.steps`` is a view that gives the rows back as ``Transfer``
@@ -35,11 +37,12 @@ from .errors import (
     NegativeDemandError,
     StructuralError,
 )
-from .rational import parse_rational, rational_parser, rational_renderer, render_rational
+from .rational import parse_rational, rational_parser, rational_renderer
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 INT64_MAX = 2**63 - 1
 COLUMNS_FORMAT = "coflow-columns-v1"
+INSTANCE_FORMAT = "coflow-instance-v1"
 # The row columns of a column document, in the order of Schedule's fields.
 ROW_COLUMNS = ("from", "to", "origin", "dest", "amount")
 
@@ -61,6 +64,18 @@ def as_rows(flat: list, n: int) -> Matrix:
     return tuple(tuple(flat[a:a + n]) for a in range(0, n * n, n))
 
 
+class FractionMemo(dict):
+    """``Fraction(x, scale)`` by numerator x, each made on its first lookup
+    and the same object at every later one."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        return self.setdefault(x, Fraction(x, self.scale))
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """A coflow instance: node count and exact demands.
@@ -71,6 +86,10 @@ class Instance:
     maximum row or column sum of the demands, a lower bound on the makespan
     of any feasible schedule. :attr:`demands` is a ``Fraction`` view of the
     column. Instances compare by their columns, like schedules.
+
+    Every ``Fraction`` view of the instance and of its greedy traces draws
+    its entries from one memo held here (:meth:`fractions`), so equal
+    entries of two views are the same object.
     """
 
     n: int
@@ -92,11 +111,20 @@ class Instance:
         return (self.n, scale, a.dtype) == (other.n, other_scale, b.dtype) and np.array_equal(a, b)
 
     @cached_property
+    def _fractions(self) -> dict[int, FractionMemo]:
+        return {}
+
+    def fractions(self, scale: int) -> FractionMemo:
+        """The instance's memo of ``Fraction(x, scale)``, by numerator x: a
+        cached view, like :attr:`demands`, and not pickled."""
+        return self._fractions.setdefault(scale, FractionMemo(scale))
+
+    @cached_property
     def demands(self) -> Matrix:
-        """The demand matrix, one ``Fraction`` per distinct demand: a
+        """The demand matrix, its entries from :meth:`fractions`: a
         read-only view, built on first use."""
         column, scale = self.scaled_demands
-        return as_rows(over_scale(column.tolist(), scale), self.n)
+        return as_rows(list(map(self.fractions(scale).__getitem__, column.tolist())), self.n)
 
     @property
     def total_demand(self) -> Fraction:
@@ -105,18 +133,31 @@ class Instance:
 
     def commodities(self) -> Iterable[tuple[int, int, Fraction]]:
         """(origin, destination, demand) for every positive demand, row-major,
-        one ``Fraction`` per distinct demand."""
+        the demands from :meth:`fractions`."""
         origin, dest, demand, scale = commodity_columns(self)
-        return zip(origin.tolist(), dest.tolist(), over_scale(demand.tolist(), scale))
+        memo = self.fractions(scale)
+        return zip(origin.tolist(), dest.tolist(), map(memo.__getitem__, demand.tolist()))
 
     def to_json(self) -> dict:
+        """The instance document: the demands, row-major, as integer
+        numerators over ``scale``."""
         column, scale = self.scaled_demands
-        text = over_scale(column.tolist(), scale, render_rational)
-        n = self.n
-        return {"n": n, "demands": [text[a:a + n] for a in range(0, n * n, n)]}
+        return {"format": INSTANCE_FORMAT, "n": self.n, "scale": scale,
+                "demands": column.tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
+        """Read an instance document, or the matrix document earlier versions
+        wrote (``{"n", "demands"}``, one ``"p/q"`` string per entry, and no
+        ``format`` key)."""
+        if isinstance(obj, dict) and "format" in obj:
+            n, scale, demands = integer_document(
+                obj, "instance", INSTANCE_FORMAT, ("n", "scale"), ("demands",)
+            )
+            if len(demands) != n * n:
+                raise DimensionError(f"demand matrix is not {n}x{n}")
+            demands, scale = lowest_terms(demands, scale)
+            return _column_instance(n, int_column(demands), scale)
         parse = rational_parser()
         try:
             demands = [[parse(x) for x in row] for row in obj["demands"]]
@@ -335,39 +376,61 @@ class Schedule:
         return Schedule(n, horizon, step, *nodes, amount, scale)
 
 
+def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: tuple) -> list:
+    """The values of ``scalars`` and then ``columns`` in ``obj``, a document
+    whose ``format`` must be ``form``, checked before anything converts them:
+    each scalar a JSON integer and each column a list of them (bool, float,
+    string and null refused: np.int64 would truncate 1.9 and take true for
+    a node), and a ``scale`` scalar at least 1. Each failure raises
+    ``StructuralError`` naming ``kind``."""
+    if obj["format"] != form:
+        raise StructuralError(f"unknown {kind} format {obj['format']!r:.60}")
+    try:
+        values = [obj[key] for key in (*scalars, *columns)]
+    except KeyError as exc:
+        raise StructuralError(f"malformed {kind}: no {exc} key") from exc
+    if not all(type(x) is int for x in values[:len(scalars)]):
+        names = ", ".join(scalars[:-1]) + " and " + scalars[-1]
+        raise StructuralError(f"malformed {kind}: {names} must be integers")
+    for key, column in zip(columns, values[len(scalars):]):
+        if type(column) is not list or not set(map(type, column)) <= {int}:
+            raise StructuralError(f"malformed {kind}: {key} is not a list of integers")
+    if "scale" in scalars and obj["scale"] < 1:
+        raise StructuralError(f"{kind} scale must be positive, got {obj['scale']}")
+    return values
+
+
+def check_rows(kind: str, declared: int, n: int, counts: list, columns: list) -> None:
+    """Refuse a document for another ``n`` than the instance's, row columns
+    of different lengths, or ``counts`` with a negative entry or a sum other
+    than the row count."""
+    if declared != n:
+        raise StructuralError(f"{kind} is for n={declared}, the instance has n={n}")
+    rows = len(columns[0])
+    if any(len(column) != rows for column in columns):
+        raise StructuralError(f"malformed {kind}: the row columns differ in length")
+    if min(counts, default=0) < 0 or sum(counts) != rows:
+        raise StructuralError(f"malformed {kind}: counts do not add up to {rows} rows")
+
+
+def lowest_terms(nums: list[int], scale: int) -> tuple[list[int], int]:
+    """Numerators over ``scale`` as the same values over the lowest scale."""
+    common = gcd(scale, *nums)
+    if common == 1:
+        return nums, scale
+    return [x // common for x in nums], scale // common
+
+
 def _schedule_from_columns(obj: dict, n: int) -> Schedule:
     """Check a column document's types and shape, then build its Schedule
     over the lowest scale of its amounts."""
-    if obj["format"] != COLUMNS_FORMAT:
-        raise StructuralError(f"unknown schedule format {obj['format']!r:.60}")
-    try:
-        declared, horizon, scale, counts, *columns = (
-            obj[key] for key in ("n", "horizon", "scale", "counts", *ROW_COLUMNS)
-        )
-    except KeyError as exc:
-        raise StructuralError(f"malformed schedule: no {exc} key") from exc
-    # Types first: np.int64 would truncate 1.9 and take true for a node.
-    if not all(type(x) is int for x in (declared, horizon, scale)):
-        raise StructuralError("malformed schedule: n, horizon and scale must be integers")
-    for key, column in zip(("counts", *ROW_COLUMNS), (counts, *columns)):
-        if type(column) is not list or not set(map(type, column)) <= {int}:
-            raise StructuralError(f"malformed schedule: {key} is not a list of integers")
-    if declared != n:
-        raise StructuralError(f"schedule is for n={declared}, the instance has n={n}")
-    if scale < 1:
-        raise StructuralError(f"schedule scale must be positive, got {scale}")
-    rows = len(columns[0])
-    if any(len(column) != rows for column in columns):
-        raise StructuralError("malformed schedule: the row columns differ in length")
+    declared, horizon, scale, counts, *columns = integer_document(
+        obj, "schedule", COLUMNS_FORMAT, ("n", "horizon", "scale"), ("counts", *ROW_COLUMNS)
+    )
     if len(counts) != horizon:
         raise StructuralError("declared horizon does not match step count")
-    if min(counts, default=0) < 0 or sum(counts) != rows:
-        raise StructuralError(f"malformed schedule: counts do not add up to {rows} rows")
-    amount = columns.pop()
-    common = gcd(scale, *amount)
-    if common > 1:
-        scale //= common
-        amount = [x // common for x in amount]
+    check_rows("schedule", declared, n, counts, columns)
+    amount, scale = lowest_terms(columns.pop(), scale)
     step = np.repeat(np.arange(horizon, dtype=np.int64), counts)
     return Schedule(n, horizon, step, *map(int_column, columns), int_column(amount), scale)
 
@@ -525,21 +588,22 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     )
 
 
-def encode_json(obj, indent: int | None = None) -> str:
-    """``json.dumps(obj, indent=indent)``. An integer beyond Python's
-    int-string limit (4,300 digits by default; a schedule's scale can pass
-    it) raises ``StructuralError``."""
+def encode_json(obj) -> str:
+    """``json.dumps(obj)``, one line. An integer beyond Python's int-string
+    limit (4,300 digits by default, ``cli.INT_DIGITS_CAP`` in a command; a
+    document's scale can pass it when no entry does) raises
+    ``StructuralError``."""
     try:
-        return json.dumps(obj, indent=indent)
+        return json.dumps(obj)
     except ValueError as exc:
         raise StructuralError(f"cannot encode as JSON: {exc}") from exc
 
 
-def write_json(obj, path: str, indent: int | None = None) -> None:
+def write_json(obj, path: str) -> None:
     """Write ``obj`` as one :func:`encode_json` string in one write:
     ``json.dump`` encodes in pure Python and writes once per token, for the
     same bytes."""
-    text = encode_json(obj, indent)
+    text = encode_json(obj)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -547,7 +611,8 @@ def write_json(obj, path: str, indent: int | None = None) -> None:
 def read_json(path: str):
     """The JSON document in ``path``. Text that does not decode (not UTF-8,
     not JSON, or an integer literal beyond Python's int-string limit, 4,300
-    digits by default) raises ``StructuralError``."""
+    digits by default and ``cli.INT_DIGITS_CAP`` in a command) raises
+    ``StructuralError``."""
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -560,7 +625,7 @@ def load_instance(path: str) -> Instance:
 
 
 def dump_instance(instance: Instance, path: str) -> None:
-    write_json(instance.to_json(), path, indent=2)
+    write_json(instance.to_json(), path)
 
 
 def load_schedule(path: str, n: int) -> Schedule:

@@ -1,7 +1,7 @@
 """Parsing and rendering of exact rationals.
 
-All quantities in this package are :class:`fractions.Fraction`; the wire
-format is "p/q" (or just "p" for integers).
+Reports, and the documents earlier versions wrote, render a rational as
+"p/q" (or just "p" for an integer).
 """
 
 from __future__ import annotations
@@ -34,11 +34,15 @@ def rational_parser() -> Callable[[object], Fraction]:
 
 
 def render_rational(q: Fraction | int) -> str:
-    """Render a rational as "p/q", or "p" when it is an integer."""
+    """Render a rational as "p/q", or "p" when it is an integer. A part of
+    more digits than Python's int-string limit raises ``StructuralError``."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise StructuralError(f"cannot render a rational: {exc}") from exc
 
 
 def rational_renderer() -> Callable[[Fraction | int], str]:

@@ -5,8 +5,9 @@ Each loop builds one ``Transfer`` of ``Fraction``s per row, collects the
 rows per step and hands them to ``schedule_from_steps``, which builds the
 columns row by row: the loops the schedulers ran before they emitted columns,
 so the reference gives the rows, their amounts and their order.
-``row_document`` writes the row document that earlier versions of
-``Schedule.to_json`` wrote, for the reader's tests.
+``row_document`` and ``matrix_document`` write the documents that earlier
+versions of ``Schedule.to_json`` and ``Instance.to_json`` wrote, for the
+readers' tests.
 """
 
 from fractions import Fraction
@@ -148,3 +149,11 @@ def row_document(schedule):
         "horizon": schedule.horizon,
         "steps": [{"transfers": rows[a:b]} for a, b in zip(bounds, bounds[1:])],
     }
+
+
+def matrix_document(instance):
+    """The matrix document earlier versions wrote for ``instance``: one
+    ``"p/q"`` string per entry, row by row, with no ``format`` key.
+    ``Instance.from_json`` still reads it."""
+    return {"n": instance.n,
+            "demands": [[render_rational(x) for x in row] for row in instance.demands]}

@@ -5,16 +5,19 @@ import copy
 import io
 import json
 import os
+import sys
 import tempfile
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_rows import row_document
 
-from coflow.cli import main
+from coflow import cli
+from coflow.cli import INT_DIGITS_CAP, main
 from coflow.direct import GreedyTrace
 from coflow.experiment import CSV_COLUMNS, SCHEMA_VERSION
-from coflow.model import Schedule, load_instance, load_schedule
+from coflow.model import Instance, Schedule, load_instance, load_schedule
 
 
 def run(capsys, *argv):
@@ -448,7 +451,8 @@ def _columns(**fields):
             "dest": [1, 1], "amount": [1, 1], **fields}
 
 
-BIG_LITERAL = "1" * 4301
+# One digit more than a command lets an integer have.
+BIG_LITERAL = "1" * (INT_DIGITS_CAP + 1)
 
 
 def test_column_document_fixture_is_feasible(tmp_path, capsys):
@@ -498,9 +502,115 @@ def test_malformed_column_document_is_exit_two(tmp_path, capsys, doc, message):
         assert err.startswith("error: ") and message in err, err
 
 
+def _instance_doc(**fields):
+    """GOOD_INSTANCE as an instance document, with ``fields`` replaced."""
+    return {"format": "coflow-instance-v1", "n": 2, "scale": 1, "demands": [0, 1, 0, 0],
+            **fields}
+
+
+def _trace_doc(**fields):
+    """A one-matching trace document for GOOD_INSTANCE, with ``fields``
+    replaced."""
+    return {"format": "coflow-trace-v1", "n": 2, "scale": 1, "counts": [1],
+            "from": [0], "to": [1], "rate": [1], **fields}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def test_integer_document_fixtures_certify(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    trace = tmp_path / "trace.json"
+    inst.write_text(json.dumps(_instance_doc()))
+    trace.write_text(json.dumps(_trace_doc()))
+    code, out, _ = run(capsys, "certify", "--instance", str(inst), "--trace", str(trace))
+    assert (code, json.loads(out)["check"]["ok"]) == (0, True)
+    assert load_instance(str(inst)) == Instance.from_json(GOOD_INSTANCE)
+
+
+WRONG_INTEGERS = {"bool": True, "float": 1.0, "string": "1", "null": None}
+
+
+@pytest.mark.parametrize("doc,message", [
+    pytest.param(_instance_doc(format="coflow-instance-v2"), "unknown instance format",
+                 id="format-v2"),
+    pytest.param(_without(_instance_doc(), "scale"), "no 'scale' key", id="no-scale"),
+    pytest.param(_without(_instance_doc(), "demands"), "no 'demands' key", id="no-demands"),
+    *(pytest.param(_instance_doc(n=v), "n and scale must be integers", id=f"n-{k}")
+      for k, v in WRONG_INTEGERS.items()),
+    *(pytest.param(_instance_doc(scale=v), "n and scale must be integers", id=f"scale-{k}")
+      for k, v in WRONG_INTEGERS.items()),
+    *(pytest.param(_instance_doc(demands=[0, v, 0, 0]), "demands is not a list of integers",
+                   id=f"demand-{k}") for k, v in WRONG_INTEGERS.items()),
+    pytest.param(_instance_doc(demands=1), "demands is not a list", id="demands-not-list"),
+    pytest.param(_instance_doc(scale=0), "instance scale must be positive", id="scale-zero"),
+    pytest.param(_instance_doc(scale=-1), "instance scale must be positive", id="scale-negative"),
+    pytest.param(_instance_doc(n=3), "not 3x3", id="n-vs-demands"),
+    pytest.param(_instance_doc(demands=[0, 1, 0]), "not 2x2", id="short-demands"),
+    pytest.param(_instance_doc(n=1, demands=[0]), "at least 2 nodes", id="one-node"),
+    pytest.param(_instance_doc(n=-2), "at least 2 nodes", id="negative-n"),
+    pytest.param(_instance_doc(demands=[0, -1, 0, 0]), "negative demand at (0,1)",
+                 id="negative-demand"),
+    pytest.param(_instance_doc(demands=[1, 1, 0, 0]), "nonzero diagonal", id="diagonal"),
+])
+def test_malformed_instance_document_is_exit_two(tmp_path, capsys, doc, message):
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    trace = tmp_path / "trace.json"
+    inst.write_text(json.dumps(doc))
+    sched.write_text(json.dumps(_columns()))
+    trace.write_text(json.dumps(_trace_doc()))
+    for argv in (["verify", "--schedule", str(sched)], ["metrics", "--schedule", str(sched)],
+                 ["certify", "--trace", str(trace)]):
+        code, out, err = run(capsys, *argv, "--instance", str(inst))
+        assert (code, out) == (2, ""), argv[0]
+        assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("doc,message", [
+    pytest.param(_trace_doc(format="coflow-trace-v2"), "unknown trace format", id="format-v2"),
+    pytest.param(_trace_doc(format=None), "unknown trace format", id="format-null"),
+    *(pytest.param(_without(_trace_doc(), key), f"no '{key}' key", id=f"no-{key}")
+      for key in ("n", "scale", "counts", "from", "to", "rate")),
+    *(pytest.param(_trace_doc(n=v), "n and scale must be integers", id=f"n-{k}")
+      for k, v in WRONG_INTEGERS.items()),
+    *(pytest.param(_trace_doc(scale=v), "n and scale must be integers", id=f"scale-{k}")
+      for k, v in WRONG_INTEGERS.items()),
+    *(pytest.param(_trace_doc(**{key: [v]}), f"{key} is not a list of integers",
+                   id=f"{key}-{k}")
+      for key in ("counts", "from", "to", "rate") for k, v in WRONG_INTEGERS.items()),
+    pytest.param(_trace_doc(rate=1), "rate is not a list", id="rate-not-list"),
+    pytest.param(_trace_doc(n=3), "trace is for n=3, the instance has n=2", id="n-mismatch"),
+    pytest.param(_trace_doc(scale=0), "trace scale must be positive", id="scale-zero"),
+    pytest.param(_trace_doc(scale=-2), "trace scale must be positive", id="scale-negative"),
+    pytest.param(_trace_doc(counts=[2, -1]), "counts do not add up to 1 rows",
+                 id="negative-count"),
+    pytest.param(_trace_doc(counts=[2]), "counts do not add up to 1 rows", id="counts-sum"),
+    pytest.param(_trace_doc(to=[1, 0]), "differ in length", id="length-mismatch"),
+    pytest.param(_trace_doc(to=[2]), "matching 0: node outside 0..1 in (0,2)", id="node-high"),
+    pytest.param(_trace_doc(counts=[0, 1], **{"from": [-1]}),
+                 "matching 1: node outside 0..1 in (-1,1)", id="node-negative"),
+    pytest.param(_trace_doc(to=[2**70]), "node outside 0..1", id="node-beyond-int64"),
+    pytest.param(_trace_doc(to=[0]), "self-loop (0,0)", id="self-loop"),
+    pytest.param(_trace_doc(rate=[0]), "non-positive rate on (0,1)", id="zero-rate"),
+    pytest.param(_trace_doc(rate=[2]), "node 0 exceeds matching cap 1", id="over-cap"),
+    pytest.param(_trace_doc(scale=2, counts=[2], **{"from": [0, 0]}, to=[1, 1], rate=[1, 1]),
+                 "duplicate pair (0,1)", id="duplicate-pair"),
+])
+def test_malformed_trace_document_is_exit_two(tmp_path, capsys, doc, message):
+    inst = tmp_path / "inst.json"
+    trace = tmp_path / "trace.json"
+    inst.write_text(json.dumps(GOOD_INSTANCE))
+    trace.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", "--instance", str(inst), "--trace", str(trace))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_big_integer_literal_is_exit_two_in_every_file(tmp_path, capsys):
-    # Python refuses to parse an integer of more than 4,300 digits; each
-    # reader turns that into bad input, not a failed check.
+    # A command refuses to parse an integer of more than INT_DIGITS_CAP
+    # digits; each reader turns that into bad input, not a failed check.
     inst = tmp_path / "inst.json"
     big = tmp_path / "big.json"
     inst.write_text(json.dumps(GOOD_INSTANCE))
@@ -515,19 +625,75 @@ def test_big_integer_literal_is_exit_two_in_every_file(tmp_path, capsys):
         assert "integer string conversion" in err, argv
 
 
-def test_schedule_beyond_the_integer_limit_is_exit_two(tmp_path, capsys):
-    # Each denominator has under 4,300 digits, but their lcm, the column
-    # document's scale, has more: the schedule cannot be written as JSON.
+# Each demand has under 4,300 digits (Python's default int-string limit), but
+# their lcm, the scale of every document that holds both, has 5,659.
+WIDE_DEMANDS = [["0", f"1/{3**6000}"], [f"1/{5**4000}", "0"]]
+
+
+@contextlib.contextmanager
+def int_digits(limit):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def test_commands_read_and_write_scales_past_the_default_limit(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     sched = tmp_path / "sched.json"
-    demands = [["0", f"1/{3**6000}"], [f"1/{5**4000}", "0"]]
-    inst.write_text(json.dumps({"n": 2, "demands": demands}))
+    inst.write_text(json.dumps({"n": 2, "demands": WIDE_DEMANDS}))
+    files = ("--instance", str(inst), "--schedule", str(sched))
+    with int_digits(4300):  # Python's default; each command restores it
+        code, _, _ = run(capsys, "schedule", "--algorithm", "round-robin",
+                         "--instance", str(inst), "--out", str(sched))
+        assert code == 0
+        code, verify_out, _ = run(capsys, "verify", *files)
+        assert code == 0
+        code, metrics_out, _ = run(capsys, "metrics", *files)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300
+    with int_digits(0):
+        assert json.loads(sched.read_text())["scale"] == 3**6000 * 5**4000
+        report = json.loads(verify_out)
+        assert report["feasible"] is True
+        assert F(report["max_edge_load"]) == F(1, 5**4000)
+        metrics = json.loads(metrics_out)
+        assert metrics["makespan"] == 1
+        assert F(metrics["total_completion"]) == F(1, 3**6000) + F(1, 5**4000)
+        assert F(metrics["average_completion"]) == 1
+        assert metrics["delivered"] == WIDE_DEMANDS
+        # The instance document of the same instance reads back equal.
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(load_instance(str(inst)).to_json()))
+    code, out, _ = run(capsys, "verify", "--instance", str(doc), "--schedule", str(sched))
+    assert (code, out) == (0, verify_out)
+
+
+def test_schedule_beyond_the_integer_limit_is_exit_two(tmp_path, capsys, monkeypatch):
+    # Under a cap of 5,000 digits each demand reads, but neither the
+    # schedule's scale nor the total completion time can be written.
+    monkeypatch.setattr(cli, "INT_DIGITS_CAP", 5000)
+    inst = tmp_path / "inst.json"
+    sched = tmp_path / "sched.json"
+    inst.write_text(json.dumps({"n": 2, "demands": WIDE_DEMANDS}))
     for out in (["--out", str(sched)], []):
         code, text, err = run(capsys, "schedule", "--algorithm", "round-robin",
                               "--instance", str(inst), *out)
         assert (code, text) == (2, "")
         assert err.startswith("error: cannot encode as JSON: ")
     assert not sched.exists()
+    # A row-format file spells each amount under the cap.
+    transfers = [{"from": i, "to": 1 - i, "commodity": [i, 1 - i],
+                  "amount": WIDE_DEMANDS[i][1 - i]} for i in (0, 1)]
+    sched.write_text(json.dumps({"horizon": 1, "steps": [{"transfers": transfers}]}))
+    files = ("--instance", str(inst), "--schedule", str(sched))
+    code, text, _ = run(capsys, "verify", *files)
+    assert (code, json.loads(text)["feasible"]) == (0, True)
+    code, text, err = run(capsys, "metrics", *files)
+    assert (code, text) == (2, "")
+    assert err.startswith("error: cannot render a rational: ")
 
 
 @pytest.mark.parametrize("first", [1, "1"])
@@ -568,6 +734,11 @@ FUZZ_COLUMNS = {"format": "coflow-columns-v1", "n": 3, "horizon": 2, "scale": 6,
                 "counts": [2, 1], "from": [0, 2, 1], "to": [1, 0, 2],
                 "origin": [0, 2, 1], "dest": [1, 0, 2], "amount": [3, 2, 6]}
 FUZZ_TRACE = {"n": 3, "matchings": [[[0, 1, "1/2"], [1, 2, "1"], [2, 0, "1/3"]]]}
+# The same instance and trace as integer documents.
+FUZZ_INSTANCE_V1 = {"format": "coflow-instance-v1", "n": 3, "scale": 6,
+                    "demands": [0, 3, 0, 0, 0, 6, 2, 0, 0]}
+FUZZ_TRACE_V1 = {"format": "coflow-trace-v1", "n": 3, "scale": 6, "counts": [3],
+                 "from": [0, 1, 2], "to": [1, 2, 0], "rate": [3, 6, 2]}
 FUZZ_CONFIG = {"n_values": [4], "load_values": ["2"], "algorithms": ["hypercube"],
                "family": "uniform", "seed": 1, "repetitions": 1, "workers": 1}
 DROP = object()
@@ -610,12 +781,20 @@ def test_fuzz_column_document_is_the_fuzz_schedule():
     assert Schedule.from_json(FUZZ_COLUMNS, 3) == Schedule.from_json(FUZZ_SCHEDULE, 3)
 
 
-# 250 examples over the four other documents before the column twin came in.
-@settings(max_examples=320, deadline=None)
+def test_fuzz_integer_documents_are_the_fuzz_instance_and_trace():
+    inst = Instance.from_json(FUZZ_INSTANCE)
+    assert Instance.from_json(FUZZ_INSTANCE_V1) == inst
+    assert GreedyTrace.from_json(FUZZ_TRACE_V1, inst) == GreedyTrace.from_json(FUZZ_TRACE, inst)
+
+
+# 250 examples over four documents before the column twin came in, and 320
+# over five before the instance and trace twins: 64 per document.
+@settings(max_examples=448, deadline=None)
 @given(data=st.data())
 def test_malformed_files_keep_the_exit_code_contract(data):
     docs = {"instance": FUZZ_INSTANCE, "schedule": FUZZ_SCHEDULE,
-            "columns": FUZZ_COLUMNS, "trace": FUZZ_TRACE, "config": FUZZ_CONFIG}
+            "columns": FUZZ_COLUMNS, "trace": FUZZ_TRACE, "config": FUZZ_CONFIG,
+            "instance-v1": FUZZ_INSTANCE_V1, "trace-v1": FUZZ_TRACE_V1}
     name = data.draw(st.sampled_from(sorted(docs)))
     values = CONFIG_VALUES if name == "config" else FILE_VALUES
     for _ in range(data.draw(st.integers(1, 3))):
@@ -639,6 +818,11 @@ def test_malformed_files_keep_the_exit_code_contract(data):
                         ["metrics", *pair, "--schedule", files["columns"]]],
             "trace": [["certify", *pair, "--trace", files["trace"]]],
             "config": [["experiment", "--config", files["config"]]],
+            "instance-v1": [
+                [command, "--instance", files["instance-v1"], "--schedule", files["schedule"]]
+                for command in ("verify", "metrics")
+            ] + [["certify", "--instance", files["instance-v1"], "--trace", files["trace-v1"]]],
+            "trace-v1": [["certify", *pair, "--trace", files["trace-v1"]]],
         }[name]
         for argv in commands:
             out, err = io.StringIO(), io.StringIO()

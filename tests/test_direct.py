@@ -1,8 +1,10 @@
 """Direct schedulers: greedy maximal matchings, edge-coloring, smearing."""
 
+import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import reference_greedy
 from hypothesis import given, settings, strategies as st
@@ -10,10 +12,13 @@ from hypothesis import given, settings, strategies as st
 from coflow.direct import (
     ORDER_CHOICES,
     GreedyTrace,
+    _check_matching,
+    _clearly_matchings,
     edge_coloring_schedule,
     greedy_schedule,
     smeared_fractional_schedule,
 )
+from coflow.errors import StructuralError
 from coflow.model import compute_metrics, make_instance, uniform_instance
 from coflow.verifier import verify
 
@@ -97,9 +102,93 @@ def test_trace_json_round_trip():
     inst = random_instance(3)
     _, trace = greedy_schedule(inst)
     again = GreedyTrace.from_json(trace.to_json(), inst)
+    assert again == trace
     assert again.residuals == trace.residuals
     assert again.matchings == trace.matchings
     assert again.total_completion == trace.total_completion
+
+
+def test_trace_document():
+    inst = make_instance(3, [[0, F(1, 2), 0], [0, 0, 1], [F(1, 3), 0, 0]])
+    _, trace = greedy_schedule(inst)
+    assert trace.to_json() == {
+        "format": "coflow-trace-v1", "n": 3, "scale": 6, "counts": [3],
+        "from": [0, 1, 2], "to": [1, 2, 0], "rate": [3, 6, 2],
+    }
+    # Rates over a multiple of the lowest scale are reduced to it, and the
+    # trace's scale is the lcm of it and the instance's denominator.
+    doc = {"format": "coflow-trace-v1", "n": 3, "scale": 12, "counts": [3],
+           "from": [0, 1, 2], "to": [1, 2, 0], "rate": [6, 12, 4]}
+    assert GreedyTrace.from_json(doc, inst) == trace
+    half = make_instance(2, [[0, F(1, 2)], [0, 0]])
+    doc = {"format": "coflow-trace-v1", "n": 2, "scale": 3, "counts": [1, 1],
+           "from": [0, 0], "to": [1, 1], "rate": [1, 1]}
+    assert GreedyTrace.from_json(doc, half) == GreedyTrace(half, 6, (((0, 1, 2),), ((0, 1, 2),)))
+
+
+def trace_instances():
+    rng = random.Random(5)
+    primes = [p for p in range(100, 1000) if all(p % k for k in range(2, 32))]
+    wide = make_instance(12, [
+        [F(0) if i == j or rng.random() < 0.5 else F(rng.randint(1, 13), rng.choice(primes))
+         for j in range(12)] for i in range(12)
+    ])
+    return [random_instance(seed) for seed in range(8)] + [uniform_instance(8, F(7, 3)), wide]
+
+
+@pytest.mark.parametrize("order", ORDER_CHOICES)
+def test_traces_round_trip_through_both_documents(order):
+    for inst in trace_instances():
+        _, trace = greedy_schedule(inst, order=order, seed=3)
+        again = GreedyTrace.from_json(json.loads(json.dumps(trace.to_json())), inst)
+        assert again == trace
+        want = reference_greedy.FractionTrace(inst, reference_greedy.fraction_matchings(trace))
+        assert GreedyTrace.from_json(json.loads(json.dumps(want.to_json())), inst) == trace
+        assert again.residuals == want.residuals
+
+
+def test_residual_views_share_their_entries():
+    inst = trace_instances()[-1]
+    _, a = greedy_schedule(inst)
+    b = GreedyTrace.from_json(json.loads(json.dumps(a.to_json())), inst)
+    view_a, view_b = a.residuals, b.residuals
+    assert view_a is not view_b
+    assert all(
+        x is y
+        for t in range(a.horizon + 1)
+        for row_a, row_b in zip(view_a[t], view_b[t])
+        for x, y in zip(row_a, row_b)
+    )
+    assert view_a[0] == inst.demands
+    assert all(x is y for row, want in zip(view_a[0], inst.demands) for x, y in zip(row, want))
+    # Another run of the instance starts from the same entries.
+    _, c = greedy_schedule(inst, order="residual")
+    assert c.residuals[0][0][1] is view_a[0][0][1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                st.integers(-1, 4)), max_size=2 * n), max_size=3),
+    st.integers(1, 4),
+)))
+def test_numpy_matching_pass_agrees_with_the_matching_check(case):
+    # Small enough that the pass never declines for size: it answers True
+    # exactly when every matching passes the check.
+    n, matchings, cap = case
+    rows = [x for m in matchings for x in m]
+    counts = list(map(len, matchings))
+    senders, receivers, rates = ([x[k] for x in rows] for k in range(3))
+    try:
+        bounds = [0, *np.cumsum(counts).tolist()]
+        for a, b in zip(bounds, bounds[1:]):
+            _check_matching(senders[a:b], receivers[a:b], rates[a:b], n, cap)
+        fine = True
+    except StructuralError:
+        fine = False
+    columns = (np.array(senders, np.int64), np.array(receivers, np.int64))
+    assert _clearly_matchings(counts, *columns, rates, n, cap) == fine
 
 
 @settings(max_examples=30, deadline=None)

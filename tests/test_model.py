@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from reference_rows import row_document, schedule_from_steps
+from reference_rows import matrix_document, row_document, schedule_from_steps
 
 from coflow.errors import (
     CoflowError,
@@ -74,10 +74,11 @@ def test_columns_stay_read_only_across_pickling():
     instance = make_instance(3, [[0, F(1, 2**61 - 1), 2], [0, 0, F(5, 2**31 - 1)], [1, 0, 0]])
     schedule = ALGORITHMS["greedy"](instance, None)
     instance.demands, schedule.steps  # cached views are dropped, not pickled
+    assert "_fractions" in vars(instance)
     for obj in (instance, schedule, copy.deepcopy(schedule)):
         again = pickle.loads(pickle.dumps(obj))
         assert again == obj
-        assert "demands" not in vars(again) and "steps" not in vars(again)
+        assert not {"demands", "steps", "_fractions"} & set(vars(again))
         columns = again._columns() if isinstance(obj, Schedule) else [again.scaled_demands[0]]
         assert not any(c.flags.writeable for c in columns)
     assert again.steps == schedule.steps
@@ -90,9 +91,61 @@ def test_commodities_skips_zeros():
 
 def test_instance_json_round_trip():
     inst = make_instance(2, [[0, F(7, 3)], [F(1, 6), 0]])
-    again = Instance.from_json(inst.to_json())
+    obj = inst.to_json()
+    assert obj == {"format": "coflow-instance-v1", "n": 2, "scale": 6, "demands": [0, 14, 1, 0]}
+    again = Instance.from_json(obj)
+    assert again == inst
     assert again.demands == inst.demands
     assert again.load_bound == inst.load_bound
+    # The matrix document earlier versions wrote reads as the same instance.
+    rows = matrix_document(inst)
+    assert rows == {"n": 2, "demands": [["0", "7/3"], ["1/6", "0"]]}
+    assert Instance.from_json(rows) == inst
+    # Numerators over a multiple of the lowest scale are reduced to it.
+    assert Instance.from_json({**obj, "scale": 12, "demands": [0, 28, 2, 0]}) == inst
+
+
+def prime_instance(n, bits):
+    """Demands over distinct primes whose lcm has more than ``bits`` bits."""
+    rng = random.Random(1)
+    primes = [p for p in range(100, 1000) if all(p % k for k in range(2, 32))]
+    inst = make_instance(n, [
+        [F(0) if i == j or rng.random() < 0.5 else F(rng.randint(1, 13), rng.choice(primes))
+         for j in range(n)] for i in range(n)
+    ])
+    assert inst.scaled_demands[1].bit_length() > bits
+    return inst
+
+
+WIRE_INSTANCES = [
+    *((f"{family}-{n}-{load}", generate(family, n, load, seed=n))
+      for family in FAMILIES for n in (2, 5, 16) for load in (F(1, 2), F(7, 3), F(40))),
+    ("prime-denominators", prime_instance(16, 420)),
+    # Numerators beyond int64: the column holds Python ints.
+    ("object", make_instance(3, [[0, F(2**70, 3), 1], [F(1, 2**61 - 1), 0, 0], [0, 0, 0]])),
+    ("zero", make_instance(2, [[0, 0], [0, 0]])),
+]
+
+
+@pytest.mark.parametrize("name,inst", WIRE_INSTANCES, ids=[name for name, _ in WIRE_INSTANCES])
+def test_instances_round_trip_through_both_documents(name, inst):
+    if name == "object":
+        assert inst.scaled_demands[0].dtype == object
+    for obj in (inst.to_json(), matrix_document(inst)):
+        again = Instance.from_json(json.loads(json.dumps(obj)))
+        assert again == inst  # n, scale, dtype and column
+        assert again.load_bound == inst.load_bound
+
+
+def test_fraction_views_share_one_memo():
+    inst = make_instance(3, [[0, F(1, 2), F(1, 3)], [F(1, 2), 0, 0], [F(1, 6), 0, 0]])
+    demands = inst.demands
+    assert demands[0][1] is demands[1][0]
+    assert [d for _, _, d in inst.commodities()][0] is demands[0][1]
+    memo = inst.fractions(6)
+    assert memo[3] is demands[0][1]
+    assert inst.fractions(6) is memo
+    assert inst.fractions(12)[6] == memo[3] and inst.fractions(12)[6] is not memo[3]
 
 
 def test_schedule_json_round_trip():
@@ -131,7 +184,7 @@ def test_wire_files_are_one_shot_dumps(tmp_path, algorithm):
         same = fh.read() == json.dumps(schedule.to_json())
     assert same
     with open(inst_path) as fh:
-        same = fh.read() == json.dumps(instance.to_json(), indent=2)
+        same = fh.read() == json.dumps(instance.to_json())
     assert same
     assert load_schedule(sched_path, instance.n) == schedule
 

@@ -1,7 +1,7 @@
 """Greedy, its trace replay and the dual certificate against the ``Fraction``
-reference: equal schedules, the same schedule and trace JSON, equal
-certificates and check reports, and the same first failure on forged
-traces."""
+reference: equal schedules, the same schedule JSON, traces that read back
+from both trace documents, equal certificates and check reports, and the
+same first failure on forged traces."""
 
 import json
 import random
@@ -48,7 +48,10 @@ def same_run(inst, order):
     assert sched == want_sched
     assert json.dumps(sched.to_json()) == json.dumps(want_sched.to_json())
     assert reference_greedy.fraction_matchings(trace) == want.matchings
-    assert json.dumps(trace.to_json()) == json.dumps(want.to_json())
+    # The trace document, and the matchings document the reference writes,
+    # read back as this trace.
+    assert GreedyTrace.from_json(json.loads(json.dumps(trace.to_json())), inst) == trace
+    assert GreedyTrace.from_json(json.loads(json.dumps(want.to_json())), inst) == trace
     assert trace.residuals == want.residuals
     same_certificate(inst, trace, want)
 
