@@ -17,7 +17,9 @@ The cases:
 * ``greedy-certificate-uniform-256``: greedy, then building and checking the
   dual certificate, at uniform n=256, B=8;
 * ``cli-hypercube-256``: ``coflow generate``, ``schedule``, ``verify`` and
-  ``metrics`` through files at n=256, B=2, in-process.
+  ``metrics`` through files at n=256, B=2, in-process;
+* ``hypercube-uniform-1024``: ``hypercube_schedule``, ``verify`` and
+  ``compute_metrics`` in-process at uniform n=1024, B=2 (5.24M rows).
 
 Each stage is timed ``--repeats`` times with the garbage collector on;
 the record keeps every sample and their median. ``--parent PATH`` runs every
@@ -50,6 +52,7 @@ CASES = (
     "trace-uniform-1024",
     "greedy-certificate-uniform-256",
     "cli-hypercube-256",
+    "hypercube-uniform-1024",
 )
 
 
@@ -143,6 +146,27 @@ def cli_case(repeats: int, tmp: str) -> dict:
     }
 
 
+def hypercube_case(repeats: int, tmp: str) -> dict:
+    from coflow import indirect, model, verifier
+
+    inst = model.uniform_instance(1024, Fraction(2))
+    # Each repeat drops the previous result before building its own, so
+    # that one schedule (about 240 MB) is alive at a time.
+    last = []
+    keep = lambda build: (last.clear(), last.append(build()))
+    schedule = timed(lambda: keep(lambda: indirect.hypercube_schedule(inst)), repeats)
+    sched = last.pop()
+    reports = []
+    verify = timed(lambda: reports.append(verifier.verify(inst, sched).feasible), repeats)
+    metric = timed(lambda: keep(lambda: model.compute_metrics(inst, sched)), repeats)
+    got = last.pop()
+    return {
+        "stages_s": {"schedule": schedule, "verify": verify, "metrics": metric},
+        "rows": int(sched.step.size),
+        "ok": all(reports) and got.makespan == 10 and got.delivered == inst.demands,
+    }
+
+
 def run_case(case: str, repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         if case.startswith("instance-"):
@@ -151,6 +175,8 @@ def run_case(case: str, repeats: int) -> dict:
             out = trace_case(repeats, tmp)
         elif case == "greedy-certificate-uniform-256":
             out = greedy_case(repeats, tmp)
+        elif case == "hypercube-uniform-1024":
+            out = hypercube_case(repeats, tmp)
         else:
             out = cli_case(repeats, tmp)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -179,7 +179,9 @@ def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
     """All computable lower bounds for (n, B), plus the upper-bound formula.
 
     The bounds are proven for the uniform-demand regime; on other instances
-    treat them as informational.
+    treat them as informational. ``upper_formula`` bounds the ``auto``
+    makespan for B <= 2 at every n, for B >= n, and in between at n = q^d;
+    between the powers the elementary basis's least radix can exceed it.
     """
     load = Fraction(load)
     if n < 2 or load <= 0:

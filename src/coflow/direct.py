@@ -329,9 +329,9 @@ def greedy_schedule(
     table = int_column([p for _, _, p in triples])
     src, dst = (np.array([x[k] for x in triples], np.int64) for k in (0, 1))
     bounds = np.cumsum([0] + list(map(len, matchings))).tolist()
-    blocks = Blocks(1)
+    blocks = Blocks()
     for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        blocks.add(t, src[a:b], dst[a:b], np.arange(a, b), np.arange(a, b))
+        blocks.add(t, 1, src[a:b], dst[a:b], np.arange(a, b), np.arange(a, b))
     return blocks.schedule(n, len(matchings), src, dst, table, scale), trace
 
 
@@ -356,10 +356,10 @@ def edge_coloring_schedule(instance: Instance) -> Schedule:
     edge, color, code = edge[order], color[order], code[order]
     horizon = int(color[-1]) + 1 if color.size else 0
     bounds = np.searchsorted(color, np.arange(horizon + 1)).tolist()
-    blocks = Blocks(1)
+    blocks = Blocks()
     for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
         sel = edge[a:b]
-        blocks.add(c, origin[sel], dest[sel], sel, code[a:b])
+        blocks.add(c, 1, origin[sel], dest[sel], sel, code[a:b])
     return blocks.schedule(n, horizon, origin, dest, table, scale)
 
 
@@ -374,6 +374,6 @@ def smeared_fractional_schedule(instance: Instance) -> Schedule:
     den = scale * horizon
     g = gcd(den, *keys)
     table = int_column([x // g for x in keys])
-    blocks = Blocks(horizon)
-    blocks.add(0, origin, dest, np.arange(origin.size), code)
+    blocks = Blocks()
+    blocks.add(0, horizon, origin, dest, np.arange(origin.size), code)
     return blocks.schedule(instance.n, horizon, origin, dest, table, den // g if keys else 1)

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionError, NegativeDemandError, StructuralError
-from .model import Instance, make_instance, uniform_instance
+from .model import (
+    Instance, _column_instance, int_column, lowest_terms, make_instance, square_sums,
+    uniform_instance,
+)
 
 FAMILIES = ("uniform", "random-sparse", "adversarial-single-row")
 
@@ -36,24 +40,22 @@ def generate(family: str, n: int, load, seed: int | None = None) -> Instance:
 def random_sparse_instance(n: int, load, seed: int | None) -> Instance:
     """Sparse random demands, rescaled so the load bound is exactly ``load``.
 
-    Entries are ratios of small random integers (kept exact); roughly half
-    the off-diagonal entries are zero.
+    Entries are ratios of random integers in 1..12 (kept exact); roughly
+    half the off-diagonal entries are zero. The numerators are drawn over
+    L = lcm(1..12) into one integer column, then rescaled with one integer
+    multiply over the lowest common scale.
     """
-    load = Fraction(load)
+    load, big = Fraction(load), lcm(*range(1, 13))
     rng = random.Random(seed)
-    while True:
-        demands = [[Fraction(0)] * n for _ in range(n)]
-        nonzero = False
-        for i in range(n):
-            for j in range(n):
-                if i != j and rng.random() < 0.5:
-                    demands[i][j] = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-                    nonzero = True
-        if nonzero:
-            break
-    raw = make_instance(n, demands)
-    scale = load / raw.load_bound
-    return make_instance(n, [[x * scale for x in row] for row in demands])
+    nums = [0] * (n * n)
+    while not any(nums):
+        for c in range(n * n):
+            if c % (n + 1) and rng.random() < 0.5:  # off the diagonal
+                nums[c] = rng.randint(1, 12) * big // rng.randint(1, 12)
+    # The load bound is top / L, so entry x / L becomes x * load / top.
+    top = max(max(part) for part in square_sums(nums, n))
+    nums, scale = lowest_terms([x * load.numerator for x in nums], top * load.denominator)
+    return _column_instance(n, int_column(nums), scale)
 
 
 def single_row_instance(n: int, load) -> Instance:

@@ -5,13 +5,11 @@ repetitions) and routes every (source, destination) pair over them. The
 schemes:
 
 * round robin: every nonzero cyclic shift, repeated ceil(B/n) times;
-* hypercube: one matching per bit, for n a power of two;
-* elementary basis: d-digit coordinate shifts mod n^(1/d), each matching
-  repeated ceil(B / n^(1/d)) times;
-* grid: the two-phase row/column scheme on a sqrt(n) x sqrt(n) grid;
-* VLB lifting: run the hypercube (B <= 2) or the elementary basis twice,
-  spreading every commodity uniformly over all intermediate nodes, to
-  handle arbitrary demand matrices.
+* offset digits (:class:`CyclicScheme`), for every n: the hypercube in
+  radix 2, the elementary basis in radix ceil(n^(1/d)), and the grid, the
+  elementary basis with d = 2;
+* VLB lifting: the offset digits twice, spreading every commodity uniformly
+  over all intermediate nodes, to handle arbitrary demand matrices.
 
 Each scheme emits its rows into ``model.Blocks`` one matching at a time,
 vectorized over the commodities.
@@ -20,13 +18,13 @@ vectorized over the commodities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil, lcm
 
 import numpy as np
 
-from .errors import StructuralError, UnsupportedSizeError
+from .errors import StructuralError
 from .model import (
-    Blocks, Instance, Schedule, commodity_columns, scaled_column, unit_parcels,
+    Blocks, Instance, Schedule, commodity_columns, int_column, lowest_terms, unit_parcels,
 )
 
 # VLB expands the rows of a run of commodities at a time, about this many,
@@ -34,41 +32,38 @@ from .model import (
 _CHUNK_ROWS = 1 << 16
 
 
-class ElementaryBasisScheme:
-    """d-dimensional coordinate-shift schedule, base q = n^(1/d), for load
-    bound ``load``.
+class CyclicScheme:
+    """Offset-digit routes on Z_n in radix ``q`` for load bound ``load``
+    (the index algorithm of Bruck, Ho, Kipnis, Upfal and Weathersby, 1997).
 
-    Matching (i, s) adds s to coordinate i mod q; matchings are ordered by
-    coordinate then shift, each repeated ``multiplicity`` = ceil(load / q)
-    times (at least once). Routing fixes coordinates in schedule order and
-    splits each hop's flow equally over the repetitions of its matching.
-    Base 2 with multiplicity 1 is exactly the hypercube schedule.
+    Commodity (i, j) writes its offset (j - i) mod n in d radix-q digits, d
+    the digit count of n - 1, and for each nonzero digit s at position k it
+    hops from x to x + s*q^k mod n in round (k, s). Digit k has shifts
+    1..q-1, the top digit 1..ceil(n / q^(d-1)) - 1. ``rounds[k]`` lists
+    (s, first slot, m) in schedule order: round (k, s) carries the c(k, s)
+    offsets in [0, n) whose digit k is s, so it is repeated m = max(1,
+    ceil(B c(k, s) / n)) times and each hop splits its flow evenly over the
+    repetitions. At n = q^d every c is q^(d-1): m is ceil(B/q) and the
+    horizon d (q-1) ceil(B/q).
     """
 
-    def __init__(self, n: int, d: int, load: Fraction | int = 1):
-        if d < 1:
-            raise StructuralError(f"dimension must be at least 1, got d={d}")
-        if n.bit_length() <= d:  # 2**d > n: not even base 2 fits
-            raise StructuralError(f"dimension d={d} needs at least 2**{d} nodes, got n={n}")
-        root = round(n ** (1.0 / d))
-        q = next((c for c in (root - 1, root, root + 1) if c >= 2 and c**d == n), None)
-        if q is None:
-            raise UnsupportedSizeError(
-                f"n={n} is not a perfect {d}-th power", suggested_n=ceil(n ** (1.0 / d)) ** d
-            )
-        self.d = d
-        self.base = q
-        self.multiplicity = max(ceil(Fraction(load) / q), 1)
-        self.horizon = d * (q - 1) * self.multiplicity
-
-
-def hypercube_scheme(n: int) -> ElementaryBasisScheme:
-    d = n.bit_length() - 1
-    if n < 2 or 2**d != n:
-        raise UnsupportedSizeError(
-            f"n={n} is not a power of 2", suggested_n=2 ** max(d + 1, 1)
-        )
-    return ElementaryBasisScheme(n, d)
+    def __init__(self, n: int, q: int, load: Fraction | int = 1):
+        load = Fraction(load)
+        self.powers = [1]
+        while self.powers[-1] < n:
+            self.powers.append(self.powers[-1] * q)
+        self.rounds: list[list[tuple[int, int, int]]] = []
+        slot = 0
+        for p, span in zip(self.powers, self.powers[1:]):
+            digit = []
+            for s in range(1, min(q, -(-n // p))):
+                count = n // span * p + min(p, max(0, n % span - s * p))
+                m = max(1, -(-load.numerator * count // (load.denominator * n)))
+                digit.append((s, slot, m))
+                slot += m
+            self.rounds.append(digit)
+        self.horizon = slot
+        self.lcm = lcm(*(m for digit in self.rounds for _, _, m in digit))
 
 
 def _regime_load(instance: Instance, nominal_load: Fraction | None) -> Fraction:
@@ -88,18 +83,30 @@ def _regime_load(instance: Instance, nominal_load: Fraction | None) -> Fraction:
     return load
 
 
-def _elementary_scheme(
-    n: int, load: Fraction, d: int | None = None
-) -> ElementaryBasisScheme:
-    """Elementary-basis scheme for load ``load``; ``d`` defaults to the
-    smallest dimension with B^d >= n (the regime choice for 2 <= B <= n)."""
-    if d is None:
+def _elementary_radix(n: int, load: Fraction, d: int | None = None) -> int:
+    """The radix of the elementary basis: the least q with q^d >= n. ``d``
+    defaults to the smallest dimension with B^d >= n (the regime choice for
+    2 <= B <= n), and the scheme then takes the digit count of its radix; a
+    given ``d`` that would leave a digit unused is refused."""
+    given = d is not None
+    if not given:
         if load <= 1:
             raise StructuralError("dimension choice needs load bound > 1")
         d = 1
         while load**d < n:
             d += 1
-    return ElementaryBasisScheme(n, d, load)
+    elif d < 1:
+        raise StructuralError(f"dimension must be at least 1, got d={d}")
+    # Past the binary digit count of n - 1 the radix is 2: q**d stays small.
+    q = 2
+    while d <= (n - 1).bit_length() and q**d < n:
+        q += 1
+    digits = len(CyclicScheme(n, q).rounds)
+    if given and digits < d:
+        raise StructuralError(
+            f"dimension d={d} leaves a digit unused at n={n}: radix {q} needs {digits}"
+        )
+    return q
 
 
 def _shift_groups(shift: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -111,26 +118,68 @@ def _shift_groups(shift: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return list(zip(values.tolist(), np.split(hops, starts[1:])))
 
 
-def _route_directly(instance: Instance, scheme: ElementaryBasisScheme) -> Schedule:
-    """Route every commodity from its origin to its destination, fixing
-    coordinates in schedule order; each hop's flow splits equally over the
-    repetitions of its matching. Rows are emitted one matching at a time,
-    vectorized over the commodities."""
-    q, d, m = scheme.base, scheme.d, scheme.multiplicity
-    origin, dest, table, scale = commodity_columns(instance)
-    if m > 1:
-        table, scale = scaled_column([Fraction(x, scale * m) for x in table.tolist()])
-    blocks = Blocks(m)
+class _Amounts:
+    """The amount table of a routed schedule: entry f*G + g is the g-th of
+    the G distinct demands times the f-th factor, an integer over ``common``.
+    Only the entries some row uses are filled, since the table's dtype and
+    scale become the schedule's."""
+
+    def __init__(self, demands: np.ndarray, scale: int, common: int):
+        keys, self.group = np.unique(demands, return_inverse=True)
+        self.keys, self.scale, self.common = keys.tolist(), scale, common
+        self.factors: dict[int, int] = {}
+        self.codes_made: list[np.ndarray] = []
+
+    def codes(self, commodities: np.ndarray, factor) -> np.ndarray:
+        """Table codes of rows that carry their commodity's demand times
+        factor/common; ``factor`` is an int, or an int column, one per row."""
+        bins = np.bincount(np.ravel(factor))
+        lookup = np.zeros(bins.size, np.int64)
+        present = np.flatnonzero(bins)
+        lookup[present] = [self.factors.setdefault(f, len(self.factors)) for f in present.tolist()]
+        code = lookup[factor] * len(self.keys) + self.group[commodities]
+        self.codes_made.append(code)
+        return code
+
+    def table(self) -> tuple[np.ndarray, int]:
+        size = len(self.keys)
+        used = np.zeros(len(self.factors) * size, bool)
+        for code in self.codes_made:
+            used[code] = True
+        entries = np.flatnonzero(used).tolist()
+        factors = list(self.factors)
+        nums, scale = lowest_terms(
+            [self.keys[e % size] * factors[e // size] for e in entries], self.scale * self.common
+        )
+        column = int_column(nums)
+        table = np.zeros(used.size, column.dtype)
+        table[entries] = column
+        return table, scale
+
+
+def _route_directly(instance: Instance, q: int) -> Schedule:
+    """Route every commodity over the offset digits in radix q, least
+    significant first, each hop split equally over its round's repetitions.
+    A round carries one commodity per offset it serves, so the scheme is
+    sized for n times the largest demand: the nominal B of a uniform
+    instance, and enough for any. Rows are emitted one round at a time."""
+    n = instance.n
+    origin, dest, demands, scale = commodity_columns(instance)
+    scheme = CyclicScheme(n, q, Fraction(n * int(demands.max(initial=0)), scale))
+    amounts = _Amounts(demands, scale, scheme.lcm)
+    blocks = Blocks()
+    offset = (dest - origin) % n
     cur = origin.copy()
-    p = 1
-    for i in range(d):
-        delta = (dest // p % q - origin // p % q) * p
-        for t, sel in _shift_groups(delta // p % q):
+    for k, rounds in enumerate(scheme.rounds):
+        p = scheme.powers[k]
+        digit = offset // p % q
+        for s, sel in _shift_groups(digit):
+            _, start, m = rounds[s - 1]
             src = cur[sel]
-            blocks.add((i * (q - 1) + t - 1) * m, src, src + delta[sel], sel, sel)
-        cur += delta
-        p *= q
-    return blocks.schedule(instance.n, scheme.horizon, origin, dest, table, scale)
+            blocks.add(start, m, src, (src + s * p) % n, sel, amounts.codes(sel, scheme.lcm // m))
+        cur = (cur + digit * p) % n
+    table, scale = amounts.table()
+    return blocks.schedule(n, scheme.horizon, origin, dest, table, scale)
 
 
 def round_robin_schedule(
@@ -150,20 +199,20 @@ def round_robin_schedule(
     parcels = int(count.max(initial=0))
     m = max(ceil(load / n), parcels, 1)
     shift = (dest - origin) % n
-    blocks = Blocks(1)
+    blocks = Blocks()
     live = np.arange(origin.size)  # the commodities with more than k parcels
     for k in range(parcels):
         live = live[count[live] > k]
         for s, sel in _shift_groups(shift[live]):
             sel = live[sel]
             code = np.where(count[sel] > k + 1, one, last[sel])
-            blocks.add((s - 1) * m + k, origin[sel], dest[sel], sel, code)
+            blocks.add((s - 1) * m + k, 1, origin[sel], dest[sel], sel, code)
     return blocks.schedule(n, (n - 1) * m, origin, dest, table, scale)
 
 
 def hypercube_schedule(instance: Instance) -> Schedule:
-    """Bit-fixing routes over one matching per bit; intended for B <= 2."""
-    return _route_directly(instance, hypercube_scheme(instance.n))
+    """Bit-fixing routes: the offset digits in radix 2; intended for B <= 2."""
+    return _route_directly(instance, 2)
 
 
 def elementary_basis_schedule(
@@ -171,135 +220,94 @@ def elementary_basis_schedule(
     d: int | None = None,
     nominal_load: Fraction | None = None,
 ) -> Schedule:
-    """Coordinate-fixing routes over the elementary-basis schedule.
+    """Offset-digit routes in radix the least q with q^d >= n.
 
     ``d`` defaults to the smallest dimension with B^d >= n (the regime
-    choice for 2 <= B <= n); n^(1/d) must be an integer.
+    choice for 2 <= B <= n); a given ``d`` with q^(d-1) >= n, which would
+    leave a digit unused, is refused.
     """
     load = _regime_load(instance, nominal_load)
-    return _route_directly(instance, _elementary_scheme(instance.n, load, d))
+    return _route_directly(instance, _elementary_radix(instance.n, load, d))
 
 
 def grid_schedule(instance: Instance) -> Schedule:
-    """Two-phase grid scheme for uniform demands with entry c, c*sqrt(n) <= 1.
-
-    Phase 1 subphase k shifts data k rows down to the row of its final
-    destination; phase 2 subphase k shifts it k columns across to the
-    destination itself. Node ids are row * sqrt(n) + column.
-    """
-    n = instance.n
-    side = isqrt(n)
-    if side * side != n:
-        raise UnsupportedSizeError(
-            f"n={n} is not a perfect square", suggested_n=(side + 1) ** 2
-        )
-    origin, dest, demand, scale = commodity_columns(instance)
-    entries = np.unique(demand).tolist()
-    if len(entries) > 1:
-        raise StructuralError("grid scheme needs uniform off-diagonal demands")
-    if entries and entries[0] * side > scale:
-        c = Fraction(entries[0], scale)
-        raise StructuralError(f"grid scheme infeasible: entry {c} exceeds 1/sqrt(n)")
-    ri, ci = origin // side, origin % side
-    rj, cj = dest // side, dest % side
-    mid = rj * side + ci  # destination row, source column
-    blocks = Blocks(1)
-    phases = ((origin, mid, (rj - ri) % side), (mid, dest, (cj - ci) % side))
-    for phase, (src, dst, shift) in enumerate(phases):
-        for k, sel in _shift_groups(shift):
-            blocks.add(phase * (side - 1) + k - 1, src[sel], dst[sel], sel, sel)
-    return blocks.schedule(n, 2 * (side - 1), origin, dest, demand, scale)
+    """The two-digit elementary basis: a row shift, then a column shift."""
+    return elementary_basis_schedule(instance, d=2)
 
 
 def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedule:
-    """Valiant lifting: run a base scheme twice over doubled matchings.
+    """Valiant lifting: run the offset digits twice, in radix 2 for B <= 2
+    and over the elementary basis otherwise.
 
-    The base is the hypercube for B <= 2 and the elementary basis
-    otherwise. Each commodity (u, v) is split into n shares of demand/n,
-    one per intermediate node w, and emitted as two merged flow trees with
-    one row per (step, edge, commodity):
+    Each commodity (u, v) is split into n shares of demand/n, one per
+    intermediate node w, and emitted as two merged flow trees with one row
+    per (step, edge, commodity):
 
-    * phase 1 spreads the shares from u, fixing coordinates in schedule
-      order; the edge into a node first reached at coordinate i carries
-      the q^(d-i-1) shares bound for the nodes below it. v is a sink: it
-      forwards nothing, so the shares bound for its subtree (the w that
-      agree with v on coordinates 0..top, top being the highest coordinate
-      where u and v differ) are delivered when they reach v;
-    * phase 2 converges every other share, u's included, onto v; masses
-      merge where their coordinate-fixing routes meet.
+    * phase 1 spreads the shares from u over the digits of r = (w - u) mod n:
+      the edge of round (k, s) out of u + lo, lo < q^k, carries the shares
+      with r = lo + s q^k mod q^(k+1), counted from n. v is a sink: the
+      shares whose walk reaches v (r = (v - u) mod n modulo q^(top+1), top
+      its highest nonzero digit) are delivered there;
+    * phase 2 converges every other share onto v over the digits of
+      r' = (v - w) mod n: the edge of round (k, s) into v - h, h a multiple
+      of q^(k+1), carries the r' in [h + s q^k, h + (s+1) q^k), less those
+      v absorbed in phase 1.
 
     Makespan is exactly twice the base scheme's horizon whenever demand is
-    nonzero. Rows are emitted one matching at a time, vectorized over runs
-    of commodities.
+    nonzero. Rows are emitted one round at a time, vectorized over runs of
+    commodities.
     """
     n = instance.n
     load = _regime_load(instance, nominal_load)
-    scheme = hypercube_scheme(n) if load <= 2 else _elementary_scheme(n, load)
-    q, d, m, horizon = scheme.base, scheme.d, scheme.multiplicity, scheme.horizon
-    pw = [q**i for i in range(d + 1)]
+    q = 2 if load <= 2 else _elementary_radix(n, load)
+    scheme = CyclicScheme(n, q, load)
+    pw, horizon = scheme.powers, scheme.horizon
     origin, dest, demands, scale = commodity_columns(instance)
-    blocks = Blocks(m)
+    # Each row moves demand * shares / (n m), m its round's multiplicity.
+    amounts = _Amounts(demands, scale, n * scheme.lcm)
+    blocks = Blocks()
     every = np.arange(origin.size)
-    # Each row moves demand * k / (n*m) for a factor k of its level; the
-    # amount table has one entry per (distinct demand, k), so commodities
-    # with equal demands share their entries.
-    keys, group = np.unique(demands, return_inverse=True)
-    factors = sorted({pw[i] - (pw[j] if j < i else 0) for i in range(d) for j in range(i + 1)})
-    used = np.zeros(keys.size * len(factors), bool)
-
-    def codes(k):  # amount-table index of every commodity for factor(s) k
-        code = group * len(factors) + np.searchsorted(factors, k)
-        used[code] = True
-        return code
-
-    # top: the highest coordinate where u and v differ. For i > top, v
-    # absorbs the phase-1 shares bound for the w below it in the tree: the
-    # lows lo with lo % span == v % span.
-    top = np.zeros(origin.size, np.int64)
-    for i in range(d):
-        top[origin // pw[i] % q != dest // pw[i] % q] = i
-    powers = np.array(pw, np.int64)
-    span = powers[top + 1]
-    v_low = dest % span
-    for i in range(d):
-        p = pw[i]
-        # Phase 1: hi + y*p + lo is first reached at coordinate i, from
-        # hi + ui*p + lo = u - u % p + lo.
-        code = codes(pw[d - i - 1])
-        chunk = max(1, _CHUNK_ROWS // p)
-        for c0 in range(0, origin.size, chunk):
-            cm = np.repeat(every[c0:c0 + chunk], p)
-            lo = np.resize(np.arange(p), cm.size)
-            keep = (top[cm] >= i) | (lo % span[cm] != v_low[cm])
-            cm, lo = cm[keep], lo[keep]
-            src = (origin - origin % p)[cm] + lo
-            ui = (origin // p % q)[cm]
-            amount = code[cm]
-            for t in range(1, q):
-                blocks.add((i * (q - 1) + t - 1) * m, src, src + ((ui + t) % q - ui) * p,
-                           cm, amount)
-        # Phase 2: the edge that fixes coordinate i to v's carries the
-        # shares of the q^i nodes that agree with its tail above i, less
-        # those v absorbed in phase 1. Its head is h + v % (p*q) for each
-        # multiple h of p*q.
-        code = codes(np.where(top >= i, p, p - powers[np.maximum(i - top - 1, 0)]))
-        heads = n // (p * q)
-        chunk = max(1, _CHUNK_ROWS // heads)
-        for c0 in range(0, origin.size, chunk):
-            cm = np.repeat(every[c0:c0 + chunk], heads)
-            dst = np.resize(np.arange(0, n, p * q), cm.size) + (dest % (p * q))[cm]
-            vi = (dest // p % q)[cm]
-            amount = code[cm]
-            for t in range(1, q):
-                blocks.add((i * (q - 1) + t - 1) * m + horizon,
-                           dst + ((vi - t) % q - vi) * p, dst, cm, amount)
-    keys, kinds = keys.tolist(), len(factors)
-    entries = np.flatnonzero(used).tolist()
-    column, scale = scaled_column([
-        Fraction(keys[e // kinds] * factors[e % kinds], scale * n * m) for e in entries
-    ])
-    table = np.zeros(used.size, column.dtype)
-    table[entries] = column
+    offset = (dest - origin) % n
+    span = np.array(pw)[np.searchsorted(pw, offset, side="right")]  # q^(top+1)
+    # Phase 1 delivers at v the shares w = u + offset + t*span, t = 0..absorbed;
+    # w = v (t = 0) has nothing left to route.
+    absorbed = (n - 1 - offset) // span
+    for k, rounds in enumerate(scheme.rounds):
+        p = pw[k]
+        for s, start, m in rounds:
+            # Phase 1: from u + lo to u + lo + s p, for each lo below both p
+            # and n - s p, except the lo whose walk passed v (offset mod span).
+            width = min(p, n - s * p)
+            count = (n - 1 - s * p - np.arange(width)) // (p * q) + 1
+            chunk = max(1, _CHUNK_ROWS // width)
+            for c0 in range(0, origin.size, chunk):
+                cm = np.repeat(every[c0:c0 + chunk], width)
+                lo = np.arange(cm.size) % width
+                keep = lo % span[cm] != offset[cm]
+                cm, lo = cm[keep], lo[keep]
+                src = (origin[cm] + lo) % n
+                blocks.add(start, m, src, (src + s * p) % n, cm,
+                           amounts.codes(cm, count[lo] * (scheme.lcm // m)))
+            # Phase 2: from v - h - s p to v - h. The offsets v absorbed,
+            # n - t*span for t = 1..absorbed, in [low, high) number
+            # min(absorbed, (n - low) // span) - min(absorbed, (n - high) // span).
+            heads = -(-(n - s * p) // (p * q))
+            h = np.arange(heads) * (p * q)
+            low = h + s * p
+            high = np.minimum(low + p, n)
+            chunk = max(1, _CHUNK_ROWS // heads)
+            for c0 in range(0, origin.size, chunk):
+                cm = np.repeat(every[c0:c0 + chunk], heads)
+                i = np.arange(cm.size) % heads
+                cut, t = span[cm], absorbed[cm]
+                shares = (high - low)[i] - (np.minimum(t, (n - low[i]) // cut)
+                                            - np.minimum(t, (n - high[i]) // cut))
+                keep = shares > 0
+                cm, i, shares = cm[keep], i[keep], shares[keep]
+                dst = (dest[cm] - h[i]) % n
+                blocks.add(start + horizon, m, (dst - s * p) % n, dst, cm,
+                           amounts.codes(cm, shares * (scheme.lcm // m)))
+    table, scale = amounts.table()
     return blocks.schedule(n, 2 * horizon, origin, dest, table, scale)
 
 

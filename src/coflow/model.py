@@ -463,22 +463,21 @@ class Blocks:
     """The rows of a schedule, one block per matching.
 
     A block holds the rows one matching carries, in commodity order, and
-    fills the matching's ``multiplicity`` consecutive slots. Blocks may be
+    fills a run of consecutive slots, given with the block. Blocks may be
     added in pieces, each piece a run of commodities in order; ``schedule``
     sorts the pieces by slot, stably, so the rows come out sorted by (slot,
     commodity, position). Every entry of the amount table must fill some row,
     since the table's dtype and scale become the schedule's.
     """
 
-    def __init__(self, multiplicity: int):
-        self.multiplicity = multiplicity
+    def __init__(self):
         self.pieces: list[tuple] = []
 
-    def add(self, slot: int, src, dst, commodity, amount) -> None:
+    def add(self, slot: int, run: int, src, dst, commodity, amount) -> None:
         """Rows src -> dst of the given commodities (indices into the
         commodity columns) with the given amounts (indices into the amount
-        table), in the ``multiplicity`` slots from ``slot`` on."""
-        for k in range(slot, slot + self.multiplicity):
+        table), in the ``run`` slots from ``slot`` on."""
+        for k in range(slot, slot + run):
             self.pieces.append((k, src, dst, commodity, amount))
 
     def schedule(self, n, horizon, origin, dest, table, scale) -> Schedule:

@@ -1,5 +1,5 @@
 """Row-by-row schedulers: the independent reference for the columns that
-round robin, grid, smeared, edge coloring and greedy emit.
+round robin, smeared, edge coloring and greedy emit.
 
 Each loop builds one ``Transfer`` of ``Fraction``s per row, collects the
 rows per step and hands them to ``schedule_from_steps``, which builds the
@@ -12,14 +12,13 @@ readers' tests.
 
 from fractions import Fraction
 from itertools import chain
-from math import ceil, isqrt
+from math import ceil
 from operator import itemgetter
 
 import numpy as np
 
 from coflow.coloring import color_bipartite_multigraph
 from coflow.direct import greedy_schedule
-from coflow.errors import StructuralError, UnsupportedSizeError
 from coflow.indirect import _regime_load
 from coflow.model import Schedule, Transfer, int_column, over_scale, scaled_column
 from coflow.rational import render_rational
@@ -56,37 +55,6 @@ def round_robin(instance, nominal_load=None):
                 break
             remaining -= amount
             steps[slot].append(Transfer(i, j, i, j, amount))
-    return schedule_from_steps(n, steps)
-
-
-def grid(instance):
-    n = instance.n
-    side = isqrt(n)
-    if side * side != n:
-        raise UnsupportedSizeError(
-            f"n={n} is not a perfect square", suggested_n=(side + 1) ** 2
-        )
-    entries = {d for _, _, d in instance.commodities()}
-    if len(entries) > 1:
-        raise StructuralError("grid scheme needs uniform off-diagonal demands")
-    if entries:
-        c = entries.pop()
-        if c * side > 1:
-            raise StructuralError(
-                f"grid scheme infeasible: entry {c} exceeds 1/sqrt(n)"
-            )
-    horizon = 2 * (side - 1)
-    steps = [[] for _ in range(horizon)]
-    for i, j, demand in instance.commodities():
-        ri, ci = divmod(i, side)
-        rj, cj = divmod(j, side)
-        mid = rj * side + ci
-        if ri != rj:
-            k = (rj - ri) % side
-            steps[k - 1].append(Transfer(i, mid, i, j, demand))
-        if ci != cj:
-            k = (cj - ci) % side
-            steps[(side - 1) + (k - 1)].append(Transfer(mid, j, i, j, demand))
     return schedule_from_steps(n, steps)
 
 

@@ -103,16 +103,19 @@ def test_verify_exit_one_on_infeasible(tmp_path, capsys):
     assert json.loads(out)["feasible"] is False
 
 
-def test_unsupported_size_hint_and_pad(tmp_path, capsys):
+def test_hypercube_at_any_size_and_no_pad(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     sched = tmp_path / "sched.json"
     run(capsys, "generate", "--n", "6", "--B", "2", "--out", str(inst))
-    code, _, err = run(capsys, "schedule", "--algorithm", "hypercube",
-                       "--instance", str(inst), "--out", str(sched))
-    assert code == 2
-    assert "n=8" in err  # the next power of two
-    assert not sched.exists()
+    # n=6 is not a power of two: offsets 1..5 take three binary digits.
+    code, _, _ = run(capsys, "schedule", "--algorithm", "hypercube",
+                     "--instance", str(inst), "--out", str(sched))
+    assert code == 0
+    assert json.loads(sched.read_text())["horizon"] == 3
+    code, _, _ = run(capsys, "verify", "--instance", str(inst), "--schedule", str(sched))
+    assert code == 0
     # --pad is gone: its padded schedule failed verify against its instance.
+    sched.unlink()
     with pytest.raises(SystemExit) as exc:
         main(["schedule", "--algorithm", "hypercube", "--instance", str(inst),
               "--out", str(sched), "--pad"])

@@ -1,5 +1,6 @@
 """Instance generator families."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,49 @@ from coflow.generators import (
     random_sparse_instance,
     single_row_instance,
 )
+from coflow.model import make_instance
+
+
+def fraction_random_sparse(n, load, seed):
+    """The reference for ``random_sparse_instance``: the n x n ``Fraction``
+    matrix drawn in the same order, rescaled entry by entry."""
+    load = F(load)
+    rng = random.Random(seed)
+    while True:
+        demands = [[F(0)] * n for _ in range(n)]
+        nonzero = False
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.5:
+                    demands[i][j] = F(rng.randint(1, 12), rng.randint(1, 12))
+                    nonzero = True
+        if nonzero:
+            break
+    raw = make_instance(n, demands)
+    scale = load / raw.load_bound
+    return make_instance(n, [[x * scale for x in row] for row in demands])
+
+
+def _same_instance(n, load, seeds):
+    for seed in seeds:
+        got, want = random_sparse_instance(n, load, seed), fraction_random_sparse(n, load, seed)
+        assert got == want  # n, scale, dtype and numerators
+        assert got.load_bound == want.load_bound == load
+
+
+@pytest.mark.parametrize("n", [2, 17, 64])
+@pytest.mark.parametrize("load", [F(1, 2), F(7, 3), F(40)])
+def test_random_sparse_equals_fraction_reference(n, load):
+    _same_instance(n, load, range(21))
+
+
+# The other sizes and loads the tests draw random-sparse instances at.
+@pytest.mark.parametrize("n,load", [
+    (3, F(1)), (4, F(5, 2)), (5, F(2)), (6, F(1, 3)), (8, F(3, 2)), (9, F(3)), (10, F(7, 3)),
+    (12, F(4)), (16, F(4)), (21, F(5)), (27, F(4)), (32, F(2)), (80, F(5)),
+])
+def test_random_sparse_equals_fraction_reference_at_test_sizes(n, load):
+    _same_instance(n, load, range(3))
 
 
 @pytest.mark.parametrize("n,load", [(3, F(1)), (4, F(5, 2)), (6, F(1, 3))])

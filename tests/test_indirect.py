@@ -10,15 +10,13 @@ import reference_vlb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coflow.errors import StructuralError, UnsupportedSizeError
+from coflow.certificates import lower_bounds
+from coflow.errors import StructuralError
 from coflow.generators import random_sparse_instance
 from coflow.indirect import (
-    ElementaryBasisScheme,
-    _elementary_scheme,
     auto_schedule,
     elementary_basis_schedule,
     grid_schedule,
-    hypercube_scheme,
     hypercube_schedule,
     round_robin_schedule,
     vlb_lift,
@@ -109,30 +107,45 @@ def test_vlb_makespan_independent_of_demand_pattern(seed):
     assert metrics.makespan == 4
 
 
-def _base_scheme(n, load):
-    return hypercube_scheme(n) if load <= 2 else _elementary_scheme(n, load)
+def _elementary_radix(n, load):
+    """The least q with q^d >= n, d the least dimension with B^d >= n."""
+    d = 1
+    while load**d < n:
+        d += 1
+    q = 2
+    while q**d < n:
+        q += 1
+    return q
 
 
-@pytest.mark.parametrize(
-    "n,load", [(4, F(2)), (8, F(3, 2)), (9, F(3)), (16, F(4)), (27, F(4))]
-)
+def _radix(n, load):
+    """The radix of the lifted regime routes: 2 for B <= 2, else the
+    elementary basis's."""
+    return 2 if load <= 2 else _elementary_radix(n, load)
+
+
+# Powers of the radix, then sizes that are not.
+ROUTE_CASES = [(4, F(2)), (8, F(3, 2)), (9, F(3)), (16, F(4)), (27, F(4)),
+               (3, F(3, 2)), (5, F(2)), (6, F(3)), (10, F(7, 3)), (12, F(4)), (21, F(5))]
+
+
+@pytest.mark.parametrize("n,load", ROUTE_CASES)
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_vlb_merged_trees_match_per_share_walk(n, load, seed):
     inst = random_sparse_instance(n, load, seed=seed)
-    base = _base_scheme(n, load)
-    expected = reference_vlb.per_share_sums(inst, base.base, base.d, base.multiplicity)
+    expected = reference_vlb.per_share_sums(inst, _radix(n, load), load)
     merged = reference_vlb.merged_sums(vlb_lift(inst, nominal_load=load))
     assert merged == expected
 
 
 def _direct_schedule(inst, load):
+    """The direct regime route, its radix, and the load its rounds are sized
+    for: n times the largest demand."""
+    bound = inst.n * max(max(row) for row in inst.demands)
     if load <= 2:
-        return hypercube_schedule(inst)
-    return elementary_basis_schedule(inst, nominal_load=load)
-
-
-ROUTE_CASES = [(4, F(2)), (8, F(3, 2)), (9, F(3)), (16, F(4)), (27, F(4))]
+        return hypercube_schedule(inst), 2, bound
+    return elementary_basis_schedule(inst, nominal_load=load), _radix(inst.n, load), bound
 
 
 @pytest.mark.parametrize("n,load", ROUTE_CASES)
@@ -141,29 +154,40 @@ ROUTE_CASES = [(4, F(2)), (8, F(3, 2)), (9, F(3)), (16, F(4)), (27, F(4))]
 def test_emitted_columns_equal_reference_rows(n, load, seed):
     # Row for row, in order: the columns against the per-commodity walks.
     inst = random_sparse_instance(n, load, seed=seed)
-    base = _base_scheme(n, load)
-    assert _direct_schedule(inst, load) == reference_routes.route_directly(inst, base)
-    assert vlb_lift(inst, nominal_load=load) == reference_vlb.merged_rows(inst, base)
+    direct, q, bound = _direct_schedule(inst, load)
+    assert direct == reference_routes.route_directly(inst, q, bound)
+    assert vlb_lift(inst, nominal_load=load) == reference_vlb.merged_rows(inst, _radix(n, load), load)
+
+
+def _prime_denominator_case(n, load):
+    rng = random.Random(3)
+    primes = [p for p in range(100, 400) if all(p % k for k in range(2, 20))]
+    demands = [
+        [F(rng.randint(1, 13), rng.choice(primes)) if i != j and rng.random() < 0.5 else F(0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    inst = make_instance(n, demands)
+    assert inst.load_bound <= load
+    direct, q, bound = _direct_schedule(inst, load)
+    lifted = vlb_lift(inst, nominal_load=load)
+    assert direct == reference_routes.route_directly(inst, q, bound)
+    assert lifted == reference_vlb.merged_rows(inst, _radix(n, load), load)
+    assert _check(inst, lifted).delivered == inst.demands
+    return direct, lifted
 
 
 @pytest.mark.parametrize("load", [F(2), F(4)])
 def test_prime_denominator_columns_equal_reference_rows(load):
     # A common denominator of hundreds of bits: the amounts are Python ints.
-    rng = random.Random(3)
-    primes = [p for p in range(100, 400) if all(p % k for k in range(2, 20))]
-    demands = [
-        [F(rng.randint(1, 13), rng.choice(primes)) if i != j and rng.random() < 0.5 else F(0)
-         for j in range(16)]
-        for i in range(16)
-    ]
-    inst = make_instance(16, demands)
-    base = _base_scheme(16, load)
-    direct = _direct_schedule(inst, load)
-    lifted = vlb_lift(inst, nominal_load=load)
+    direct, lifted = _prime_denominator_case(16, load)
     assert direct.amount.dtype == lifted.amount.dtype == object
-    assert direct == reference_routes.route_directly(inst, base)
-    assert lifted == reference_vlb.merged_rows(inst, base)
-    assert _check(inst, lifted).delivered == inst.demands
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 10, 12, 21])
+@pytest.mark.parametrize("load", [F(2), F(4)])
+def test_prime_denominator_sizes_that_are_not_powers(n, load):
+    _prime_denominator_case(n, load)
 
 
 @pytest.mark.parametrize("n,load,seed", [(16, 4, 1), (16, 2, 1), (32, 2, 2), (64, 2, 1)])
@@ -171,16 +195,17 @@ def test_prime_denominator_columns_equal_reference_rows(load):
 def test_vlb_delivers_exactly_the_demand(n, load, seed, build):
     # The destination is a sink: no parcel reaches it twice.
     inst = random_sparse_instance(n, F(load), seed=seed)
-    base = _base_scheme(n, F(load))
+    _, horizon = reference_routes.rounds(n, _radix(n, load), load)
     metrics = _check(inst, build(inst))
     assert metrics.delivered == inst.demands
-    assert metrics.makespan == 2 * base.horizon
+    assert metrics.makespan == 2 * horizon
 
 
-@pytest.mark.parametrize("n,load", [(8, F(3, 2)), (16, F(4)), (27, F(4))])
+@pytest.mark.parametrize("n,load", [(8, F(3, 2)), (16, F(4)), (27, F(4)), (12, F(4))])
 def test_vlb_one_row_per_step_edge_commodity(n, load):
     inst = random_sparse_instance(n, load, seed=3)
-    m = _base_scheme(n, load).multiplicity
+    table, _ = reference_routes.rounds(n, _radix(n, load), load)
+    m = max(m for _, m in table.values())
     keys = [
         (s, t.src, t.dst, t.origin, t.dest)
         for s, step in enumerate(vlb_lift(inst, nominal_load=load).steps)
@@ -194,62 +219,107 @@ def test_vlb_one_row_per_step_edge_commodity(n, load):
 
 
 def test_grid_schedule_phases():
-    inst = uniform_instance(9, F(1))  # entries 1/9 < 1/3
+    # The two-digit elementary basis at n=9: radix 3, digit 0 shifts by 1
+    # and 2 in steps 0 and 1, digit 1 by 3 and 6 in steps 2 and 3.
+    inst = uniform_instance(9, F(1))
     sched = grid_schedule(inst)
-    metrics = _check(inst, sched)
-    assert metrics.makespan == 4  # 2 * (sqrt(9) - 1)
-    side = 3
+    assert sched == elementary_basis_schedule(inst, d=2)
+    assert _check(inst, sched).makespan == 4
     for s, step in enumerate(sched.steps):
         for t in step.transfers:
-            if s < side - 1:  # row phase: column fixed
-                assert t.src % side == t.dst % side
-                assert (t.dst // side - t.src // side) % side == s + 1
-            else:  # column phase: row fixed
-                assert t.src // side == t.dst // side
-                assert (t.dst % side - t.src % side) % side == s - (side - 2)
+            assert (t.dst - t.src) % 9 == [1, 2, 3, 6][s]
 
 
 def test_grid_boundary_entry_exactly_one_over_root_n():
+    # Entry 1/3 = 1/sqrt(9) fits one slot per round; entry 2/5 above it
+    # gets a second slot on the rounds that carry three offsets.
     ok = make_instance(9, [[F(0) if i == j else F(1, 3) for j in range(9)] for i in range(9)])
-    _check(ok, grid_schedule(ok))
-    bad = make_instance(
-        9, [[F(0) if i == j else F(2, 5) for j in range(9)] for i in range(9)]
-    )
-    with pytest.raises(StructuralError):
-        grid_schedule(bad)
+    assert _check(ok, grid_schedule(ok)).makespan == 4
+    above = make_instance(9, [[F(0) if i == j else F(2, 5) for j in range(9)] for i in range(9)])
+    assert _check(above, grid_schedule(above)).makespan == 8
 
 
-def test_grid_rejects_nonuniform_demands():
+def test_grid_routes_nonuniform_demands():
     demands = [[F(0)] * 4 for _ in range(4)]
     demands[0][1] = F(1, 4)
     demands[1][2] = F(1, 8)
-    with pytest.raises(StructuralError):
-        grid_schedule(make_instance(4, demands))
+    inst = make_instance(4, demands)
+    assert _check(inst, grid_schedule(inst)).delivered == inst.demands
 
 
-@pytest.mark.parametrize(
-    "build,expected",
-    [
-        (lambda: ElementaryBasisScheme(10, 2, 1), 16),
-        (lambda: hypercube_schedule(uniform_instance(6, F(1))), 8),
-        (lambda: grid_schedule(uniform_instance(5, F(1))), 9),
-    ],
-)
-def test_unsupported_size_suggests_next_n(build, expected):
-    with pytest.raises(UnsupportedSizeError) as exc:
-        build()
-    assert exc.value.suggested_n == expected
+LOADS = [F(1, 2), F(1), F(2), F(7, 3), F(3), F(5)]
 
+
+def _size_case(n, load, seed):
+    """The digit routes on uniform (n, B), and the lifted ones on uniform and
+    random-sparse (n, B): feasible, exact, and at the scheme's horizon."""
+    uniform = uniform_instance(n, load)
+    direct = [(hypercube_schedule(uniform), 2)]
+    if load > 1:
+        direct.append((elementary_basis_schedule(uniform, nominal_load=load),
+                       _elementary_radix(n, load)))
+    if n > 2:  # at n=2 the grid's second digit is unused, and refused
+        q = next(q for q in range(2, n + 1) if q * q >= n)
+        direct.append((grid_schedule(uniform), q))
+    for sched, q in direct:
+        metrics = _check(uniform, sched)
+        assert metrics.delivered == uniform.demands, q
+        assert metrics.makespan == reference_routes.rounds(n, q, load)[1], q
+    q = _radix(n, load)
+    _, horizon = reference_routes.rounds(n, q, load)
+    power = any(q**d == n for d in range(1, n.bit_length() + 1))
+    upper = lower_bounds(n, load).upper_formula
+    for inst in (uniform, random_sparse_instance(n, load, seed)):
+        lifted = vlb_lift(inst, nominal_load=load)
+        assert auto_schedule(inst, nominal_load=load) == lifted  # B < n: auto lifts
+        metrics = _check(inst, lifted)
+        assert metrics.delivered == inst.demands
+        assert metrics.makespan == 2 * horizon
+        if load <= 2 or power:
+            assert metrics.makespan <= upper
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 80), pick=st.integers(0, len(LOADS)), seed=st.integers(0, 10**6))
+def test_every_size_routes_exactly(n, pick, seed):
+    # B = n - 1 only up to n = 40: at n = 80 its lifted uniform schedule has
+    # 8.8M rows and the case takes 7 s; at n = 40 it has 0.74M.
+    loads = [x for x in LOADS + [F(n - 1)] * (n <= 40) if x < n]
+    _size_case(n, loads[pick % len(loads)], seed)
+
+
+@pytest.mark.parametrize("n,load", [(6, F(3)), (48, F(7))])
+def test_sizes_that_are_not_powers(n, load):
+    _size_case(n, load, seed=1)
+
+
+def test_one_multiplicity_per_radix_overloads_n6():
+    # n=6, B=3, radix 3: round (1, 1) carries offsets 3, 4 and 5, a load of
+    # 3/2 per step; ceil(B/q) = 1 slot overloads it, so it gets two.
+    table, horizon = reference_routes.rounds(6, 3, F(3))
+    assert table[1, 1] == (2, 2) and horizon == 4
+    inst = uniform_instance(6, F(3))
+    assert _check(inst, elementary_basis_schedule(inst, nominal_load=F(3))).makespan == 4
+    one_slot = reference_routes.route_directly(inst, 3, F(2))  # every m = 1
+    assert one_slot.horizon == 3
+    assert not verify(inst, one_slot).feasible
 
 
 @pytest.mark.parametrize("d", [0, -1, 5, 20000])
 def test_dimension_below_one_rejected(d):
-    # Below 1, or so large that 2**d > n: refused before any float root.
-    match = r"dimension (must be at least 1|d=\d+ needs at least 2\*\*\d+ nodes, got n=16)"
+    # Below 1, or so large that a digit goes unused: refused before 2**d is
+    # formed.
+    match = r"dimension (must be at least 1|d=\d+ leaves a digit unused at n=16)"
     with pytest.raises(StructuralError, match=match):
         elementary_basis_schedule(uniform_instance(16, F(4)), d=d)
-    with pytest.raises(StructuralError, match=match):
-        ElementaryBasisScheme(16, d)
+
+
+def test_dimension_that_leaves_a_digit_unused_rejected():
+    # n=9, d=3: radix 2 is too small (8 < 9), radix 3 needs only two digits.
+    with pytest.raises(StructuralError, match="radix 3 needs 2"):
+        elementary_basis_schedule(uniform_instance(9, F(3)), d=3)
+    assert elementary_basis_schedule(uniform_instance(9, F(3)), d=2).horizon == 4
+
 
 def test_auto_dispatch_by_load_regime():
     # B >= n: direct round robin, makespan (n-1) * ceil(B/n).

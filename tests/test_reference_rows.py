@@ -17,7 +17,7 @@ from coflow.direct import (
 )
 from coflow.errors import CoflowError
 from coflow.generators import FAMILIES, generate
-from coflow.indirect import grid_schedule, round_robin_schedule
+from coflow.indirect import round_robin_schedule
 from coflow.model import make_instance
 
 LOADS = (F(1, 2), F(2), F(7, 3), F(40))
@@ -75,7 +75,6 @@ def test_emitters_match_reference_rows(case):
     same(lambda: round_robin_schedule(inst), lambda: reference_rows.round_robin(inst))
     same(lambda: round_robin_schedule(inst, nominal_load=nominal),
          lambda: reference_rows.round_robin(inst, nominal_load=nominal))
-    same(lambda: grid_schedule(inst), lambda: reference_rows.grid(inst))
     same(lambda: smeared_fractional_schedule(inst), lambda: reference_rows.smeared(inst))
     same(lambda: edge_coloring_schedule(inst), lambda: reference_rows.edge_coloring(inst))
     for order in ORDER_CHOICES:
