@@ -9,22 +9,22 @@ its destination:
 * fractional makespan by smearing the demand matrix uniformly over
   ``ceil(load_bound)`` steps.
 
-Each builds its schedule's columns through ``model.Blocks``. Greedy, its
-trace and the trace's replay hold Python ints: rates and residuals are
-numerators over one scale (for greedy's own trace, the instance's common
-denominator), and a node's cap of 1 is that scale.
+Edge coloring and smearing build their schedule's columns through
+``model.Blocks``; greedy writes its rows straight into columns, and its trace
+is the instance and that schedule. The trace's replay holds Python ints:
+rates and residuals are numerators over one scale (for greedy's own trace,
+the instance's common denominator), and a node's cap of 1 is that scale.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from math import ceil, gcd, lcm
-from operator import itemgetter, sub
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 import numpy as np
@@ -32,10 +32,11 @@ import numpy as np
 from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
-    INT64_MAX, Blocks, Instance, Schedule, as_rows, check_rows, commodity_columns,
-    int_column, integer_document, lowest_terms, node_ids, outside, square_sums, unit_parcels,
+    INT64_MAX, Blocks, Instance, Schedule, as_rows, check_rows, commodity_columns, common_scale,
+    group_starts, int_column, integer_document, lowest_terms, max_abs, node_ids, outside,
+    scaled_column, square_sums, unit_parcels,
 )
-from .rational import parse_rational
+from .rational import rational_parser
 
 ORDER_CHOICES = ("lex", "residual", "sums", "random")
 TRACE_FORMAT = "coflow-trace-v1"
@@ -59,65 +60,89 @@ class TraceReplay(NamedTuple):
 
 @dataclass(frozen=True)
 class GreedyTrace:
-    """A greedy run: its instance and the matching shipped at each step,
-    each a tuple of (sender, receiver, rate) triples. Every rate is an
-    integer numerator over ``scale``, a multiple of the instance's
-    denominator, so a node's cap of 1 is ``scale``. The certificate reads the
-    run off one integer replay, :attr:`replay`."""
+    """A greedy run: its instance and its schedule, one step per matching,
+    each row a (sender, receiver, rate) triple shipped to its own commodity.
+    ``scale``, the lcm of the two denominators, is a node's cap of 1 in the
+    integer views (:attr:`matchings`, :attr:`replay`, whose sums the
+    certificate reads)."""
 
     instance: Instance
-    scale: int
-    matchings: tuple[tuple[tuple[int, int, int], ...], ...]
+    schedule: Schedule
+
+    @cached_property
+    def scale(self) -> int:
+        return lcm(self.instance.scaled_demands[1], self.schedule.scale)
 
     @property
     def horizon(self) -> int:
-        return len(self.matchings)
+        return self.schedule.horizon
 
     @property
     def total_completion(self) -> Fraction:
         return Fraction(self.replay.total, self.scale)
 
-    def _demands(self) -> list[int]:
-        """The demands, row-major, as numerators over ``scale``."""
-        column, den = self.instance.scaled_demands
-        return [x * (self.scale // den) for x in column.tolist()]
+    def _columns(self) -> tuple[list[int], list[int], list[int]]:
+        """The sender, receiver and rate columns as lists, rates over ``scale``."""
+        rate = common_scale(self.instance, self.schedule)[1]
+        return self.schedule.src.tolist(), self.schedule.dst.tolist(), rate.tolist()
+
+    @cached_property
+    def matchings(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Each matching's (sender, receiver, rate) triples, rates over
+        ``scale``: a read-only view, built on first use."""
+        triples = list(zip(*self._columns()))
+        bounds = self.schedule._step_bounds()
+        return tuple(tuple(triples[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def replay(self) -> TraceReplay:
-        n, cap = self.instance.n, self.scale
-        residual = self._demands()
-        rows, cols = map(tuple, square_sums(residual, n))
-        senders, receivers = [rows], [cols]
+        n, horizon, schedule = self.instance.n, self.horizon, self.schedule
+        # Each sum below, a row or column of demands less at most one rate per
+        # row, fits common_scale's columns; a node's cap of 1 is ``cap``.
+        demand, rate, cap = common_scale(self.instance, schedule)
+        step, src, dst = schedule.step, schedule.src, schedule.dst
+        sent, received = np.zeros((horizon, n), rate.dtype), np.zeros((horizon, n), rate.dtype)
+        np.add.at(sent, (step, src), rate)
+        np.add.at(received, (step, dst), rate)
+        matrix = demand.reshape(n, n)
+        senders = np.cumsum(np.vstack([matrix.sum(axis=1), -sent]), axis=0).tolist()
+        receivers = np.cumsum(np.vstack([matrix.sum(axis=0), -received]), axis=0).tolist()
+        total = sum(map(mul, range(1, horizon + 1), sent.sum(axis=1).tolist()))
+        # Walk the steps on the residual: a step fails when its rows on a pair
+        # ship more than the pair's residual, or when it leaves a pair with
+        # residual and room at both ends (the first such pair, row-major).
+        residual, pair = demand.copy(), src * n + dst
+        room_s, room_r, square = sent != cap, received != cap, residual.reshape(n, n)
+        bounds = schedule._step_bounds()
         failure = None
-        total = 0
-        for t, triples in enumerate(self.matchings):
-            sent, received = [0] * n, [0] * n
-            for i, j, p in triples:
-                if failure is None and p > residual[i * n + j]:
-                    failure = f"step {t} ships more than the residual of ({i},{j})"
-                residual[i * n + j] -= p
-                sent[i] += p
-                received[j] += p
-            total += (t + 1) * sum(sent)
-            rows = tuple(map(sub, rows, sent))
-            cols = tuple(map(sub, cols, received))
-            senders.append(rows)
-            receivers.append(cols)
-            failure = failure or _not_maximal(t, residual, n, sent, received, cap)
-        if failure is None and any(residual):
-            failure = "the matchings leave demand unshipped"
-        return TraceReplay(tuple(senders), tuple(receivers), failure, total)
+        for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            np.subtract.at(residual, pair[a:b], rate[a:b])
+            short = (residual[pair[a:b]] < 0).nonzero()[0]
+            if short.size:
+                r = a + int(short[0])
+                failure = f"step {t} ships more than the residual of ({src[r]},{dst[r]})"
+                break
+            i, j = room_s[t].nonzero()[0], room_r[t].nonzero()[0]
+            left = square[i[:, None], j].nonzero()
+            if left[0].size:
+                failure = (f"matching {t} is not maximal: ({i[left[0][0]]},{j[left[1][0]]})"
+                           " could take more")
+                break
+        else:
+            if residual.any():
+                failure = "the matchings leave demand unshipped"
+        return TraceReplay(tuple(map(tuple, senders)), tuple(map(tuple, receivers)), failure, total)
 
     @property
     def residuals(self) -> tuple:
         """The residual ``Fraction`` matrix before each step, and after the
-        last: a read-only view, rebuilt from the matchings on each use. Each
+        last: a read-only view, rebuilt from :attr:`matchings` on each use. Each
         step rebuilds only the rows its matching ships from, and every entry
         comes from the instance's ``fractions`` memo, so equal entries of two
         traces' views are the same object."""
-        n = self.instance.n
+        n, (column, den) = self.instance.n, self.instance.scaled_demands
         value = self.instance.fractions(self.scale).__getitem__
-        residual = self._demands()
+        residual = [x * (self.scale // den) for x in column.tolist()]
         view = list(as_rows(list(map(value, residual)), n))
         rows = list(map(list, view))
         out = [tuple(view)]
@@ -132,61 +157,52 @@ class GreedyTrace:
         return tuple(out)
 
     def to_json(self) -> dict:
-        """The trace document: the triples in matching order as three
-        columns, ``counts[t]`` of them in matching t, each rate a numerator
-        over ``scale``. Every field is a JSON integer or a list of them."""
-        triples = list(chain.from_iterable(self.matchings))
+        """The trace document: the schedule's rows as three columns,
+        ``counts[t]`` of them in matching t, each rate a numerator over
+        ``scale``. Every field is a JSON integer or a list of them."""
         doc = {
             "format": TRACE_FORMAT,
             "n": self.instance.n,
             "scale": self.scale,
-            "counts": list(map(len, self.matchings)),
+            "counts": np.diff(self.schedule._step_bounds()).tolist(),
         }
-        doc.update((key, list(map(itemgetter(k), triples))) for k, key in enumerate(TRACE_COLUMNS))
+        doc.update(zip(TRACE_COLUMNS, self._columns()))
         return doc
 
     @staticmethod
     def from_json(obj: dict, instance: Instance) -> "GreedyTrace":
         """Read a trace document, or the matchings document earlier versions
         wrote (``{"n", "matchings"}``, one ``[sender, receiver, "p/q"]`` list
-        per triple, and no ``format`` key); any stored residuals are ignored.
-        The scale is the lcm of the instance's denominator and the rates'
-        lowest one. Each matching must be a fractional matching (see
-        ``_check_matching``) of nodes in 0..n-1."""
+        per triple, and no ``format`` key; stored residuals are ignored), into
+        a schedule over the rates' lowest scale. Each matching must be a
+        fractional matching of nodes in 0..n-1 (see ``_matching_fault``)."""
         n = instance.n
         if isinstance(obj, dict) and "format" in obj:
-            declared, scale, counts, *columns = integer_document(
+            declared, scale, counts, senders, receivers, rates = integer_document(
                 obj, "trace", TRACE_FORMAT, ("n", "scale"), ("counts", *TRACE_COLUMNS)
             )
-            check_rows("trace", declared, n, counts, columns)
+            check_rows("trace", declared, n, counts, [senders, receivers, rates])
+            rates, scale = lowest_terms(rates, scale)
+            rate = int_column(rates)
         else:
-            counts, columns, scale = _matchings_document(obj, n)
-        senders, receivers, rates = columns
-        rates, scale = lowest_terms(rates, scale)
-        common = lcm(instance.scaled_demands[1], scale)
-        if common != scale:
-            rates = [x * (common // scale) for x in rates]
-        bounds = list(accumulate(counts, initial=0))
-        nodes = [node_ids(int_column(c), n) for c in (senders, receivers)]
-        bad = outside(nodes[0], n) | outside(nodes[1], n)
+            counts, senders, receivers, rate, scale = _matchings_document(obj, n)
+        step = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        src, dst = (node_ids(int_column(c), n) for c in (senders, receivers))
+        bad = outside(src, n) | outside(dst, n)
         if bad.any():
             r = int(bad.argmax())
             raise StructuralError(
-                f"matching {bisect_right(bounds, r) - 1}: node outside 0..{n - 1}"
-                f" in ({senders[r]},{receivers[r]})"
+                f"matching {step[r]}: node outside 0..{n - 1} in ({senders[r]},{receivers[r]})"
             )
-        if not _clearly_matchings(counts, *nodes, rates, n, common):
-            for a, b in zip(bounds, bounds[1:]):
-                _check_matching(senders[a:b], receivers[a:b], rates[a:b], n, common)
-        triples = list(zip(senders, receivers, rates))
-        matchings = tuple(tuple(triples[a:b]) for a, b in zip(bounds, bounds[1:]))
-        return GreedyTrace(instance, common, matchings)
+        fault = _matching_fault(step, src, dst, rate, n, scale)
+        if fault:
+            raise StructuralError(fault)
+        return GreedyTrace(instance, Schedule(n, len(counts), step, src, dst, src, dst, rate, scale))
 
 
-def _matchings_document(obj, n: int) -> tuple[list[int], list[list[int]], int]:
-    """The counts, the sender, receiver and rate columns, and the rates'
-    scale, of a matchings document: rates are parsed once per distinct
-    ``"p/q"`` and written over the lcm of their denominators."""
+def _matchings_document(obj, n: int) -> tuple[list[int], list[int], list[int], np.ndarray, int]:
+    """The counts, the sender and receiver columns, and the rate column over
+    its lowest scale with that scale, of a matchings document."""
     if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] != n:
         raise StructuralError(f"greedy trace does not name the instance's n={n}")
     raw = obj.get("matchings")
@@ -202,74 +218,55 @@ def _matchings_document(obj, n: int) -> tuple[list[int], list[list[int]], int]:
                     f"matching {t}: {x!r} is not [sender, receiver, rate]"
                 )
     rows = list(chain.from_iterable(raw))
-    rates = {p: parse_rational(p) for p in set(map(itemgetter(2), rows))}
-    scale = lcm(*(q.denominator for q in rates.values()))
-    num = {p: q.numerator * (scale // q.denominator) for p, q in rates.items()}
-    columns = [list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows)),
-               [num[x[2]] for x in rows]]
-    return list(map(len, raw)), columns, scale
+    rate, scale = scaled_column(list(map(rational_parser(), map(itemgetter(2), rows))))
+    senders, receivers = (list(map(itemgetter(k), rows)) for k in (0, 1))
+    return list(map(len, raw)), senders, receivers, rate, scale
 
 
-def _check_matching(senders: list, receivers: list, rates: list, n: int, cap: int) -> None:
-    """Refuse a matching, given as columns, with a self-loop, a non-positive
-    rate, a repeated pair, or a node whose rates in or out add up to more
-    than ``cap``, a rate of 1."""
-    seen = set()
-    out, into = [0] * n, [0] * n
-    for s, r, p in zip(senders, receivers, rates):
-        if s == r:
-            raise StructuralError(f"self-loop ({s},{r}) in fractional matching")
-        if p <= 0:
-            raise StructuralError(f"non-positive rate on ({s},{r})")
-        if s * n + r in seen:
-            raise StructuralError(f"duplicate pair ({s},{r})")
-        seen.add(s * n + r)
-        out[s] += p
-        into[r] += p
-    for v, total in chain(enumerate(out), enumerate(into)):
-        if total > cap:
-            raise StructuralError(f"node {v} exceeds matching cap 1")
-
-
-def _clearly_matchings(counts: list, s: np.ndarray, r: np.ndarray, rates: list,
-                       n: int, cap: int) -> bool:
-    """True when one int64 pass over the whole trace shows every matching to
-    keep ``_check_matching``'s rules. False when a matching breaks one, and
-    when a rate or a node's total might not fit in int64 or the table of
-    (matching, node) totals would outgrow the rows: ``_check_matching`` then
-    looks at each matching. ``s`` and ``r`` are the sender and receiver
-    columns, int64 and in 0..n-1."""
-    if not rates:
-        return True
-    steps = len(counts)
-    rate = int_column(rates)
-    if (rate.dtype == object or steps * n > 16 * len(rates) or steps * n * n > INT64_MAX
-            or int(rate.max()) * max(counts) > INT64_MAX):
-        return False
-    if (s == r).any() or (rate <= 0).any():
-        return False
-    first = np.repeat(np.arange(0, steps * n, n, dtype=np.int64), counts)  # step * n
-    pairs = np.sort((first + s) * n + r)
-    if (pairs[1:] == pairs[:-1]).any():
-        return False
-    for nodes in (s, r):
-        total = np.zeros(steps * n, np.int64)
-        np.add.at(total, first + nodes, rate)
-        if int(total.max()) > cap:
-            return False
-    return True
-
-
-def _not_maximal(t, residual, n, sent, received, cap) -> str | None:
-    """Name the first pair, row-major, that matching t left with residual
-    and with room at both ends."""
-    open_receivers = [j for j in range(n) if received[j] != cap]
-    for i in range(n):
-        if sent[i] != cap:
-            for j in open_receivers:
-                if residual[i * n + j]:
-                    return f"matching {t} is not maximal: ({i},{j}) could take more"
-    return None
+def _matching_fault(step, src, dst, rate, n: int, cap: int) -> str | None:
+    """The first fault, as a walk over the steps meets it, that keeps the
+    rows from being one fractional matching per step: in the first step with
+    one, its first row with a self-loop, a non-positive rate or a pair seen
+    before in the step (in that order), else its first sender, then its first
+    receiver, whose rates add up to more than ``cap``, a rate of 1. None if
+    there is none. ``src`` and ``dst`` are int64 in 0..n-1."""
+    if not step.size:
+        return None
+    # A stable sort by pair keeps each pair's rows in row order, so a row
+    # repeats its pair if the one before it in the sort has the same pair and
+    # step. n * n fits: the instance holds n * n demands.
+    pair = src * n + dst
+    order = np.argsort(pair, kind="stable")
+    pair, at = pair[order], step[order]
+    repeat = np.zeros(step.size, bool)
+    repeat[order[1:]] = (pair[1:] == pair[:-1]) & (at[1:] == at[:-1])
+    bad = (src == dst) | (rate <= 0) | repeat
+    first = int(bad.argmax()) if bad.any() else step.size
+    # Each side's (step, node) totals, by a sort on step * n + node (far
+    # inside int64); a total sums at most one rate per row. The walk meets
+    # the lowest (step, side, node) first.
+    if rate.dtype != object and max_abs(rate) * step.size > INT64_MAX:
+        rate = rate.astype(object)
+    over = []
+    for side, nodes in enumerate((src, dst)):
+        key = step * n + nodes
+        order = np.argsort(key)
+        key = key[order]
+        starts = group_starts(key)
+        cells = np.flatnonzero(np.add.reduceat(rate[order], starts) > cap)
+        if cells.size:
+            t, v = divmod(int(key[starts[cells[0]]]), n)
+            over.append((t, side, v))
+    if over and (first == step.size or step[first] > min(over)[0]):
+        return f"node {min(over)[2]} exceeds matching cap 1"
+    if first == step.size:
+        return None
+    s, d = int(src[first]), int(dst[first])
+    if s == d:
+        return f"self-loop ({s},{d}) in fractional matching"
+    if rate[first] <= 0:
+        return f"non-positive rate on ({s},{d})"
+    return f"duplicate pair ({s},{d})"
 
 
 def _pair_order(live: list[int], residual: list[int], n: int, order: str, rng) -> list[int]:
@@ -303,36 +300,32 @@ def greedy_schedule(
     column, scale = instance.scaled_demands
     residual = column.tolist()
     live = [k for k, x in enumerate(residual) if x]
-    matchings = []
+    counts, cells, rates = [], [], []
     # Defensive bound; greedy provably finishes well before it.
     horizon_cap = -(-sum(residual) // scale) + n**2
     while live:
-        if len(matchings) >= horizon_cap:
+        if len(counts) >= horizon_cap:
             raise SchedulingError("greedy exceeded its defensive horizon")
         sent, received = [0] * n, [0] * n
-        triples = []
+        rows = len(rates)
         for k in _pair_order(live, residual, n, order, rng):
             i, j = divmod(k, n)
             rate = min(residual[k], scale - sent[i], scale - received[j])
             if rate > 0:
-                triples.append((i, j, rate))
+                cells.append(k)
+                rates.append(rate)
                 residual[k] -= rate
                 sent[i] += rate
                 received[j] += rate
-        matchings.append(triples)
+        counts.append(len(rates) - rows)
         live = [k for k in live if residual[k]]
-    trace = GreedyTrace(instance, scale, tuple(map(tuple, matchings)))
-    # Row r ships rate r of the flattened matchings; it is its own commodity.
-    # Each pair's rates add up to its demand, so no factor of scale divides
-    # every rate: scale is already the least common denominator.
-    triples = [x for m in matchings for x in m]
-    table = int_column([p for _, _, p in triples])
-    src, dst = (np.array([x[k] for x in triples], np.int64) for k in (0, 1))
-    bounds = np.cumsum([0] + list(map(len, matchings))).tolist()
-    blocks = Blocks()
-    for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        blocks.add(t, 1, src[a:b], dst[a:b], np.arange(a, b), np.arange(a, b))
-    return blocks.schedule(n, len(matchings), src, dst, table, scale), trace
+    # Each row ships to its own commodity. Each pair's rates add up to its
+    # demand, so no factor of scale divides every rate: scale is already the
+    # least common denominator.
+    step = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    src, dst = np.divmod(np.array(cells, np.int64), n)
+    schedule = Schedule(n, len(counts), step, src, dst, src, dst, int_column(rates), scale)
+    return schedule, GreedyTrace(instance, schedule)
 
 
 def edge_coloring_schedule(instance: Instance) -> Schedule:

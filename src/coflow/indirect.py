@@ -87,11 +87,12 @@ def _elementary_radix(n: int, load: Fraction, d: int | None = None) -> int:
     """The radix of the elementary basis: the least q with q^d >= n. ``d``
     defaults to the smallest dimension with B^d >= n (the regime choice for
     2 <= B <= n), and the scheme then takes the digit count of its radix; a
-    given ``d`` that would leave a digit unused is refused."""
+    given ``d`` that would leave a digit unused is refused. Without ``d``, B <= 2
+    takes radix 2, as B^d >= n gives 2^d >= n (and B <= 1 has no such d)."""
     given = d is not None
     if not given:
-        if load <= 1:
-            raise StructuralError("dimension choice needs load bound > 1")
+        if load <= 2:
+            return 2
         d = 1
         while load**d < n:
             d += 1
@@ -223,8 +224,8 @@ def elementary_basis_schedule(
     """Offset-digit routes in radix the least q with q^d >= n.
 
     ``d`` defaults to the smallest dimension with B^d >= n (the regime
-    choice for 2 <= B <= n); a given ``d`` with q^(d-1) >= n, which would
-    leave a digit unused, is refused.
+    choice for 2 <= B <= n), and to radix 2 for B <= 2; a given ``d`` with
+    q^(d-1) >= n, which would leave a digit unused, is refused.
     """
     load = _regime_load(instance, nominal_load)
     return _route_directly(instance, _elementary_radix(instance.n, load, d))
@@ -259,7 +260,7 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
     """
     n = instance.n
     load = _regime_load(instance, nominal_load)
-    q = 2 if load <= 2 else _elementary_radix(n, load)
+    q = _elementary_radix(n, load)
     scheme = CyclicScheme(n, q, load)
     pw, horizon = scheme.powers, scheme.horizon
     origin, dest, demands, scale = commodity_columns(instance)

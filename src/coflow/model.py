@@ -8,8 +8,8 @@ verifier and the metrics read it in whole-schedule numpy passes.
 views, which take their entries from one memo per instance, and in the
 ``"p/q"`` documents earlier versions wrote: instance and schedule files
 are integer documents.
-Every scheduler builds its columns through :class:`Blocks`, from the
-commodity columns of :func:`commodity_columns` and an amount table;
+Every scheduler but greedy builds its columns through :class:`Blocks`,
+from the commodity columns of :func:`commodity_columns` and an amount table;
 ``Schedule.steps`` is a view that gives the rows back as ``Transfer``
 objects. Types are immutable after construction and safe to share across
 threads.
@@ -253,6 +253,11 @@ def scaled_column(amounts: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     return int_column([a.numerator * mult[a.denominator] for a in amounts]), scale
 
 
+def max_abs(column: np.ndarray) -> int:
+    """The largest absolute value in an integer column, 0 when it is empty."""
+    return max(int(column.max()), -int(column.min())) if column.size else 0
+
+
 def node_ids(column: np.ndarray, n: int) -> np.ndarray:
     """A node column as int64, every id outside 0..n-1 in an ``object``
     column (one beyond int64) replaced by -1; int64 columns pass as they are."""
@@ -285,7 +290,7 @@ class Schedule:
     columns are read-only. Equal rows give equal columns, so schedules
     compare by their columns.
 
-    The schedulers build one with :class:`Blocks`; ``to_json`` writes the
+    Most schedulers build one with :class:`Blocks`; ``to_json`` writes the
     columns as JSON integer lists, and :attr:`steps` gives the rows back as
     objects.
     """
@@ -374,6 +379,23 @@ class Schedule:
             raise StructuralError("declared horizon does not match step count")
         step = np.repeat(np.arange(horizon, dtype=np.int64), counts)
         return Schedule(n, horizon, step, *nodes, amount, scale)
+
+
+def common_scale(instance: Instance, schedule: Schedule) -> tuple[np.ndarray, np.ndarray, int]:
+    """The demands, row-major, and the schedule's amounts as numerators over
+    the lcm of their scales, and that lcm: int64 columns when the lcm and
+    every sum of up to two amounts per row and one demand per commodity fit
+    in int64, Python ints otherwise. A column that needs no change is shared."""
+    demand, den = instance.scaled_demands
+    scale = lcm(schedule.scale, den)
+    big = max(max_abs(demand) * (scale // den), max_abs(schedule.amount) * (scale // schedule.scale))
+    fits = scale <= INT64_MAX and big * (2 * schedule.step.size + instance.n**2) <= INT64_MAX
+
+    def over(column, den):
+        column = column.astype(np.int64 if fits else object, copy=False)
+        return column * (scale // den) if den != scale else column
+
+    return over(demand, den), over(schedule.amount, schedule.scale), scale
 
 
 def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: tuple) -> list:

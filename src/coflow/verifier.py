@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 
 import numpy as np
@@ -32,6 +31,7 @@ from .model import (
     Instance,
     Matrix,
     Schedule,
+    common_scale,
     group_starts,
     node_ids,
     outside,
@@ -75,15 +75,6 @@ class VerificationReport:
 # many events at a time, so that few running sums (Python ints) are alive at
 # once.
 _CHUNK = 1 << 12
-
-
-def _max_abs(column: np.ndarray) -> int:
-    return max(int(column.max()), -int(column.min())) if column.size else 0
-
-
-def _rescale(column: np.ndarray, factor: int, dtype) -> np.ndarray:
-    column = column.astype(dtype, copy=False)
-    return column * factor if factor != 1 else column
 
 
 def _edge_checks(step, src, dst, amount, n, scale, row, records) -> tuple[int, bool]:
@@ -225,19 +216,11 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
     common denominator of the demands and the transfers.
     """
     n = instance.n
-    demand, instance_scale = instance.scaled_demands
-    scale = lcm(schedule.scale, instance_scale)
     # Every load, rate and running balance is a sum of at most one amount
     # per row and per commodity (of which there are at most n(n-1)), and
     # conservation's one running sum over all events takes two per row and
-    # one per commodity; int64 is exact when that bound fits.
-    rows = schedule.step.size
-    big = max(_max_abs(demand) * (scale // instance_scale),
-              _max_abs(schedule.amount) * (scale // schedule.scale))
-    fits = scale <= INT64_MAX and big * (2 * rows + n * n) <= INT64_MAX
-    dtype = np.int64 if fits else object
-    demand = _rescale(demand, scale // instance_scale, dtype)
-    amount = _rescale(schedule.amount, scale // schedule.scale, dtype)
+    # one per commodity.
+    demand, amount, scale = common_scale(instance, schedule)
     comm = np.flatnonzero(demand > 0)  # i*n + j for every commodity (i, j)
 
     # Records are keyed (step, phase, row, order) so that they sort into the
@@ -290,7 +273,7 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
 
     short_rows, dest_keys, delivered = _conservation(
         comm, demand, step, src, dst, origin, dest, amount, n, schedule.horizon,
-        INT64_MAX if fits else _CHUNK,
+        INT64_MAX if amount.dtype != object else _CHUNK,
     )
     for k in short_rows.tolist():
         s = int(step[k])

@@ -5,18 +5,23 @@ These are the loops the package ran before it moved the direct quadrant onto
 integer numerators: every residual, row sum, rate and objective is a
 ``Fraction``, and the schedule is built row by row through
 ``schedule_from_steps``. The reference gives the matchings, their order, the
-first failure of a replay and every certificate value.
+first failure of a replay and every certificate value, and
+``check_matching`` is the per-matching walk that names the first way a
+matching is not a fractional matching.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from itertools import chain
+from math import ceil
+
+import numpy as np
 
 from coflow.certificates import CertificateReport
 from coflow.direct import GreedyTrace
-from coflow.errors import NegativeDemandError, SchedulingError
-from coflow.model import Transfer
+from coflow.errors import NegativeDemandError, SchedulingError, StructuralError
+from coflow.model import Schedule, Transfer, scaled_column
 from coflow.rational import render_rational
 from reference_rows import schedule_from_steps
 
@@ -29,13 +34,35 @@ def fraction_matchings(trace):
 
 
 def integer_trace(instance, matchings):
-    """The ``GreedyTrace`` of matchings with ``Fraction`` rates, over the lcm
-    of the instance's denominator and the rates'."""
-    rates = [p for m in matchings for _, _, p in m]
-    scale = lcm(instance.scaled_demands[1], *(p.denominator for p in rates))
-    return GreedyTrace(instance, scale, tuple(
-        tuple((i, j, int(p * scale)) for i, j, p in m) for m in matchings
-    ))
+    """The ``GreedyTrace`` of matchings with ``Fraction`` rates: one step per
+    matching, the rates over their lowest scale."""
+    rows = [x for m in matchings for x in m]
+    rate, scale = scaled_column([p for _, _, p in rows])
+    src, dst = (np.array([x[k] for x in rows], np.int64) for k in (0, 1))
+    step = np.repeat(np.arange(len(matchings), dtype=np.int64), list(map(len, matchings)))
+    schedule = Schedule(instance.n, len(matchings), step, src, dst, src, dst, rate, scale)
+    return GreedyTrace(instance, schedule)
+
+
+def check_matching(senders, receivers, rates, n, cap):
+    """Refuse a matching, given as columns, with a self-loop, a non-positive
+    rate, a repeated pair, or a node whose rates in or out add up to more
+    than ``cap``, a rate of 1."""
+    seen = set()
+    out, into = [0] * n, [0] * n
+    for s, r, p in zip(senders, receivers, rates):
+        if s == r:
+            raise StructuralError(f"self-loop ({s},{r}) in fractional matching")
+        if p <= 0:
+            raise StructuralError(f"non-positive rate on ({s},{r})")
+        if s * n + r in seen:
+            raise StructuralError(f"duplicate pair ({s},{r})")
+        seen.add(s * n + r)
+        out[s] += p
+        into[r] += p
+    for v, total in chain(enumerate(out), enumerate(into)):
+        if total > cap:
+            raise StructuralError(f"node {v} exceeds matching cap 1")
 
 
 def matrix_row_sums(m):

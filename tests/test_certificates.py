@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+import reference_greedy
 
 from coflow.certificates import (
     DualCertificate, build_certificate, check_certificate, lower_bounds,
@@ -108,7 +109,9 @@ def test_unfinished_or_overshipping_trace_is_rejected():
     inst = make_instance(2, [[F(0), F(3, 2)], [F(0), F(0)]])
     _, trace = greedy_schedule(inst)
     cert = build_certificate(trace)
-    unfinished = replace(trace, matchings=trace.matchings[:1])
+    unfinished = reference_greedy.integer_trace(
+        inst, reference_greedy.fraction_matchings(trace)[:1]
+    )
     report = check_certificate(inst, unfinished, cert)
     assert any("unshipped" in f for f in report.failures)
     small = make_instance(2, [[F(0), F(1, 2)], [F(0), F(0)]])

@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 from coflow.direct import (
     ORDER_CHOICES,
     GreedyTrace,
-    _check_matching,
-    _clearly_matchings,
+    _matching_fault,
     edge_coloring_schedule,
     greedy_schedule,
     smeared_fractional_schedule,
 )
 from coflow.errors import StructuralError
-from coflow.model import compute_metrics, make_instance, uniform_instance
+from coflow.generators import FAMILIES, generate
+from coflow.model import compute_metrics, int_column, make_instance, uniform_instance
 from coflow.verifier import verify
 
 
@@ -123,7 +123,10 @@ def test_trace_document():
     half = make_instance(2, [[0, F(1, 2)], [0, 0]])
     doc = {"format": "coflow-trace-v1", "n": 2, "scale": 3, "counts": [1, 1],
            "from": [0, 0], "to": [1, 1], "rate": [1, 1]}
-    assert GreedyTrace.from_json(doc, half) == GreedyTrace(half, 6, (((0, 1, 2),), ((0, 1, 2),)))
+    again = GreedyTrace.from_json(doc, half)
+    assert again == reference_greedy.integer_trace(half, (((0, 1, F(1, 3)),),) * 2)
+    assert (again.scale, again.schedule.scale) == (6, 3)
+    assert again.matchings == (((0, 1, 2),), ((0, 1, 2),))
 
 
 def trace_instances():
@@ -166,29 +169,71 @@ def test_residual_views_share_their_entries():
     assert c.residuals[0][0][1] is view_a[0][0][1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
-    st.just(n),
-    st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                st.integers(-1, 4)), max_size=2 * n), max_size=3),
-    st.integers(1, 4),
-)))
-def test_numpy_matching_pass_agrees_with_the_matching_check(case):
-    # Small enough that the pass never declines for size: it answers True
-    # exactly when every matching passes the check.
+def matching_cases(n_max, matchings_max, rows_max):
+    """(n, matchings, cap): up to ``matchings_max`` matchings of up to
+    ``rows_max`` random (sender, receiver, rate) triples on n <= n_max nodes."""
+    return st.integers(2, n_max).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.integers(-1, 4)), max_size=rows_max),
+                 max_size=matchings_max),
+        st.integers(1, 4),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matching_cases(4, 3, 8),
+                 # More (matching, node) cells than rows: mostly empty matchings.
+                 matching_cases(40, 24, 2)),
+       st.sampled_from((1, 2**70)))
+def test_numpy_matching_pass_agrees_with_the_matching_check(case, factor):
+    # The one-pass check names the fault the per-matching walk meets first;
+    # rates and cap times 2**70 take the pass onto Python ints.
     n, matchings, cap = case
     rows = [x for m in matchings for x in m]
     counts = list(map(len, matchings))
     senders, receivers, rates = ([x[k] for x in rows] for k in range(3))
+    rates = [p * factor for p in rates]
+    want = None
     try:
         bounds = [0, *np.cumsum(counts).tolist()]
         for a, b in zip(bounds, bounds[1:]):
-            _check_matching(senders[a:b], receivers[a:b], rates[a:b], n, cap)
-        fine = True
-    except StructuralError:
-        fine = False
-    columns = (np.array(senders, np.int64), np.array(receivers, np.int64))
-    assert _clearly_matchings(counts, *columns, rates, n, cap) == fine
+            reference_greedy.check_matching(
+                senders[a:b], receivers[a:b], rates[a:b], n, cap * factor
+            )
+    except StructuralError as exc:
+        want = str(exc)
+    step = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    columns = (np.array(senders, np.int64), np.array(receivers, np.int64), int_column(rates))
+    assert _matching_fault(step, *columns, n, cap * factor) == want
+
+
+def test_greedy_trace_holds_its_schedule():
+    inst = random_instance(4)
+    sched, trace = greedy_schedule(inst)
+    assert trace.schedule is sched
+    assert trace.horizon == sched.horizon
+    assert trace.scale == sched.scale == inst.scaled_demands[1]
+
+
+@pytest.mark.parametrize("order", ORDER_CHOICES)
+def test_trace_documents_read_back_as_the_run(order):
+    # The last instance has prime denominators: its rates exceed int64.
+    instances = [generate(family, 12, F(7, 3), seed=2) for family in FAMILIES]
+    for inst in instances + trace_instances()[-1:]:
+        _, trace = greedy_schedule(inst, order=order, seed=5)
+        again = GreedyTrace.from_json(json.loads(json.dumps(trace.to_json())), inst)
+        assert again == trace
+        assert again.schedule.amount.dtype == trace.schedule.amount.dtype
+    assert trace.schedule.amount.dtype == object
+
+
+def test_prime_denominator_trace_replays_as_greedy():
+    inst = trace_instances()[-1]
+    _, trace = greedy_schedule(inst)
+    again = GreedyTrace.from_json(json.loads(json.dumps(trace.to_json())), inst)
+    assert again.replay.failure is None
+    assert again.replay == trace.replay
 
 
 @settings(max_examples=30, deadline=None)

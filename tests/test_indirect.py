@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import random
+import time
 
 import pytest
 import reference_routes
@@ -63,6 +64,24 @@ def test_round_robin_makespan(n, load, makespan):
     inst = uniform_instance(n, load)
     metrics = _check(inst, round_robin_schedule(inst))
     assert metrics.makespan == makespan
+
+
+@pytest.mark.parametrize("load", [F(1, 2), F(1)])
+def test_elementary_basis_at_loads_up_to_one_is_the_hypercube(load):
+    for n in (2, 3, 8, 21, 64):
+        inst = uniform_instance(n, load)
+        assert elementary_basis_schedule(inst) == hypercube_schedule(inst)
+        assert elementary_basis_schedule(inst, nominal_load=load) == hypercube_schedule(inst)
+
+
+def test_elementary_basis_load_just_above_one_returns_at_once():
+    # The least d with B^d >= n is about 46,000 here; radix 2 needs no d.
+    inst = uniform_instance(100, F(1, 2))
+    t0 = time.perf_counter()
+    sched = elementary_basis_schedule(inst, nominal_load=F(10001, 10000))
+    assert time.perf_counter() - t0 < 1
+    assert sched == hypercube_schedule(inst)
+    assert _check(inst, sched).makespan == 7
 
 
 def test_base_two_elementary_matches_hypercube():
@@ -254,10 +273,8 @@ def _size_case(n, load, seed):
     """The digit routes on uniform (n, B), and the lifted ones on uniform and
     random-sparse (n, B): feasible, exact, and at the scheme's horizon."""
     uniform = uniform_instance(n, load)
-    direct = [(hypercube_schedule(uniform), 2)]
-    if load > 1:
-        direct.append((elementary_basis_schedule(uniform, nominal_load=load),
-                       _elementary_radix(n, load)))
+    direct = [(hypercube_schedule(uniform), 2),
+              (elementary_basis_schedule(uniform, nominal_load=load), _radix(n, load))]
     if n > 2:  # at n=2 the grid's second digit is unused, and refused
         q = next(q for q in range(2, n + 1) if q * q >= n)
         direct.append((grid_schedule(uniform), q))
