@@ -20,7 +20,11 @@ The cases:
 * ``cli-hypercube-256``: ``coflow generate``, ``schedule``, ``verify`` and
   ``metrics`` through files at n=256, B=2, in-process;
 * ``hypercube-uniform-1024``: ``hypercube_schedule``, ``verify`` and
-  ``compute_metrics`` in-process at uniform n=1024, B=2 (5.24M rows).
+  ``compute_metrics`` in-process at uniform n=1024, B=2 (5.24M rows);
+* ``edge-coloring-uniform-256``, ``round-robin-uniform-256``: the two
+  unit-parcel schedulers and ``verify`` in-process at uniform n=256, edge
+  coloring at B=2 (65,280 rows, makespan 255) and round robin at B=512
+  (130,560 rows, makespan 510).
 
 Each stage is timed ``--repeats`` times with the garbage collector on;
 the record keeps every sample and their median. ``--parent PATH`` runs every
@@ -54,7 +58,14 @@ CASES = (
     "greedy-certificate-uniform-256",
     "cli-hypercube-256",
     "hypercube-uniform-1024",
+    "edge-coloring-uniform-256",
+    "round-robin-uniform-256",
 )
+# The unit-parcel cases: algorithm, load bound and makespan at uniform n=256.
+PARCEL_CASES = {
+    "edge-coloring-uniform-256": ("edge-coloring", 2, 255),
+    "round-robin-uniform-256": ("round-robin", 512, 510),
+}
 
 
 def timed(fn, repeats: int) -> dict:
@@ -181,6 +192,24 @@ def hypercube_case(repeats: int, tmp: str) -> dict:
     }
 
 
+def parcel_case(case: str, repeats: int) -> dict:
+    from coflow import experiment, model, verifier
+
+    algorithm, load, makespan = PARCEL_CASES[case]
+    inst = model.uniform_instance(256, Fraction(load))
+    built = []
+    schedule = timed(lambda: built.append(experiment.ALGORITHMS[algorithm](inst, load)), repeats)
+    sched = built.pop()
+    del built
+    reports = []
+    verify = timed(lambda: reports.append(verifier.verify(inst, sched).feasible), repeats)
+    return {
+        "stages_s": {"schedule": schedule, "verify": verify},
+        "rows": int(sched.step.size),
+        "ok": all(reports) and sched.horizon == makespan,
+    }
+
+
 def run_case(case: str, repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         if case.startswith("instance-"):
@@ -191,6 +220,8 @@ def run_case(case: str, repeats: int) -> dict:
             out = greedy_case(repeats, tmp)
         elif case == "hypercube-uniform-1024":
             out = hypercube_case(repeats, tmp)
+        elif case in PARCEL_CASES:
+            out = parcel_case(case, repeats)
         else:
             out = cli_case(repeats, tmp)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

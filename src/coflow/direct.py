@@ -9,9 +9,10 @@ its destination:
 * fractional makespan by smearing the demand matrix uniformly over
   ``ceil(load_bound)`` steps.
 
-Edge coloring and smearing build their schedule's columns through
-``model.Blocks``; greedy writes its rows straight into columns, and its trace
-is the instance and that schedule. The trace's replay holds Python ints:
+Edge coloring ships unit parcels through ``model.parcel_schedule``, one
+step per color, and smearing builds one block through ``model.Blocks``;
+greedy writes its rows straight into columns, and its trace is the instance
+and that schedule. The trace's replay holds Python ints:
 rates and residuals are numerators over one scale (for greedy's own trace,
 the instance's common denominator), and a node's cap of 1 is that scale.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import ceil, gcd, lcm
+from math import ceil, lcm
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -32,9 +33,9 @@ import numpy as np
 from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
-    INT64_MAX, Blocks, Instance, Schedule, as_rows, check_rows, commodity_columns, common_scale,
-    group_starts, int_column, integer_document, lowest_terms, max_abs, node_ids, outside,
-    scaled_column, square_sums, unit_parcels,
+    Blocks, Instance, Schedule, as_rows, check_rows, commodity_columns, common_scale, group_starts,
+    int_column, integer_document, lowest_terms, node_columns, parcel_schedule, scaled_column,
+    square_sums, summable, unit_parcels,
 )
 from .rational import rational_parser
 
@@ -64,10 +65,18 @@ class GreedyTrace:
     each row a (sender, receiver, rate) triple shipped to its own commodity.
     ``scale``, the lcm of the two denominators, is a node's cap of 1 in the
     integer views (:attr:`matchings`, :attr:`replay`, whose sums the
-    certificate reads)."""
+    certificate reads). A node outside 0..n-1 raises ``StructuralError``."""
 
     instance: Instance
     schedule: Schedule
+
+    def __post_init__(self):
+        n, schedule = self.instance.n, self.schedule
+        bad = node_columns(schedule, n)[4]
+        if bad.any():
+            r = int(bad.argmax())
+            raise StructuralError(f"matching {schedule.step[r]}: node outside 0..{n - 1} in "
+                                  f"({schedule.src[r]},{schedule.dst[r]})")
 
     @cached_property
     def scale(self) -> int:
@@ -175,7 +184,8 @@ class GreedyTrace:
         wrote (``{"n", "matchings"}``, one ``[sender, receiver, "p/q"]`` list
         per triple, and no ``format`` key; stored residuals are ignored), into
         a schedule over the rates' lowest scale. Each matching must be a
-        fractional matching of nodes in 0..n-1 (see ``_matching_fault``)."""
+        fractional matching (see ``_matching_fault``) of nodes in 0..n-1,
+        which the constructor checks."""
         n = instance.n
         if isinstance(obj, dict) and "format" in obj:
             declared, scale, counts, senders, receivers, rates = integer_document(
@@ -187,17 +197,13 @@ class GreedyTrace:
         else:
             counts, senders, receivers, rate, scale = _matchings_document(obj, n)
         step = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        src, dst = (node_ids(int_column(c), n) for c in (senders, receivers))
-        bad = outside(src, n) | outside(dst, n)
-        if bad.any():
-            r = int(bad.argmax())
-            raise StructuralError(
-                f"matching {step[r]}: node outside 0..{n - 1} in ({senders[r]},{receivers[r]})"
-            )
+        src, dst = int_column(senders), int_column(receivers)
+        schedule = Schedule(n, len(counts), step, src, dst, src, dst, rate, scale)
+        trace = GreedyTrace(instance, schedule)
         fault = _matching_fault(step, src, dst, rate, n, scale)
         if fault:
             raise StructuralError(fault)
-        return GreedyTrace(instance, Schedule(n, len(counts), step, src, dst, src, dst, rate, scale))
+        return trace
 
 
 def _matchings_document(obj, n: int) -> tuple[list[int], list[int], list[int], np.ndarray, int]:
@@ -245,8 +251,7 @@ def _matching_fault(step, src, dst, rate, n: int, cap: int) -> str | None:
     # Each side's (step, node) totals, by a sort on step * n + node (far
     # inside int64); a total sums at most one rate per row. The walk meets
     # the lowest (step, side, node) first.
-    if rate.dtype != object and max_abs(rate) * step.size > INT64_MAX:
-        rate = rate.astype(object)
+    rate = summable(rate, step.size)
     over = []
     for side, nodes in enumerate((src, dst)):
         key = step * n + nodes
@@ -336,37 +341,17 @@ def edge_coloring_schedule(instance: Instance) -> Schedule:
     color is one step. Every edge ships 1, except the highest-colored edge
     of each pair (i, j), which ships what remains of D_ij.
     """
-    n = instance.n
-    origin, dest, demand, scale = commodity_columns(instance)
-    count, last, one, table = unit_parcels(demand, scale)
-    edge = np.repeat(np.arange(origin.size), count)  # the commodity of each edge
+    origin, dest, _, _ = commodity_columns(instance)
+    edge, _ = unit_parcels(instance)  # the commodity of each edge
     pairs = list(zip(origin[edge].tolist(), dest[edge].tolist()))
-    color = np.array(color_bipartite_multigraph(n, pairs), np.int64)
-    top = np.zeros(origin.size, np.int64)
-    np.maximum.at(top, edge, color)
-    code = np.where(color == top[edge], last[edge], one)
-    order = np.argsort(color, kind="stable")
-    edge, color, code = edge[order], color[order], code[order]
-    horizon = int(color[-1]) + 1 if color.size else 0
-    bounds = np.searchsorted(color, np.arange(horizon + 1)).tolist()
-    blocks = Blocks()
-    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        sel = edge[a:b]
-        blocks.add(c, 1, origin[sel], dest[sel], sel, code[a:b])
-    return blocks.schedule(n, horizon, origin, dest, table, scale)
+    color = np.array(color_bipartite_multigraph(instance.n, pairs), np.int64)
+    return parcel_schedule(instance, int(color.max(initial=-1)) + 1, edge, color)
 
 
 def smeared_fractional_schedule(instance: Instance) -> Schedule:
     """Optimal fractional makespan: ship D / ceil(B) in each of ceil(B) steps."""
     horizon = ceil(instance.load_bound)
-    origin, dest, demand, scale = commodity_columns(instance)
-    keys, code = np.unique(demand, return_inverse=True)
-    keys = keys.tolist()
-    # Each step ships d / (scale * horizon); the least common denominator of
-    # those is den / g.
-    den = scale * horizon
-    g = gcd(den, *keys)
-    table = int_column([x // g for x in keys])
-    blocks = Blocks()
-    blocks.add(0, horizon, origin, dest, np.arange(origin.size), code)
-    return blocks.schedule(instance.n, horizon, origin, dest, table, den // g if keys else 1)
+    blocks = Blocks(instance, horizon)
+    every = np.arange(blocks.origin.size)
+    blocks.add(0, horizon, blocks.origin, blocks.dest, every, 1)
+    return blocks.schedule(horizon)

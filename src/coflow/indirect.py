@@ -11,8 +11,10 @@ schemes:
 * VLB lifting: the offset digits twice, spreading every commodity uniformly
   over all intermediate nodes, to handle arbitrary demand matrices.
 
-Each scheme emits its rows into ``model.Blocks`` one matching at a time,
-vectorized over the commodities.
+Round robin ships unit parcels through ``model.parcel_schedule``, each in
+the slot of its shift and index; the offset-digit schemes emit their rows
+into ``model.Blocks`` one matching at a time, vectorized over the
+commodities, each row a factor of its commodity's demand.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from math import ceil, lcm
 import numpy as np
 
 from .errors import StructuralError
-from .model import (
-    Blocks, Instance, Schedule, commodity_columns, int_column, lowest_terms, unit_parcels,
-)
+from .model import Blocks, Instance, Schedule, commodity_columns, parcel_schedule, unit_parcels
 
 # VLB expands the rows of a run of commodities at a time, about this many,
 # so that its temporaries stay small next to the schedule.
@@ -119,45 +119,6 @@ def _shift_groups(shift: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return list(zip(values.tolist(), np.split(hops, starts[1:])))
 
 
-class _Amounts:
-    """The amount table of a routed schedule: entry f*G + g is the g-th of
-    the G distinct demands times the f-th factor, an integer over ``common``.
-    Only the entries some row uses are filled, since the table's dtype and
-    scale become the schedule's."""
-
-    def __init__(self, demands: np.ndarray, scale: int, common: int):
-        keys, self.group = np.unique(demands, return_inverse=True)
-        self.keys, self.scale, self.common = keys.tolist(), scale, common
-        self.factors: dict[int, int] = {}
-        self.codes_made: list[np.ndarray] = []
-
-    def codes(self, commodities: np.ndarray, factor) -> np.ndarray:
-        """Table codes of rows that carry their commodity's demand times
-        factor/common; ``factor`` is an int, or an int column, one per row."""
-        bins = np.bincount(np.ravel(factor))
-        lookup = np.zeros(bins.size, np.int64)
-        present = np.flatnonzero(bins)
-        lookup[present] = [self.factors.setdefault(f, len(self.factors)) for f in present.tolist()]
-        code = lookup[factor] * len(self.keys) + self.group[commodities]
-        self.codes_made.append(code)
-        return code
-
-    def table(self) -> tuple[np.ndarray, int]:
-        size = len(self.keys)
-        used = np.zeros(len(self.factors) * size, bool)
-        for code in self.codes_made:
-            used[code] = True
-        entries = np.flatnonzero(used).tolist()
-        factors = list(self.factors)
-        nums, scale = lowest_terms(
-            [self.keys[e % size] * factors[e // size] for e in entries], self.scale * self.common
-        )
-        column = int_column(nums)
-        table = np.zeros(used.size, column.dtype)
-        table[entries] = column
-        return table, scale
-
-
 def _route_directly(instance: Instance, q: int) -> Schedule:
     """Route every commodity over the offset digits in radix q, least
     significant first, each hop split equally over its round's repetitions.
@@ -167,8 +128,7 @@ def _route_directly(instance: Instance, q: int) -> Schedule:
     n = instance.n
     origin, dest, demands, scale = commodity_columns(instance)
     scheme = CyclicScheme(n, q, Fraction(n * int(demands.max(initial=0)), scale))
-    amounts = _Amounts(demands, scale, scheme.lcm)
-    blocks = Blocks()
+    blocks = Blocks(instance, scheme.lcm)
     offset = (dest - origin) % n
     cur = origin.copy()
     for k, rounds in enumerate(scheme.rounds):
@@ -177,10 +137,9 @@ def _route_directly(instance: Instance, q: int) -> Schedule:
         for s, sel in _shift_groups(digit):
             _, start, m = rounds[s - 1]
             src = cur[sel]
-            blocks.add(start, m, src, (src + s * p) % n, sel, amounts.codes(sel, scheme.lcm // m))
+            blocks.add(start, m, src, (src + s * p) % n, sel, scheme.lcm // m)
         cur = (cur + digit * p) % n
-    table, scale = amounts.table()
-    return blocks.schedule(n, scheme.horizon, origin, dest, table, scale)
+    return blocks.schedule(scheme.horizon)
 
 
 def round_robin_schedule(
@@ -195,20 +154,11 @@ def round_robin_schedule(
     """
     n = instance.n
     load = _regime_load(instance, nominal_load)
-    origin, dest, demand, scale = commodity_columns(instance)
-    count, last, one, table = unit_parcels(demand, scale)
-    parcels = int(count.max(initial=0))
-    m = max(ceil(load / n), parcels, 1)
+    origin, dest, _, _ = commodity_columns(instance)
+    parcel, k = unit_parcels(instance)
+    m = max(ceil(load / n), int(k.max(initial=-1)) + 1, 1)
     shift = (dest - origin) % n
-    blocks = Blocks()
-    live = np.arange(origin.size)  # the commodities with more than k parcels
-    for k in range(parcels):
-        live = live[count[live] > k]
-        for s, sel in _shift_groups(shift[live]):
-            sel = live[sel]
-            code = np.where(count[sel] > k + 1, one, last[sel])
-            blocks.add((s - 1) * m + k, 1, origin[sel], dest[sel], sel, code)
-    return blocks.schedule(n, (n - 1) * m, origin, dest, table, scale)
+    return parcel_schedule(instance, (n - 1) * m, parcel, (shift[parcel] - 1) * m + k)
 
 
 def hypercube_schedule(instance: Instance) -> Schedule:
@@ -263,10 +213,9 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
     q = _elementary_radix(n, load)
     scheme = CyclicScheme(n, q, load)
     pw, horizon = scheme.powers, scheme.horizon
-    origin, dest, demands, scale = commodity_columns(instance)
     # Each row moves demand * shares / (n m), m its round's multiplicity.
-    amounts = _Amounts(demands, scale, n * scheme.lcm)
-    blocks = Blocks()
+    blocks = Blocks(instance, n * scheme.lcm)
+    origin, dest = blocks.origin, blocks.dest
     every = np.arange(origin.size)
     offset = (dest - origin) % n
     span = np.array(pw)[np.searchsorted(pw, offset, side="right")]  # q^(top+1)
@@ -287,8 +236,7 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
                 keep = lo % span[cm] != offset[cm]
                 cm, lo = cm[keep], lo[keep]
                 src = (origin[cm] + lo) % n
-                blocks.add(start, m, src, (src + s * p) % n, cm,
-                           amounts.codes(cm, count[lo] * (scheme.lcm // m)))
+                blocks.add(start, m, src, (src + s * p) % n, cm, count[lo] * (scheme.lcm // m))
             # Phase 2: from v - h - s p to v - h. The offsets v absorbed,
             # n - t*span for t = 1..absorbed, in [low, high) number
             # min(absorbed, (n - low) // span) - min(absorbed, (n - high) // span).
@@ -307,9 +255,8 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
                 cm, i, shares = cm[keep], i[keep], shares[keep]
                 dst = (dest[cm] - h[i]) % n
                 blocks.add(start + horizon, m, (dst - s * p) % n, dst, cm,
-                           amounts.codes(cm, shares * (scheme.lcm // m)))
-    table, scale = amounts.table()
-    return blocks.schedule(n, 2 * horizon, origin, dest, table, scale)
+                           shares * (scheme.lcm // m))
+    return blocks.schedule(2 * horizon)
 
 
 def auto_schedule(

@@ -8,11 +8,14 @@ verifier and the metrics read it in whole-schedule numpy passes.
 views, which take their entries from one memo per instance, and in the
 ``"p/q"`` documents earlier versions wrote: instance and schedule files
 are integer documents.
-Every scheduler but greedy builds its columns through :class:`Blocks`,
-from the commodity columns of :func:`commodity_columns` and an amount table;
-``Schedule.steps`` is a view that gives the rows back as ``Transfer``
-objects. Types are immutable after construction and safe to share across
-threads.
+The two unit-parcel schedulers, edge coloring and round robin, build their
+columns with :func:`parcel_schedule` from the parcels of :func:`unit_parcels`;
+smearing and the digit routes with :class:`Blocks`, which owns the amount
+table; greedy writes its rows straight into columns. :func:`node_columns`
+is the one node-range check and :func:`summable` the one int64-or-Python-int
+rule for sums. ``Schedule.steps`` is a view that gives the rows back as
+``Transfer`` objects. Types are immutable after construction and safe to
+share across threads.
 
 Time convention: step index ``s`` covers the interval ``[s, s+1]``; data
 moved during step ``s`` completes at time ``s + 1``.
@@ -193,8 +196,7 @@ def _column_instance(n: int, column: np.ndarray, scale: int) -> Instance:
         if diagonal[i]:
             raise DiagonalDemandError(f"nonzero diagonal demand at ({i},{i})")
         raise NegativeDemandError(f"negative demand at ({i},{int(negative[i].argmax())})")
-    if column.dtype != object and int(column.max()) * n > INT64_MAX:
-        matrix = matrix.astype(object)  # row and column sums stay exact
+    matrix = summable(matrix, n)  # row and column sums stay exact
     load = Fraction(int(max(matrix.sum(axis=1).max(), matrix.sum(axis=0).max())), scale)
     return Instance(n=n, scaled_demands=(column, scale), load_bound=load)
 
@@ -258,17 +260,27 @@ def max_abs(column: np.ndarray) -> int:
     return max(int(column.max()), -int(column.min())) if column.size else 0
 
 
-def node_ids(column: np.ndarray, n: int) -> np.ndarray:
-    """A node column as int64, every id outside 0..n-1 in an ``object``
-    column (one beyond int64) replaced by -1; int64 columns pass as they are."""
-    if column.dtype != object:
-        return column
-    return np.where((column >= 0) & (column < n), column, -1).astype(np.int64)
+def summable(column: np.ndarray, terms: int) -> np.ndarray:
+    """``column``, or its values as Python ints in an ``object`` column when
+    a sum of up to ``terms`` of them might not fit in int64."""
+    if column.dtype != object and max_abs(column) * terms > INT64_MAX:
+        return column.astype(object)
+    return column
 
 
-def outside(ids: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the ids that name no node of 0..n-1."""
-    return (ids < 0) | (ids >= n)
+def node_columns(schedule: Schedule, n: int) -> tuple[np.ndarray, ...]:
+    """The schedule's src, dst, origin and dest columns as int64 (in an
+    ``object`` column, one beyond int64, every id outside 0..n-1 becomes -1),
+    and two row masks: an edge node outside 0..n-1, and a commodity that is
+    not two distinct nodes of 0..n-1."""
+    nodes = [
+        np.where((c >= 0) & (c < n), c, -1).astype(np.int64) if c.dtype == object else c
+        for c in (schedule.src, schedule.dst, schedule.origin, schedule.dest)
+    ]
+    src, dst, origin, dest = nodes
+    outside = [(c < 0) | (c >= n) for c in nodes]
+    bad_commodity = outside[2] | outside[3] | (origin == dest)
+    return src, dst, origin, dest, outside[0] | outside[1], bad_commodity
 
 
 def group_starts(keys: np.ndarray) -> np.ndarray:
@@ -290,9 +302,9 @@ class Schedule:
     columns are read-only. Equal rows give equal columns, so schedules
     compare by their columns.
 
-    Most schedulers build one with :class:`Blocks`; ``to_json`` writes the
-    columns as JSON integer lists, and :attr:`steps` gives the rows back as
-    objects.
+    Most schedulers build one with :class:`Blocks` or
+    :func:`parcel_schedule`; ``to_json`` writes the columns as JSON integer
+    lists, and :attr:`steps` gives the rows back as objects.
     """
 
     n: int
@@ -467,44 +479,94 @@ def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.nd
     return cells // instance.n, cells % instance.n, column[cells], scale
 
 
-def unit_parcels(demand: np.ndarray, scale: int):
-    """Each demand d as ceil(d) parcels of 1, the last cut to d - (ceil(d) - 1):
-    per commodity the parcel count and the table index of its last parcel,
-    the index of a parcel of 1 (in the table only if some count exceeds 1),
-    and the amount table, over ``scale``."""
+def unit_parcels(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Each demand d as ceil(d) parcels (see :func:`parcel_schedule`): the
+    commodity of each parcel, an index into :func:`commodity_columns`, and
+    its index among its commodity's parcels, in commodity order."""
+    _, _, demand, scale = commodity_columns(instance)
     keys, code = np.unique(demand, return_inverse=True)
-    keys = keys.tolist()
-    counts = [-(-x // scale) for x in keys]
-    table = [x - (c - 1) * scale for x, c in zip(keys, counts)]
-    if max(counts, default=0) > 1:
+    count = np.array([-(-x // scale) for x in keys.tolist()], np.int64)[code]
+    commodity = np.repeat(np.arange(count.size), count)
+    return commodity, np.arange(commodity.size) - (np.cumsum(count) - count)[commodity]
+
+
+def parcel_schedule(instance: Instance, horizon: int, parcel: np.ndarray,
+                    slot: np.ndarray) -> Schedule:
+    """The direct schedule that ships a parcel of commodity ``parcel[p]`` in
+    step ``slot[p]``, for each p: each parcel carries 1, except each
+    commodity's latest one, which carries what remains of its demand d,
+    d - (ceil(d) - 1). Rows are sorted by slot, stably, and amounts are over
+    the instance's scale."""
+    origin, dest, demand, scale = commodity_columns(instance)
+    keys, code = np.unique(demand, return_inverse=True)
+    table = [(x - 1) % scale + 1 for x in keys.tolist()]
+    if parcel.size > origin.size:  # some commodity has a parcel of 1
         table.append(scale)
-    return np.array(counts, np.int64)[code], code, len(keys), int_column(table)
+    order = np.argsort(slot, kind="stable")
+    parcel, slot = parcel[order], slot[order]
+    latest = np.zeros(origin.size, np.int64)
+    np.maximum.at(latest, parcel, np.arange(parcel.size))
+    entry = np.full(parcel.size, len(keys))
+    entry[latest] = code
+    src, dst = origin[parcel], dest[parcel]
+    return Schedule(instance.n, horizon, slot, src, dst, src, dst, int_column(table)[entry], scale)
 
 
 class Blocks:
-    """The rows of a schedule, one block per matching.
+    """The rows of a schedule of ``instance``, one block per matching.
 
     A block holds the rows one matching carries, in commodity order, and
-    fills a run of consecutive slots, given with the block. Blocks may be
-    added in pieces, each piece a run of commodities in order; ``schedule``
-    sorts the pieces by slot, stably, so the rows come out sorted by (slot,
-    commodity, position). Every entry of the amount table must fill some row,
-    since the table's dtype and scale become the schedule's.
+    fills a run of consecutive slots, given with the block. A row carries its
+    commodity's demand times factor/``common``, with an integer factor per
+    block or per row. Blocks may be added in pieces, each piece a run of
+    commodities in order; ``schedule`` sorts the pieces by slot, stably, so
+    the rows come out sorted by (slot, commodity, position). The amount table
+    holds entry f*G + g, the g-th of the G distinct demands times the f-th
+    factor; only the entries some row uses are filled, and the schedule's
+    amounts are over the lowest scale of those.
     """
 
-    def __init__(self):
+    def __init__(self, instance: Instance, common: int):
+        self.n, self.common = instance.n, common
+        self.origin, self.dest, demand, self.scale = commodity_columns(instance)
+        keys, self.group = np.unique(demand, return_inverse=True)
+        self.keys = keys.tolist()
+        self.factors: dict[int, int] = {}
+        self.codes: list[np.ndarray] = []
         self.pieces: list[tuple] = []
 
-    def add(self, slot: int, run: int, src, dst, commodity, amount) -> None:
+    def add(self, slot: int, run: int, src, dst, commodity, factor) -> None:
         """Rows src -> dst of the given commodities (indices into the
-        commodity columns) with the given amounts (indices into the amount
-        table), in the ``run`` slots from ``slot`` on."""
+        commodity columns), each carrying its demand times factor/common
+        (``factor`` an int, or an int column with one per row), in the
+        ``run`` slots from ``slot`` on."""
+        bins = np.bincount(np.ravel(factor))
+        lookup = np.zeros(bins.size, np.int64)
+        present = np.flatnonzero(bins)
+        lookup[present] = [self.factors.setdefault(f, len(self.factors)) for f in present.tolist()]
+        code = lookup[factor] * len(self.keys) + self.group[commodity]
+        self.codes.append(code)
         for k in range(slot, slot + run):
-            self.pieces.append((k, src, dst, commodity, amount))
+            self.pieces.append((k, src, dst, commodity, code))
 
-    def schedule(self, n, horizon, origin, dest, table, scale) -> Schedule:
+    def _table(self) -> tuple[np.ndarray, int]:
+        size = len(self.keys)
+        used = np.zeros(len(self.factors) * size, bool)
+        for code in self.codes:
+            used[code] = True
+        entries = np.flatnonzero(used).tolist()
+        factors = list(self.factors)
+        nums = [self.keys[e % size] * factors[e // size] for e in entries]
+        nums, scale = lowest_terms(nums, self.scale * self.common) if nums else ([], 1)
+        column = int_column(nums)
+        table = np.zeros(used.size, column.dtype)
+        table[entries] = column
+        return table, scale
+
+    def schedule(self, horizon: int) -> Schedule:
+        table, scale = self._table()
         pieces = sorted(self.pieces, key=itemgetter(0))
-        self.pieces = []
+        self.pieces, self.codes = [], []
         empty = np.zeros(0, np.int64)
         slots, srcs, dsts, comms, amounts = (
             list(field) for field in zip((0, empty, empty, empty, empty), *pieces)
@@ -519,10 +581,10 @@ class Blocks:
         del dsts
         commodity = np.concatenate(comms)
         del comms
-        origin, dest = origin[commodity], dest[commodity]
+        origin, dest = self.origin[commodity], self.dest[commodity]
         del commodity
         amount = table[np.concatenate(amounts)]
-        return Schedule(n, horizon, step, src, dst, origin, dest, amount, scale)
+        return Schedule(self.n, horizon, step, src, dst, origin, dest, amount, scale)
 
 
 @dataclass(frozen=True)
@@ -558,12 +620,8 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     if schedule.n != n:
         raise StructuralError("schedule node count does not match instance")
     step, amount = schedule.step, schedule.amount
-    src, dst, origin, dest = (
-        node_ids(c, n) for c in (schedule.src, schedule.dst, schedule.origin, schedule.dest)
-    )
+    src, dst, origin, dest, bad_node, bad_pair = node_columns(schedule, n)
     positive = instance.scaled_demands[0] > 0
-    bad_node = outside(src, n) | outside(dst, n)
-    bad_pair = outside(origin, n) | outside(dest, n) | (origin == dest)
     pair = origin * n + dest
     no_demand = ~positive[np.where(bad_pair, 0, pair)]
     non_positive = amount <= 0
@@ -584,11 +642,8 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
         raise StructuralError(f"commodity ({u},{v}) leaves its destination at step {s}")
 
     arrivals = np.flatnonzero(dst == dest)
-    got = amount[arrivals]
+    got = summable(amount[arrivals], arrivals.size)  # each sum takes one per row
     when = step[arrivals]
-    # Every sum below is of positive amounts, at most one per row.
-    if got.dtype != object and got.size and int(amount.max()) * step.size > INT64_MAX:
-        got = got.astype(object)
     delivered = np.zeros(n * n, got.dtype)
     np.add.at(delivered, pair[arrivals], got)
     total = makespan = 0

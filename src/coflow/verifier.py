@@ -26,16 +26,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import (
-    INT64_MAX,
-    Instance,
-    Matrix,
-    Schedule,
-    common_scale,
-    group_starts,
-    node_ids,
-    outside,
-)
+from .model import INT64_MAX, Instance, Matrix, Schedule, common_scale, group_starts, node_columns
 from .rational import rational_renderer, render_rational
 
 
@@ -230,11 +221,8 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
     # step-major, so a row index orders rows within a step.
     records: list[tuple[tuple[int, int, int, int], Violation]] = []
     step = schedule.step
-    src, dst, origin, dest = (
-        node_ids(c, n) for c in (schedule.src, schedule.dst, schedule.origin, schedule.dest)
-    )
-    bad_edge = outside(src, n) | outside(dst, n) | (src == dst)
-    bad_commodity = outside(origin, n) | outside(dest, n) | (origin == dest)
+    src, dst, origin, dest, bad_edge, bad_commodity = node_columns(schedule, n)
+    bad_edge |= src == dst
     valid = ~bad_edge & ~bad_commodity & (amount > 0)
     kept = None  # row of each valid transfer, once rows are dropped
     if not valid.all():

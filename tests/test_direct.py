@@ -19,7 +19,9 @@ from coflow.direct import (
 )
 from coflow.errors import StructuralError
 from coflow.generators import FAMILIES, generate
-from coflow.model import compute_metrics, int_column, make_instance, uniform_instance
+from coflow.model import (
+    Schedule, compute_metrics, int_column, make_instance, uniform_instance,
+)
 from coflow.verifier import verify
 
 
@@ -214,6 +216,19 @@ def test_greedy_trace_holds_its_schedule():
     assert trace.schedule is sched
     assert trace.horizon == sched.horizon
     assert trace.scale == sched.scale == inst.scaled_demands[1]
+
+
+def test_trace_refuses_a_node_outside_the_instance():
+    # A trace built in code is checked as a trace file is: receiver -2 on
+    # n=3 would wrap into receiver 1's sums.
+    inst = make_instance(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    sched, _ = greedy_schedule(inst)
+    dst = sched.dst.copy()
+    dst[1] = -2
+    forged = Schedule(3, sched.horizon, sched.step, sched.src, dst, sched.src, dst,
+                      sched.amount, sched.scale)
+    with pytest.raises(StructuralError, match=r"^matching 0: node outside 0\.\.2 in \(1,-2\)$"):
+        GreedyTrace(inst, forged)
 
 
 @pytest.mark.parametrize("order", ORDER_CHOICES)

@@ -19,6 +19,7 @@ from coflow.errors import (
 from coflow.experiment import ALGORITHMS
 from coflow.generators import FAMILIES, generate
 from coflow.model import (
+    INT64_MAX,
     Instance,
     Schedule,
     Transfer,
@@ -27,6 +28,7 @@ from coflow.model import (
     dump_schedule,
     load_schedule,
     make_instance,
+    summable,
     uniform_instance,
 )
 from coflow.rational import (
@@ -304,6 +306,29 @@ def test_metrics_split_completion():
     # 1 unit completes at 1, 1/2 unit at 2
     assert m.total_completion == F(2)
     assert m.average_completion == F(4, 3)
+
+
+@pytest.mark.parametrize("big, terms, dtype", [(INT64_MAX // 7, 7, np.int64), (2**62, 2, object)])
+def test_summable_at_the_int64_edge(big, terms, dtype):
+    # 7 divides INT64_MAX, so the sums of the first case reach it exactly.
+    assert big * terms == INT64_MAX + (dtype is object)
+    column = np.array([1, -big, 2], np.int64)
+    assert summable(column, terms).dtype == dtype
+    assert summable(column, terms).tolist() == column.tolist()
+    assert summable(column.astype(object), 1).dtype == object
+
+
+@pytest.mark.parametrize("big", [INT64_MAX // 2, INT64_MAX // 2 + 1])
+def test_metrics_sums_exactly_at_the_int64_edge(big):
+    # Two arrivals of one commodity in one step, each big / (2 big): their
+    # sum, 2 big, fits in int64 below the edge and not above it.
+    inst = make_instance(2, [[0, 1], [0, 0]])
+    step, src, dst = np.zeros(2, np.int64), np.zeros(2, np.int64), np.ones(2, np.int64)
+    sched = Schedule(2, 1, step, src, dst, src, dst, np.array([big, big], np.int64), 2 * big)
+    m = compute_metrics(inst, sched)
+    assert m.delivered == ((0, F(big, 2 * big) + F(big, 2 * big)), (0, 0))
+    assert m.total_completion == 1 * (F(big, 2 * big) + F(big, 2 * big)) == 1
+    assert m.makespan == 1
 
 
 def test_metrics_rejects_flow_without_demand():
