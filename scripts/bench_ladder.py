@@ -29,8 +29,9 @@ The cases:
 Each stage is timed ``--repeats`` times with the garbage collector on;
 the record keeps every sample and their median. ``--parent PATH`` runs every
 case also against the checkout at PATH (its ``src/``), alternating with this
-one, and records both sides. The stamp names each side's commit, the Python
-and numpy versions, the CPU and the cores this process may use.
+one, and records both sides. The stamp names each side's commit and its
+``src/coflow`` line count, the Python and numpy versions, the CPU and the
+cores this process may use.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def hypercube_case(repeats: int, tmp: str) -> dict:
     got = last.pop()
     return {
         "stages_s": {"schedule": schedule, "verify": verify, "metrics": metric},
-        "rows": int(sched.step.size),
+        "rows": int(sched.src.size),
         "ok": all(reports) and got.makespan == 10 and got.delivered == inst.demands,
     }
 
@@ -205,7 +206,7 @@ def parcel_case(case: str, repeats: int) -> dict:
     verify = timed(lambda: reports.append(verifier.verify(inst, sched).feasible), repeats)
     return {
         "stages_s": {"schedule": schedule, "verify": verify},
-        "rows": int(sched.step.size),
+        "rows": int(sched.src.size),
         "ok": all(reports) and sched.horizon == makespan,
     }
 
@@ -229,12 +230,15 @@ def run_case(case: str, repeats: int) -> dict:
 
 
 def stamp(checkout: Path) -> dict:
-    """The commit checked out at ``checkout``, and whether its ``src/``
-    differs from that commit."""
+    """The commit checked out at ``checkout``, whether its ``src/`` differs
+    from that commit, and ``src_lines``, the line count of its
+    ``src/coflow/*.py`` (as ``cat src/coflow/*.py | wc -l`` counts them)."""
     git = lambda *a: subprocess.run(["git", "-C", str(checkout), *a],
                                     capture_output=True, text=True).stdout.strip()
+    files = sorted((checkout / "src" / "coflow").glob("*.py"))
     return {"sha": git("rev-parse", "HEAD") or None,
-            "src_modified": bool(git("status", "--porcelain", "--", "src"))}
+            "src_modified": bool(git("status", "--porcelain", "--", "src")),
+            "src_lines": sum(path.read_bytes().count(b"\n") for path in files)}
 
 
 def machine() -> dict:

@@ -17,6 +17,7 @@ from math import ceil
 
 from .direct import GreedyTrace
 from .errors import StructuralError
+from .indirect import regime_dimension
 from .model import Instance, over_scale
 from .rational import render_rational
 
@@ -195,10 +196,7 @@ def lower_bounds(n: int, load: Fraction | int) -> BoundsReport:
     elif load <= 2:
         upper = Fraction(2 * log_lb)
     else:  # 2B(d + 1), d the least dimension with B^d >= n, as the scheme picks
-        d = 1
-        while load**d < n:
-            d += 1
-        upper = 2 * load * (d + 1)
+        upper = 2 * load * (regime_dimension(n, load) + 1)
     return BoundsReport(
         n=n,
         load=load,

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from math import ceil, lcm
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -33,9 +33,9 @@ import numpy as np
 from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
-    Blocks, Instance, Schedule, as_rows, check_rows, commodity_columns, common_scale, group_starts,
-    int_column, integer_document, lowest_terms, node_columns, parcel_schedule, scaled_column,
-    square_sums, summable, unit_parcels,
+    Blocks, Instance, Schedule, as_rows, commodity_columns, common_scale, group_starts, int_column,
+    integer_document, lowest_terms, node_columns, parcel_schedule, scaled_column, square_sums,
+    summable, unit_parcels,
 )
 from .rational import rational_parser
 
@@ -48,10 +48,10 @@ TRACE_COLUMNS = ("from", "to", "rate")
 class TraceReplay(NamedTuple):
     """What walking a trace's matchings over its scale gives: ``senders[t]`` /
     ``receivers[t]`` are the row and column sums of the residual before step
-    t, t = 0..horizon, as tuples that a certificate shares, and ``failure``
-    is the first way the matchings are not a greedy run of the instance (None
-    for a genuine run). ``total`` is the run's total completion time over the
-    scale."""
+    t, t = 0..horizon (t = 0 only when an empty matching or their count fails
+    the trace), as tuples that a certificate shares, and ``failure`` is the
+    first way the matchings are not a greedy run of the instance (None for a
+    genuine run). ``total`` is the run's total completion time over the scale."""
 
     senders: tuple[tuple[int, ...], ...]
     receivers: tuple[tuple[int, ...], ...]
@@ -65,18 +65,23 @@ class GreedyTrace:
     each row a (sender, receiver, rate) triple shipped to its own commodity.
     ``scale``, the lcm of the two denominators, is a node's cap of 1 in the
     integer views (:attr:`matchings`, :attr:`replay`, whose sums the
-    certificate reads). A node outside 0..n-1 raises ``StructuralError``."""
+    certificate reads). A node outside 0..n-1, or a step that is not a
+    fractional matching (see ``_matching_fault``), raises ``StructuralError``,
+    for a trace built in code as for one read from a file."""
 
     instance: Instance
     schedule: Schedule
 
     def __post_init__(self):
         n, schedule = self.instance.n, self.schedule
-        bad = node_columns(schedule, n)[4]
+        src, dst, _, _, bad, _ = node_columns(schedule, n)
         if bad.any():
             r = int(bad.argmax())
             raise StructuralError(f"matching {schedule.step[r]}: node outside 0..{n - 1} in "
                                   f"({schedule.src[r]},{schedule.dst[r]})")
+        fault = _matching_fault(schedule.step, src, dst, schedule.amount, n, schedule.scale)
+        if fault:
+            raise StructuralError(fault)
 
     @cached_property
     def scale(self) -> int:
@@ -99,9 +104,8 @@ class GreedyTrace:
     def matchings(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Each matching's (sender, receiver, rate) triples, rates over
         ``scale``: a read-only view, built on first use."""
-        triples = list(zip(*self._columns()))
-        bounds = self.schedule._step_bounds()
-        return tuple(tuple(triples[a:b]) for a, b in zip(bounds, bounds[1:]))
+        triples = zip(*self._columns())
+        return tuple(tuple(islice(triples, c)) for c in self.schedule.counts.tolist())
 
     @cached_property
     def replay(self) -> TraceReplay:
@@ -110,21 +114,32 @@ class GreedyTrace:
         # row, fits common_scale's columns; a node's cap of 1 is ``cap``.
         demand, rate, cap = common_scale(self.instance, schedule)
         step, src, dst = schedule.step, schedule.src, schedule.dst
+        matrix = demand.reshape(n, n)
+        rows, cols = matrix.sum(axis=1), matrix.sum(axis=0)
+        # A genuine run ships at least 1 in every matching but its last, which
+        # is not empty (maximality saturates an endpoint of each pair left with
+        # residual), so it has at most ceil(total demand) matchings. Any other
+        # trace fails before its (horizon x n) tables: its sums stop at t = 0.
+        empty, most = np.flatnonzero(schedule.counts == 0), -(-int(rows.sum()) // cap)
+        if empty.size or horizon > most:
+            failure = (f"matching {empty[0]} is empty" if empty.size
+                       else f"more matchings than ceil(total demand) = {most}")
+            total = sum(map(mul, (step + 1).tolist(), rate.tolist()))
+            return TraceReplay((tuple(rows.tolist()),), (tuple(cols.tolist()),), failure, total)
         sent, received = np.zeros((horizon, n), rate.dtype), np.zeros((horizon, n), rate.dtype)
         np.add.at(sent, (step, src), rate)
         np.add.at(received, (step, dst), rate)
-        matrix = demand.reshape(n, n)
-        senders = np.cumsum(np.vstack([matrix.sum(axis=1), -sent]), axis=0).tolist()
-        receivers = np.cumsum(np.vstack([matrix.sum(axis=0), -received]), axis=0).tolist()
+        senders = np.cumsum(np.vstack([rows, -sent]), axis=0).tolist()
+        receivers = np.cumsum(np.vstack([cols, -received]), axis=0).tolist()
         total = sum(map(mul, range(1, horizon + 1), sent.sum(axis=1).tolist()))
         # Walk the steps on the residual: a step fails when its rows on a pair
         # ship more than the pair's residual, or when it leaves a pair with
         # residual and room at both ends (the first such pair, row-major).
         residual, pair = demand.copy(), src * n + dst
         room_s, room_r, square = sent != cap, received != cap, residual.reshape(n, n)
-        bounds = schedule._step_bounds()
+        ends = np.cumsum(schedule.counts).tolist()
         failure = None
-        for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        for t, (a, b) in enumerate(zip([0, *ends], ends)):
             np.subtract.at(residual, pair[a:b], rate[a:b])
             short = (residual[pair[a:b]] < 0).nonzero()[0]
             if short.size:
@@ -169,14 +184,9 @@ class GreedyTrace:
         """The trace document: the schedule's rows as three columns,
         ``counts[t]`` of them in matching t, each rate a numerator over
         ``scale``. Every field is a JSON integer or a list of them."""
-        doc = {
-            "format": TRACE_FORMAT,
-            "n": self.instance.n,
-            "scale": self.scale,
-            "counts": np.diff(self.schedule._step_bounds()).tolist(),
-        }
-        doc.update(zip(TRACE_COLUMNS, self._columns()))
-        return doc
+        return {"format": TRACE_FORMAT, "n": self.instance.n, "scale": self.scale,
+                "counts": self.schedule.counts.tolist(),
+                **dict(zip(TRACE_COLUMNS, self._columns()))}
 
     @staticmethod
     def from_json(obj: dict, instance: Instance) -> "GreedyTrace":
@@ -191,19 +201,14 @@ class GreedyTrace:
             declared, scale, counts, senders, receivers, rates = integer_document(
                 obj, "trace", TRACE_FORMAT, ("n", "scale"), ("counts", *TRACE_COLUMNS)
             )
-            check_rows("trace", declared, n, counts, [senders, receivers, rates])
+            if declared != n:
+                raise StructuralError(f"trace is for n={declared}, the instance has n={n}")
             rates, scale = lowest_terms(rates, scale)
             rate = int_column(rates)
         else:
             counts, senders, receivers, rate, scale = _matchings_document(obj, n)
-        step = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         src, dst = int_column(senders), int_column(receivers)
-        schedule = Schedule(n, len(counts), step, src, dst, src, dst, rate, scale)
-        trace = GreedyTrace(instance, schedule)
-        fault = _matching_fault(step, src, dst, rate, n, scale)
-        if fault:
-            raise StructuralError(fault)
-        return trace
+        return GreedyTrace(instance, Schedule(n, counts, src, dst, src, dst, rate, scale))
 
 
 def _matchings_document(obj, n: int) -> tuple[list[int], list[int], list[int], np.ndarray, int]:
@@ -236,8 +241,6 @@ def _matching_fault(step, src, dst, rate, n: int, cap: int) -> str | None:
     before in the step (in that order), else its first sender, then its first
     receiver, whose rates add up to more than ``cap``, a rate of 1. None if
     there is none. ``src`` and ``dst`` are int64 in 0..n-1."""
-    if not step.size:
-        return None
     # A stable sort by pair keeps each pair's rows in row order, so a row
     # repeats its pair if the one before it in the sort has the same pair and
     # step. n * n fits: the instance holds n * n demands.
@@ -327,9 +330,8 @@ def greedy_schedule(
     # Each row ships to its own commodity. Each pair's rates add up to its
     # demand, so no factor of scale divides every rate: scale is already the
     # least common denominator.
-    step = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     src, dst = np.divmod(np.array(cells, np.int64), n)
-    schedule = Schedule(n, len(counts), step, src, dst, src, dst, int_column(rates), scale)
+    schedule = Schedule(n, counts, src, dst, src, dst, int_column(rates), scale)
     return schedule, GreedyTrace(instance, schedule)
 
 

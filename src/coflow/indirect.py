@@ -25,7 +25,9 @@ from math import ceil, lcm
 import numpy as np
 
 from .errors import StructuralError
-from .model import Blocks, Instance, Schedule, commodity_columns, parcel_schedule, unit_parcels
+from .model import (
+    INT64_MAX, Blocks, Instance, Schedule, commodity_columns, parcel_schedule, unit_parcels,
+)
 
 # VLB expands the rows of a run of commodities at a time, about this many,
 # so that its temporaries stay small next to the schedule.
@@ -83,6 +85,12 @@ def _regime_load(instance: Instance, nominal_load: Fraction | None) -> Fraction:
     return load
 
 
+def regime_dimension(n: int, load: Fraction) -> int:
+    """The least d with B^d >= n, for B > 2 (so d < n): the elementary
+    basis's dimension in the regime 2 < B < n."""
+    return next(d for d in range(1, n) if load**d >= n)
+
+
 def _elementary_radix(n: int, load: Fraction, d: int | None = None) -> int:
     """The radix of the elementary basis: the least q with q^d >= n. ``d``
     defaults to the smallest dimension with B^d >= n (the regime choice for
@@ -93,9 +101,7 @@ def _elementary_radix(n: int, load: Fraction, d: int | None = None) -> int:
     if not given:
         if load <= 2:
             return 2
-        d = 1
-        while load**d < n:
-            d += 1
+        d = regime_dimension(n, load)
     elif d < 1:
         raise StructuralError(f"dimension must be at least 1, got d={d}")
     # Past the binary digit count of n - 1 the radix is 2: q**d stays small.
@@ -151,12 +157,15 @@ def round_robin_schedule(
     steps, m = ceil(B/n), bumped when an individual demand exceeds its
     dedicated slot capacity (only possible outside the uniform regime).
     The k-th step of commodity (i, j), on shift j - i, carries min(1, d - k).
+    A horizon past int64 raises ``StructuralError``.
     """
     n = instance.n
     load = _regime_load(instance, nominal_load)
     origin, dest, _, _ = commodity_columns(instance)
     parcel, k = unit_parcels(instance)
     m = max(ceil(load / n), int(k.max(initial=-1)) + 1, 1)
+    if (n - 1) * m > INT64_MAX:
+        raise StructuralError(f"round robin's horizon {(n - 1) * m} does not fit in int64")
     shift = (dest - origin) % n
     return parcel_schedule(instance, (n - 1) * m, parcel, (shift[parcel] - 1) * m + k)
 

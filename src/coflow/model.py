@@ -1,9 +1,9 @@
 """Core domain types: instances, schedules and metrics.
 
 Everything is exact. An instance's demands are integer numerators over one
-common denominator, and a schedule is columnar: int64 step and node columns
-plus integer amount numerators over one common denominator, so that the
-verifier and the metrics read it in whole-schedule numpy passes.
+common denominator, and a schedule is columnar: its step counts, int64 node
+columns and integer amount numerators over one common denominator, so that
+the verifier and the metrics read it in whole-schedule numpy passes.
 :class:`fractions.Fraction` appears only in derived values, in read-only
 views, which take their entries from one memo per instance, and in the
 ``"p/q"`` documents earlier versions wrote: instance and schedule files
@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import index, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -290,17 +290,18 @@ def group_starts(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """A horizon plus per-edge, per-commodity parcels, held as columns.
+    """Step counts plus per-edge, per-commodity parcels, held as columns.
 
-    Row r moves ``Fraction(amount[r], scale)`` of commodity
-    (``origin[r]``, ``dest[r]``) over the edge ``src[r]`` -> ``dst[r]``
-    during step ``step[r]``. Rows are in step-major order. The node and
-    step columns are int64 (a node column is ``object`` only when an id does
-    not fit in int64), and ``amount`` holds integer numerators over one
-    common denominator, ``scale``, the lcm of the amounts' denominators: an
-    int64 column, or Python ints in ``object`` when one does not fit. The
-    columns are read-only. Equal rows give equal columns, so schedules
-    compare by their columns.
+    Step t moves the next ``counts[t]`` rows, so rows are step-major by
+    construction. Row r moves ``Fraction(amount[r], scale)`` of commodity
+    (``origin[r]``, ``dest[r]``) over the edge ``src[r]`` -> ``dst[r]``.
+    ``counts`` and the node columns are int64 (a node column is ``object``
+    only when an id does not fit), and ``amount`` holds integer numerators
+    over ``scale``, the lcm of the amounts' denominators: int64, or Python
+    ints in ``object`` when one does not fit. The columns are read-only, and
+    schedules compare by them. Row columns of different lengths, or counts
+    that are negative or do not add up to the row count, raise
+    ``StructuralError``.
 
     Most schedulers build one with :class:`Blocks` or
     :func:`parcel_schedule`; ``to_json`` writes the columns as JSON integer
@@ -308,8 +309,7 @@ class Schedule:
     """
 
     n: int
-    horizon: int
-    step: np.ndarray
+    counts: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     origin: np.ndarray
@@ -318,79 +318,93 @@ class Schedule:
     scale: int
 
     def __post_init__(self):
-        for column in self._columns():
+        rows = self.src.size
+        if any(column.size != rows for column in self._columns()):
+            raise StructuralError("the row columns differ in length")
+        counts = int_column(self.counts)  # Python ints when one is past int64
+        # Every count in 0..rows, or the int64 sum of a few huge ones could wrap.
+        if counts.size and (counts.min() < 0 or counts.max() > rows) or counts.sum() != rows:
+            raise StructuralError(f"counts do not add up to {rows} rows")
+        object.__setattr__(self, "counts", counts.astype(np.int64))
+        for column in (self.counts, *self._columns()):
             column.flags.writeable = False
 
     def __reduce__(self):
         # As Instance.__reduce__: read-only columns, no cached views.
-        return Schedule, (self.n, self.horizon, *self._columns(), self.scale)
+        return Schedule, (self.n, self.counts, *self._columns(), self.scale)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.step, self.src, self.dst, self.origin, self.dest, self.amount
+        return self.src, self.dst, self.origin, self.dest, self.amount
 
     def __eq__(self, other):
         if not isinstance(other, Schedule):
             return NotImplemented
-        same = (self.n, self.horizon, self.scale) == (other.n, other.horizon, other.scale)
-        return same and all(
+        return (self.n, self.scale) == (other.n, other.scale) and all(
             a.dtype == b.dtype and np.array_equal(a, b)
-            for a, b in zip(self._columns(), other._columns())
+            for a, b in zip((self.counts, *self._columns()), (other.counts, *other._columns()))
         )
 
-    def _step_bounds(self) -> list[int]:
-        """Row index where each step starts, and the row count at the end."""
-        return np.searchsorted(self.step, np.arange(self.horizon + 1)).tolist()
+    @property
+    def horizon(self) -> int:
+        return self.counts.size
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        """The step of each row, int64: a read-only view, built on first use."""
+        step = np.repeat(np.arange(self.horizon, dtype=np.int64), self.counts)
+        step.flags.writeable = False
+        return step
 
     @cached_property
     def steps(self) -> tuple[Step, ...]:
         """The rows as ``Step``s of ``Transfer``s, with one ``Fraction`` per
         distinct amount: a read-only view, built on first use."""
-        rows = list(map(Transfer._make, zip(
+        rows = iter(map(Transfer._make, zip(
             self.src.tolist(), self.dst.tolist(), self.origin.tolist(),
             self.dest.tolist(), over_scale(self.amount.tolist(), self.scale),
         )))
-        bounds = self._step_bounds()
-        return tuple(Step(tuple(rows[a:b])) for a, b in zip(bounds, bounds[1:]))
+        return tuple(Step(tuple(islice(rows, c))) for c in self.counts.tolist())
 
     def to_json(self) -> dict:
         """The column document: the row columns in step-major order,
         ``counts[t]`` rows in step t, and ``amount`` the numerators over
         ``scale``. Every field is a JSON integer or a list of them."""
-        doc = {
-            "format": COLUMNS_FORMAT,
-            "n": self.n,
-            "horizon": self.horizon,
-            "scale": self.scale,
-            "counts": np.diff(self._step_bounds()).tolist(),
-        }
-        doc.update(zip(ROW_COLUMNS, (column.tolist() for column in self._columns()[1:])))
-        return doc
+        return {"format": COLUMNS_FORMAT, "n": self.n, "horizon": self.horizon, "scale": self.scale,
+                "counts": self.counts.tolist(),
+                **dict(zip(ROW_COLUMNS, (column.tolist() for column in self._columns())))}
 
     @staticmethod
     def from_json(obj: dict, n: int) -> "Schedule":
-        """Read a column document, or a row document (one dict per transfer,
-        one ``"p/q"`` string per amount, and no ``format`` key)."""
+        """Read a column document (see :func:`integer_document`), its amounts
+        over their lowest scale, or a row document (one dict per transfer, one
+        ``"p/q"`` string per amount, and no ``format`` key)."""
         if isinstance(obj, dict) and "format" in obj:
-            return _schedule_from_columns(obj, n)
-        parse = rational_parser()
-        try:
-            steps = [step["transfers"] for step in obj["steps"]]
-            rows = list(chain.from_iterable(steps))
-            counts = list(map(len, steps))
-            commodity = list(map(itemgetter("commodity"), rows))
-            nodes = [
-                int_column(list(map(index, map(get, source))))
-                for get, source in ((itemgetter("from"), rows), (itemgetter("to"), rows),
-                                    (itemgetter(0), commodity), (itemgetter(1), commodity))
-            ]
-            amount, scale = scaled_column(list(map(parse, map(itemgetter("amount"), rows))))
-            horizon = index(obj["horizon"])
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise StructuralError(f"malformed schedule: {exc}") from exc
-        if len(steps) != horizon:
+            declared, horizon, scale, counts, *nodes, amount = integer_document(
+                obj, "schedule", COLUMNS_FORMAT, ("n", "horizon", "scale"), ("counts", *ROW_COLUMNS)
+            )
+            if declared != n:
+                raise StructuralError(f"schedule is for n={declared}, the instance has n={n}")
+            amount, scale = lowest_terms(amount, scale)
+            nodes, amount = list(map(int_column, nodes)), int_column(amount)
+        else:
+            parse = rational_parser()
+            try:
+                steps = [step["transfers"] for step in obj["steps"]]
+                rows = list(chain.from_iterable(steps))
+                counts = list(map(len, steps))
+                commodity = list(map(itemgetter("commodity"), rows))
+                nodes = [
+                    int_column(list(map(index, map(get, source))))
+                    for get, source in ((itemgetter("from"), rows), (itemgetter("to"), rows),
+                                        (itemgetter(0), commodity), (itemgetter(1), commodity))
+                ]
+                amount, scale = scaled_column(list(map(parse, map(itemgetter("amount"), rows))))
+                horizon = index(obj["horizon"])
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise StructuralError(f"malformed schedule: {exc}") from exc
+        if len(counts) != horizon:
             raise StructuralError("declared horizon does not match step count")
-        step = np.repeat(np.arange(horizon, dtype=np.int64), counts)
-        return Schedule(n, horizon, step, *nodes, amount, scale)
+        return Schedule(n, counts, *nodes, amount, scale)
 
 
 def common_scale(instance: Instance, schedule: Schedule) -> tuple[np.ndarray, np.ndarray, int]:
@@ -401,7 +415,7 @@ def common_scale(instance: Instance, schedule: Schedule) -> tuple[np.ndarray, np
     demand, den = instance.scaled_demands
     scale = lcm(schedule.scale, den)
     big = max(max_abs(demand) * (scale // den), max_abs(schedule.amount) * (scale // schedule.scale))
-    fits = scale <= INT64_MAX and big * (2 * schedule.step.size + instance.n**2) <= INT64_MAX
+    fits = scale <= INT64_MAX and big * (2 * schedule.src.size + instance.n**2) <= INT64_MAX
 
     def over(column, den):
         column = column.astype(np.int64 if fits else object, copy=False)
@@ -434,39 +448,12 @@ def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: t
     return values
 
 
-def check_rows(kind: str, declared: int, n: int, counts: list, columns: list) -> None:
-    """Refuse a document for another ``n`` than the instance's, row columns
-    of different lengths, or ``counts`` with a negative entry or a sum other
-    than the row count."""
-    if declared != n:
-        raise StructuralError(f"{kind} is for n={declared}, the instance has n={n}")
-    rows = len(columns[0])
-    if any(len(column) != rows for column in columns):
-        raise StructuralError(f"malformed {kind}: the row columns differ in length")
-    if min(counts, default=0) < 0 or sum(counts) != rows:
-        raise StructuralError(f"malformed {kind}: counts do not add up to {rows} rows")
-
-
 def lowest_terms(nums: list[int], scale: int) -> tuple[list[int], int]:
     """Numerators over ``scale`` as the same values over the lowest scale."""
     common = gcd(scale, *nums)
     if common == 1:
         return nums, scale
     return [x // common for x in nums], scale // common
-
-
-def _schedule_from_columns(obj: dict, n: int) -> Schedule:
-    """Check a column document's types and shape, then build its Schedule
-    over the lowest scale of its amounts."""
-    declared, horizon, scale, counts, *columns = integer_document(
-        obj, "schedule", COLUMNS_FORMAT, ("n", "horizon", "scale"), ("counts", *ROW_COLUMNS)
-    )
-    if len(counts) != horizon:
-        raise StructuralError("declared horizon does not match step count")
-    check_rows("schedule", declared, n, counts, columns)
-    amount, scale = lowest_terms(columns.pop(), scale)
-    step = np.repeat(np.arange(horizon, dtype=np.int64), counts)
-    return Schedule(n, horizon, step, *map(int_column, columns), int_column(amount), scale)
 
 
 def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -482,10 +469,14 @@ def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.nd
 def unit_parcels(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     """Each demand d as ceil(d) parcels (see :func:`parcel_schedule`): the
     commodity of each parcel, an index into :func:`commodity_columns`, and
-    its index among its commodity's parcels, in commodity order."""
+    its index among its commodity's parcels, in commodity order. A parcel
+    count past int64 raises ``StructuralError``."""
     _, _, demand, scale = commodity_columns(instance)
     keys, code = np.unique(demand, return_inverse=True)
-    count = np.array([-(-x // scale) for x in keys.tolist()], np.int64)[code]
+    count = int_column([-(-x // scale) for x in keys.tolist()])
+    if count.dtype == object:
+        raise StructuralError(f"{count.max()} unit parcels of one demand do not fit in int64")
+    count = count[code]
     commodity = np.repeat(np.arange(count.size), count)
     return commodity, np.arange(commodity.size) - (np.cumsum(count) - count)[commodity]
 
@@ -509,7 +500,8 @@ def parcel_schedule(instance: Instance, horizon: int, parcel: np.ndarray,
     entry = np.full(parcel.size, len(keys))
     entry[latest] = code
     src, dst = origin[parcel], dest[parcel]
-    return Schedule(instance.n, horizon, slot, src, dst, src, dst, int_column(table)[entry], scale)
+    counts = np.bincount(slot, minlength=horizon)
+    return Schedule(instance.n, counts, src, dst, src, dst, int_column(table)[entry], scale)
 
 
 class Blocks:
@@ -567,24 +559,18 @@ class Blocks:
         table, scale = self._table()
         pieces = sorted(self.pieces, key=itemgetter(0))
         self.pieces, self.codes = [], []
+        counts = np.zeros(horizon, np.int64)  # the rows of each slot's pieces
+        np.add.at(counts, [piece[0] for piece in pieces], [len(piece[1]) for piece in pieces])
         empty = np.zeros(0, np.int64)
-        slots, srcs, dsts, comms, amounts = (
-            list(field) for field in zip((0, empty, empty, empty, empty), *pieces)
-        )
+        fields = [list(field) for field in zip((0, empty, empty, empty, empty), *pieces)]
         del pieces
-        step = np.repeat(np.array(slots, np.int64), list(map(len, srcs)))
-        # Each column is joined and its pieces dropped before the next, so
+        # Each column is joined and its pieces popped before the next, so
         # that the pieces and the columns are not all alive at once.
-        src = np.concatenate(srcs)
-        del srcs
-        dst = np.concatenate(dsts)
-        del dsts
-        commodity = np.concatenate(comms)
-        del comms
+        src, dst, commodity = (np.concatenate(fields.pop(1)) for _ in range(3))
         origin, dest = self.origin[commodity], self.dest[commodity]
         del commodity
-        amount = table[np.concatenate(amounts)]
-        return Schedule(self.n, horizon, step, src, dst, origin, dest, amount, scale)
+        amount = table[np.concatenate(fields.pop())]
+        return Schedule(self.n, counts, src, dst, origin, dest, amount, scale)
 
 
 @dataclass(frozen=True)

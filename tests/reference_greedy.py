@@ -39,8 +39,7 @@ def integer_trace(instance, matchings):
     rows = [x for m in matchings for x in m]
     rate, scale = scaled_column([p for _, _, p in rows])
     src, dst = (np.array([x[k] for x in rows], np.int64) for k in (0, 1))
-    step = np.repeat(np.arange(len(matchings), dtype=np.int64), list(map(len, matchings)))
-    schedule = Schedule(instance.n, len(matchings), step, src, dst, src, dst, rate, scale)
+    schedule = Schedule(instance.n, list(map(len, matchings)), src, dst, src, dst, rate, scale)
     return GreedyTrace(instance, schedule)
 
 
@@ -77,7 +76,9 @@ def matrix_col_sums(m):
 class FractionTrace:
     """A greedy run replayed on ``Fraction`` matrices: ``residuals[t]`` is the
     residual before step t, ``sender_residual[t]``/``receiver_residual[t]``
-    its row and column sums."""
+    its row and column sums. A trace with an empty matching, or with more
+    matchings than ceil(total demand), which no greedy run has, fails before
+    its replay: ``early_failure`` names it, and its sums stop at t = 0."""
 
     def __init__(self, instance, matchings):
         self.instance = instance
@@ -96,6 +97,15 @@ class FractionTrace:
             residuals.append(tuple(map(tuple, residual)))
             senders.append(tuple(rows))
             receivers.append(tuple(cols))
+        empty = next((t for t, m in enumerate(self.matchings) if not m), None)
+        most = ceil(instance.total_demand)
+        self.early_failure = (
+            f"matching {empty} is empty" if empty is not None
+            else f"more matchings than ceil(total demand) = {most}" if self.horizon > most
+            else None
+        )
+        if self.early_failure:
+            senders, receivers = senders[:1], receivers[:1]
         self.residuals = tuple(residuals)
         self.sender_residual = tuple(senders)
         self.receiver_residual = tuple(receivers)
@@ -220,7 +230,7 @@ def _objective(demands, alpha, beta):
 def build_certificate(trace):
     """The dual solutions of a greedy trace, on ``Fraction`` matrices."""
     n = trace.instance.n
-    horizon = trace.horizon
+    steps = len(trace.sender_residual)
     alpha_s = tuple(
         tuple(trace.sender_residual[0][i] for _ in range(n)) for i in range(n)
     )
@@ -228,11 +238,11 @@ def build_certificate(trace):
         tuple(trace.receiver_residual[0][j] for j in range(n)) for _ in range(n)
     )
     beta_s = tuple(
-        tuple(trace.sender_residual[t][i] / 4 for t in range(horizon + 1))
+        tuple(trace.sender_residual[t][i] / 4 for t in range(steps))
         for i in range(n)
     )
     beta_r = tuple(
-        tuple(trace.receiver_residual[t][j] / 4 for t in range(horizon + 1))
+        tuple(trace.receiver_residual[t][j] / 4 for t in range(steps))
         for j in range(n)
     )
     return FractionCertificate(trace.instance.demands, alpha_s, beta_s, alpha_r, beta_r)
@@ -240,10 +250,12 @@ def build_certificate(trace):
 
 def replay_failures(instance, trace):
     """The first failure of the greedy run the trace's matchings replay from
-    ``instance``: a rate above its residual, a matching that is not maximal,
-    or demand left unshipped."""
+    ``instance``: an empty matching or too many of them, a rate above its
+    residual, a matching that is not maximal, or demand left unshipped."""
     if trace.instance != instance:
         return ["the trace does not follow from the instance"]
+    if trace.early_failure:
+        return [trace.early_failure]
     n = instance.n
     residuals = trace.residuals
     senders, receivers = trace.sender_residual, trace.receiver_residual
@@ -273,12 +285,12 @@ def check_certificate(instance, trace, cert):
     alpha_R[i][j] = 4 beta_R[j][0]) and its betas must be a quarter of the
     trace's residual sums; the objectives are recomputed from the matrices."""
     n = instance.n
-    horizon = trace.horizon
+    steps = len(trace.sender_residual)
     failures = replay_failures(instance, trace)
     alg = trace.total_completion
     shaped = lambda m, width: len(m) == n and all(len(row) == width for row in m)
     if not (shaped(cert.alpha_s, n) and shaped(cert.alpha_r, n)
-            and shaped(cert.beta_s, horizon + 1) and shaped(cert.beta_r, horizon + 1)):
+            and shaped(cert.beta_s, steps) and shaped(cert.beta_r, steps)):
         failures.append("the certificate's scale or table shape does not match the trace")
         return CertificateReport(False, tuple(failures), alg, None)
 
@@ -292,12 +304,12 @@ def check_certificate(instance, trace, cert):
     for side, sums in (("S", trace.sender_residual), ("R", trace.receiver_residual)):
         alpha, beta = (cert.alpha_s, cert.beta_s) if side == "S" else (cert.alpha_r, cert.beta_r)
         for i in range(n):
-            t = next((t for t in range(horizon + 1) if 4 * beta[i][t] != sums[t][i]), None)
+            t = next((t for t in range(steps) if 4 * beta[i][t] != sums[t][i]), None)
             if t is not None:
                 failures.append(f"beta_{side}[{i}][{t}] does not match the trace")
                 break
         violation = next((
-            (i, t) for i in range(n) for t in range(horizon + 1) for j in range(n)
+            (i, t) for i in range(n) for t in range(steps) for j in range(n)
             if (alpha[i][j] if side == "S" else alpha[j][i]) - t > 4 * beta[i][t]
         ), None)
         if violation:

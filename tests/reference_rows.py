@@ -11,11 +11,9 @@ readers' tests.
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import ceil
 from operator import itemgetter
-
-import numpy as np
 
 from coflow.coloring import color_bipartite_multigraph
 from coflow.direct import greedy_schedule
@@ -27,13 +25,11 @@ from coflow.rational import render_rational
 def schedule_from_steps(n, step_transfers):
     """The schedule whose step s moves the (src, dst, origin, dest, amount)
     rows ``step_transfers[s]``, in that order."""
-    counts = list(map(len, step_transfers))
     rows = list(chain.from_iterable(step_transfers))
     amount, scale = scaled_column(list(map(itemgetter(4), rows)))
     return Schedule(
         n,
-        len(counts),
-        np.repeat(np.arange(len(counts), dtype=np.int64), counts),
+        list(map(len, step_transfers)),
         *(int_column(list(map(itemgetter(field), rows))) for field in range(4)),
         amount,
         scale,
@@ -112,10 +108,10 @@ def row_document(schedule):
             over_scale(schedule.amount.tolist(), schedule.scale, render_rational),
         )
     ]
-    bounds = schedule._step_bounds()
+    rows = iter(rows)
     return {
         "horizon": schedule.horizon,
-        "steps": [{"transfers": rows[a:b]} for a, b in zip(bounds, bounds[1:])],
+        "steps": [{"transfers": list(islice(rows, c))} for c in schedule.counts.tolist()],
     }
 
 

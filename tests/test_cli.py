@@ -302,9 +302,10 @@ def test_forged_trace_fails_certify(tmp_path, capsys):
     assert code == 2
     assert "node outside" in err
     # Rates over denominators the instance lacks decode over the lcm, and
-    # the replay, not the decode, refuses them.
+    # the replay, not the decode, refuses them. A demand of 2 leaves room
+    # for the two matchings, so the walk, not the matching count, fails.
     prime = 2**69 + 29  # 70 bits
-    inst.write_text(json.dumps({"n": 2, "demands": [["0", "1"], ["0", "0"]]}))
+    inst.write_text(json.dumps({"n": 2, "demands": [["0", "2"], ["0", "0"]]}))
     for first, rest, scale in (("1/3", "2/3", 3), (f"1/{prime}", f"{prime - 1}/{prime}", prime)):
         obj = {"n": 2, "matchings": [[[0, 1, first]], [[0, 1, rest]]]}
         assert GreedyTrace.from_json(obj, load_instance(str(inst))).scale == scale
@@ -314,6 +315,44 @@ def test_forged_trace_fails_certify(tmp_path, capsys):
         assert code == 1
         failures = json.loads(out)["check"]["failures"]
         assert failures[0] == "matching 0 is not maximal: (0,1) could take more"
+
+
+def test_certify_fails_empty_and_surplus_matchings(tmp_path, capsys):
+    # 100,000 trailing empty matchings, or two matchings where a demand of 1
+    # allows one: not a greedy run, so exit 1, with a certificate of the
+    # sums at t = 0 only.
+    inst = tmp_path / "inst.json"
+    trace = tmp_path / "trace.json"
+    inst.write_text(json.dumps(_instance_doc()))
+    for doc, failure in (
+        (_trace_doc(counts=[1] + [0] * 100_000), "matching 1 is empty"),
+        (_trace_doc(scale=2, counts=[1, 1], **{"from": [0, 0]}, to=[1, 1], rate=[1, 1]),
+         "more matchings than ceil(total demand) = 1"),
+    ):
+        trace.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "certify", "--instance", str(inst), "--trace", str(trace))
+        assert code == 1
+        report = json.loads(out)
+        assert report["check"]["failures"][0] == failure
+        assert [len(beta) for beta in report["certificate"]["beta_S"]] == [1, 1]
+
+
+@pytest.mark.parametrize("algorithm,nominal", [
+    ("edge-coloring", False), ("round-robin", False), ("auto", False), ("round-robin", True),
+])
+def test_parcel_counts_past_int64_are_exit_two(tmp_path, capsys, algorithm, nominal):
+    # At B = 10^20 each demand is 10^20 / 3 unit parcels; a nominal B of
+    # 10^20 gives round robin a horizon of 2 ceil(10^20 / 3) steps. Neither
+    # count fits in int64.
+    inst = tmp_path / "inst.json"
+    load = "1" if nominal else str(10**20)
+    run(capsys, "generate", "--n", "3", "--B", load, "--out", str(inst))
+    argv = ["schedule", "--algorithm", algorithm, "--instance", str(inst)]
+    if nominal:
+        argv += ["--nominal-B", str(10**20)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "fit in int64" in err, err
 
 
 def test_malformed_trace_is_exit_two(tmp_path, capsys):
@@ -479,6 +518,8 @@ def test_column_document_fixture_is_feasible(tmp_path, capsys):
     pytest.param(_columns(amount=[1]), "differ in length", id="length-mismatch"),
     pytest.param(_columns(counts=[1, 2]), "do not add up to 2 rows", id="counts-sum"),
     pytest.param(_columns(counts=[3, -1]), "do not add up to 2 rows", id="negative-count"),
+    pytest.param(_columns(counts=[2**64, 2 - 2**64]), "do not add up to 2 rows",
+                 id="count-beyond-int64"),
     pytest.param(_columns(counts=[1, 1, 0]), "declared horizon", id="counts-vs-horizon"),
     pytest.param(_columns(horizon=3), "declared horizon", id="horizon-vs-counts"),
     pytest.param(_columns(scale=0), "scale must be positive", id="scale-zero"),
@@ -590,6 +631,8 @@ def test_malformed_instance_document_is_exit_two(tmp_path, capsys, doc, message)
     pytest.param(_trace_doc(counts=[2, -1]), "counts do not add up to 1 rows",
                  id="negative-count"),
     pytest.param(_trace_doc(counts=[2]), "counts do not add up to 1 rows", id="counts-sum"),
+    pytest.param(_trace_doc(counts=[2**70, 1 - 2**70]), "counts do not add up to 1 rows",
+                 id="count-beyond-int64"),
     pytest.param(_trace_doc(to=[1, 0]), "differ in length", id="length-mismatch"),
     pytest.param(_trace_doc(to=[2]), "matching 0: node outside 0..1 in (0,2)", id="node-high"),
     pytest.param(_trace_doc(counts=[0, 1], **{"from": [-1]}),

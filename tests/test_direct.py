@@ -9,6 +9,7 @@ import pytest
 import reference_greedy
 from hypothesis import given, settings, strategies as st
 
+from coflow.certificates import build_certificate, check_certificate
 from coflow.direct import (
     ORDER_CHOICES,
     GreedyTrace,
@@ -225,10 +226,51 @@ def test_trace_refuses_a_node_outside_the_instance():
     sched, _ = greedy_schedule(inst)
     dst = sched.dst.copy()
     dst[1] = -2
-    forged = Schedule(3, sched.horizon, sched.step, sched.src, dst, sched.src, dst,
-                      sched.amount, sched.scale)
+    forged = Schedule(3, sched.counts, sched.src, dst, sched.src, dst, sched.amount, sched.scale)
     with pytest.raises(StructuralError, match=r"^matching 0: node outside 0\.\.2 in \(1,-2\)$"):
         GreedyTrace(inst, forged)
+
+
+def test_trace_built_in_code_is_checked_as_a_trace_file_is():
+    # Step 1 ships 0 -> 1 and 0 -> 2 at 3/4 each: node 0 sends 3/2, so the
+    # step is not a fractional matching, built in code or read from a file.
+    inst = make_instance(5, [[0, F(3, 4), F(3, 4), 0, 0], [0] * 5, [0] * 5,
+                             [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
+    matchings = (((3, 1, F(1)), (4, 2, F(1))), ((0, 1, F(3, 4)), (0, 2, F(3, 4))))
+    with pytest.raises(StructuralError, match="^node 0 exceeds matching cap 1$"):
+        reference_greedy.integer_trace(inst, matchings)
+    doc = {"format": "coflow-trace-v1", "n": 5, "scale": 4, "counts": [2, 2],
+           "from": [3, 4, 0, 0], "to": [1, 2, 1, 2], "rate": [4, 4, 3, 3]}
+    with pytest.raises(StructuralError, match="^node 0 exceeds matching cap 1$"):
+        GreedyTrace.from_json(doc, inst)
+
+
+def test_replay_fails_an_empty_matching_before_its_tables():
+    # Greedy ships all of uniform n=3, B=3/2 (six demands of 1/2) in one
+    # matching. An empty matching, wherever it is and however many there
+    # are, fails the replay before it builds its (horizon x n) tables: the
+    # sums, and so the certificate, stop at t = 0.
+    inst = uniform_instance(3, F(3, 2))
+    _, trace = greedy_schedule(inst)
+    assert trace.to_json()["counts"] == [6]
+    for counts in ([0, 6], [6, 0], [6] + [0] * 100_000):
+        forged = GreedyTrace.from_json({**trace.to_json(), "counts": counts}, inst)
+        replay = forged.replay
+        assert replay.failure == f"matching {counts.index(0)} is empty"
+        assert (len(replay.senders), len(replay.receivers)) == (1, 1)
+        assert forged.total_completion == (counts.index(6) + 1) * 3
+        report = check_certificate(inst, forged, build_certificate(forged))
+        assert not report.ok and report.failures[0] == replay.failure
+
+
+def test_replay_fails_more_matchings_than_the_total_demand_allows():
+    # Every matching of a greedy run but its last ships at least 1, so a run
+    # of total demand 1 has one matching; two of 1/2 each fail before the walk.
+    inst = make_instance(2, [[0, 1], [0, 0]])
+    forged = reference_greedy.integer_trace(inst, (((0, 1, F(1, 2)),),) * 2)
+    assert forged.replay.failure == "more matchings than ceil(total demand) = 1"
+    assert forged.total_completion == F(3, 2)
+    assert len(build_certificate(forged).senders) == 1
 
 
 @pytest.mark.parametrize("order", ORDER_CHOICES)

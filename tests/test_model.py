@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import numpy as np
@@ -38,6 +39,7 @@ from coflow.rational import (
     render_decimal,
     render_rational,
 )
+from coflow.verifier import verify
 
 
 def test_load_bound_is_max_row_or_col_sum():
@@ -228,6 +230,50 @@ def test_schedule_json_horizon_mismatch():
             Schedule.from_json(obj, 2)
 
 
+def test_rows_are_step_major_by_construction():
+    # A schedule holds its step counts, not a step column: step t moves the
+    # next counts[t] rows, so rows are in step order whatever they are. The
+    # relay 0 -> 1, then 1 -> 2, of commodity (0, 2) is feasible; its rows
+    # the other way round are another schedule, one that ships from node 1
+    # in step 0, before the parcel is there.
+    assert [f.name for f in fields(Schedule)] == [
+        "n", "counts", "src", "dst", "origin", "dest", "amount", "scale"]
+    inst = make_instance(3, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    col = lambda *values: np.array(values, np.int64)
+    relay = Schedule(3, [1, 1], col(0, 1), col(1, 2), col(0, 0), col(2, 2), col(1, 1), 1)
+    assert verify(inst, relay).feasible
+    assert (relay.horizon, relay.step.tolist(), relay.counts.dtype) == (2, [0, 1], np.int64)
+    assert not (relay.counts.flags.writeable or relay.step.flags.writeable)
+    swapped = Schedule(3, [1, 1], col(1, 0), col(2, 1), col(0, 0), col(2, 2), col(1, 1), 1)
+    report = verify(inst, swapped)
+    assert not report.feasible
+    assert [(v.kind, v.step, v.where) for v in report.violations] == [
+        ("conservation", 0, (0, 2, 1))]
+    assert swapped.to_json()["counts"] == [1, 1]
+    assert Schedule.from_json(swapped.to_json(), 3) == swapped
+
+
+@pytest.mark.parametrize("counts,rows,message", [
+    ([2, -1], 1, "counts do not add up to 1 rows"),
+    ([2], 1, "counts do not add up to 1 rows"),
+    ([], 1, "counts do not add up to 1 rows"),
+    ([2**70, 1 - 2**70], 1, "counts do not add up to 1 rows"),
+    # Four counts of 2^62 and a 1 add up to 1 in wrapping int64 arithmetic.
+    ([2**62] * 4 + [1], 1, "counts do not add up to 1 rows"),
+    ([0, 2], 1, "counts do not add up to 1 rows"),
+])
+def test_schedule_refuses_counts_that_do_not_cover_its_rows(counts, rows, message):
+    column = np.ones(rows, np.int64)
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        Schedule(2, counts, column - 1, column, column - 1, column, column, 1)
+
+
+def test_schedule_refuses_row_columns_of_different_lengths():
+    one, two = np.ones(1, np.int64), np.ones(2, np.int64)
+    with pytest.raises(StructuralError, match="^the row columns differ in length$"):
+        Schedule(2, [1], one - 1, one, one - 1, one, two, 1)
+
+
 # Ids beyond int64 and amounts over a 420-bit denominator: object columns.
 HUGE_ID = 2**70
 WIDE = 2**420 - 1
@@ -323,8 +369,8 @@ def test_metrics_sums_exactly_at_the_int64_edge(big):
     # Two arrivals of one commodity in one step, each big / (2 big): their
     # sum, 2 big, fits in int64 below the edge and not above it.
     inst = make_instance(2, [[0, 1], [0, 0]])
-    step, src, dst = np.zeros(2, np.int64), np.zeros(2, np.int64), np.ones(2, np.int64)
-    sched = Schedule(2, 1, step, src, dst, src, dst, np.array([big, big], np.int64), 2 * big)
+    src, dst = np.zeros(2, np.int64), np.ones(2, np.int64)
+    sched = Schedule(2, [2], src, dst, src, dst, np.array([big, big], np.int64), 2 * big)
     m = compute_metrics(inst, sched)
     assert m.delivered == ((0, F(big, 2 * big) + F(big, 2 * big)), (0, 0))
     assert m.total_completion == 1 * (F(big, 2 * big) + F(big, 2 * big)) == 1
