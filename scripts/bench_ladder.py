@@ -18,7 +18,9 @@ The cases:
 * ``greedy-certificate-uniform-256``: greedy, then building and checking the
   dual certificate, at uniform n=256, B=8;
 * ``cli-hypercube-256``: ``coflow generate``, ``schedule``, ``verify`` and
-  ``metrics`` through files at n=256, B=2, in-process;
+  ``metrics`` through files at n=256, B=2, in-process, recording the
+  SHA-256 of the schedule file and of ``verify``'s and ``metrics``' output,
+  so that two sides can be checked to write the same bytes;
 * ``hypercube-uniform-1024``: ``hypercube_schedule``, ``verify`` and
   ``compute_metrics`` in-process at uniform n=1024, B=2 (5.24M rows);
 * ``edge-coloring-uniform-256``, ``round-robin-uniform-256``: the two
@@ -29,14 +31,16 @@ The cases:
 Each stage is timed ``--repeats`` times with the garbage collector on;
 the record keeps every sample and their median. ``--parent PATH`` runs every
 case also against the checkout at PATH (its ``src/``), alternating with this
-one, and records both sides. The stamp names each side's commit and its
-``src/coflow`` line count, the Python and numpy versions, the CPU and the
-cores this process may use.
+one, and records both sides. The stamp names each side's commit, the
+SHA-256 of its ``src/coflow/*.py`` (as perfbench computes it, so that a side
+with uncommitted changes is named too) and their line count, the Python and
+numpy versions, the CPU and the cores this process may use.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -151,23 +155,28 @@ def cli_case(repeats: int, tmp: str) -> dict:
         "verify": ["verify", *files],
         "metrics": ["metrics", *files],
     }
-    codes = []
+    codes, printed = [], {}
 
-    def command(argv):
-        with redirect_stdout(io.StringIO()):
+    def command(name, argv):
+        with redirect_stdout(io.StringIO()) as out:
             codes.append(cli.main(argv))
+        printed[name] = out.getvalue()
 
     # Each command reads the file the one before it wrote, so the four run
     # in order, once per repeat.
     stages = {name: [] for name in commands}
     for _ in range(repeats):
         for name, argv in commands.items():
-            stages[name].append(timed(lambda: command(argv), 1)["samples"][0])
+            stages[name].append(timed(lambda: command(name, argv), 1)["samples"][0])
+    with open(sched, "rb") as fh:
+        written = fh.read()
     return {
         "stages_s": {
             name: {"median": statistics.median(s), "samples": s} for name, s in stages.items()
         },
-        "bytes": os.path.getsize(sched),
+        "bytes": len(written),
+        "sha256": {"schedule": sha256(written), "verify": sha256(printed["verify"].encode()),
+                   "metrics": sha256(printed["metrics"].encode())},
         "ok": not any(codes),
     }
 
@@ -229,16 +238,25 @@ def run_case(case: str, repeats: int) -> dict:
     return out
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def stamp(checkout: Path) -> dict:
     """The commit checked out at ``checkout``, whether its ``src/`` differs
-    from that commit, and ``src_lines``, the line count of its
-    ``src/coflow/*.py`` (as ``cat src/coflow/*.py | wc -l`` counts them)."""
+    from that commit, ``src_sha256``, the digest of its ``src/coflow/*.py``
+    (each file's name, a NUL and its bytes, in name order, as perfbench's
+    ``src_digest``), and ``src_lines``, their line count (as
+    ``cat src/coflow/*.py | wc -l`` counts them)."""
     git = lambda *a: subprocess.run(["git", "-C", str(checkout), *a],
                                     capture_output=True, text=True).stdout.strip()
     files = sorted((checkout / "src" / "coflow").glob("*.py"))
+    texts = [path.read_bytes() for path in files]
     return {"sha": git("rev-parse", "HEAD") or None,
             "src_modified": bool(git("status", "--porcelain", "--", "src")),
-            "src_lines": sum(path.read_bytes().count(b"\n") for path in files)}
+            "src_sha256": sha256(b"".join(path.name.encode() + b"\0" + text
+                                          for path, text in zip(files, texts))),
+            "src_lines": sum(text.count(b"\n") for text in texts)}
 
 
 def machine() -> dict:

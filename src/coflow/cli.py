@@ -4,7 +4,8 @@ Subcommands: generate, schedule, verify, metrics, certify, bounds,
 oracle, experiment, table1. Instances, schedules and greedy traces travel
 as integer documents (``Instance.to_json``, ``Schedule.to_json``,
 ``GreedyTrace.to_json``): integer numerators over one scale. Reports
-render rationals as "p/q" strings.
+render rationals as "p/q" strings and print as ``json.dumps(report,
+indent=2)`` would (:func:`report_text`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import certificates, experiment, generators, oracle
 from .direct import ORDER_CHOICES, GreedyTrace, greedy_schedule
@@ -21,13 +24,13 @@ from .errors import CoflowError
 from .indirect import elementary_basis_schedule
 from .model import (
     compute_metrics,
+    document_text,
     dump_instance,
     dump_schedule,
-    encode_json,
     load_instance,
     load_schedule,
     read_json,
-    write_json,
+    write_document,
 )
 from .rational import parse_rational
 from .verifier import verify
@@ -38,12 +41,33 @@ from .verifier import verify
 INT_DIGITS_CAP = 100_000
 
 
+def report_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for a report: dicts with string keys,
+    lists and tuples, and scalars. ``indent`` is the newline and indentation
+    of ``obj``'s own line. A list of strings is one join over the C string
+    encoder; every other scalar goes to ``json.dumps``."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (encode_basestring_ascii(key) + ": " + report_text(value, inner)
+                 for key, value in obj.items())
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {str}:
+            items = map(encode_basestring_ascii, obj)
+        else:
+            items = (report_text(value, inner) for value in obj)
+        opening, closing = "[", "]"
+    else:
+        return json.dumps(obj)
+    return opening + inner + ("," + inner).join(items) + indent + closing
+
+
 def _emit(obj, args) -> None:
     if args.format == "csv" and isinstance(obj, dict):
         print(",".join(str(k) for k in obj))
         print(",".join(str(v) for v in obj.values()))
     else:
-        print(json.dumps(obj, indent=2))
+        print(report_text(obj))
 
 
 def _build_schedule(args, instance):
@@ -52,7 +76,7 @@ def _build_schedule(args, instance):
     if alg == "greedy":
         schedule, trace = greedy_schedule(instance, order=args.order, seed=args.seed)
         if args.trace_out:
-            write_json(trace.to_json(), args.trace_out)
+            write_document(trace.document(), args.trace_out)
         return schedule
     if alg == "elementary-basis" and args.dimension is not None:
         return elementary_basis_schedule(
@@ -66,7 +90,7 @@ def cmd_generate(args) -> int:
     if args.out:
         dump_instance(instance, args.out)
     else:
-        print(encode_json(instance.to_json()))
+        print(document_text(instance.document()))
     return 0
 
 
@@ -76,7 +100,7 @@ def cmd_schedule(args) -> int:
     if args.out:
         dump_schedule(schedule, args.out)
     else:
-        print(encode_json(schedule.to_json()))
+        print(document_text(schedule.document()))
     return 0
 
 
@@ -149,7 +173,12 @@ def _global_options(default) -> argparse.ArgumentParser:
     return parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. It names the
+    command (``args.command``); :func:`main` looks ``cmd_<command>`` up in
+    this module when it runs, so that a wrapper installed on it later is the
+    one called."""
     parser = argparse.ArgumentParser(prog="coflow", parents=[_global_options(None)])
     sub = parser.add_subparsers(dest="command", required=True)
     shared = [_global_options(argparse.SUPPRESS)]
@@ -159,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--B", required=True, help="load bound as p/q")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("schedule", parents=shared,
                        help="run a scheduler on an instance")
@@ -171,46 +199,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, default=None)
     p.add_argument("--trace-out", help="write the greedy trace (its matchings) here")
     p.add_argument("--nominal-B", help="overstate the load bound used for regime choices")
-    p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("verify", parents=shared,
                        help="check a schedule against an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--schedule", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("metrics", help="makespan and completion times", parents=shared)
     p.add_argument("--instance", required=True)
     p.add_argument("--schedule", required=True)
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("certify", parents=shared,
                        help="build and check a dual certificate")
     p.add_argument("--instance", required=True)
     p.add_argument("--trace", required=True)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("bounds", help="lower-bound values for (n, B)", parents=shared)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--B", required=True)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("oracle", parents=shared,
                        help="exact LP optimum (tiny instances only)")
     p.add_argument("--instance", required=True)
     p.add_argument("--sender-cap")
     p.add_argument("--receiver-cap")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", parents=shared,
                        help="run a sweep from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("table1", help="summarize results per quadrant", parents=shared)
     p.add_argument("--results", required=True)
-    p.set_defaults(func=cmd_table1)
     return parser
 
 
@@ -224,7 +244,7 @@ def main(argv=None) -> int:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(INT_DIGITS_CAP)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (CoflowError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,8 +34,8 @@ from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
     Blocks, Instance, Schedule, as_rows, commodity_columns, common_scale, group_starts, int_column,
-    integer_document, lowest_terms, node_columns, parcel_schedule, scaled_column, square_sums,
-    summable, unit_parcels,
+    integer_document, json_lists, lowest_terms, node_columns, parcel_schedule, scaled_column,
+    square_sums, summable, unit_parcels,
 )
 from .rational import rational_parser
 
@@ -95,16 +95,15 @@ class GreedyTrace:
     def total_completion(self) -> Fraction:
         return Fraction(self.replay.total, self.scale)
 
-    def _columns(self) -> tuple[list[int], list[int], list[int]]:
-        """The sender, receiver and rate columns as lists, rates over ``scale``."""
-        rate = common_scale(self.instance, self.schedule)[1]
-        return self.schedule.src.tolist(), self.schedule.dst.tolist(), rate.tolist()
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sender, receiver and rate columns, rates over ``scale``."""
+        return self.schedule.src, self.schedule.dst, common_scale(self.instance, self.schedule)[1]
 
     @cached_property
     def matchings(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         """Each matching's (sender, receiver, rate) triples, rates over
         ``scale``: a read-only view, built on first use."""
-        triples = zip(*self._columns())
+        triples = zip(*(column.tolist() for column in self._columns()))
         return tuple(tuple(islice(triples, c)) for c in self.schedule.counts.tolist())
 
     @cached_property
@@ -180,13 +179,16 @@ class GreedyTrace:
             out.append(tuple(view))
         return tuple(out)
 
-    def to_json(self) -> dict:
+    def document(self) -> dict:
         """The trace document: the schedule's rows as three columns,
         ``counts[t]`` of them in matching t, each rate a numerator over
-        ``scale``. Every field is a JSON integer or a list of them."""
+        ``scale``. Every field is an integer or an integer column (see
+        ``model.document_text``)."""
         return {"format": TRACE_FORMAT, "n": self.instance.n, "scale": self.scale,
-                "counts": self.schedule.counts.tolist(),
-                **dict(zip(TRACE_COLUMNS, self._columns()))}
+                "counts": self.schedule.counts, **dict(zip(TRACE_COLUMNS, self._columns()))}
+
+    def to_json(self) -> dict:
+        return json_lists(self.document())
 
     @staticmethod
     def from_json(obj: dict, instance: Instance) -> "GreedyTrace":

@@ -14,8 +14,11 @@ smearing and the digit routes with :class:`Blocks`, which owns the amount
 table; greedy writes its rows straight into columns. :func:`node_columns`
 is the one node-range check and :func:`summable` the one int64-or-Python-int
 rule for sums. ``Schedule.steps`` is a view that gives the rows back as
-``Transfer`` objects. Types are immutable after construction and safe to
-share across threads.
+``Transfer`` objects. Instances, schedules and traces give their documents
+as fields and numpy columns, and :func:`document_text` writes the bytes of
+``json.dumps`` of their ``to_json()``, each column read off a table of
+strings where its values' span allows. Types are immutable after
+construction and safe to share across threads.
 
 Time convention: step index ``s`` covers the interval ``[s, s+1]``; data
 moved during step ``s`` completes at time ``s + 1``.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import index, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -40,10 +43,14 @@ from .errors import (
     NegativeDemandError,
     StructuralError,
 )
-from .rational import parse_rational, rational_parser, rational_renderer
+from .rational import parse_rational, rational_parser, render_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 INT64_MAX = 2**63 - 1
+# The most unit parcels (see unit_parcels) one schedule may ship: one row
+# each, so its five int64 row columns alone take 10 GiB at this cap. A larger
+# total is refused before anything is allocated.
+MAX_PARCELS = 1 << 28
 COLUMNS_FORMAT = "coflow-columns-v1"
 INSTANCE_FORMAT = "coflow-instance-v1"
 # The row columns of a column document, in the order of Schedule's fields.
@@ -65,6 +72,15 @@ def over_scale(nums: Sequence[int], scale: int, form=lambda q: q) -> list:
 def as_rows(flat: list, n: int) -> Matrix:
     """The n x n matrix held row-major in ``flat``, as row tuples."""
     return tuple(tuple(flat[a:a + n]) for a in range(0, n * n, n))
+
+
+def square_rows(scaled: tuple[np.ndarray, int], form=lambda q: q) -> list[list]:
+    """The rows of the square matrix held row-major in ``scaled``, a column
+    of numerators and their scale, each entry ``form(Fraction(x, scale))``
+    (see :func:`over_scale`)."""
+    column, scale = scaled
+    flat, n = over_scale(column.tolist(), scale, form), isqrt(column.size)
+    return [flat[a:a + n] for a in range(0, n * n, n)]
 
 
 class FractionMemo(dict):
@@ -141,12 +157,15 @@ class Instance:
         memo = self.fractions(scale)
         return zip(origin.tolist(), dest.tolist(), map(memo.__getitem__, demand.tolist()))
 
-    def to_json(self) -> dict:
+    def document(self) -> dict:
         """The instance document: the demands, row-major, as integer
-        numerators over ``scale``."""
+        numerators over ``scale``, the column as a numpy column (see
+        :func:`document_text`)."""
         column, scale = self.scaled_demands
-        return {"format": INSTANCE_FORMAT, "n": self.n, "scale": scale,
-                "demands": column.tolist()}
+        return {"format": INSTANCE_FORMAT, "n": self.n, "scale": scale, "demands": column}
+
+    def to_json(self) -> dict:
+        return json_lists(self.document())
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
@@ -365,13 +384,16 @@ class Schedule:
         )))
         return tuple(Step(tuple(islice(rows, c))) for c in self.counts.tolist())
 
-    def to_json(self) -> dict:
+    def document(self) -> dict:
         """The column document: the row columns in step-major order,
         ``counts[t]`` rows in step t, and ``amount`` the numerators over
-        ``scale``. Every field is a JSON integer or a list of them."""
+        ``scale``. Every field is an integer or an integer column (see
+        :func:`document_text`)."""
         return {"format": COLUMNS_FORMAT, "n": self.n, "horizon": self.horizon, "scale": self.scale,
-                "counts": self.counts.tolist(),
-                **dict(zip(ROW_COLUMNS, (column.tolist() for column in self._columns())))}
+                "counts": self.counts, **dict(zip(ROW_COLUMNS, self._columns()))}
+
+    def to_json(self) -> dict:
+        return json_lists(self.document())
 
     @staticmethod
     def from_json(obj: dict, n: int) -> "Schedule":
@@ -470,12 +492,16 @@ def unit_parcels(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
     """Each demand d as ceil(d) parcels (see :func:`parcel_schedule`): the
     commodity of each parcel, an index into :func:`commodity_columns`, and
     its index among its commodity's parcels, in commodity order. A parcel
-    count past int64 raises ``StructuralError``."""
+    count past int64, or a total past ``MAX_PARCELS``, raises
+    ``StructuralError``."""
     _, _, demand, scale = commodity_columns(instance)
     keys, code = np.unique(demand, return_inverse=True)
     count = int_column([-(-x // scale) for x in keys.tolist()])
     if count.dtype == object:
         raise StructuralError(f"{count.max()} unit parcels of one demand do not fit in int64")
+    total = sum(map(mul, count.tolist(), np.bincount(code, minlength=count.size).tolist()))
+    if total > MAX_PARCELS:
+        raise StructuralError(f"{total} unit parcels exceed the cap of {MAX_PARCELS}")
     count = count[code]
     commodity = np.repeat(np.arange(count.size), count)
     return commodity, np.arange(commodity.size) - (np.cumsum(count) - count)[commodity]
@@ -573,20 +599,40 @@ class Blocks:
         return Schedule(self.n, counts, src, dst, origin, dest, amount, scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metrics:
+    """What :func:`compute_metrics` measures. ``scaled_delivered`` holds the
+    amount delivered per commodity, row-major, as integer numerators over a
+    scale (a read-only column, as ``Instance.scaled_demands``), and
+    :attr:`delivered` is its ``Fraction`` view. Metrics compare by value."""
+
     makespan: int
     total_completion: Fraction
     average_completion: Fraction
-    delivered: Matrix
+    scaled_delivered: tuple[np.ndarray, int]
+
+    def __post_init__(self):
+        self.scaled_delivered[0].flags.writeable = False
+
+    def _values(self) -> tuple:
+        return self.makespan, self.total_completion, self.average_completion, self.delivered
+
+    def __eq__(self, other):
+        if not isinstance(other, Metrics):
+            return NotImplemented
+        return self._values() == other._values()
+
+    @cached_property
+    def delivered(self) -> Matrix:
+        """The delivered matrix: a read-only view, built on first use."""
+        return tuple(map(tuple, square_rows(self.scaled_delivered)))
 
     def to_json(self) -> dict:
-        render = rational_renderer()
         return {
             "makespan": self.makespan,
-            "total_completion": render(self.total_completion),
-            "average_completion": render(self.average_completion),
-            "delivered": [[render(x) for x in row] for row in self.delivered],
+            "total_completion": render_rational(self.total_completion),
+            "average_completion": render_rational(self.average_completion),
+            "delivered": square_rows(self.scaled_delivered, render_rational),
         }
 
 
@@ -646,26 +692,50 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
         makespan=makespan,
         total_completion=total_completion,
         average_completion=avg,
-        delivered=as_rows(over_scale(delivered.tolist(), scale), n),
+        scaled_delivered=(delivered, scale),
     )
 
 
-def encode_json(obj) -> str:
-    """``json.dumps(obj)``, one line. An integer beyond Python's int-string
-    limit (4,300 digits by default, ``cli.INT_DIGITS_CAP`` in a command; a
+def json_lists(document: dict) -> dict:
+    """``document`` with each numpy column as a list: what ``json.dumps``
+    takes."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in document.items()}
+
+
+def column_text(column: np.ndarray) -> str:
+    """``json.dumps(column.tolist())``. An int64 column whose values span at
+    most its size is read off a table of that span's strings and joined in
+    C; any other column goes to ``json.dumps``."""
+    if column.dtype == np.int64 and column.size:
+        low, high = int(column.min()), int(column.max())
+        if high - low <= column.size:
+            table = np.array([str(x) for x in range(low, high + 1)], object)
+            return "[" + ", ".join(table[column - low].tolist()) + "]"
+    return json.dumps(column.tolist())
+
+
+def document_text(document: dict) -> str:
+    """``json.dumps(json_lists(document))``, one line, each column rendered
+    by :func:`column_text`. An integer beyond Python's int-string limit
+    (4,300 digits by default, ``cli.INT_DIGITS_CAP`` in a command; a
     document's scale can pass it when no entry does) raises
     ``StructuralError``."""
     try:
-        return json.dumps(obj)
+        return "{" + ", ".join(
+            json.dumps(key) + ": "
+            + (column_text(value) if isinstance(value, np.ndarray) else json.dumps(value))
+            for key, value in document.items()
+        ) + "}"
     except ValueError as exc:
         raise StructuralError(f"cannot encode as JSON: {exc}") from exc
 
 
-def write_json(obj, path: str) -> None:
-    """Write ``obj`` as one :func:`encode_json` string in one write:
-    ``json.dump`` encodes in pure Python and writes once per token, for the
-    same bytes."""
-    text = encode_json(obj)
+def write_document(document: dict, path: str) -> None:
+    """Write the :func:`document_text` of ``document`` in one write, made
+    before the file is opened, so a document that cannot be encoded leaves
+    no file."""
+    text = document_text(document)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -687,7 +757,7 @@ def load_instance(path: str) -> Instance:
 
 
 def dump_instance(instance: Instance, path: str) -> None:
-    write_json(instance.to_json(), path)
+    write_document(instance.document(), path)
 
 
 def load_schedule(path: str, n: int) -> Schedule:
@@ -695,4 +765,4 @@ def load_schedule(path: str, n: int) -> Schedule:
 
 
 def dump_schedule(schedule: Schedule, path: str) -> None:
-    write_json(schedule.to_json(), path)
+    write_document(schedule.document(), path)

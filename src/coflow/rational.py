@@ -45,14 +45,6 @@ def render_rational(q: Fraction | int) -> str:
         raise StructuralError(f"cannot render a rational: {exc}") from exc
 
 
-def rational_renderer() -> Callable[[Fraction | int], str]:
-    """``render_rational`` that renders each distinct value once; make one
-    per document. The memo is keyed by (numerator, denominator), which equal
-    values share and which hashes far faster than a Fraction."""
-    render_pair = cache(lambda num, den: render_rational(Fraction(num, den)))
-    return lambda q: render_pair(q.numerator, q.denominator)
-
-
 def render_decimal(q: Fraction, sig_digits: int = 6) -> str:
     """Decimal rendering for display only; never used in any exact check."""
     if q == 0:

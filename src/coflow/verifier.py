@@ -22,12 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
-from .model import INT64_MAX, Instance, Matrix, Schedule, common_scale, group_starts, node_columns
-from .rational import rational_renderer, render_rational
+from .model import (
+    INT64_MAX, Instance, Matrix, Schedule, common_scale, group_starts, node_columns, square_rows,
+)
+from .rational import render_rational
 
 
 @dataclass(frozen=True)
@@ -38,25 +41,47 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
+    """What :func:`verify` found. ``scaled_unmet`` holds the demand left
+    unmet per commodity (negative where more arrived), row-major, as integer
+    numerators over a scale (a read-only column, as
+    ``Instance.scaled_demands``), and :attr:`unmet_demand` is its
+    ``Fraction`` view. Reports compare by value."""
+
     feasible: bool
     violations: tuple[Violation, ...]
     max_edge_load: Fraction
-    unmet_demand: Matrix
+    scaled_unmet: tuple[np.ndarray, int]
     is_integral: bool
     is_direct: bool
 
+    def __post_init__(self):
+        self.scaled_unmet[0].flags.writeable = False
+
+    def _values(self) -> tuple:
+        return (self.feasible, self.violations, self.max_edge_load, self.unmet_demand,
+                self.is_integral, self.is_direct)
+
+    def __eq__(self, other):
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return self._values() == other._values()
+
+    @cached_property
+    def unmet_demand(self) -> Matrix:
+        """The unmet demand matrix: a read-only view, built on first use."""
+        return tuple(map(tuple, square_rows(self.scaled_unmet)))
+
     def to_json(self) -> dict:
-        render = rational_renderer()
         return {
             "feasible": self.feasible,
             "violations": [
                 {"kind": v.kind, "step": v.step, "where": list(v.where), "detail": v.detail}
                 for v in self.violations
             ],
-            "max_edge_load": render(self.max_edge_load),
-            "unmet_demand": [[render(x) for x in row] for row in self.unmet_demand],
+            "max_edge_load": render_rational(self.max_edge_load),
+            "unmet_demand": square_rows(self.scaled_unmet, render_rational),
             "is_integral": self.is_integral,
             "is_direct": self.is_direct,
         }
@@ -276,18 +301,15 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
     )
     short = demand[comm]
     short[hit] -= delivered[got]
-    zero = Fraction(0)
-    unmet = [[zero] * n for _ in range(n)]
-    for k in np.flatnonzero(short).tolist():
-        i, j = divmod(int(comm[k]), n)
-        unmet[i][j] = Fraction(int(short[k]), scale)
+    unmet = np.zeros(n * n, short.dtype)
+    unmet[comm] = short
 
     records.sort(key=itemgetter(0))
     return VerificationReport(
         feasible=not records and not (short > 0).any(),
         violations=tuple(v for _, v in records),
         max_edge_load=Fraction(max_load, scale),
-        unmet_demand=tuple(map(tuple, unmet)),
+        scaled_unmet=(unmet, scale),
         is_integral=integral,
         is_direct=direct,
     )

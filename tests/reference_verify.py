@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from coflow.model import Instance, Schedule
+from coflow.model import Instance, Schedule, int_column
 from coflow.rational import render_rational
 from coflow.verifier import VerificationReport, Violation
 
@@ -134,32 +134,26 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
         for key, a in inflows:
             balance[key] = bget(key, 0) + a
 
-    zero = Fraction(0)
     met = True
-    unmet = []
+    unmet = []  # row-major numerators over scale
     for i in range(n):
-        row = []
         base = i * n * n
         for j, d in enumerate(instance.demands[i]):
             num = d.numerator
             if num > 0:
                 short = num * mult[d.denominator] - balance.get(base + j * n + j, 0)
-                if short == 0:
-                    row.append(zero)
-                else:
-                    if short > 0:
-                        met = False
-                    row.append(Fraction(short, scale))
+                if short > 0:
+                    met = False
+                unmet.append(short)
             else:
-                row.append(zero)
-        unmet.append(tuple(row))
+                unmet.append(0)
 
     feasible = not violations and met
     return VerificationReport(
         feasible=feasible,
         violations=tuple(violations),
         max_edge_load=Fraction(max_load, scale),
-        unmet_demand=tuple(unmet),
+        scaled_unmet=(int_column(unmet), scale),
         is_integral=integral,
         is_direct=direct,
     )

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -10,14 +11,20 @@ import tempfile
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference_rows import row_document
 
 from coflow import cli
-from coflow.cli import INT_DIGITS_CAP, main
-from coflow.direct import GreedyTrace
-from coflow.experiment import CSV_COLUMNS, SCHEMA_VERSION
-from coflow.model import Instance, Schedule, load_instance, load_schedule
+from coflow.certificates import build_certificate, check_certificate, lower_bounds
+from coflow.cli import INT_DIGITS_CAP, main, report_text
+from coflow.direct import GreedyTrace, greedy_schedule
+from coflow.experiment import ALGORITHMS, CSV_COLUMNS, SCHEMA_VERSION
+from coflow.generators import generate
+from coflow.model import (
+    MAX_PARCELS, Instance, Schedule, compute_metrics, load_instance, load_schedule,
+)
+from coflow.oracle import solve_completion_lp
+from coflow.verifier import verify
 
 
 def run(capsys, *argv):
@@ -144,6 +151,37 @@ def test_global_options_on_either_side_of_the_subcommand(tmp_path, capsys):
         assert code == 0
         header, values = out.splitlines()
         assert header.split(",")[0] == "feasible" and values.startswith("True,")
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    original = cli.cmd_bounds
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args) or original(args))
+    code, out, _ = run(capsys, "--seed", "3", "--format", "csv", "bounds", "--n", "4", "--B", "2")
+    assert code == 0 and out.startswith("n,B,")
+    code, out, _ = run(capsys, "bounds", "--n", "4", "--B", "2")
+    assert (code, json.loads(out)["n"]) == (0, 4)
+    assert [(args.seed, args.format) for args in seen] == [(3, "csv"), (None, None)]
+    # An argparse error leaves the parser fit for the next call.
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--n", "x", "--B", "2"])
+    assert exc.value.code == 2
+    assert run(capsys, "bounds", "--n", "4", "--B", "2")[:2] == (0, out)
+    # A wrapper installed on a command after its first call is the one the
+    # next call runs, as a tracer's is.
+    inst, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+    run(capsys, "generate", "--n", "4", "--B", "2", "--out", str(inst))
+    run(capsys, "schedule", "--algorithm", "hypercube", "--instance", str(inst),
+        "--out", str(sched))
+    files = ("--instance", str(inst), "--schedule", str(sched))
+    code, first, _ = run(capsys, "verify", *files)
+    assert code == 0
+    calls = []
+    original = cli.cmd_verify
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args) or original(args))
+    assert run(capsys, "verify", *files)[:2] == (0, first)
+    assert len(calls) == 1
 
 
 def test_greedy_trace_certify(tmp_path, capsys):
@@ -353,6 +391,19 @@ def test_parcel_counts_past_int64_are_exit_two(tmp_path, capsys, algorithm, nomi
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "fit in int64" in err, err
+
+
+@pytest.mark.parametrize("algorithm", ["edge-coloring", "round-robin"])
+@pytest.mark.parametrize("load", [10**18, 10**11])
+def test_parcel_totals_past_the_cap_are_exit_two(tmp_path, capsys, algorithm, load):
+    # Each of the six demands is ceil(load / 3) parcels. Each count fits in
+    # int64, and at 10^18 so does the total, but neither schedule would fit
+    # in memory.
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", "--n", "3", "--B", str(load), "--out", str(inst))
+    code, out, err = run(capsys, "schedule", "--algorithm", algorithm, "--instance", str(inst))
+    assert (code, out) == (2, "")
+    assert err == f"error: {6 * -(-load // 3)} unit parcels exceed the cap of {MAX_PARCELS}\n"
 
 
 def test_malformed_trace_is_exit_two(tmp_path, capsys):
@@ -876,3 +927,35 @@ def test_malformed_files_keep_the_exit_code_contract(data):
                 code = main(argv)
             assert code in (0, 1, 2), (argv[0], docs[name])
             assert "Traceback" not in err.getvalue(), (argv[0], docs[name])
+
+
+# -- the report writer -----------------------------------------------------------
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(st.text(max_size=4), max_size=4), st.tuples(inner, inner),
+    st.dictionaries(st.text(max_size=3), inner, max_size=4),
+), max_leaves=24)
+
+
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[], {}, [""], ()], "d": ["x", "\u00e9"], "": [1, "y", None]})
+def test_report_text_is_json_dumps_with_indent_two(obj):
+    assert report_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_every_report_prints_as_json_dumps_with_indent_two():
+    inst = generate("random-sparse", 5, F(7, 3), seed=1)
+    sched = ALGORITHMS["auto"](inst, None)
+    doubled = dataclasses.replace(sched, amount=sched.amount * 2)
+    _, trace = greedy_schedule(inst)
+    cert = build_certificate(trace)
+    reports = [
+        verify(inst, sched), verify(inst, doubled), compute_metrics(inst, sched),
+        {"certificate": cert.to_json(), "check": check_certificate(inst, trace, cert).to_json()},
+        lower_bounds(5, F(7, 3)), solve_completion_lp(generate("uniform", 3, F(2), 1), F(1), F(1)),
+    ]
+    assert reports[0].feasible and reports[1].violations
+    for report in reports:
+        obj = report if isinstance(report, dict) else report.to_json()
+        assert report_text(obj) == json.dumps(obj, indent=2)
