@@ -11,10 +11,12 @@ The cases:
 * ``instance-uniform-1024``, ``instance-random-sparse-1024``: write the
   instance file (``dump_instance``) and read it back (``load_instance``),
   at n=1024, B=2 (random-sparse with seed 1);
-* ``trace-uniform-1024``: greedy trace encode (``json.dumps`` of
-  ``GreedyTrace.to_json``), decode (``GreedyTrace.from_json`` of
-  ``json.loads``), and building and checking the dual certificate of the
-  decoded trace, at uniform n=1024, B=2;
+* ``trace-uniform-1024``: greedy trace encode (``model.document_text`` of
+  ``GreedyTrace.document``, what ``schedule --trace-out`` writes), decode
+  (``GreedyTrace.from_json`` of ``json.loads``), building and checking the
+  dual certificate of the decoded trace, and ``coflow certify`` in-process
+  on the instance and trace files, so that each side's own file reader is
+  timed, at uniform n=1024, B=2;
 * ``greedy-certificate-uniform-256``: greedy, then building and checking the
   dual certificate, at uniform n=256, B=8;
 * ``cli-hypercube-256``: ``coflow generate``, ``schedule``, ``verify`` and
@@ -97,12 +99,12 @@ def instance_case(family: str, repeats: int, tmp: str) -> dict:
 
 
 def trace_case(repeats: int, tmp: str) -> dict:
-    from coflow import certificates, direct, model
+    from coflow import certificates, cli, direct, model
 
     inst = model.uniform_instance(1024, Fraction(2))
     _, trace = direct.greedy_schedule(inst)
-    text = json.dumps(trace.to_json())
-    encode = timed(lambda: json.dumps(trace.to_json()), repeats)
+    text = model.document_text(trace.document())
+    encode = timed(lambda: model.document_text(trace.document()), repeats)
     # Each repeat decodes a fresh trace (its replay is cached) and certifies
     # it, so that one decoded trace is alive at a time.
     stages = {"decode": [], "certificate": []}
@@ -115,13 +117,24 @@ def trace_case(repeats: int, tmp: str) -> dict:
         check = lambda: reports.append(certificates.check_certificate(
             inst, again, certificates.build_certificate(again)).ok)
         stages["certificate"] += timed(check, 1)["samples"]
+    inst_path, trace_path = os.path.join(tmp, "inst.json"), os.path.join(tmp, "trace.json")
+    model.dump_instance(inst, inst_path)
+    model.write_document(trace.document(), trace_path)
+    codes = []
+
+    def certify():
+        with redirect_stdout(io.StringIO()) as out:
+            codes.append(cli.main(["certify", "--instance", inst_path, "--trace", trace_path]))
+        reports.append(json.loads(out.getvalue())["check"]["ok"])
+
     return {
         "stages_s": {
             "encode": encode,
             **{name: {"median": statistics.median(s), "samples": s} for name, s in stages.items()},
+            "certify": timed(certify, repeats),
         },
         "bytes": len(text),
-        "ok": all(reports) and again == trace,
+        "ok": all(reports) and again == trace and not any(codes),
     }
 
 

@@ -11,6 +11,7 @@ indent=2)`` would (:func:`report_text`).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -19,7 +20,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import certificates, experiment, generators, oracle
-from .direct import ORDER_CHOICES, GreedyTrace, greedy_schedule
+from .direct import ORDER_CHOICES, TRACE_COLUMNS, GreedyTrace, greedy_schedule
 from .errors import CoflowError
 from .indirect import elementary_basis_schedule
 from .model import (
@@ -63,9 +64,13 @@ def report_text(obj, indent: str = "\n") -> str:
 
 
 def _emit(obj, args) -> None:
+    """Print a report as JSON, or with ``--format csv`` a dict report as a
+    header and one row, each list or dict field as its one-line JSON text."""
     if args.format == "csv" and isinstance(obj, dict):
-        print(",".join(str(k) for k in obj))
-        print(",".join(str(v) for v in obj.values()))
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(obj)
+        out.writerow(json.dumps(v) if isinstance(v, (list, tuple, dict)) else v
+                     for v in obj.values())
     else:
         print(report_text(obj))
 
@@ -121,7 +126,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_certify(args) -> int:
     instance = load_instance(args.instance)
-    trace = GreedyTrace.from_json(read_json(args.trace), instance)
+    trace = GreedyTrace.from_json(read_json(args.trace, ("counts", *TRACE_COLUMNS)), instance)
     cert = certificates.build_certificate(trace)
     report = certificates.check_certificate(instance, trace, cert)
     _emit({"certificate": cert.to_json(), "check": report.to_json()}, args)

@@ -17,8 +17,10 @@ rule for sums. ``Schedule.steps`` is a view that gives the rows back as
 ``Transfer`` objects. Instances, schedules and traces give their documents
 as fields and numpy columns, and :func:`document_text` writes the bytes of
 ``json.dumps`` of their ``to_json()``, each column read off a table of
-strings where its values' span allows. Types are immutable after
-construction and safe to share across threads.
+strings where its values' span allows; :func:`read_json` reads each column
+written so back into an int64 column in C, and any other text through
+``json``. Types are immutable after construction and safe to share across
+threads.
 
 Time convention: step index ``s`` covers the interval ``[s, s+1]``; data
 moved during step ``s`` completes at time ``s + 1``.
@@ -451,7 +453,8 @@ def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: t
     whose ``format`` must be ``form``, checked before anything converts them:
     each scalar a JSON integer and each column a list of them (bool, float,
     string and null refused: np.int64 would truncate 1.9 and take true for
-    a node), and a ``scale`` scalar at least 1. Each failure raises
+    a node) or an int64 column, which :func:`read_json` gives only for such
+    a list, and a ``scale`` scalar at least 1. Each failure raises
     ``StructuralError`` naming ``kind``."""
     if obj["format"] != form:
         raise StructuralError(f"unknown {kind} format {obj['format']!r:.60}")
@@ -463,6 +466,8 @@ def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: t
         names = ", ".join(scalars[:-1]) + " and " + scalars[-1]
         raise StructuralError(f"malformed {kind}: {names} must be integers")
     for key, column in zip(columns, values[len(scalars):]):
+        if isinstance(column, np.ndarray) and column.dtype == np.int64:
+            continue
         if type(column) is not list or not set(map(type, column)) <= {int}:
             raise StructuralError(f"malformed {kind}: {key} is not a list of integers")
     if "scale" in scalars and obj["scale"] < 1:
@@ -470,8 +475,15 @@ def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: t
     return values
 
 
-def lowest_terms(nums: list[int], scale: int) -> tuple[list[int], int]:
-    """Numerators over ``scale`` as the same values over the lowest scale."""
+def lowest_terms(nums: list[int] | np.ndarray, scale: int) -> tuple[list[int] | np.ndarray, int]:
+    """Numerators over ``scale``, a list of ints or an int64 column, as the
+    same values over the lowest scale."""
+    if isinstance(nums, np.ndarray):
+        # np.gcd gives -2**63 for a gcd of 2**63; math.gcd takes its size.
+        common = gcd(scale, int(np.gcd.reduce(nums)))
+        if common <= INT64_MAX:
+            return (nums // common if common > 1 else nums), scale // common
+        nums = nums.tolist()  # every value 0 or -2**63
     common = gcd(scale, *nums)
     if common == 1:
         return nums, scale
@@ -740,20 +752,86 @@ def write_document(document: dict, path: str) -> None:
         fh.write(text)
 
 
-def read_json(path: str):
-    """The JSON document in ``path``. Text that does not decode (not UTF-8,
-    not JSON, or an integer literal beyond Python's int-string limit, 4,300
-    digits by default and ``cli.INT_DIGITS_CAP`` in a command) raises
-    ``StructuralError``."""
+# The check of a column text (see canonical_column) renders the column
+# through a table of the strings of its values' span (see column_text), which
+# costs more than json's parse of the text when that span is wide. A column
+# text longer than HEAD characters is read by numpy only when the values in
+# its first HEAD characters, and then all its values, span at most a
+# sixteenth of its length.
+HEAD = 4096
+WHITESPACE = json.decoder.WHITESPACE.match
+scan_value = json.JSONDecoder().scan_once
+
+
+def canonical_column(text: str, start: int) -> tuple[np.ndarray, int] | None:
+    """The int64 column of the JSON list that opens at ``text[start]``, and
+    the index after it, when that list is the :func:`column_text` of the
+    column, so that it decodes to the column's values as ``json.loads``
+    would; None for any other text, and for a wide column (see ``HEAD``)."""
+    end = text.find("]", start) + 1
+    if not end:
+        return None
+    long = end - start > HEAD
+    wide = lambda column: long and (int(column.max()) - int(column.min())) * 16 > end - start
+    try:
+        if long and wide(np.fromstring(text[start + 1:text.rfind(",", start, start + HEAD)],
+                                       np.int64, sep=",")):
+            return None
+        column = np.fromstring(text[start + 1:end - 1], np.int64, sep=",")
+    except ValueError:  # text numpy does not read as integers, or an empty head
+        return None
+    if wide(column) or column_text(column) != text[start:end]:
+        return None
+    return column, end
+
+
+def scan_object(text: str, columns: tuple) -> dict | None:
+    """``json.loads(text)`` when ``text`` is one JSON object, each key's
+    value read by json's own scanner but a :func:`canonical_column` under a
+    key in ``columns``, which stays an int64 column; None when ``text`` is
+    not a JSON object, or is one that ``json.loads`` refuses."""
+    try:
+        document, i = {}, WHITESPACE(text).end()
+        if not text.startswith("{", i):
+            return None
+        while True:
+            i = WHITESPACE(text, i + 1).end()
+            if not text.startswith('"', i):
+                return None
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = WHITESPACE(text, i).end()
+            if not text.startswith(":", i):
+                return None
+            i = WHITESPACE(text, i + 1).end()
+            column = key in columns and text.startswith("[", i) and canonical_column(text, i)
+            document[key], i = column or scan_value(text, i)
+            i = WHITESPACE(text, i).end()
+            if not text.startswith(",", i):
+                break
+    except (ValueError, StopIteration):
+        return None
+    done = text.startswith("}", i) and WHITESPACE(text, i + 1).end() == len(text)
+    return document if done else None
+
+
+def read_json(path: str, columns: tuple = ()):
+    """The JSON document in ``path``, as ``json.load`` reads it, but that
+    the value of each key in ``columns`` written as :func:`column_text`
+    writes it is an int64 column (see :func:`scan_object`). Text that does
+    not decode (not UTF-8, not JSON, or an integer literal beyond Python's
+    int-string limit, 4,300 digits by default and ``cli.INT_DIGITS_CAP`` in a
+    command) raises ``StructuralError``, with ``json``'s message."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+        document = scan_object(text, columns) if columns else None
+        return json.loads(text) if document is None else document
     except ValueError as exc:
         raise StructuralError(f"{path} is not a readable JSON document: {exc}") from exc
 
 
 def load_instance(path: str) -> Instance:
-    return Instance.from_json(read_json(path))
+    return Instance.from_json(read_json(path, ("demands",)))
 
 
 def dump_instance(instance: Instance, path: str) -> None:
@@ -761,7 +839,7 @@ def dump_instance(instance: Instance, path: str) -> None:
 
 
 def load_schedule(path: str, n: int) -> Schedule:
-    return Schedule.from_json(read_json(path), n)
+    return Schedule.from_json(read_json(path, ("counts", *ROW_COLUMNS)), n)
 
 
 def dump_schedule(schedule: Schedule, path: str) -> None:

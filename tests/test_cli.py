@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import dataclasses
 import io
 import json
@@ -200,6 +201,34 @@ def test_greedy_trace_certify(tmp_path, capsys):
     assert code == (0 if report["check"]["ok"] else 1)
     assert "obj_DS_plus_DR" in report["check"]
     assert "alpha_S" in report["certificate"]
+
+
+def test_csv_reports_keep_one_field_per_column(tmp_path, capsys):
+    inst, big, sched, over = (str(tmp_path / f"{name}.json")
+                              for name in ("inst", "big", "sched", "over"))
+    run(capsys, "generate", "--n", "3", "--B", "2", "--out", inst)
+    run(capsys, "generate", "--n", "3", "--B", "3", "--out", big)
+    run(capsys, "schedule", "--algorithm", "hypercube", "--instance", inst, "--out", sched)
+    run(capsys, "schedule", "--algorithm", "hypercube", "--instance", big, "--out", over)
+    lists = []
+    for argv, expected in ((["verify", "--schedule", sched], 0), (["verify", "--schedule", over], 1),
+                           (["metrics", "--schedule", sched], 0)):
+        argv += ["--instance", inst]
+        code, text, _ = run(capsys, *argv)
+        report = json.loads(text)
+        code_csv, out, _ = run(capsys, "--format", "csv", *argv)
+        assert (code, code_csv) == (expected, expected)
+        header, row = csv.reader(io.StringIO(out))
+        assert header == list(report) and len(row) == len(header)
+        for key, field in zip(header, row):
+            if isinstance(report[key], (list, dict)):
+                assert json.loads(field) == report[key]
+                lists.append(key)
+    assert lists == ["violations", "unmet_demand"] * 2 + ["delivered"]
+    # A report of scalars keeps the bytes of a plain comma join.
+    _, out, _ = run(capsys, "--format", "csv", "bounds", "--n", "4", "--B", "7/3")
+    bounds = lower_bounds(4, F(7, 3)).to_json()
+    assert out == ",".join(bounds) + "\n" + ",".join(map(str, bounds.values())) + "\n"
 
 
 def test_bounds_command(capsys):

@@ -1,13 +1,17 @@
 import copy
 import json
+import os
 import pickle
 import random
+import re
+import tempfile
 from dataclasses import fields, replace
 from fractions import Fraction as F
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference_rows import matrix_document, row_document, schedule_from_steps
 
 from coflow.errors import (
@@ -17,20 +21,25 @@ from coflow.errors import (
     NegativeDemandError,
     StructuralError,
 )
-from coflow.direct import greedy_schedule
+from coflow.direct import TRACE_COLUMNS, GreedyTrace, greedy_schedule
 from coflow.experiment import ALGORITHMS
 from coflow.generators import FAMILIES, generate
 from coflow.model import (
+    HEAD,
     INT64_MAX,
+    ROW_COLUMNS,
     Instance,
     Schedule,
     Transfer,
     column_text,
     compute_metrics,
+    document_text,
     dump_instance,
     dump_schedule,
     load_schedule,
+    lowest_terms,
     make_instance,
+    read_json,
     summable,
     uniform_instance,
     write_document,
@@ -384,6 +393,223 @@ def test_every_schedule_round_trips_through_both_documents(algorithm):
             assert same, (instance.n, load)
         checked += 1
     assert checked >= 8
+
+
+# -- the file reader ------------------------------------------------------------
+
+# The keys each document kind reads as integer columns.
+COLUMNS = {"instance": ("demands",), "schedule": ("counts", *ROW_COLUMNS),
+           "trace": ("counts", *TRACE_COLUMNS)}
+
+
+@lru_cache(maxsize=1)
+def wire_documents() -> tuple:
+    """(kind, text, instance) for every round-trip instance's document, the
+    document of each registry schedule of it, and greedy's trace document."""
+    docs = []
+    for instance, load in round_trip_instances():
+        docs.append(("instance", document_text(instance.document()), instance))
+        for algorithm in sorted(ALGORITHMS):
+            try:
+                schedule = ALGORITHMS[algorithm](instance, load)
+            except CoflowError:
+                continue
+            docs.append(("schedule", document_text(schedule.document()), instance))
+        trace = greedy_schedule(instance)[1]
+        docs.append(("trace", document_text(trace.document()), instance))
+    return tuple(docs)
+
+
+def _outcome(read, kind: str, instance: Instance):
+    """The document ``read()`` gives, with its columns as lists, and what
+    ``from_json`` builds of it; an error as its type and message. Only the
+    document's column keys may hold numpy columns, and only int64 ones."""
+    build = {"instance": Instance.from_json,
+             "schedule": lambda doc: Schedule.from_json(doc, instance.n),
+             "trace": lambda doc: GreedyTrace.from_json(doc, instance)}[kind]
+    try:
+        doc = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    plain = doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if isinstance(value, np.ndarray):
+                assert key in COLUMNS[kind] and value.dtype == np.int64, key
+        plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    try:
+        built = build(doc)
+    except Exception as exc:
+        built = type(exc), str(exc)
+    return json.dumps(plain), built
+
+
+def assert_read_as_json_reads(text: str, kind: str, instance: Instance, path: str) -> None:
+    """``read_json(path, columns)`` gives what ``json.load`` gives, each
+    column it reads as an int64 column holding the same values, and the same
+    instance, schedule or trace (dtypes included), or the same error."""
+    with open(path, "w") as fh:
+        fh.write(text)
+
+    def parent():
+        try:
+            with open(path) as fh:
+                return json.load(fh)
+        except ValueError as exc:
+            raise StructuralError(f"{path} is not a readable JSON document: {exc}") from exc
+
+    got, want = (_outcome(read, kind, instance)
+                 for read in (lambda: read_json(path, COLUMNS[kind]), parent))
+    assert got == want, text
+
+
+def _at(pattern, edit):
+    """Rewrite the k-th match of ``pattern`` in the text (k modulo their
+    count) with ``edit`` of it; a text with none stays as it is."""
+    def mutate(text, k):
+        found = list(re.finditer(pattern, text))
+        if not found:
+            return text
+        m = found[k % len(found)]
+        return text[:m.start()] + edit(m.group()) + text[m.end():]
+    return mutate
+
+
+NUMBER, LIST = r"-?\d+", r"\[[^\[\]]*\]"
+
+
+def _with_key(value, last):
+    """Add the k-th key of the text again, with ``value``: before its
+    fields or after them."""
+    def mutate(text, k):
+        keys = re.findall(r'"(\w+)":', text) or ["n"]
+        field = f'"{keys[k % len(keys)]}": {value}'
+        if last:
+            at = text.rfind("}")
+            return text if at < 0 else text[:at] + ", " + field + text[at:]
+        at = text.find("{") + 1
+        return text if not at else text[:at] + field + ", " + text[at:]
+    return mutate
+
+
+SEPARATORS = [",", ",\t", "\t, ", ",\n", "\n,", " ,", ",\r", ",\r\n", ",  ", ",\f", "\f,",
+              ",\v", "\v,", ",\u00a0", "\u00a0,", " ", ";", ", ,"]
+INSERTED = ["[]", "[1, 2]", "[0, -1]", "7", "NaN", '"x"', "[[0], 1]", "[0, [1]]",
+            r'"a]:[\"b"', "true", "[9223372036854775808]", "[-9223372036854775808]"]
+MUTATIONS = [
+    _at(NUMBER, lambda t: "-0" + t[1:] if t.startswith("-") else "0" + t),
+    _at(NUMBER, lambda t: "00" + t),
+    _at(NUMBER, lambda t: "+" + t),
+    _at(NUMBER, lambda t: "-0"),
+    _at(NUMBER, lambda t: "-" + t),
+    _at(NUMBER, lambda t: t + ".0"),
+    _at(NUMBER, lambda t: t + "e3"),
+    _at(NUMBER, lambda t: "1E3"),
+    _at(NUMBER, lambda t: "true"),
+    _at(NUMBER, lambda t: "NaN"),
+    _at(NUMBER, lambda t: "-Infinity"),
+    _at(NUMBER, lambda t: "null"),
+    _at(NUMBER, lambda t: '"' + t + '"'),
+    _at(NUMBER, lambda t: t + ","),
+    _at(NUMBER, lambda t: "[" + t + "]"),
+    _at(NUMBER, lambda t: "[]"),
+    *(_at(NUMBER, lambda t, v=v: str(v)) for v in (
+        10**18, -10**18, 10**19 - 1, 10**19, 10**20 - 1, -(10**19 - 1),
+        2**63, -2**63, 2**63 - 1, -2**63 - 1, 2**64, 2**63 + 2**62)),
+    *(_at(", ", lambda t, sep=sep: sep) for sep in SEPARATORS),
+    *(_at(": ", lambda t, sep=sep: sep) for sep in (":", ":\t", " :", ":\n", ":\f", ":\u00a0")),
+    _at(r"\[", lambda t: "[ "), _at(r"\]", lambda t: " ]"),
+    _at(r"\[", lambda t: "[\n"), _at(r"\]", lambda t: "\t]"),
+    _at(LIST, lambda t: "[]"),
+    _at(LIST, lambda t: "[" + t + "]"),
+    _at(LIST, lambda t: t[:-1] + ",]"),
+    _at(LIST, lambda t: t[:-1] + ", []]"),
+    _at(LIST, lambda t: t.replace(", ", ",")),
+    *(_with_key(value, last) for value in INSERTED for last in (False, True)),
+    _at(r"\{", lambda t: r'{"a]\":[{": "]:[\",", '),
+    _at(r"\{", lambda t: '{"[": ":", "]": "\\"", '),
+    _at('"format": "', lambda t: t + "]["),
+    *(_at(r"\}\s*$", lambda t, tail=tail: t + tail)
+      for tail in ("x", " ", "\n", "}", "{}", " []", "\f")),
+    lambda text, k: "\ufeff" + text,
+    lambda text, k: " \n\t" + text,
+    lambda text, k: "[" + text + "]",
+    lambda text, k: text[:len(text) * (k % 7 + 1) // 8],
+]
+
+
+def _small_documents():
+    """An instance, two schedules and a trace document at n=4 whose columns
+    all go through the int64 reader."""
+    instance = generate("random-sparse", 4, F(7, 3), seed=1)
+    return [("instance", document_text(instance.document()), instance),
+            ("schedule", document_text(ALGORITHMS["smeared"](instance, None).document()),
+             instance),
+            ("schedule", document_text(ALGORITHMS["round-robin"](instance, F(3)).document()),
+             instance),
+            ("trace", document_text(greedy_schedule(instance)[1].document()), instance)]
+
+
+def test_reader_reads_every_wire_document_and_mutation_as_json(tmp_path):
+    path = str(tmp_path / "doc.json")
+    for kind, text, instance in wire_documents():
+        assert_read_as_json_reads(text, kind, instance, path)
+    for kind, text, instance in _small_documents():
+        for mutate in MUTATIONS:
+            for k in range(4):
+                assert_read_as_json_reads(mutate(text, k), kind, instance, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_reads_mutated_documents_as_json(data):
+    docs = wire_documents()
+    kind, text, instance = docs[data.draw(st.integers(0, len(docs) - 1))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate = MUTATIONS[data.draw(st.integers(0, len(MUTATIONS) - 1))]
+        text = mutate(text, data.draw(st.integers(0, 10**6)))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_read_as_json_reads(text, kind, instance, os.path.join(tmp, "doc.json"))
+
+
+def test_canonical_columns_are_read_as_int64_columns(tmp_path):
+    path, fast = str(tmp_path / "doc.json"), 0
+    for kind, text, _ in wire_documents():
+        with open(path, "w") as fh:
+            fh.write(text)
+        doc, want = read_json(path, COLUMNS[kind]), json.loads(text)
+        for key in COLUMNS[kind]:
+            fits = all(-2**63 <= x < 2**63 for x in want[key])
+            if fits and len(json.dumps(want[key])) <= HEAD:
+                assert isinstance(doc[key], np.ndarray), (kind, key)
+                fast += 1
+            elif not fits:
+                assert type(doc[key]) is list
+    assert fast > 1000
+
+
+@pytest.mark.parametrize("values,fast", [
+    ([0, 1] * 3000, True),
+    (list(range(0, 10**6, 500)), False),  # wide in its first HEAD characters
+    ([0] * 3000 + [10**9], False),  # narrow there, wide in all
+    ([2**62, 2**62 + 1] * 3000, True),
+])
+def test_long_wide_columns_are_read_by_json(tmp_path, values, fast):
+    path = str(tmp_path / "doc.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"demands": values}))
+    got = read_json(path, ("demands",))["demands"]
+    assert isinstance(got, np.ndarray) == fast
+    assert (got.tolist() if fast else got) == values
+
+
+@pytest.mark.parametrize("nums,scale", [
+    ([6, -4, 0], 10), ([], 7), ([0, 0], 10**30), ([-2**63, 0], 2**64), ([-2**63], 2**63),
+    ([-2**63, 2**62], 3 * 2**62), ([INT64_MAX, 1], INT64_MAX), ([5], 1),
+])
+def test_lowest_terms_of_a_column_is_that_of_its_list(nums, scale):
+    column, low = lowest_terms(np.array(nums, np.int64), scale)
+    assert (np.asarray(column).tolist(), low) == lowest_terms(nums, scale)
 
 
 def test_metrics_counts_only_final_arrivals():
