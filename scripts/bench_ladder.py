@@ -23,8 +23,10 @@ The cases:
   ``metrics`` through files at n=256, B=2, in-process, recording the
   SHA-256 of the schedule file and of ``verify``'s and ``metrics``' output,
   so that two sides can be checked to write the same bytes;
-* ``hypercube-uniform-1024``: ``hypercube_schedule``, ``verify`` and
-  ``compute_metrics`` in-process at uniform n=1024, B=2 (5.24M rows);
+* ``hypercube-uniform-1024``, ``elementary-basis-uniform-1024``: the digit
+  routes, ``verify`` and ``compute_metrics`` in-process at uniform n=1024,
+  the hypercube at B=2 (5.24M rows, makespan 10) and the elementary basis
+  at nominal B=32 (radix 32, 2.03M rows, makespan 62);
 * ``edge-coloring-uniform-256``, ``round-robin-uniform-256``: the two
   unit-parcel schedulers and ``verify`` in-process at uniform n=256, edge
   coloring at B=2 (65,280 rows, makespan 255) and round robin at B=512
@@ -33,10 +35,13 @@ The cases:
 Each stage is timed ``--repeats`` times with the garbage collector on;
 the record keeps every sample and their median. ``--parent PATH`` runs every
 case also against the checkout at PATH (its ``src/``), alternating with this
-one, and records both sides. The stamp names each side's commit, the
-SHA-256 of its ``src/coflow/*.py`` (as perfbench computes it, so that a side
-with uncommitted changes is named too) and their line count, the Python and
-numpy versions, the CPU and the cores this process may use.
+one, and records both sides. Each side then runs its own tier-1 suite
+(``python -m pytest -q --durations=10`` in its checkout), and the record
+keeps its wall time, its summary line and its ten slowest tests. The stamp
+names each side's commit, the SHA-256 of its ``src/coflow/*.py`` (as
+perfbench computes it, so that a side with uncommitted changes is named
+too) and their line count, the Python and numpy versions, the CPU and the
+cores this process may use.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import io
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -65,9 +71,16 @@ CASES = (
     "greedy-certificate-uniform-256",
     "cli-hypercube-256",
     "hypercube-uniform-1024",
+    "elementary-basis-uniform-1024",
     "edge-coloring-uniform-256",
     "round-robin-uniform-256",
 )
+DURATION = re.compile(r"(\d+\.\d+)s (call|setup|teardown) +(\S+)$")
+# The digit-route cases: algorithm, load bound and makespan at uniform n=1024.
+DIGIT_CASES = {
+    "hypercube-uniform-1024": ("hypercube", 2, 10),
+    "elementary-basis-uniform-1024": ("elementary-basis", 32, 62),
+}
 # The unit-parcel cases: algorithm, load bound and makespan at uniform n=256.
 PARCEL_CASES = {
     "edge-coloring-uniform-256": ("edge-coloring", 2, 255),
@@ -194,15 +207,17 @@ def cli_case(repeats: int, tmp: str) -> dict:
     }
 
 
-def hypercube_case(repeats: int, tmp: str) -> dict:
-    from coflow import indirect, model, verifier
+def digit_case(case: str, repeats: int) -> dict:
+    from coflow import experiment, model, verifier
 
-    inst = model.uniform_instance(1024, Fraction(2))
+    algorithm, load, makespan = DIGIT_CASES[case]
+    inst = model.uniform_instance(1024, Fraction(load))
     # Each repeat drops the previous result before building its own, so
-    # that one schedule (about 240 MB) is alive at a time.
+    # that one schedule (about 240 MB for the hypercube) is alive at a time.
     last = []
     keep = lambda build: (last.clear(), last.append(build()))
-    schedule = timed(lambda: keep(lambda: indirect.hypercube_schedule(inst)), repeats)
+    build = lambda: experiment.ALGORITHMS[algorithm](inst, Fraction(load))
+    schedule = timed(lambda: keep(build), repeats)
     sched = last.pop()
     reports = []
     verify = timed(lambda: reports.append(verifier.verify(inst, sched).feasible), repeats)
@@ -211,7 +226,7 @@ def hypercube_case(repeats: int, tmp: str) -> dict:
     return {
         "stages_s": {"schedule": schedule, "verify": verify, "metrics": metric},
         "rows": int(sched.src.size),
-        "ok": all(reports) and got.makespan == 10 and got.delivered == inst.demands,
+        "ok": all(reports) and got.makespan == makespan and got.delivered == inst.demands,
     }
 
 
@@ -241,8 +256,8 @@ def run_case(case: str, repeats: int) -> dict:
             out = trace_case(repeats, tmp)
         elif case == "greedy-certificate-uniform-256":
             out = greedy_case(repeats, tmp)
-        elif case == "hypercube-uniform-1024":
-            out = hypercube_case(repeats, tmp)
+        elif case in DIGIT_CASES:
+            out = digit_case(case, repeats)
         elif case in PARCEL_CASES:
             out = parcel_case(case, repeats)
         else:
@@ -300,6 +315,23 @@ def in_subprocess(case: str, checkout: Path, repeats: int) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def tier1(checkout: Path) -> dict:
+    """Run the tier-1 suite of ``checkout`` on its own ``src/``: its wall
+    time, its summary line and its ten slowest tests."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "--continue-on-collection-errors", "--durations=10"]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    t0 = time.perf_counter()
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = done.stdout.splitlines()
+    # pytest's --durations lines: "4.67s call     tests/test_x.py::test_y"
+    slowest = [m.groups() for m in map(DURATION.match, lines) if m]
+    return {"wall_s": wall, "summary": lines[-1] if lines else "", "exit": done.returncode,
+            "slowest": [{"s": float(t), "when": when, "test": test}
+                        for t, when, test in slowest]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", help="write the record here (default: print it)")
@@ -330,6 +362,11 @@ def main(argv=None) -> int:
             )
             print(f"{case:<32} {name:<7} {medians}; peak RSS {result['peak_rss_mb']:.1f} MB"
                   f"{'' if result['ok'] else '; NOT OK'}", file=sys.stderr)
+    record["tier1"] = {}
+    for name, path in sides.items():
+        record["tier1"][name] = tier1(path)
+        print(f"tier-1 {name:<7} {record['tier1'][name]['wall_s']:.1f} s: "
+              f"{record['tier1'][name]['summary']}", file=sys.stderr)
     text = json.dumps(record, indent=1)
     if args.out:
         with open(args.out, "w") as fh:

@@ -33,9 +33,9 @@ import numpy as np
 from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
-    Blocks, Instance, Schedule, as_rows, commodity_columns, common_scale, group_starts, int_column,
+    Blocks, Instance, Schedule, as_rows, commodity_columns, common_scale, int_column,
     integer_document, json_lists, lowest_terms, node_columns, parcel_schedule, scaled_column,
-    square_sums, summable, unit_parcels,
+    square_sums, step_groups, summable, unit_parcels,
 )
 from .rational import rational_parser
 
@@ -243,29 +243,18 @@ def _matching_fault(step, src, dst, rate, n: int, cap: int) -> str | None:
     before in the step (in that order), else its first sender, then its first
     receiver, whose rates add up to more than ``cap``, a rate of 1. None if
     there is none. ``src`` and ``dst`` are int64 in 0..n-1."""
-    # A stable sort by pair keeps each pair's rows in row order, so a row
-    # repeats its pair if the one before it in the sort has the same pair and
-    # step. n * n fits: the instance holds n * n demands.
-    pair = src * n + dst
-    order = np.argsort(pair, kind="stable")
-    pair, at = pair[order], step[order]
-    repeat = np.zeros(step.size, bool)
-    repeat[order[1:]] = (pair[1:] == pair[:-1]) & (at[1:] == at[:-1])
+    rate = summable(rate, step.size)  # a total sums at most one rate per row
+    (_, _, firsts), *sides = step_groups(step, src, dst, rate, n)
+    repeat = np.ones(step.size, bool)
+    repeat[firsts] = False  # each row on a pair but the step's first
     bad = (src == dst) | (rate <= 0) | repeat
     first = int(bad.argmax()) if bad.any() else step.size
-    # Each side's (step, node) totals, by a sort on step * n + node (far
-    # inside int64); a total sums at most one rate per row. The walk meets
-    # the lowest (step, side, node) first.
-    rate = summable(rate, step.size)
+    # The walk meets the lowest (step, side, node) first.
     over = []
-    for side, nodes in enumerate((src, dst)):
-        key = step * n + nodes
-        order = np.argsort(key)
-        key = key[order]
-        starts = group_starts(key)
-        cells = np.flatnonzero(np.add.reduceat(rate[order], starts) > cap)
-        if cells.size:
-            t, v = divmod(int(key[starts[cells[0]]]), n)
+    for side, (cells, sums, _) in enumerate(sides):
+        hit = np.flatnonzero(sums > cap)
+        if hit.size:
+            t, v = divmod(int(cells[hit[0]]), n)
             over.append((t, side, v))
     if over and (first == step.size or step[first] > min(over)[0]):
         return f"node {min(over)[2]} exceeds matching cap 1"

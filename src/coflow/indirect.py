@@ -116,15 +116,6 @@ def _elementary_radix(n: int, load: Fraction, d: int | None = None) -> int:
     return q
 
 
-def _shift_groups(shift: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Each nonzero value t of ``shift``, ascending, with the indices where
-    it occurs, in order."""
-    hops = np.flatnonzero(shift)
-    hops = hops[np.argsort(shift[hops], kind="stable")]
-    values, starts = np.unique(shift[hops], return_index=True)
-    return list(zip(values.tolist(), np.split(hops, starts[1:])))
-
-
 def _route_directly(instance: Instance, q: int) -> Schedule:
     """Route every commodity over the offset digits in radix q, least
     significant first, each hop split equally over its round's repetitions.
@@ -140,10 +131,11 @@ def _route_directly(instance: Instance, q: int) -> Schedule:
     for k, rounds in enumerate(scheme.rounds):
         p = scheme.powers[k]
         digit = offset // p % q
-        for s, sel in _shift_groups(digit):
-            _, start, m = rounds[s - 1]
-            src = cur[sel]
-            blocks.add(start, m, src, (src + s * p) % n, sel, scheme.lcm // m)
+        for s, start, m in rounds:
+            sel = np.flatnonzero(digit == s)
+            if sel.size:
+                src = cur[sel]
+                blocks.add(start, m, src, (src + s * p) % n, sel, scheme.lcm // m)
         cur = (cur + digit * p) % n
     return blocks.schedule(scheme.horizon)
 

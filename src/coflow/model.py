@@ -12,15 +12,15 @@ The two unit-parcel schedulers, edge coloring and round robin, build their
 columns with :func:`parcel_schedule` from the parcels of :func:`unit_parcels`;
 smearing and the digit routes with :class:`Blocks`, which owns the amount
 table; greedy writes its rows straight into columns. :func:`node_columns`
-is the one node-range check and :func:`summable` the one int64-or-Python-int
-rule for sums. ``Schedule.steps`` is a view that gives the rows back as
-``Transfer`` objects. Instances, schedules and traces give their documents
-as fields and numpy columns, and :func:`document_text` writes the bytes of
-``json.dumps`` of their ``to_json()``, each column read off a table of
-strings where its values' span allows; :func:`read_json` reads each column
-written so back into an int64 column in C, and any other text through
-``json``. Types are immutable after construction and safe to share across
-threads.
+is the one node-range check, :func:`summable` the one int64-or-Python-int
+rule for sums and :func:`step_groups` the one sum per (step, edge) and per
+(step, node). ``Schedule.steps`` gives the rows back as ``Transfer`` objects.
+Instances, schedules and traces give their documents as fields and numpy
+columns, and :func:`document_text` writes the bytes of ``json.dumps`` of
+their ``to_json()``, each column read off a table of strings where its
+values' span allows; :func:`read_json` reads each integer column back into
+an int64 column in C, and any other text through ``json``. Types are
+immutable after construction and safe to share across threads.
 
 Time convention: step index ``s`` covers the interval ``[s, s+1]``; data
 moved during step ``s`` completes at time ``s + 1``.
@@ -305,8 +305,40 @@ def node_columns(schedule: Schedule, n: int) -> tuple[np.ndarray, ...]:
 
 
 def group_starts(keys: np.ndarray) -> np.ndarray:
-    """Start index of each run of equal values in sorted nonnegative keys."""
-    return np.flatnonzero(np.diff(keys, prepend=-1))
+    """Start index of each run of equal values in sorted keys."""
+    return np.flatnonzero(np.concatenate(([keys.size > 0], keys[1:] != keys[:-1])))
+
+
+def _runs(keys: np.ndarray, amount: np.ndarray, row: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each run of equal values in sorted ``keys``: its key, the sum of its
+    amounts and its least row."""
+    starts = group_starts(keys)
+    if starts.size == keys.size:  # every key once
+        return keys, amount, row
+    return keys[starts], np.add.reduceat(amount, starts), np.minimum.reduceat(row, starts)
+
+
+def step_groups(step, src, dst, amount, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """A schedule's rows grouped per (step, edge), keyed (step*n + src)*n +
+    dst, per (step, sender), keyed step*n + src, and per (step, receiver),
+    keyed step*n + dst: for each, the keys ascending, each group's summed
+    amount and its first row. Node ids are int64 in 0..n-1 and ``amount``
+    is :func:`summable` over the rows. The rows are sorted once, by edge
+    key (not at all when already in that order, as a greedy trace's are);
+    the senders come out sorted with the edges, and only the receivers are
+    sorted again."""
+    codes = (step * n + src) * n + dst  # fits for any schedule and instance in memory
+    if (codes[1:] >= codes[:-1]).all():
+        keys, loads, first = _runs(codes, amount, np.arange(codes.size))
+    else:
+        order = np.argsort(codes)
+        keys, loads, first = _runs(codes[order], amount[order], order)
+    del codes
+    heads = keys // (n * n) * n + keys % n
+    order = np.argsort(heads)
+    heads = heads[order]  # one copy of the heads alive at a time
+    return ((keys, loads, first), _runs(keys // n, loads, first),
+            _runs(heads, loads[order], first[order]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -717,12 +749,15 @@ def json_lists(document: dict) -> dict:
 
 def column_text(column: np.ndarray) -> str:
     """``json.dumps(column.tolist())``. An int64 column whose values span at
-    most its size is read off a table of that span's strings and joined in
-    C; any other column goes to ``json.dumps``."""
+    most its size is read off a table of the strings of the values it holds,
+    placed over that span, and joined in C; any other column goes to
+    ``json.dumps``."""
     if column.dtype == np.int64 and column.size:
         low, high = int(column.min()), int(column.max())
         if high - low <= column.size:
-            table = np.array([str(x) for x in range(low, high + 1)], object)
+            held = np.flatnonzero(np.bincount(column - low))
+            table = np.empty(high - low + 1, object)
+            table[held] = [str(x + low) for x in held.tolist()]
             return "[" + ", ".join(table[column - low].tolist()) + "]"
     return json.dumps(column.tolist())
 
@@ -752,13 +787,6 @@ def write_document(document: dict, path: str) -> None:
         fh.write(text)
 
 
-# The check of a column text (see canonical_column) renders the column
-# through a table of the strings of its values' span (see column_text), which
-# costs more than json's parse of the text when that span is wide. A column
-# text longer than HEAD characters is read by numpy only when the values in
-# its first HEAD characters, and then all its values, span at most a
-# sixteenth of its length.
-HEAD = 4096
 WHITESPACE = json.decoder.WHITESPACE.match
 scan_value = json.JSONDecoder().scan_once
 
@@ -767,22 +795,15 @@ def canonical_column(text: str, start: int) -> tuple[np.ndarray, int] | None:
     """The int64 column of the JSON list that opens at ``text[start]``, and
     the index after it, when that list is the :func:`column_text` of the
     column, so that it decodes to the column's values as ``json.loads``
-    would; None for any other text, and for a wide column (see ``HEAD``)."""
+    would; None for any other text."""
     end = text.find("]", start) + 1
     if not end:
         return None
-    long = end - start > HEAD
-    wide = lambda column: long and (int(column.max()) - int(column.min())) * 16 > end - start
     try:
-        if long and wide(np.fromstring(text[start + 1:text.rfind(",", start, start + HEAD)],
-                                       np.int64, sep=",")):
-            return None
         column = np.fromstring(text[start + 1:end - 1], np.int64, sep=",")
-    except ValueError:  # text numpy does not read as integers, or an empty head
+    except ValueError:  # text numpy does not read as integers
         return None
-    if wide(column) or column_text(column) != text[start:end]:
-        return None
-    return column, end
+    return (column, end) if column_text(column) == text[start:end] else None
 
 
 def scan_object(text: str, columns: tuple) -> dict | None:

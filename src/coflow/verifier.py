@@ -10,8 +10,8 @@ It is one exact vectorized pass over the whole schedule's columns, with no
 loop over steps or rows. The schedule's amount numerators are brought to
 the common denominator of the demands and the transfers: int64 when every
 sum the pass forms fits in int64, Python ints in ``object`` arrays
-otherwise. Edge loads and node rates are sums over runs of sorted
-(step, edge) codes, conservation is a running sum over balance events
+otherwise. Edge loads and node rates are ``model.step_groups`` sums per
+(step, edge) and (step, node), conservation is a running sum over events
 sorted per (commodity, node), and every violation record is read off a
 mask over those arrays and sorted into the order a walk over the rows
 would meet it. The per-row loop in ``tests/reference_verify.py`` is the
@@ -29,6 +29,7 @@ import numpy as np
 
 from .model import (
     INT64_MAX, Instance, Matrix, Schedule, common_scale, group_starts, node_columns, square_rows,
+    step_groups,
 )
 from .rational import render_rational
 
@@ -94,56 +95,30 @@ _CHUNK = 1 << 12
 
 
 def _edge_checks(step, src, dst, amount, n, scale, row, records) -> tuple[int, bool]:
-    """Edge loads and node rates of the valid rows.
+    """Edge loads and node rates of the valid rows (``model.step_groups``).
 
     Appends the capacity and node-rate records, keyed by the first row on
-    each edge or node, and returns the largest edge load and whether the
-    schedule is integral: in no step does a node have two distinct edges on
-    one side. Loads are sums over runs of the sorted (step, edge) codes;
-    node rates sum those loads per (step, tail) and per (step, head).
+    each edge or node, and returns the largest edge load (0 for no rows) and
+    whether the schedule is integral: in no step does a node have two
+    distinct edges on one side.
     """
-    nn = n * n
-    # Fits in int64 for any instance and schedule that fit in memory.
-    codes = step * nn + src * n + dst
-    order = np.argsort(codes)
-    codes = codes[order]
-    starts = group_starts(codes)
-    loads = np.add.reduceat(amount[order], starts)
-    edges = codes[starts]
-    del codes
-    tails = edges // n
-    heads = edges // nn * n + edges % n
-    out_starts = group_starts(tails)
-    by_head = np.argsort(heads, kind="stable")
-    in_starts = group_starts(heads[by_head])
-    over = np.flatnonzero(loads > scale)
-    out_over = np.flatnonzero(np.add.reduceat(loads, out_starts) > scale)
-    in_over = np.flatnonzero(np.add.reduceat(loads[by_head], in_starts) > scale)
-    if over.size or out_over.size or in_over.size:
-        first = np.minimum.reduceat(order, starts)
-        for g in over.tolist():
-            s, edge = divmod(int(edges[g]), nn)
-            load = render_rational(Fraction(int(loads[g]), scale))
+    (edges, loads, first), *sides = step_groups(step, src, dst, amount, n)
+    for g in np.flatnonzero(loads > scale).tolist():
+        s, edge = divmod(int(edges[g]), n * n)
+        load = render_rational(Fraction(int(loads[g]), scale))
+        records.append((
+            (s, 1, row(first[g]), 0),
+            Violation("capacity", s, divmod(edge, n), f"edge load {load} > 1"),
+        ))
+    for phase, side, (cells, rates, first) in zip((2, 3), ("outgoing", "incoming"), sides):
+        for g in np.flatnonzero(rates > scale).tolist():
+            s, v = divmod(int(cells[g]), n)
             records.append((
-                (s, 1, row(first[g]), 0),
-                Violation("capacity", s, divmod(edge, n), f"edge load {load} > 1"),
+                (s, phase, row(first[g]), 0),
+                Violation("node_rate", s, (v,), f"{side} rate exceeds 1"),
             ))
-        first_out = np.minimum.reduceat(first, out_starts)
-        for g in out_over.tolist():
-            s, v = divmod(int(tails[out_starts[g]]), n)
-            records.append((
-                (s, 2, row(first_out[g]), 0),
-                Violation("node_rate", s, (v,), "outgoing rate exceeds 1"),
-            ))
-        first_in = np.minimum.reduceat(first[by_head], in_starts)
-        for g in in_over.tolist():
-            s, v = divmod(int(heads[by_head[in_starts[g]]]), n)
-            records.append((
-                (s, 3, row(first_in[g]), 0),
-                Violation("node_rate", s, (v,), "incoming rate exceeds 1"),
-            ))
-    integral = out_starts.size == in_starts.size == edges.size
-    return int(loads.max()), integral
+    integral = all(cells.size == edges.size for cells, _, _ in sides)
+    return int(loads.max(initial=0)), integral
 
 
 def _conservation(comm, demand, step, src, dst, origin, dest, amount, n, horizon, chunk):
@@ -280,9 +255,7 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
                       "commodity leaves its destination"),
         ))
     direct = bool((src == origin).all() and (dst == dest).all())
-    max_load, integral = 0, True
-    if amount.size:
-        max_load, integral = _edge_checks(step, src, dst, amount, n, scale, row, records)
+    max_load, integral = _edge_checks(step, src, dst, amount, n, scale, row, records)
 
     short_rows, dest_keys, delivered = _conservation(
         comm, demand, step, src, dst, origin, dest, amount, n, schedule.horizon,

@@ -25,7 +25,6 @@ from coflow.direct import TRACE_COLUMNS, GreedyTrace, greedy_schedule
 from coflow.experiment import ALGORITHMS
 from coflow.generators import FAMILIES, generate
 from coflow.model import (
-    HEAD,
     INT64_MAX,
     ROW_COLUMNS,
     Instance,
@@ -36,10 +35,12 @@ from coflow.model import (
     document_text,
     dump_instance,
     dump_schedule,
+    int_column,
     load_schedule,
     lowest_terms,
     make_instance,
     read_json,
+    step_groups,
     summable,
     uniform_instance,
     write_document,
@@ -232,8 +233,14 @@ object_columns = st.builds(
 )
 
 
+@settings(deadline=None)  # the n=1024 column takes about 0.2 s
 @given(st.one_of(int64_columns, object_columns))
 @example(np.zeros(0, np.int64))
+@example(np.array([3, 11] + [5] * 7, np.int64))  # span 8, just under the size 9
+@example(np.array([-4, 5] + [0] * 7, np.int64))  # span 9, the size
+@example(np.array([0, 10] + [7] * 7, np.int64))  # span 10, just over the size
+# 1,048,576 demands holding 92 distinct values over a span of 665,281.
+@example(generate("random-sparse", 1024, F(2), seed=1).scaled_demands[0])
 @example(np.array([7], np.int64))
 @example(np.array([-INT64_MAX - 1, INT64_MAX], np.int64))
 @example(np.array([INT64_MAX, INT64_MAX - 1, INT64_MAX], np.int64))
@@ -580,27 +587,31 @@ def test_canonical_columns_are_read_as_int64_columns(tmp_path):
         doc, want = read_json(path, COLUMNS[kind]), json.loads(text)
         for key in COLUMNS[kind]:
             fits = all(-2**63 <= x < 2**63 for x in want[key])
-            if fits and len(json.dumps(want[key])) <= HEAD:
+            if fits:
                 assert isinstance(doc[key], np.ndarray), (kind, key)
                 fast += 1
-            elif not fits:
+            else:
                 assert type(doc[key]) is list
     assert fast > 1000
 
 
-@pytest.mark.parametrize("values,fast", [
+@pytest.mark.parametrize("values,narrow", [
     ([0, 1] * 3000, True),
-    (list(range(0, 10**6, 500)), False),  # wide in its first HEAD characters
-    ([0] * 3000 + [10**9], False),  # narrow there, wide in all
+    (list(range(0, 10**6, 500)), False),  # wide from its first values on
+    ([0] * 3000 + [10**9], False),  # narrow but for its last value
     ([2**62, 2**62 + 1] * 3000, True),
 ])
-def test_long_wide_columns_are_read_by_json(tmp_path, values, fast):
+def test_long_wide_columns_are_read_by_json(tmp_path, values, narrow):
+    # Every column that fits in int64 is read into an int64 column, however
+    # wide its values' span: column_text checks a narrow one against its
+    # table of strings and a wide one against json.dumps.
     path = str(tmp_path / "doc.json")
     with open(path, "w") as fh:
         fh.write(json.dumps({"demands": values}))
     got = read_json(path, ("demands",))["demands"]
-    assert isinstance(got, np.ndarray) == fast
-    assert (got.tolist() if fast else got) == values
+    assert (max(values) - min(values) <= len(values)) == narrow
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.tolist() == json.loads(json.dumps(values))
 
 
 @pytest.mark.parametrize("nums,scale", [
@@ -644,6 +655,40 @@ def test_summable_at_the_int64_edge(big, terms, dtype):
     assert summable(column, terms).dtype == dtype
     assert summable(column, terms).tolist() == column.tolist()
     assert summable(column.astype(object), 1).dtype == object
+
+
+@st.composite
+def grouped_rows(draw):
+    """(n, rows): rows (step, src, dst, amount) with self-loops and pairs
+    repeated within a step, their amounts small, near int64's edge or past
+    it; in a random order, or sorted by (step, src, dst)."""
+    n, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    amounts = draw(st.sampled_from((st.integers(-3, 3), st.integers(-2**59, 2**59),
+                                    st.one_of(st.integers(-3, 3), past_int64))))
+    rows = draw(st.lists(st.tuples(st.integers(0, horizon - 1), st.integers(0, n - 1),
+                                   st.integers(0, n - 1), amounts), max_size=40))
+    return n, sorted(rows, key=lambda r: r[:3]) if draw(st.booleans()) else rows
+
+
+@given(grouped_rows())
+@example((3, []))
+@example((2, [(0, 1, 1, 2**70), (0, 1, 1, -3), (1, 0, 1, 1), (0, 1, 0, 1)]))
+def test_step_groups_are_dict_sums(case):
+    # Each grouping's keys ascend, and each key has its rows' summed amount
+    # and its first row, as a walk over the rows adding into dicts finds them.
+    n, rows = case
+    want = [{}, {}, {}]
+    for r, (t, i, j, x) in enumerate(rows):
+        for table, key in zip(want, ((t * n + i) * n + j, t * n + i, t * n + j)):
+            total, first = table.get(key, (0, r))
+            table[key] = total + x, first
+    columns = [np.array([row[k] for row in rows], np.int64) for k in range(3)]
+    amount = summable(int_column([row[3] for row in rows]), len(rows))
+    got = step_groups(*columns, amount, n)
+    for groups, table in zip(got, want):
+        assert list(zip(*(column.tolist() for column in groups))) == [
+            (key, *table[key]) for key in sorted(table)
+        ]
 
 
 @pytest.mark.parametrize("big", [INT64_MAX // 2, INT64_MAX // 2 + 1])
