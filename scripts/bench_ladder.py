@@ -27,6 +27,10 @@ The cases:
   routes, ``verify`` and ``compute_metrics`` in-process at uniform n=1024,
   the hypercube at B=2 (5.24M rows, makespan 10) and the elementary basis
   at nominal B=32 (radix 32, 2.03M rows, makespan 62);
+* ``prime-denominators-auto-64``: the same stages for ``auto`` (VLB, makespan
+  12) at n=64, B=2, on an instance whose demands have prime denominators in
+  [100, 400) and a common denominator of about 420 bits (built here, with
+  seed 1), so that ``verify`` and ``compute_metrics`` run on Python ints;
 * ``edge-coloring-uniform-256``, ``round-robin-uniform-256``: the two
   unit-parcel schedulers and ``verify`` in-process at uniform n=256, edge
   coloring at B=2 (65,280 rows, makespan 255) and round robin at B=512
@@ -52,6 +56,7 @@ import io
 import json
 import os
 import platform
+import random
 import re
 import resource
 import statistics
@@ -61,6 +66,7 @@ import tempfile
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,15 +78,19 @@ CASES = (
     "cli-hypercube-256",
     "hypercube-uniform-1024",
     "elementary-basis-uniform-1024",
+    "prime-denominators-auto-64",
     "edge-coloring-uniform-256",
     "round-robin-uniform-256",
 )
 DURATION = re.compile(r"(\d+\.\d+)s (call|setup|teardown) +(\S+)$")
-# The digit-route cases: algorithm, load bound and makespan at uniform n=1024.
+# The digit-route cases: algorithm, load bound and makespan at uniform n=1024,
+# and at n=64 on prime denominators.
 DIGIT_CASES = {
     "hypercube-uniform-1024": ("hypercube", 2, 10),
     "elementary-basis-uniform-1024": ("elementary-basis", 32, 62),
+    "prime-denominators-auto-64": ("auto", 2, 12),
 }
+PRIMES_100_400 = [p for p in range(100, 400) if all(p % d for d in range(2, isqrt(p) + 1))]
 # The unit-parcel cases: algorithm, load bound and makespan at uniform n=256.
 PARCEL_CASES = {
     "edge-coloring-uniform-256": ("edge-coloring", 2, 255),
@@ -207,11 +217,29 @@ def cli_case(repeats: int, tmp: str) -> dict:
     }
 
 
+def prime_instance(n: int, load: int):
+    """Half the off-diagonal pairs carry k/p, k in 1..50 and p a prime in
+    [100, 400), the matrix rescaled to load bound ``load``."""
+    from coflow import model
+
+    rng = random.Random(1)
+    demands = [
+        [Fraction(rng.randint(1, 50), rng.choice(PRIMES_100_400))
+         if i != j and rng.random() < 0.5 else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    factor = Fraction(load) / model.make_instance(n, demands).load_bound
+    return model.make_instance(n, [[x * factor for x in row] for row in demands])
+
+
 def digit_case(case: str, repeats: int) -> dict:
     from coflow import experiment, model, verifier
 
     algorithm, load, makespan = DIGIT_CASES[case]
-    inst = model.uniform_instance(1024, Fraction(load))
+    if case.startswith("prime-"):
+        inst = prime_instance(64, load)
+    else:
+        inst = model.uniform_instance(1024, Fraction(load))
     # Each repeat drops the previous result before building its own, so
     # that one schedule (about 240 MB for the hypercube) is alive at a time.
     last = []
@@ -226,6 +254,7 @@ def digit_case(case: str, repeats: int) -> dict:
     return {
         "stages_s": {"schedule": schedule, "verify": verify, "metrics": metric},
         "rows": int(sched.src.size),
+        "scale_bits": inst.scaled_demands[1].bit_length(),
         "ok": all(reports) and got.makespan == makespan and got.delivered == inst.demands,
     }
 

@@ -13,8 +13,10 @@ columns with :func:`parcel_schedule` from the parcels of :func:`unit_parcels`;
 smearing and the digit routes with :class:`Blocks`, which owns the amount
 table; greedy writes its rows straight into columns. :func:`node_columns`
 is the one node-range check, :func:`summable` the one int64-or-Python-int
-rule for sums and :func:`step_groups` the one sum per (step, edge) and per
-(step, node). ``Schedule.steps`` gives the rows back as ``Transfer`` objects.
+rule for sums, :func:`step_groups` the one sum per (step, edge) and per
+(step, node), and :func:`delivery` the one sum of what reaches each
+commodity's destination. ``Schedule.steps`` gives the rows back as
+``Transfer`` objects.
 Instances, schedules and traces give their documents as fields and numpy
 columns, and :func:`document_text` writes the bytes of ``json.dumps`` of
 their ``to_json()``, each column read off a table of strings where its
@@ -289,6 +291,20 @@ def summable(column: np.ndarray, terms: int) -> np.ndarray:
     return column
 
 
+def delivery(origin, dest, src, dst, amount, n: int) -> np.ndarray:
+    """What the rows bring to each commodity's destination, less what leaves
+    it there: one exact value per cell (origin, dest) of the n x n matrix,
+    row-major, :func:`summable` over the rows that arrive or leave. Node ids
+    are int64 in 0..n-1."""
+    arrive = np.flatnonzero(dst == dest)
+    rows = np.concatenate((arrive, np.flatnonzero(src == dest)))
+    moved = summable(amount[rows], rows.size)
+    np.negative(moved[arrive.size:], out=moved[arrive.size:])  # what leaves
+    total = np.zeros(n * n, moved.dtype)
+    np.add.at(total, origin[rows] * n + dest[rows], moved)
+    return total
+
+
 def node_columns(schedule: Schedule, n: int) -> tuple[np.ndarray, ...]:
     """The schedule's src, dst, origin and dest columns as int64 (in an
     ``object`` column, one beyond int64, every id outside 0..n-1 becomes -1),
@@ -467,11 +483,13 @@ def common_scale(instance: Instance, schedule: Schedule) -> tuple[np.ndarray, np
     """The demands, row-major, and the schedule's amounts as numerators over
     the lcm of their scales, and that lcm: int64 columns when the lcm and
     every sum of up to two amounts per row and one demand per commodity fit
-    in int64, Python ints otherwise. A column that needs no change is shared."""
+    in int64, Python ints otherwise (decided by the lcm alone when it does not
+    fit). A column that needs no change is shared."""
     demand, den = instance.scaled_demands
     scale = lcm(schedule.scale, den)
-    big = max(max_abs(demand) * (scale // den), max_abs(schedule.amount) * (scale // schedule.scale))
-    fits = scale <= INT64_MAX and big * (2 * schedule.src.size + instance.n**2) <= INT64_MAX
+    fits = scale <= INT64_MAX and (2 * schedule.src.size + instance.n**2) * max(
+        max_abs(demand) * (scale // den), max_abs(schedule.amount) * (scale // schedule.scale)
+    ) <= INT64_MAX
 
     def over(column, den):
         column = column.astype(np.int64 if fits else object, copy=False)
@@ -689,8 +707,8 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     most once. The first bad row, in row order, raises ``StructuralError``.
 
     One pass over the columns: rows are checked with masks, deliveries are
-    summed per commodity and completion per step, exactly, over the
-    schedule's common denominator.
+    summed per commodity by :func:`delivery` and completion per step,
+    exactly, over the schedule's common denominator.
     """
     n = instance.n
     if schedule.n != n:
@@ -720,8 +738,6 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     arrivals = np.flatnonzero(dst == dest)
     got = summable(amount[arrivals], arrivals.size)  # each sum takes one per row
     when = step[arrivals]
-    delivered = np.zeros(n * n, got.dtype)
-    np.add.at(delivered, pair[arrivals], got)
     total = makespan = 0
     if got.size:
         starts = group_starts(when)  # rows are step-major
@@ -736,7 +752,7 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
         makespan=makespan,
         total_completion=total_completion,
         average_completion=avg,
-        scaled_delivered=(delivered, scale),
+        scaled_delivered=(delivery(origin, dest, src, dst, amount, n), scale),
     )
 
 

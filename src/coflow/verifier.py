@@ -12,10 +12,11 @@ the common denominator of the demands and the transfers: int64 when every
 sum the pass forms fits in int64, Python ints in ``object`` arrays
 otherwise. Edge loads and node rates are ``model.step_groups`` sums per
 (step, edge) and (step, node), conservation is a running sum over events
-sorted per (commodity, node), and every violation record is read off a
-mask over those arrays and sorted into the order a walk over the rows
-would meet it. The per-row loop in ``tests/reference_verify.py`` is the
-reference the pass must agree with.
+sorted per (commodity, node), what reached each destination is
+``model.delivery``, and every violation record is read off a mask over
+those arrays and sorted into the order a walk over the rows would meet it.
+The per-row loop in ``tests/reference_verify.py`` is the reference the pass
+must agree with.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .model import (
-    INT64_MAX, Instance, Matrix, Schedule, common_scale, group_starts, node_columns, square_rows,
+    Instance, Matrix, Schedule, common_scale, delivery, group_starts, node_columns, square_rows,
     step_groups,
 )
 from .rational import render_rational
@@ -121,8 +122,9 @@ def _edge_checks(step, src, dst, amount, n, scale, row, records) -> tuple[int, b
     return int(loads.max(initial=0)), integral
 
 
-def _conservation(comm, demand, step, src, dst, origin, dest, amount, n, horizon, chunk):
-    """Running balance of every (commodity, node) over its events.
+def _conservation(comm, demand, step, src, dst, origin, dest, amount, n, horizon):
+    """The valid rows whose outflow overdraws their (commodity, node): a
+    running balance of every (commodity, node) over its events.
 
     The events are keyed (origin*n + dest)*n + node: each origin's stock,
     then per step the outflows in row order and the arrivals, which count
@@ -130,12 +132,8 @@ def _conservation(comm, demand, step, src, dst, origin, dest, amount, n, horizon
     step whose rows are first..first+count-1 putting its outflow at
     first + k and its arrival at first + count + k, past the stocks; a
     stable sort by key keeps each key's events in it. Running sums restart
-    at each key and are taken over chunks of whole keys of about ``chunk``
-    events.
-
-    Returns the valid rows whose outflow leaves their key below zero, and
-    the keys (origin*n + dest)*n + dest with their final balances: what
-    each commodity holds at its destination.
+    at each key and are taken over chunks of whole keys: one chunk on the
+    int64 dtype, and chunks of about ``_CHUNK`` events on the object dtype.
     """
     stocks = comm.size
     per_step = np.bincount(step, minlength=horizon)
@@ -163,21 +161,15 @@ def _conservation(comm, demand, step, src, dst, origin, dest, amount, n, horizon
 
     order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = group_starts(key)
-    run_keys = key[starts]
+    bounds = np.append(group_starts(key), size)  # key g's events: bounds[g]:bounds[g + 1]
     del key
-    at_dest = run_keys % n == run_keys // n % n
-    dest_keys = run_keys[at_dest]
-    del run_keys
-    bounds = np.append(starts, size)  # key g's events: bounds[g]:bounds[g + 1]
-    del starts
     outflow = outflow[order]
     change = change[order]
     # Chunks of whole keys; cuts are key (group) indices.
+    chunk = _CHUNK if change.dtype == object else size + 1
     cuts = sorted({*np.searchsorted(bounds[:-1], np.arange(0, size, chunk)).tolist(),
                    bounds.size - 1})
     short = [np.zeros(0, np.int64)]
-    delivered = [np.zeros(0, change.dtype)]
     for g0, g1 in zip(cuts, cuts[1:]):
         lo, hi = bounds[g0], bounds[g1]
         held = change[lo:hi]
@@ -192,12 +184,11 @@ def _conservation(comm, demand, step, src, dst, origin, dest, amount, n, horizon
         del totals
         np.cumsum(held, out=held)
         short.append(order[lo:hi][outflow[lo:hi] & (held < 0)])
-        delivered.append(held[local[1:][at_dest[g0:g1]] - 1])
 
     # An outflow event sits at stocks + 2 * first[s] + j for row j of step s.
     events = np.concatenate(short) - stocks
     s = np.searchsorted(2 * first, events, side="right") - 1
-    return events - first[s], dest_keys, np.concatenate(delivered)
+    return events - first[s]
 
 
 def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
@@ -257,11 +248,8 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
     direct = bool((src == origin).all() and (dst == dest).all())
     max_load, integral = _edge_checks(step, src, dst, amount, n, scale, row, records)
 
-    short_rows, dest_keys, delivered = _conservation(
-        comm, demand, step, src, dst, origin, dest, amount, n, schedule.horizon,
-        INT64_MAX if amount.dtype != object else _CHUNK,
-    )
-    for k in short_rows.tolist():
+    short = _conservation(comm, demand, step, src, dst, origin, dest, amount, n, schedule.horizon)
+    for k in short.tolist():
         s = int(step[k])
         records.append((
             (s, 0, row(k), 1),
@@ -269,17 +257,12 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
                       "commodity leaves a node holding none of it"),
         ))
 
-    _, hit, got = np.intersect1d(
-        comm * n + comm % n, dest_keys, assume_unique=True, return_indices=True
-    )
-    short = demand[comm]
-    short[hit] -= delivered[got]
-    unmet = np.zeros(n * n, short.dtype)
-    unmet[comm] = short
+    # A pair with no demand is no commodity: nothing is unmet there.
+    unmet = np.where(demand > 0, demand - delivery(origin, dest, src, dst, amount, n), 0)
 
     records.sort(key=itemgetter(0))
     return VerificationReport(
-        feasible=not records and not (short > 0).any(),
+        feasible=not records and not (unmet > 0).any(),
         violations=tuple(v for _, v in records),
         max_edge_load=Fraction(max_load, scale),
         scaled_unmet=(unmet, scale),

@@ -3,7 +3,8 @@ vectorized pass in ``coflow.verifier.verify``.
 
 It walks every transfer in order, keeps per-(commodity, node) balances in
 a dict of scaled integers, and applies arrivals at the end of each step,
-so the reports the two implementations return must be equal.
+so the reports the two implementations return must be equal. ``walk``
+also gives the balances it ends with, for tests of ``model.delivery``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
     All arithmetic is exact; amounts are rescaled to integers over a common
     denominator so that large schedules verify quickly.
     """
+    return walk(instance, schedule)[0]
+
+
+def walk(instance: Instance, schedule: Schedule) -> tuple[VerificationReport, dict[int, int]]:
+    """The report of :func:`verify`, and the final balance of every
+    (origin*n + dest)*n + node key the walk met, over the report's scale."""
     n = instance.n
     violations: list[Violation] = []
 
@@ -156,4 +163,4 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
         scaled_unmet=(int_column(unmet), scale),
         is_integral=integral,
         is_direct=direct,
-    )
+    ), balance
