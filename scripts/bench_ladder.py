@@ -31,10 +31,12 @@ The cases:
   12) at n=64, B=2, on an instance whose demands have prime denominators in
   [100, 400) and a common denominator of about 420 bits (built here, with
   seed 1), so that ``verify`` and ``compute_metrics`` run on Python ints;
-* ``edge-coloring-uniform-256``, ``round-robin-uniform-256``: the two
-  unit-parcel schedulers and ``verify`` in-process at uniform n=256, edge
-  coloring at B=2 (65,280 rows, makespan 255) and round robin at B=512
-  (130,560 rows, makespan 510).
+* ``edge-coloring-uniform-256``, ``round-robin-uniform-256``,
+  ``smeared-uniform-1024``: a direct scheduler and ``verify`` in-process,
+  the two unit-parcel schedulers at uniform n=256, edge coloring at B=2
+  (65,280 rows, makespan 255) and round robin at B=512 (130,560 rows,
+  makespan 510), and smearing at uniform n=1024, B=2 (one block of
+  1,047,552 rows copied over 2 steps: 2,095,104 rows, makespan 2).
 
 Each stage is timed ``--repeats`` times with the garbage collector on;
 the record keeps every sample and their median. ``--parent PATH`` runs every
@@ -81,6 +83,7 @@ CASES = (
     "prime-denominators-auto-64",
     "edge-coloring-uniform-256",
     "round-robin-uniform-256",
+    "smeared-uniform-1024",
 )
 DURATION = re.compile(r"(\d+\.\d+)s (call|setup|teardown) +(\S+)$")
 # The digit-route cases: algorithm, load bound and makespan at uniform n=1024,
@@ -91,10 +94,11 @@ DIGIT_CASES = {
     "prime-denominators-auto-64": ("auto", 2, 12),
 }
 PRIMES_100_400 = [p for p in range(100, 400) if all(p % d for d in range(2, isqrt(p) + 1))]
-# The unit-parcel cases: algorithm, load bound and makespan at uniform n=256.
-PARCEL_CASES = {
-    "edge-coloring-uniform-256": ("edge-coloring", 2, 255),
-    "round-robin-uniform-256": ("round-robin", 512, 510),
+# The direct cases: algorithm, n, load bound and makespan on a uniform instance.
+DIRECT_CASES = {
+    "edge-coloring-uniform-256": ("edge-coloring", 256, 2, 255),
+    "round-robin-uniform-256": ("round-robin", 256, 512, 510),
+    "smeared-uniform-1024": ("smeared", 1024, 2, 2),
 }
 
 
@@ -259,15 +263,16 @@ def digit_case(case: str, repeats: int) -> dict:
     }
 
 
-def parcel_case(case: str, repeats: int) -> dict:
+def direct_case(case: str, repeats: int) -> dict:
     from coflow import experiment, model, verifier
 
-    algorithm, load, makespan = PARCEL_CASES[case]
-    inst = model.uniform_instance(256, Fraction(load))
+    algorithm, n, load, makespan = DIRECT_CASES[case]
+    inst = model.uniform_instance(n, Fraction(load))
+    # One schedule alive at a time, as in digit_case.
     built = []
-    schedule = timed(lambda: built.append(experiment.ALGORITHMS[algorithm](inst, load)), repeats)
+    keep = lambda: (built.clear(), built.append(experiment.ALGORITHMS[algorithm](inst, load)))
+    schedule = timed(keep, repeats)
     sched = built.pop()
-    del built
     reports = []
     verify = timed(lambda: reports.append(verifier.verify(inst, sched).feasible), repeats)
     return {
@@ -287,8 +292,8 @@ def run_case(case: str, repeats: int) -> dict:
             out = greedy_case(repeats, tmp)
         elif case in DIGIT_CASES:
             out = digit_case(case, repeats)
-        elif case in PARCEL_CASES:
-            out = parcel_case(case, repeats)
+        elif case in DIRECT_CASES:
+            out = direct_case(case, repeats)
         else:
             out = cli_case(repeats, tmp)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -34,8 +34,8 @@ from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
     Blocks, Instance, Schedule, as_rows, commodity_columns, common_scale, int_column,
-    integer_document, json_lists, lowest_terms, node_columns, parcel_schedule, scaled_column,
-    square_sums, step_groups, summable, unit_parcels,
+    integer_document, json_lists, lowest_terms, node_columns, parcel_counts, parcel_schedule,
+    scaled_column, square_sums, step_groups, summable, unit_parcels,
 )
 from .rational import rational_parser
 
@@ -294,6 +294,7 @@ def greedy_schedule(
     each pair takes the largest rate its residual and the two endpoint caps
     allow, so any pair left short has a saturated sender or receiver.
     """
+    parcel_counts(instance)  # each row ships at most 1 of its pair: refuse past the cap
     rng = random.Random(seed) if order == "random" else None
     n = instance.n
     column, scale = instance.scaled_demands
@@ -343,8 +344,7 @@ def edge_coloring_schedule(instance: Instance) -> Schedule:
 
 def smeared_fractional_schedule(instance: Instance) -> Schedule:
     """Optimal fractional makespan: ship D / ceil(B) in each of ceil(B) steps."""
-    horizon = ceil(instance.load_bound)
+    horizon, offset = ceil(instance.load_bound), np.arange(1, instance.n)
     blocks = Blocks(instance, horizon)
-    every = np.arange(blocks.origin.size)
-    blocks.add(0, horizon, blocks.origin, blocks.dest, every, 1)
+    blocks.add(0, horizon, offset, 0 * offset, offset, 1)
     return blocks.schedule(horizon)

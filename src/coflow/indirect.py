@@ -12,9 +12,9 @@ schemes:
   over all intermediate nodes, to handle arbitrary demand matrices.
 
 Round robin ships unit parcels through ``model.parcel_schedule``, each in
-the slot of its shift and index; the offset-digit schemes emit their rows
-into ``model.Blocks`` one matching at a time, vectorized over the
-commodities, each row a factor of its commodity's demand.
+the slot of its shift and index; the offset-digit schemes give
+``model.Blocks`` the rows of one commodity per offset, one matching at a
+time, each row a factor of its commodity's demand.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ from .errors import StructuralError
 from .model import (
     INT64_MAX, Blocks, Instance, Schedule, commodity_columns, parcel_schedule, unit_parcels,
 )
-
-# VLB expands the rows of a run of commodities at a time, about this many,
-# so that its temporaries stay small next to the schedule.
-_CHUNK_ROWS = 1 << 16
-
 
 class CyclicScheme:
     """Offset-digit routes on Z_n in radix ``q`` for load bound ``load``
@@ -121,22 +116,16 @@ def _route_directly(instance: Instance, q: int) -> Schedule:
     significant first, each hop split equally over its round's repetitions.
     A round carries one commodity per offset it serves, so the scheme is
     sized for n times the largest demand: the nominal B of a uniform
-    instance, and enough for any. Rows are emitted one round at a time."""
-    n = instance.n
-    origin, dest, demands, scale = commodity_columns(instance)
-    scheme = CyclicScheme(n, q, Fraction(n * int(demands.max(initial=0)), scale))
+    instance, and enough for any. A commodity of offset r stands at origin +
+    (r mod q^k) before digit k."""
+    n, (demands, scale) = instance.n, instance.scaled_demands
+    scheme = CyclicScheme(n, q, Fraction(n * int(demands.max()), scale))
     blocks = Blocks(instance, scheme.lcm)
-    offset = (dest - origin) % n
-    cur = origin.copy()
-    for k, rounds in enumerate(scheme.rounds):
-        p = scheme.powers[k]
-        digit = offset // p % q
+    offset = np.arange(n)
+    for p, rounds in zip(scheme.powers, scheme.rounds):
         for s, start, m in rounds:
-            sel = np.flatnonzero(digit == s)
-            if sel.size:
-                src = cur[sel]
-                blocks.add(start, m, src, (src + s * p) % n, sel, scheme.lcm // m)
-        cur = (cur + digit * p) % n
+            r = np.flatnonzero(offset // p % q == s)
+            blocks.add(start, m, r, r % p, r % p + s * p, scheme.lcm // m)
     return blocks.schedule(scheme.horizon)
 
 
@@ -206,8 +195,7 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
       v absorbed in phase 1.
 
     Makespan is exactly twice the base scheme's horizon whenever demand is
-    nonzero. Rows are emitted one round at a time, vectorized over runs of
-    commodities.
+    nonzero. Each round is one piece of template rows per offset.
     """
     n = instance.n
     load = _regime_load(instance, nominal_load)
@@ -216,47 +204,30 @@ def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedu
     pw, horizon = scheme.powers, scheme.horizon
     # Each row moves demand * shares / (n m), m its round's multiplicity.
     blocks = Blocks(instance, n * scheme.lcm)
-    origin, dest = blocks.origin, blocks.dest
-    every = np.arange(origin.size)
-    offset = (dest - origin) % n
-    span = np.array(pw)[np.searchsorted(pw, offset, side="right")]  # q^(top+1)
-    # Phase 1 delivers at v the shares w = u + offset + t*span, t = 0..absorbed;
-    # w = v (t = 0) has nothing left to route.
+    # Per offset (v - u) mod n, one per row: q^(top+1), and the count of
+    # shares w = u + offset + t*span, t = 1..absorbed, that phase 1 delivers
+    # at v besides w = v, which has nothing left to route.
+    offset = np.arange(1, n)[:, None]
+    span = np.array(pw)[np.searchsorted(pw, offset, side="right")]
     absorbed = (n - 1 - offset) // span
-    for k, rounds in enumerate(scheme.rounds):
-        p = pw[k]
+    for p, rounds in zip(pw, scheme.rounds):
         for s, start, m in rounds:
             # Phase 1: from u + lo to u + lo + s p, for each lo below both p
             # and n - s p, except the lo whose walk passed v (offset mod span).
-            width = min(p, n - s * p)
-            count = (n - 1 - s * p - np.arange(width)) // (p * q) + 1
-            chunk = max(1, _CHUNK_ROWS // width)
-            for c0 in range(0, origin.size, chunk):
-                cm = np.repeat(every[c0:c0 + chunk], width)
-                lo = np.arange(cm.size) % width
-                keep = lo % span[cm] != offset[cm]
-                cm, lo = cm[keep], lo[keep]
-                src = (origin[cm] + lo) % n
-                blocks.add(start, m, src, (src + s * p) % n, cm, count[lo] * (scheme.lcm // m))
-            # Phase 2: from v - h - s p to v - h. The offsets v absorbed,
-            # n - t*span for t = 1..absorbed, in [low, high) number
-            # min(absorbed, (n - low) // span) - min(absorbed, (n - high) // span).
-            heads = -(-(n - s * p) // (p * q))
-            h = np.arange(heads) * (p * q)
-            low = h + s * p
-            high = np.minimum(low + p, n)
-            chunk = max(1, _CHUNK_ROWS // heads)
-            for c0 in range(0, origin.size, chunk):
-                cm = np.repeat(every[c0:c0 + chunk], heads)
-                i = np.arange(cm.size) % heads
-                cut, t = span[cm], absorbed[cm]
-                shares = (high - low)[i] - (np.minimum(t, (n - low[i]) // cut)
-                                            - np.minimum(t, (n - high[i]) // cut))
-                keep = shares > 0
-                cm, i, shares = cm[keep], i[keep], shares[keep]
-                dst = (dest[cm] - h[i]) % n
-                blocks.add(start + horizon, m, (dst - s * p) % n, dst, cm,
-                           shares * (scheme.lcm // m))
+            lo = np.arange(min(p, n - s * p))
+            count = (n - 1 - s * p - lo) // (p * q) + 1
+            r, lo = np.nonzero(lo % span != offset)
+            blocks.add(start, m, r + 1, lo, lo + s * p, count[lo] * (scheme.lcm // m))
+            # Phase 2: from v - h - s p to v - h, h a multiple of q^(k+1). The
+            # offsets v absorbed, n - t*span for t = 1..absorbed, in [low, high)
+            # number min(absorbed, (n - low) // span) - min(absorbed, (n - high) // span).
+            h = np.arange(0, n - s * p, p * q)
+            low, high = h + s * p, np.minimum(h + s * p + p, n)
+            shares = (high - low) - (np.minimum(absorbed, (n - low) // span)
+                                     - np.minimum(absorbed, (n - high) // span))
+            r, i = np.nonzero(shares > 0)
+            blocks.add(start + horizon, m, r + 1, r + 1 - h[i] - s * p, r + 1 - h[i],
+                       shares[r, i] * (scheme.lcm // m))
     return blocks.schedule(2 * horizon)
 
 

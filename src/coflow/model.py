@@ -40,6 +40,7 @@ from operator import index, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DiagonalDemandError,
@@ -51,9 +52,9 @@ from .rational import parse_rational, rational_parser, render_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 INT64_MAX = 2**63 - 1
-# The most unit parcels (see unit_parcels) one schedule may ship: one row
-# each, so its five int64 row columns alone take 10 GiB at this cap. A larger
-# total is refused before anything is allocated.
+# The most rows one schedule may hold, unit parcels (see parcel_counts) or
+# Blocks rows: its five int64 row columns alone take 10 GiB at this cap. A
+# larger total is refused before anything is allocated.
 MAX_PARCELS = 1 << 28
 COLUMNS_FORMAT = "coflow-columns-v1"
 INSTANCE_FORMAT = "coflow-instance-v1"
@@ -291,13 +292,25 @@ def summable(column: np.ndarray, terms: int) -> np.ndarray:
     return column
 
 
-def delivery(origin, dest, src, dst, amount, n: int) -> np.ndarray:
+def distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(column, return_inverse=True)`` of an integer column, by
+    counting when its values span fewer integers than it has values."""
+    if column.dtype == object or not column.size or np.ptp(column) >= column.size:
+        return np.unique(column, return_inverse=True)
+    shifted, seen = column - column.min(), np.zeros(np.ptp(column) + 1, bool)
+    seen[shifted] = True
+    return np.flatnonzero(seen) + column.min(), (np.cumsum(seen) - 1)[shifted]
+
+
+def delivery(origin, dest, src, dst, amount, n: int, arrive=None, leave=None) -> np.ndarray:
     """What the rows bring to each commodity's destination, less what leaves
     it there: one exact value per cell (origin, dest) of the n x n matrix,
     row-major, :func:`summable` over the rows that arrive or leave. Node ids
-    are int64 in 0..n-1."""
-    arrive = np.flatnonzero(dst == dest)
-    rows = np.concatenate((arrive, np.flatnonzero(src == dest)))
+    are int64 in 0..n-1. ``arrive`` and ``leave``, the rows with dst == dest
+    and with src == dest, are found when not given."""
+    arrive = np.flatnonzero(dst == dest) if arrive is None else arrive
+    leave = np.flatnonzero(src == dest) if leave is None else leave
+    rows = np.concatenate((arrive, leave))
     moved = summable(amount[rows], rows.size)
     np.negative(moved[arrive.size:], out=moved[arrive.size:])  # what leaves
     total = np.zeros(n * n, moved.dtype)
@@ -550,21 +563,25 @@ def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.nd
     return cells // instance.n, cells % instance.n, column[cells], scale
 
 
-def unit_parcels(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Each demand d as ceil(d) parcels (see :func:`parcel_schedule`): the
-    commodity of each parcel, an index into :func:`commodity_columns`, and
-    its index among its commodity's parcels, in commodity order. A parcel
-    count past int64, or a total past ``MAX_PARCELS``, raises
-    ``StructuralError``."""
+def parcel_counts(instance: Instance) -> np.ndarray:
+    """ceil(d) for each demand d, in commodity order: its unit parcels, and
+    the fewest rows that ship d at most 1 a row. A count past int64, or a
+    total past ``MAX_PARCELS``, raises ``StructuralError``."""
     _, _, demand, scale = commodity_columns(instance)
-    keys, code = np.unique(demand, return_inverse=True)
-    count = int_column([-(-x // scale) for x in keys.tolist()])
-    if count.dtype == object:
+    count = -(-demand.astype(object if scale > INT64_MAX else demand.dtype, copy=False) // scale)
+    if max_abs(count) > INT64_MAX:
         raise StructuralError(f"{count.max()} unit parcels of one demand do not fit in int64")
-    total = sum(map(mul, count.tolist(), np.bincount(code, minlength=count.size).tolist()))
+    count = count.astype(np.int64)
+    total = int(summable(count, count.size).sum())
     if total > MAX_PARCELS:
         raise StructuralError(f"{total} unit parcels exceed the cap of {MAX_PARCELS}")
-    count = count[code]
+    return count
+
+
+def unit_parcels(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Each demand as :func:`parcel_counts` parcels (see :func:`parcel_schedule`):
+    each parcel's commodity and its index among its commodity's parcels."""
+    count = parcel_counts(instance)
     commodity = np.repeat(np.arange(count.size), count)
     return commodity, np.arange(commodity.size) - (np.cumsum(count) - count)[commodity]
 
@@ -577,7 +594,7 @@ def parcel_schedule(instance: Instance, horizon: int, parcel: np.ndarray,
     d - (ceil(d) - 1). Rows are sorted by slot, stably, and amounts are over
     the instance's scale."""
     origin, dest, demand, scale = commodity_columns(instance)
-    keys, code = np.unique(demand, return_inverse=True)
+    keys, code = distinct(demand)
     table = [(x - 1) % scale + 1 for x in keys.tolist()]
     if parcel.size > origin.size:  # some commodity has a parcel of 1
         table.append(scale)
@@ -593,72 +610,81 @@ def parcel_schedule(instance: Instance, horizon: int, parcel: np.ndarray,
 
 
 class Blocks:
-    """The rows of a schedule of ``instance``, one block per matching.
-
-    A block holds the rows one matching carries, in commodity order, and
-    fills a run of consecutive slots, given with the block. A row carries its
-    commodity's demand times factor/``common``, with an integer factor per
-    block or per row. Blocks may be added in pieces, each piece a run of
-    commodities in order; ``schedule`` sorts the pieces by slot, stably, so
-    the rows come out sorted by (slot, commodity, position). The amount table
-    holds entry f*G + g, the g-th of the G distinct demands times the f-th
-    factor; only the entries some row uses are filled, and the schedule's
-    amounts are over the lowest scale of those.
-    """
+    """A schedule of ``instance`` whose rows depend only on their commodity's
+    offset (dest - origin) mod n: pieces of template rows over disjoint runs
+    of slots. Amount table entry f*G + g is the g-th of the G distinct demands
+    times the f-th factor; amounts are over the lowest scale of those used."""
 
     def __init__(self, instance: Instance, common: int):
-        self.n, self.common = instance.n, common
-        self.origin, self.dest, demand, self.scale = commodity_columns(instance)
-        keys, self.group = np.unique(demand, return_inverse=True)
-        self.keys = keys.tolist()
-        self.factors: dict[int, int] = {}
-        self.codes: list[np.ndarray] = []
-        self.pieces: list[tuple] = []
+        n, (column, self.scale) = instance.n, instance.scaled_demands
+        keys, cells = distinct(column)  # 0, on the diagonal, first
+        self.n, self.common, self.keys, self.pieces = n, common, keys[1:].tolist(), []
+        self.cells = cells - 1  # each cell's demand group, or -1
+        self.nodes, self.ring = np.arange(n), np.arange(2 * n) % n  # ring[x]: x mod n
+        # Row i of the doubled matrix from column i on: origin i's offsets 0..n-1.
+        doubled = np.tile((column > 0).reshape(n, n), 2).ravel()
+        self.per = sliding_window_view(doubled, n)[::2 * n + 1].sum(axis=0)  # commodities
 
-    def add(self, slot: int, run: int, src, dst, commodity, factor) -> None:
-        """Rows src -> dst of the given commodities (indices into the
-        commodity columns), each carrying its demand times factor/common
-        (``factor`` an int, or an int column with one per row), in the
-        ``run`` slots from ``slot`` on."""
-        bins = np.bincount(np.ravel(factor))
-        lookup = np.zeros(bins.size, np.int64)
-        present = np.flatnonzero(bins)
-        lookup[present] = [self.factors.setdefault(f, len(self.factors)) for f in present.tolist()]
-        code = lookup[factor] * len(self.keys) + self.group[commodity]
-        self.codes.append(code)
-        for k in range(slot, slot + run):
-            self.pieces.append((k, src, dst, commodity, code))
+    def add(self, slot: int, run: int, r, src, dst, factor) -> None:
+        """Template rows (int columns, ``r`` ascending): in each of the ``run``
+        slots from ``slot``, every commodity (i, j) with (j - i) mod n = r ships
+        factor/common of its demand from i + src to i + dst (mod n)."""
+        n = self.n
+        self.pieces.append((slot, run, r, src % n, dst % n, np.full(r.shape, factor)))
 
-    def _table(self) -> tuple[np.ndarray, int]:
-        size = len(self.keys)
-        used = np.zeros(len(self.factors) * size, bool)
-        for code in self.codes:
-            used[code] = True
-        entries = np.flatnonzero(used).tolist()
-        factors = list(self.factors)
-        nums = [self.keys[e % size] * factors[e // size] for e in entries]
+    def _rows(self, r: np.ndarray) -> list[np.ndarray]:
+        """The origin, dest - origin, demand group and template row of each row
+        of a piece in one slot, in commodity order: origin i meets the rows of
+        its offsets u >= n - i (dest i + u - n) first, a window of the T rows
+        with their offsets less n followed by the T rows, less non-commodities."""
+        n, size = self.n, r.size
+        at = np.searchsorted(r, n - self.nodes)[:, None] + np.arange(size)  # n x T
+        shift = np.concatenate((r - n, r))[at]
+        group = self.cells[shift + np.arange(0, n * n, n + 1)[:, None]].ravel()
+        t = (np.arange(2 * size) % size)[at].ravel()
+        rows = [np.repeat(self.nodes, size), shift.ravel(), group, t]
+        return rows if (live := group >= 0).all() else [column[live] for column in rows]
+
+    def schedule(self, horizon: int) -> Schedule:
+        """The rows by (slot, commodity, template row). A row total past
+        ``MAX_PARCELS`` raises ``StructuralError`` before any row is made."""
+        n, size = self.n, len(self.keys)
+        pieces = sorted(self.pieces, key=itemgetter(0))
+        sizes = [int(self.per[piece[2]].sum()) for piece in pieces]  # rows per slot
+        total = sum(map(mul, map(itemgetter(1), pieces), sizes))
+        if total > MAX_PARCELS:
+            raise StructuralError(f"{total} rows exceed the cap of {MAX_PARCELS}")
+        counts, pos = np.zeros(horizon, np.int64), 0
+        columns = [np.empty(total, np.int64) for _ in range(5)]  # src, dst, origin, dest, code
+        # Each template row's table entry less its demand group.
+        values, inverse = distinct(np.concatenate([piece[5] for piece in pieces]))
+        entries = np.split(inverse * size, np.cumsum([piece[2].size for piece in pieces]))
+        for (slot, run, r, src, dst, _), rows, entry in zip(pieces, sizes, entries):
+            counts[slot:slot + run] = rows
+            if not rows:
+                continue
+            origin, shift, group, t = self._rows(r)
+            # The piece's first slot is written in place, then copied over its run.
+            src_at, dst_at, origin_at, dest_at, code_at = (c[pos:pos + rows] for c in columns)
+            origin_at[:] = origin
+            np.add(origin, shift, out=dest_at)
+            np.take(self.ring, origin + src[t], out=src_at, mode="clip")
+            np.take(self.ring, origin + dst[t], out=dst_at, mode="clip")
+            np.add(entry[t], group, out=code_at)
+            for c in columns if run > 1 else ():
+                c[pos + rows:pos + run * rows].reshape(run - 1, rows)[:] = c[pos:pos + rows]
+            pos += run * rows
+        code = columns.pop()
+        used = np.zeros(len(values) * size, bool)
+        used[code] = True
+        entries, values = np.flatnonzero(used).tolist(), values.tolist()
+        nums = [self.keys[e % size] * values[e // size] for e in entries]
         nums, scale = lowest_terms(nums, self.scale * self.common) if nums else ([], 1)
         column = int_column(nums)
         table = np.zeros(used.size, column.dtype)
         table[entries] = column
-        return table, scale
-
-    def schedule(self, horizon: int) -> Schedule:
-        table, scale = self._table()
-        pieces = sorted(self.pieces, key=itemgetter(0))
-        self.pieces, self.codes = [], []
-        counts = np.zeros(horizon, np.int64)  # the rows of each slot's pieces
-        np.add.at(counts, [piece[0] for piece in pieces], [len(piece[1]) for piece in pieces])
-        empty = np.zeros(0, np.int64)
-        fields = [list(field) for field in zip((0, empty, empty, empty, empty), *pieces)]
-        del pieces
-        # Each column is joined and its pieces popped before the next, so
-        # that the pieces and the columns are not all alive at once.
-        src, dst, commodity = (np.concatenate(fields.pop(1)) for _ in range(3))
-        origin, dest = self.origin[commodity], self.dest[commodity]
-        del commodity
-        amount = table[np.concatenate(fields.pop())]
-        return Schedule(self.n, counts, src, dst, origin, dest, amount, scale)
+        amount = code if table.dtype == code.dtype else None  # in place where it fits
+        return Schedule(n, counts, *columns, np.take(table, code, out=amount, mode="clip"), scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -752,7 +778,8 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
         makespan=makespan,
         total_completion=total_completion,
         average_completion=avg,
-        scaled_delivered=(delivery(origin, dest, src, dst, amount, n), scale),
+        scaled_delivered=(delivery(origin, dest, src, dst, amount, n, arrivals, arrivals[:0]),
+                          scale),
     )
 
 

@@ -238,7 +238,7 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
     def row(k) -> int:
         return int(k) if kept is None else int(kept[k])
 
-    for k in np.flatnonzero(src == dest).tolist():
+    for k in (sinks := np.flatnonzero(src == dest)).tolist():
         s = int(step[k])
         records.append((
             (s, 0, row(k), 0),
@@ -258,7 +258,8 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
         ))
 
     # A pair with no demand is no commodity: nothing is unmet there.
-    unmet = np.where(demand > 0, demand - delivery(origin, dest, src, dst, amount, n), 0)
+    delivered = delivery(origin, dest, src, dst, amount, n, leave=sinks)
+    unmet = np.where(demand > 0, demand - delivered, 0)
 
     records.sort(key=itemgetter(0))
     return VerificationReport(

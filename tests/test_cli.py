@@ -422,7 +422,7 @@ def test_parcel_counts_past_int64_are_exit_two(tmp_path, capsys, algorithm, nomi
     assert err.startswith("error: ") and "fit in int64" in err, err
 
 
-@pytest.mark.parametrize("algorithm", ["edge-coloring", "round-robin"])
+@pytest.mark.parametrize("algorithm", ["edge-coloring", "round-robin", "greedy"])
 @pytest.mark.parametrize("load", [10**18, 10**11])
 def test_parcel_totals_past_the_cap_are_exit_two(tmp_path, capsys, algorithm, load):
     # Each of the six demands is ceil(load / 3) parcels. Each count fits in
