@@ -31,6 +31,10 @@ The cases:
   12) at n=64, B=2, on an instance whose demands have prime denominators in
   [100, 400) and a common denominator of about 420 bits (built here, with
   seed 1), so that ``verify`` and ``compute_metrics`` run on Python ints;
+* ``auto-single-row-1024``: the same stages for ``auto`` (VLB over the
+  hypercube, 2,088,961 rows, makespan 20) on the adversarial-single-row
+  instance at n=1024, B=2, whose rounds carry up to n(n-1)/2 template rows
+  for one commodity per offset;
 * ``edge-coloring-uniform-256``, ``round-robin-uniform-256``,
   ``smeared-uniform-1024``: a direct scheduler and ``verify`` in-process,
   the two unit-parcel schedulers at uniform n=256, edge coloring at B=2
@@ -81,17 +85,19 @@ CASES = (
     "hypercube-uniform-1024",
     "elementary-basis-uniform-1024",
     "prime-denominators-auto-64",
+    "auto-single-row-1024",
     "edge-coloring-uniform-256",
     "round-robin-uniform-256",
     "smeared-uniform-1024",
 )
 DURATION = re.compile(r"(\d+\.\d+)s (call|setup|teardown) +(\S+)$")
 # The digit-route cases: algorithm, load bound and makespan at uniform n=1024,
-# and at n=64 on prime denominators.
+# at n=64 on prime denominators, and at n=1024 on one row.
 DIGIT_CASES = {
     "hypercube-uniform-1024": ("hypercube", 2, 10),
     "elementary-basis-uniform-1024": ("elementary-basis", 32, 62),
     "prime-denominators-auto-64": ("auto", 2, 12),
+    "auto-single-row-1024": ("auto", 2, 20),
 }
 PRIMES_100_400 = [p for p in range(100, 400) if all(p % d for d in range(2, isqrt(p) + 1))]
 # The direct cases: algorithm, n, load bound and makespan on a uniform instance.
@@ -237,11 +243,13 @@ def prime_instance(n: int, load: int):
 
 
 def digit_case(case: str, repeats: int) -> dict:
-    from coflow import experiment, model, verifier
+    from coflow import experiment, generators, model, verifier
 
     algorithm, load, makespan = DIGIT_CASES[case]
     if case.startswith("prime-"):
         inst = prime_instance(64, load)
+    elif case == "auto-single-row-1024":
+        inst = generators.generate("adversarial-single-row", 1024, Fraction(load), 1)
     else:
         inst = model.uniform_instance(1024, Fraction(load))
     # Each repeat drops the previous result before building its own, so

@@ -121,10 +121,9 @@ def _route_directly(instance: Instance, q: int) -> Schedule:
     n, (demands, scale) = instance.n, instance.scaled_demands
     scheme = CyclicScheme(n, q, Fraction(n * int(demands.max()), scale))
     blocks = Blocks(instance, scheme.lcm)
-    offset = np.arange(n)
     for p, rounds in zip(scheme.powers, scheme.rounds):
         for s, start, m in rounds:
-            r = np.flatnonzero(offset // p % q == s)
+            r = np.flatnonzero(np.arange(n) // p % q == s)
             blocks.add(start, m, r, r % p, r % p + s * p, scheme.lcm // m)
     return blocks.schedule(scheme.horizon)
 

@@ -52,9 +52,8 @@ from .rational import parse_rational, rational_parser, render_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 INT64_MAX = 2**63 - 1
-# The most rows one schedule may hold, unit parcels (see parcel_counts) or
-# Blocks rows: its five int64 row columns alone take 10 GiB at this cap. A
-# larger total is refused before anything is allocated.
+# The most rows (unit parcels or Blocks rows) or steps of one schedule: its
+# five int64 row columns take 10 GiB at the cap. Past it, nothing is built.
 MAX_PARCELS = 1 << 28
 COLUMNS_FORMAT = "coflow-columns-v1"
 INSTANCE_FORMAT = "coflow-instance-v1"
@@ -563,6 +562,12 @@ def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.nd
     return cells // instance.n, cells % instance.n, column[cells], scale
 
 
+def capped(total: int, what: str) -> None:
+    """Refuse a ``total`` of rows, parcels or steps past ``MAX_PARCELS``."""
+    if total > MAX_PARCELS:
+        raise StructuralError(f"{total} {what} exceed the cap of {MAX_PARCELS}")
+
+
 def parcel_counts(instance: Instance) -> np.ndarray:
     """ceil(d) for each demand d, in commodity order: its unit parcels, and
     the fewest rows that ship d at most 1 a row. A count past int64, or a
@@ -572,9 +577,7 @@ def parcel_counts(instance: Instance) -> np.ndarray:
     if max_abs(count) > INT64_MAX:
         raise StructuralError(f"{count.max()} unit parcels of one demand do not fit in int64")
     count = count.astype(np.int64)
-    total = int(summable(count, count.size).sum())
-    if total > MAX_PARCELS:
-        raise StructuralError(f"{total} unit parcels exceed the cap of {MAX_PARCELS}")
+    capped(int(summable(count, count.size).sum()), "unit parcels")
     return count
 
 
@@ -592,7 +595,8 @@ def parcel_schedule(instance: Instance, horizon: int, parcel: np.ndarray,
     step ``slot[p]``, for each p: each parcel carries 1, except each
     commodity's latest one, which carries what remains of its demand d,
     d - (ceil(d) - 1). Rows are sorted by slot, stably, and amounts are over
-    the instance's scale."""
+    the instance's scale; a horizon past ``MAX_PARCELS`` is refused."""
+    capped(horizon, "steps")
     origin, dest, demand, scale = commodity_columns(instance)
     keys, code = distinct(demand)
     table = [(x - 1) % scale + 1 for x in keys.tolist()]
@@ -620,49 +624,56 @@ class Blocks:
         keys, cells = distinct(column)  # 0, on the diagonal, first
         self.n, self.common, self.keys, self.pieces = n, common, keys[1:].tolist(), []
         self.cells = cells - 1  # each cell's demand group, or -1
-        self.nodes, self.ring = np.arange(n), np.arange(2 * n) % n  # ring[x]: x mod n
-        # Row i of the doubled matrix from column i on: origin i's offsets 0..n-1.
-        doubled = np.tile((column > 0).reshape(n, n), 2).ravel()
-        self.per = sliding_window_view(doubled, n)[::2 * n + 1].sum(axis=0)  # commodities
+        self.ring = np.arange(2 * n) % n  # ring[x]: x mod n
+        positive = (column > 0).reshape(n, n)
+        self.senders = np.flatnonzero(positive.any(axis=1))  # origins of commodities
+        # Commodities per offset: row i of the doubled matrix from column i on.
+        self.per = sliding_window_view(np.tile(positive, 2).ravel(), n)[::2 * n + 1].sum(axis=0)
 
     def add(self, slot: int, run: int, r, src, dst, factor) -> None:
         """Template rows (int columns, ``r`` ascending): in each of the ``run``
         slots from ``slot``, every commodity (i, j) with (j - i) mod n = r ships
         factor/common of its demand from i + src to i + dst (mod n)."""
-        n = self.n
-        self.pieces.append((slot, run, r, src % n, dst % n, np.full(r.shape, factor)))
+        self.pieces.append((slot, run, r, src % self.n, dst % self.n, np.full(r.shape, factor)))
 
     def _rows(self, r: np.ndarray) -> list[np.ndarray]:
         """The origin, dest - origin, demand group and template row of each row
-        of a piece in one slot, in commodity order: origin i meets the rows of
-        its offsets u >= n - i (dest i + u - n) first, a window of the T rows
-        with their offsets less n followed by the T rows, less non-commodities."""
-        n, size = self.n, r.size
-        at = np.searchsorted(r, n - self.nodes)[:, None] + np.arange(size)  # n x T
-        shift = np.concatenate((r - n, r))[at]
-        group = self.cells[shift + np.arange(0, n * n, n + 1)[:, None]].ravel()
-        t = (np.arange(2 * size) % size)[at].ravel()
-        rows = [np.repeat(self.nodes, size), shift.ravel(), group, t]
-        return rows if (live := group >= 0).all() else [column[live] for column in rows]
+        of a piece in one slot, in commodity order. Each origin i that has a
+        commodity meets its offsets u >= n - i (dest i + u - n) first: a window
+        of the piece's distinct offsets less n, then those offsets, less
+        non-commodities. Each commodity takes its offset's template rows."""
+        n, first, origin = self.n, group_starts(r), self.senders
+        size, offset = first.size, r[first]
+        at = np.searchsorted(offset, n - origin)[:, None] + np.arange(size)
+        shift = np.concatenate((offset - n, offset))[at]
+        group = self.cells[shift + origin[:, None] * (n + 1)].ravel()
+        k = (np.arange(2 * size) % size)[at].ravel()  # each cell's offset, as an index
+        rows = [np.repeat(origin, size), shift.ravel(), group, k]
+        rows = rows if (live := group >= 0).all() else [column[live] for column in rows]
+        if size < r.size:  # some offset has several template rows: k becomes t
+            per = np.diff(first, append=r.size)[rows[3]]
+            lead = np.cumsum(per) - per - first[rows[3]]  # row of t = 0, less the first
+            rows = [np.repeat(column, per) for column in rows[:3]]
+            rows.append(np.arange(rows[0].size) - np.repeat(lead, per))
+        return rows
 
     def schedule(self, horizon: int) -> Schedule:
-        """The rows by (slot, commodity, template row). A row total past
-        ``MAX_PARCELS`` raises ``StructuralError`` before any row is made."""
+        """The rows by (slot, commodity, template row). A row total or horizon
+        past ``MAX_PARCELS`` is refused before any row is made."""
         n, size = self.n, len(self.keys)
         pieces = sorted(self.pieces, key=itemgetter(0))
         sizes = [int(self.per[piece[2]].sum()) for piece in pieces]  # rows per slot
         total = sum(map(mul, map(itemgetter(1), pieces), sizes))
-        if total > MAX_PARCELS:
-            raise StructuralError(f"{total} rows exceed the cap of {MAX_PARCELS}")
+        capped(total, "rows")
+        capped(horizon, "steps")
         counts, pos = np.zeros(horizon, np.int64), 0
         columns = [np.empty(total, np.int64) for _ in range(5)]  # src, dst, origin, dest, code
-        # Each template row's table entry less its demand group.
+        # Each template row's table entry less its demand group, and the entries used.
         values, inverse = distinct(np.concatenate([piece[5] for piece in pieces]))
         entries = np.split(inverse * size, np.cumsum([piece[2].size for piece in pieces]))
+        used = np.zeros(len(values) * size, bool)
         for (slot, run, r, src, dst, _), rows, entry in zip(pieces, sizes, entries):
             counts[slot:slot + run] = rows
-            if not rows:
-                continue
             origin, shift, group, t = self._rows(r)
             # The piece's first slot is written in place, then copied over its run.
             src_at, dst_at, origin_at, dest_at, code_at = (c[pos:pos + rows] for c in columns)
@@ -671,12 +682,11 @@ class Blocks:
             np.take(self.ring, origin + src[t], out=src_at, mode="clip")
             np.take(self.ring, origin + dst[t], out=dst_at, mode="clip")
             np.add(entry[t], group, out=code_at)
+            used[code_at] = True
             for c in columns if run > 1 else ():
                 c[pos + rows:pos + run * rows].reshape(run - 1, rows)[:] = c[pos:pos + rows]
             pos += run * rows
         code = columns.pop()
-        used = np.zeros(len(values) * size, bool)
-        used[code] = True
         entries, values = np.flatnonzero(used).tolist(), values.tolist()
         nums = [self.keys[e % size] * values[e // size] for e in entries]
         nums, scale = lowest_terms(nums, self.scale * self.common) if nums else ([], 1)

@@ -258,7 +258,7 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
         ))
 
     # A pair with no demand is no commodity: nothing is unmet there.
-    delivered = delivery(origin, dest, src, dst, amount, n, leave=sinks)
+    delivered = delivery(origin, dest, src, dst, amount, n, np.flatnonzero(dst == dest), sinks)
     unmet = np.where(demand > 0, demand - delivered, 0)
 
     records.sort(key=itemgetter(0))

@@ -32,6 +32,7 @@ from coflow.model import (
     Transfer,
     column_text,
     compute_metrics,
+    distinct,
     document_text,
     dump_instance,
     dump_schedule,
@@ -782,3 +783,18 @@ def test_load_bound_matches_naive_computation(rows, load):
     explicit = make_instance(n, [[load / n if i != j else 0 for j in range(n)] for i in range(n)])
     assert uniform == explicit
     assert uniform.load_bound == explicit.load_bound
+
+
+@settings(max_examples=200)
+@given(values=st.lists(st.integers(0, INT64_MAX), max_size=40), span=st.integers(0, 60),
+       base=st.integers(0, 2**62))
+def test_distinct_is_np_unique(values, span, base):
+    # Both sides of its rule: values over fewer integers than there are
+    # values are counted, and values over all of int64's non-negative range
+    # go to np.unique.
+    for column in (np.array([base + v % (span + 1) for v in values], np.int64),
+                   np.array(values, np.int64)):
+        keys, inverse = distinct(column)
+        want_keys, want_inverse = np.unique(column, return_inverse=True)
+        assert (keys.dtype, keys.tolist()) == (want_keys.dtype, want_keys.tolist())
+        assert inverse.tolist() == want_inverse.tolist()

@@ -1,7 +1,9 @@
 """Every block scheduler counts its rows before it builds them, and refuses a
-total past ``model.MAX_PARCELS`` with one message naming it."""
+total past ``model.MAX_PARCELS`` with one message naming it; a horizon past
+the cap is refused too, and VLB's memory stays near its rows."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +14,8 @@ from coflow import model
 from coflow.cli import main
 from coflow.errors import StructuralError
 from coflow.experiment import ALGORITHMS
-from coflow.generators import random_sparse_instance
-from coflow.indirect import auto_schedule
+from coflow.generators import generate, random_sparse_instance
+from coflow.indirect import auto_schedule, hypercube_schedule
 
 BLOCK_SCHEDULERS = ("smeared", "hypercube", "elementary-basis", "grid", "vlb")
 
@@ -50,6 +52,48 @@ def test_auto_on_sparse_1024_is_refused_before_its_rows():
         auto_schedule(random_sparse_instance(1024, 2, seed=1))
 
 
+def test_block_horizon_past_the_cap_is_refused():
+    # One demand D at offset 1024 of n = 1025 is one hop of D rows in the top
+    # digit's round, which serves that one offset. The hypercube sizes for B =
+    # n D, so each of the ten lower rounds, serving 512 offsets, takes 512 D
+    # steps: a horizon of 5121 D.
+    n, d = 1025, 2**20
+    demands = [[0] * n for _ in range(n)]
+    demands[0][n - 1] = d
+    with pytest.raises(StructuralError, match=f"^{5121 * d} steps exceed the cap of 268435456$"):
+        hypercube_schedule(model.make_instance(n, demands))
+
+
+def test_round_robin_horizon_past_the_cap_is_exit_two(tmp_path, capsys):
+    # A nominal B of 10^15 gives round robin at n = 3 two shifts of
+    # ceil(10^15 / 3) steps each for its six rows.
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--n", "3", "--B", "1", "--out", str(inst)]) == 0
+    capsys.readouterr()
+    code = main(["schedule", "--algorithm", "round-robin", "--instance", str(inst),
+                 "--nominal-B", str(10**15)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: {2 * -(-10**15 // 3)} steps exceed the cap of {model.MAX_PARCELS}\n"
+
+
+def test_vlb_on_one_row_stays_near_its_rows():
+    # adversarial-single-row at n = 1024, B = 2: VLB's rounds carry up to
+    # (n - 1) n / 2 template rows each, with one commodity per offset. The
+    # candidates Blocks scans are bounded by the commodities' origins times
+    # the offsets, so the peak stays within a few times the schedule's own
+    # five int64 columns, where n x T candidates would take gigabytes.
+    inst = generate("adversarial-single-row", 1024, 2, 1)
+    tracemalloc.start()
+    try:
+        rows = auto_schedule(inst).src.size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 2088961
+    assert peak < 4 * 5 * 8 * rows
+
+
 PRIMES = [p for p in range(100, 400) if all(p % k for k in range(2, 20))]
 
 
@@ -72,16 +116,24 @@ def _instance(n: int, load: F, seed: int, prime: bool):
        seed=st.integers(0, 10**6), prime=st.booleans())
 @example(n=12, load=F(2), seed=1, prime=True)
 @example(n=17, load=F(7, 3), seed=2, prime=True)
+@example(n=3, load=F(2), seed=2, prime=False)  # digit routes: 4 steps for 2 rows
 def test_block_rows_are_counted_before_they_are_built(algorithm, n, load, seed, prime):
     # The count is exact: one row under it the scheduler refuses, naming it,
-    # and at it the scheduler builds that many rows. The grid needs two digits.
+    # and at it the scheduler builds that many rows, unless its horizon is
+    # longer (a round may serve offsets with no commodity); then the horizon
+    # is refused, naming it. The grid needs two digits.
     assume(algorithm != "grid" or n > 2)
     inst = _instance(n, load, seed, prime)
     build = ALGORITHMS[algorithm]
-    rows = build(inst, load).src.size
+    sched = build(inst, load)
+    rows, horizon = sched.src.size, sched.horizon
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "MAX_PARCELS", rows - 1)
         with pytest.raises(StructuralError, match=f"^{rows} rows exceed the cap of {rows - 1}$"):
             build(inst, load)
         patch.setattr(model, "MAX_PARCELS", rows)
-        assert build(inst, load).src.size == rows
+        if horizon > rows:
+            with pytest.raises(StructuralError, match=f"^{horizon} steps exceed the cap of {rows}$"):
+                build(inst, load)
+            patch.setattr(model, "MAX_PARCELS", horizon)
+        assert build(inst, load) == sched
