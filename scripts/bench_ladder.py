@@ -43,7 +43,10 @@ The cases:
   1,047,552 rows copied over 2 steps: 2,095,104 rows, makespan 2).
 
 Each stage is timed ``--repeats`` times with the garbage collector on;
-the record keeps every sample and their median. ``--parent PATH`` runs every
+the record keeps every sample and their median. Where a case's stages feed
+each other (decode and certificate; the four commands; schedule, verify and
+metrics), each repeat runs them all in order, so that every sample follows
+exactly one run of the stage before it. ``--parent PATH`` runs every
 case also against the checkout at PATH (its ``src/``), alternating with this
 one, and records both sides. Each side then runs its own tier-1 suite
 (``python -m pytest -q --durations=10`` in its checkout), and the record
@@ -117,6 +120,16 @@ def timed(fn, repeats: int) -> dict:
     return {"median": statistics.median(samples), "samples": samples}
 
 
+def in_turn(stages: dict, repeats: int) -> dict:
+    """Each stage's samples and median, the stages run in order once per
+    repeat, so that each sample follows one run of the stages before it."""
+    samples = {name: [] for name in stages}
+    for _ in range(repeats):
+        for name, fn in stages.items():
+            samples[name] += timed(fn, 1)["samples"]
+    return {name: {"median": statistics.median(s), "samples": s} for name, s in samples.items()}
+
+
 def instance_case(family: str, repeats: int, tmp: str) -> dict:
     from coflow import generators, model
 
@@ -140,16 +153,13 @@ def trace_case(repeats: int, tmp: str) -> dict:
     encode = timed(lambda: model.document_text(trace.document()), repeats)
     # Each repeat decodes a fresh trace (its replay is cached) and certifies
     # it, so that one decoded trace is alive at a time.
-    stages = {"decode": [], "certificate": []}
-    reports = []
-    for _ in range(repeats):
-        again, decoded = None, []
-        read = lambda: decoded.append(direct.GreedyTrace.from_json(json.loads(text), inst))
-        stages["decode"] += timed(read, 1)["samples"]
-        again = decoded.pop()
-        check = lambda: reports.append(certificates.check_certificate(
-            inst, again, certificates.build_certificate(again)).ok)
-        stages["certificate"] += timed(check, 1)["samples"]
+    held, reports = {}, []
+    stages = in_turn({
+        "decode": lambda: (held.clear(), held.update(
+            again=direct.GreedyTrace.from_json(json.loads(text), inst))),
+        "certificate": lambda: reports.append(certificates.check_certificate(
+            inst, held["again"], certificates.build_certificate(held["again"])).ok),
+    }, repeats)
     inst_path, trace_path = os.path.join(tmp, "inst.json"), os.path.join(tmp, "trace.json")
     model.dump_instance(inst, inst_path)
     model.write_document(trace.document(), trace_path)
@@ -161,13 +171,9 @@ def trace_case(repeats: int, tmp: str) -> dict:
         reports.append(json.loads(out.getvalue())["check"]["ok"])
 
     return {
-        "stages_s": {
-            "encode": encode,
-            **{name: {"median": statistics.median(s), "samples": s} for name, s in stages.items()},
-            "certify": timed(certify, repeats),
-        },
+        "stages_s": {"encode": encode, **stages, "certify": timed(certify, repeats)},
         "bytes": len(text),
-        "ok": all(reports) and again == trace and not any(codes),
+        "ok": all(reports) and held["again"] == trace and not any(codes),
     }
 
 
@@ -210,16 +216,12 @@ def cli_case(repeats: int, tmp: str) -> dict:
 
     # Each command reads the file the one before it wrote, so the four run
     # in order, once per repeat.
-    stages = {name: [] for name in commands}
-    for _ in range(repeats):
-        for name, argv in commands.items():
-            stages[name].append(timed(lambda: command(name, argv), 1)["samples"][0])
+    stages = in_turn({name: lambda name=name, argv=argv: command(name, argv)
+                      for name, argv in commands.items()}, repeats)
     with open(sched, "rb") as fh:
         written = fh.read()
     return {
-        "stages_s": {
-            name: {"median": statistics.median(s), "samples": s} for name, s in stages.items()
-        },
+        "stages_s": stages,
         "bytes": len(written),
         "sha256": {"schedule": sha256(written), "verify": sha256(printed["verify"].encode()),
                    "metrics": sha256(printed["metrics"].encode())},
@@ -252,19 +254,20 @@ def digit_case(case: str, repeats: int) -> dict:
         inst = generators.generate("adversarial-single-row", 1024, Fraction(load), 1)
     else:
         inst = model.uniform_instance(1024, Fraction(load))
-    # Each repeat drops the previous result before building its own, so
-    # that one schedule (about 240 MB for the hypercube) is alive at a time.
-    last = []
-    keep = lambda build: (last.clear(), last.append(build()))
-    build = lambda: experiment.ALGORITHMS[algorithm](inst, Fraction(load))
-    schedule = timed(lambda: keep(build), repeats)
-    sched = last.pop()
-    reports = []
-    verify = timed(lambda: reports.append(verifier.verify(inst, sched).feasible), repeats)
-    metric = timed(lambda: keep(lambda: model.compute_metrics(inst, sched)), repeats)
-    got = last.pop()
+    # Each repeat builds the schedule, verifies it and takes its metrics, so
+    # that every verify and metrics sample follows exactly one build. The
+    # build drops the previous repeat's schedule and metrics first, so that
+    # one schedule (about 240 MB for the hypercube) is alive at a time.
+    held, reports = {}, []
+    stages = in_turn({
+        "schedule": lambda: (held.clear(), held.update(
+            sched=experiment.ALGORITHMS[algorithm](inst, Fraction(load)))),
+        "verify": lambda: reports.append(verifier.verify(inst, held["sched"]).feasible),
+        "metrics": lambda: held.update(got=model.compute_metrics(inst, held["sched"])),
+    }, repeats)
+    sched, got = held["sched"], held["got"]
     return {
-        "stages_s": {"schedule": schedule, "verify": verify, "metrics": metric},
+        "stages_s": stages,
         "rows": int(sched.src.size),
         "scale_bits": inst.scaled_demands[1].bit_length(),
         "ok": all(reports) and got.makespan == makespan and got.delivered == inst.demands,
@@ -276,15 +279,17 @@ def direct_case(case: str, repeats: int) -> dict:
 
     algorithm, n, load, makespan = DIRECT_CASES[case]
     inst = model.uniform_instance(n, Fraction(load))
-    # One schedule alive at a time, as in digit_case.
-    built = []
-    keep = lambda: (built.clear(), built.append(experiment.ALGORITHMS[algorithm](inst, load)))
-    schedule = timed(keep, repeats)
-    sched = built.pop()
-    reports = []
-    verify = timed(lambda: reports.append(verifier.verify(inst, sched).feasible), repeats)
+    # Build, then verify, once per repeat, with one schedule alive at a
+    # time, as in digit_case.
+    held, reports = {}, []
+    stages = in_turn({
+        "schedule": lambda: (held.clear(), held.update(
+            sched=experiment.ALGORITHMS[algorithm](inst, load))),
+        "verify": lambda: reports.append(verifier.verify(inst, held["sched"]).feasible),
+    }, repeats)
+    sched = held["sched"]
     return {
-        "stages_s": {"schedule": schedule, "verify": verify},
+        "stages_s": stages,
         "rows": int(sched.src.size),
         "ok": all(reports) and sched.horizon == makespan,
     }

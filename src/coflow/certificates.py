@@ -135,7 +135,7 @@ def check_certificate(
 
     both = _objective(cert.senders, scale) + _objective(cert.receivers, scale)
     obj_sum = Fraction(both, 4 * scale * scale)
-    if both < 2 * scale * replay.total:  # 2 obj_sum < alg
+    if 2 * obj_sum < alg:
         failures.append(
             f"dual objective sum {obj_sum} below half of greedy value {alg}"
         )

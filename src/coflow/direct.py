@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 from math import ceil, lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +33,9 @@ import numpy as np
 from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
-    Blocks, Instance, Schedule, as_rows, commodity_columns, common_scale, int_column,
-    integer_document, json_lists, lowest_terms, node_columns, parcel_counts, parcel_schedule,
-    scaled_column, square_sums, step_groups, summable, unit_parcels,
+    Blocks, Instance, Schedule, as_rows, commodity_columns, common_scale, completion, int_column,
+    integer_document, json_lists, node_columns, parcel_counts, parcel_schedule, scaled_column,
+    square_sums, step_groups, summable, unit_parcels,
 )
 from .rational import rational_parser
 
@@ -51,12 +51,11 @@ class TraceReplay(NamedTuple):
     t, t = 0..horizon (t = 0 only when an empty matching or their count fails
     the trace), as tuples that a certificate shares, and ``failure`` is the
     first way the matchings are not a greedy run of the instance (None for a
-    genuine run). ``total`` is the run's total completion time over the scale."""
+    genuine run)."""
 
     senders: tuple[tuple[int, ...], ...]
     receivers: tuple[tuple[int, ...], ...]
     failure: str | None
-    total: int
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,11 @@ class GreedyTrace:
     def horizon(self) -> int:
         return self.schedule.horizon
 
-    @property
+    @cached_property
     def total_completion(self) -> Fraction:
-        return Fraction(self.replay.total, self.scale)
+        """The run's total completion time: each row ships to its own commodity."""
+        total, _ = completion(self.schedule.step, self.schedule.amount)
+        return Fraction(total, self.schedule.scale)
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sender, receiver and rate columns, rates over ``scale``."""
@@ -113,8 +114,7 @@ class GreedyTrace:
         # row, fits common_scale's columns; a node's cap of 1 is ``cap``.
         demand, rate, cap = common_scale(self.instance, schedule)
         step, src, dst = schedule.step, schedule.src, schedule.dst
-        matrix = demand.reshape(n, n)
-        rows, cols = matrix.sum(axis=1), matrix.sum(axis=0)
+        rows, cols = square_sums(demand, n)
         # A genuine run ships at least 1 in every matching but its last, which
         # is not empty (maximality saturates an endpoint of each pair left with
         # residual), so it has at most ceil(total demand) matchings. Any other
@@ -123,14 +123,12 @@ class GreedyTrace:
         if empty.size or horizon > most:
             failure = (f"matching {empty[0]} is empty" if empty.size
                        else f"more matchings than ceil(total demand) = {most}")
-            total = sum(map(mul, (step + 1).tolist(), rate.tolist()))
-            return TraceReplay((tuple(rows.tolist()),), (tuple(cols.tolist()),), failure, total)
+            return TraceReplay((tuple(rows.tolist()),), (tuple(cols.tolist()),), failure)
         sent, received = np.zeros((horizon, n), rate.dtype), np.zeros((horizon, n), rate.dtype)
         np.add.at(sent, (step, src), rate)
         np.add.at(received, (step, dst), rate)
         senders = np.cumsum(np.vstack([rows, -sent]), axis=0).tolist()
         receivers = np.cumsum(np.vstack([cols, -received]), axis=0).tolist()
-        total = sum(map(mul, range(1, horizon + 1), sent.sum(axis=1).tolist()))
         # Walk the steps on the residual: a step fails when its rows on a pair
         # ship more than the pair's residual, or when it leaves a pair with
         # residual and room at both ends (the first such pair, row-major).
@@ -154,7 +152,7 @@ class GreedyTrace:
         else:
             if residual.any():
                 failure = "the matchings leave demand unshipped"
-        return TraceReplay(tuple(map(tuple, senders)), tuple(map(tuple, receivers)), failure, total)
+        return TraceReplay(tuple(map(tuple, senders)), tuple(map(tuple, receivers)), failure)
 
     @property
     def residuals(self) -> tuple:
@@ -200,20 +198,17 @@ class GreedyTrace:
         which the constructor checks."""
         n = instance.n
         if isinstance(obj, dict) and "format" in obj:
-            declared, scale, counts, senders, receivers, rates = integer_document(
+            declared, scale, counts, src, dst, rate = integer_document(
                 obj, "trace", TRACE_FORMAT, ("n", "scale"), ("counts", *TRACE_COLUMNS)
             )
             if declared != n:
                 raise StructuralError(f"trace is for n={declared}, the instance has n={n}")
-            rates, scale = lowest_terms(rates, scale)
-            rate = int_column(rates)
         else:
-            counts, senders, receivers, rate, scale = _matchings_document(obj, n)
-        src, dst = int_column(senders), int_column(receivers)
+            counts, src, dst, rate, scale = _matchings_document(obj, n)
         return GreedyTrace(instance, Schedule(n, counts, src, dst, src, dst, rate, scale))
 
 
-def _matchings_document(obj, n: int) -> tuple[list[int], list[int], list[int], np.ndarray, int]:
+def _matchings_document(obj, n: int) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, int]:
     """The counts, the sender and receiver columns, and the rate column over
     its lowest scale with that scale, of a matchings document."""
     if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] != n:
@@ -232,7 +227,7 @@ def _matchings_document(obj, n: int) -> tuple[list[int], list[int], list[int], n
                 )
     rows = list(chain.from_iterable(raw))
     rate, scale = scaled_column(list(map(rational_parser(), map(itemgetter(2), rows))))
-    senders, receivers = (list(map(itemgetter(k), rows)) for k in (0, 1))
+    senders, receivers = (int_column(list(map(itemgetter(k), rows))) for k in (0, 1))
     return list(map(len, raw)), senders, receivers, rate, scale
 
 
@@ -276,7 +271,7 @@ def _pair_order(live: list[int], residual: list[int], n: int, order: str, rng) -
     if order == "residual":
         return sorted(live, key=lambda k: (-residual[k], k))
     if order == "sums":
-        rows, cols = square_sums(residual, n)
+        rows, cols = (sums.tolist() for sums in square_sums(int_column(residual), n))
         return sorted(live, key=lambda k: (-(rows[k // n] + cols[k % n]), k))
     if order == "random":
         pairs = live[:]

@@ -117,22 +117,18 @@ def _run_cell(cell) -> dict:
     schedule = ALGORITHMS[algorithm](instance, load)
     wall_ms = int(1000 * (time.monotonic() - start))
     report = verify(instance, schedule)
-    row = {
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update({
         "family": family,
         "n": n,
         "B": render_rational(load),
         "algorithm": algorithm,
         "seed": seed,
         "feasible": report.feasible,
+        "max_edge_load": render_rational(report.max_edge_load),
         "wall_time_ms": wall_ms,
-    }
+    })
     if not report.feasible:
-        row.update({
-            "makespan": "", "total_completion": "", "average_completion": "",
-            "max_edge_load": render_rational(report.max_edge_load),
-            "lower_bound_max": "", "ratio_makespan": "", "ratio_avg": "",
-            "oracle_ratio": "",
-        })
         return row
     metrics = compute_metrics(instance, schedule)
     bounds = lower_bounds(n, load)
@@ -151,7 +147,6 @@ def _run_cell(cell) -> dict:
         "makespan": metrics.makespan,
         "total_completion": render_rational(metrics.total_completion),
         "average_completion": render_rational(metrics.average_completion),
-        "max_edge_load": render_rational(report.max_edge_load),
         "lower_bound_max": render_rational(bounds.max_lb),
         "ratio_makespan": render_decimal(Fraction(metrics.makespan) / bounds.max_lb),
         "ratio_avg": render_decimal(metrics.average_completion / bounds.max_lb),

@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from .errors import DimensionError, NegativeDemandError, StructuralError
+from .errors import NegativeDemandError, StructuralError
 from .model import (
-    Instance, _column_instance, int_column, lowest_terms, make_instance, square_sums,
-    uniform_instance,
+    Instance, _check_nodes, _column_instance, int_column, lowest_terms, make_instance,
+    square_sums, uniform_instance,
 )
 
 FAMILIES = ("uniform", "random-sparse", "adversarial-single-row")
@@ -23,8 +23,7 @@ def generate(family: str, n: int, load, seed: int | None = None) -> Instance:
     requested load. adversarial-single-row: one row carrying the whole
     load, the worst case for the ceil(B) bound.
     """
-    if n < 2:  # random-sparse would search forever for a nonzero entry
-        raise DimensionError(f"need at least 2 nodes, got n={n}")
+    _check_nodes(n)  # random-sparse would search forever for a nonzero entry at n < 2
     load = Fraction(load)
     if load <= 0:
         raise NegativeDemandError(f"load bound must be positive, got {load}")
@@ -53,7 +52,7 @@ def random_sparse_instance(n: int, load, seed: int | None) -> Instance:
             if c % (n + 1) and rng.random() < 0.5:  # off the diagonal
                 nums[c] = rng.randint(1, 12) * big // rng.randint(1, 12)
     # The load bound is top / L, so entry x / L becomes x * load / top.
-    top = max(max(part) for part in square_sums(nums, n))
+    top = int(max(sums.max() for sums in square_sums(int_column(nums), n)))
     nums, scale = lowest_terms([x * load.numerator for x in nums], top * load.denominator)
     return _column_instance(n, int_column(nums), scale)
 

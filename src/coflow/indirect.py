@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .model import (
-    INT64_MAX, Blocks, Instance, Schedule, commodity_columns, parcel_schedule, unit_parcels,
+    Blocks, Instance, Schedule, capped, commodity_columns, parcel_schedule, unit_parcels,
 )
 
 class CyclicScheme:
@@ -137,15 +137,14 @@ def round_robin_schedule(
     steps, m = ceil(B/n), bumped when an individual demand exceeds its
     dedicated slot capacity (only possible outside the uniform regime).
     The k-th step of commodity (i, j), on shift j - i, carries min(1, d - k).
-    A horizon past int64 raises ``StructuralError``.
+    A horizon past ``MAX_PARCELS`` raises ``StructuralError``.
     """
     n = instance.n
     load = _regime_load(instance, nominal_load)
     origin, dest, _, _ = commodity_columns(instance)
     parcel, k = unit_parcels(instance)
     m = max(ceil(load / n), int(k.max(initial=-1)) + 1, 1)
-    if (n - 1) * m > INT64_MAX:
-        raise StructuralError(f"round robin's horizon {(n - 1) * m} does not fit in int64")
+    capped((n - 1) * m, "steps")
     shift = (dest - origin) % n
     return parcel_schedule(instance, (n - 1) * m, parcel, (shift[parcel] - 1) * m + k)
 

@@ -13,10 +13,11 @@ columns with :func:`parcel_schedule` from the parcels of :func:`unit_parcels`;
 smearing and the digit routes with :class:`Blocks`, which owns the amount
 table; greedy writes its rows straight into columns. :func:`node_columns`
 is the one node-range check, :func:`summable` the one int64-or-Python-int
-rule for sums, :func:`step_groups` the one sum per (step, edge) and per
-(step, node), and :func:`delivery` the one sum of what reaches each
-commodity's destination. ``Schedule.steps`` gives the rows back as
-``Transfer`` objects.
+rule for sums, :func:`square_sums` the one row and column sum,
+:func:`step_groups` the one sum per (step, edge) and per (step, node),
+:func:`delivery` the one sum of what reaches each commodity's destination,
+:func:`completion` the one total completion time, and :func:`capped` the
+one size refusal. ``Schedule.steps`` gives the rows back as ``Transfer``s.
 Instances, schedules and traces give their documents as fields and numpy
 columns, and :func:`document_text` writes the bytes of ``json.dumps`` of
 their ``to_json()``, each column read off a table of strings where its
@@ -61,9 +62,12 @@ INSTANCE_FORMAT = "coflow-instance-v1"
 ROW_COLUMNS = ("from", "to", "origin", "dest", "amount")
 
 
-def square_sums(flat: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """Row and column sums of the n x n matrix held row-major in ``flat``."""
-    return [sum(flat[a:a + n]) for a in range(0, n * n, n)], [sum(flat[j::n]) for j in range(n)]
+def square_sums(column: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums, exact, of the n x n matrix held row-major in an
+    integer ``column``: int64, or Python ints where :func:`summable` says a
+    sum might not fit."""
+    matrix = summable(column, n).reshape(n, n)
+    return matrix.sum(axis=1), matrix.sum(axis=0)
 
 
 def over_scale(nums: Sequence[int], scale: int, form=lambda q: q) -> list:
@@ -180,10 +184,9 @@ class Instance:
             n, scale, demands = integer_document(
                 obj, "instance", INSTANCE_FORMAT, ("n", "scale"), ("demands",)
             )
-            if len(demands) != n * n:
+            if demands.size != n * n:
                 raise DimensionError(f"demand matrix is not {n}x{n}")
-            demands, scale = lowest_terms(demands, scale)
-            return _column_instance(n, int_column(demands), scale)
+            return _column_instance(n, demands, scale)
         parse = rational_parser()
         try:
             demands = [[parse(x) for x in row] for row in obj["demands"]]
@@ -202,8 +205,11 @@ def make_instance(n: int, demands: Sequence[Sequence]) -> Instance:
 
 
 def _check_nodes(n: int) -> None:
+    """Refuse fewer than 2 nodes, or more demand entries (n^2) than
+    ``MAX_PARCELS``."""
     if n < 2:
         raise DimensionError(f"need at least 2 nodes, got n={n}")
+    capped(n * n, "demand entries")
 
 
 def _column_instance(n: int, column: np.ndarray, scale: int) -> Instance:
@@ -219,8 +225,8 @@ def _column_instance(n: int, column: np.ndarray, scale: int) -> Instance:
         if diagonal[i]:
             raise DiagonalDemandError(f"nonzero diagonal demand at ({i},{i})")
         raise NegativeDemandError(f"negative demand at ({i},{int(negative[i].argmax())})")
-    matrix = summable(matrix, n)  # row and column sums stay exact
-    load = Fraction(int(max(matrix.sum(axis=1).max(), matrix.sum(axis=0).max())), scale)
+    rows, cols = square_sums(column, n)
+    load = Fraction(int(max(rows.max(), cols.max())), scale)
     return Instance(n=n, scaled_demands=(column, scale), load_bound=load)
 
 
@@ -230,7 +236,7 @@ def uniform_instance(n: int, load: Fraction | int | str) -> Instance:
     The diagonal is zeroed, so the actual load bound is ``load*(n-1)/n``;
     the nominal ``load`` parameter is still the one used in bound formulas.
     """
-    _check_nodes(n)  # before dividing by n
+    _check_nodes(n)  # before dividing by n or making n^2 entries
     load = parse_rational(load) if isinstance(load, str) else Fraction(load)
     if load <= 0:
         raise NegativeDemandError(f"load bound must be positive, got {load}")
@@ -301,14 +307,12 @@ def distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen) + column.min(), (np.cumsum(seen) - 1)[shifted]
 
 
-def delivery(origin, dest, src, dst, amount, n: int, arrive=None, leave=None) -> np.ndarray:
-    """What the rows bring to each commodity's destination, less what leaves
-    it there: one exact value per cell (origin, dest) of the n x n matrix,
-    row-major, :func:`summable` over the rows that arrive or leave. Node ids
-    are int64 in 0..n-1. ``arrive`` and ``leave``, the rows with dst == dest
-    and with src == dest, are found when not given."""
-    arrive = np.flatnonzero(dst == dest) if arrive is None else arrive
-    leave = np.flatnonzero(src == dest) if leave is None else leave
+def delivery(origin, dest, src, dst, amount, n: int, arrive, leave) -> np.ndarray:
+    """What the rows ``arrive`` bring to each commodity's destination, less
+    what the rows ``leave`` take out of it: one exact value per cell (origin,
+    dest) of the n x n matrix, row-major, :func:`summable` over those rows.
+    Node ids are int64 in 0..n-1; ``arrive`` and ``leave`` index the rows
+    with dst == dest and with src == dest that are to count."""
     rows = np.concatenate((arrive, leave))
     moved = summable(amount[rows], rows.size)
     np.negative(moved[arrive.size:], out=moved[arrive.size:])  # what leaves
@@ -468,8 +472,6 @@ class Schedule:
             )
             if declared != n:
                 raise StructuralError(f"schedule is for n={declared}, the instance has n={n}")
-            amount, scale = lowest_terms(amount, scale)
-            nodes, amount = list(map(int_column, nodes)), int_column(amount)
         else:
             parse = rational_parser()
             try:
@@ -516,8 +518,9 @@ def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: t
     each scalar a JSON integer and each column a list of them (bool, float,
     string and null refused: np.int64 would truncate 1.9 and take true for
     a node) or an int64 column, which :func:`read_json` gives only for such
-    a list, and a ``scale`` scalar at least 1. Each failure raises
-    ``StructuralError`` naming ``kind``."""
+    a list, and the ``scale`` scalar at least 1. Each failure raises
+    ``StructuralError`` naming ``kind``. The columns come back as
+    :func:`int_column`s, the last one and ``scale`` in lowest terms."""
     if obj["format"] != form:
         raise StructuralError(f"unknown {kind} format {obj['format']!r:.60}")
     try:
@@ -532,8 +535,11 @@ def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: t
             continue
         if type(column) is not list or not set(map(type, column)) <= {int}:
             raise StructuralError(f"malformed {kind}: {key} is not a list of integers")
-    if "scale" in scalars and obj["scale"] < 1:
-        raise StructuralError(f"{kind} scale must be positive, got {obj['scale']}")
+    at = scalars.index("scale")
+    if values[at] < 1:
+        raise StructuralError(f"{kind} scale must be positive, got {values[at]}")
+    values[-1], values[at] = lowest_terms(values[-1], values[at])
+    values[len(scalars):] = map(int_column, values[len(scalars):])
     return values
 
 
@@ -563,22 +569,20 @@ def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def capped(total: int, what: str) -> None:
-    """Refuse a ``total`` of rows, parcels or steps past ``MAX_PARCELS``."""
+    """Refuse a ``total`` of rows, parcels, steps or demand entries past
+    ``MAX_PARCELS``: the one size refusal."""
     if total > MAX_PARCELS:
         raise StructuralError(f"{total} {what} exceed the cap of {MAX_PARCELS}")
 
 
 def parcel_counts(instance: Instance) -> np.ndarray:
-    """ceil(d) for each demand d, in commodity order: its unit parcels, and
-    the fewest rows that ship d at most 1 a row. A count past int64, or a
-    total past ``MAX_PARCELS``, raises ``StructuralError``."""
+    """ceil(d) for each demand d, in commodity order, as int64: its unit
+    parcels, and the fewest rows that ship d at most 1 a row. A total past
+    ``MAX_PARCELS`` raises ``StructuralError`` before the counts narrow."""
     _, _, demand, scale = commodity_columns(instance)
     count = -(-demand.astype(object if scale > INT64_MAX else demand.dtype, copy=False) // scale)
-    if max_abs(count) > INT64_MAX:
-        raise StructuralError(f"{count.max()} unit parcels of one demand do not fit in int64")
-    count = count.astype(np.int64)
     capped(int(summable(count, count.size).sum()), "unit parcels")
-    return count
+    return count.astype(np.int64)
 
 
 def unit_parcels(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -697,6 +701,19 @@ class Blocks:
         return Schedule(n, counts, *columns, np.take(table, code, out=amount, mode="clip"), scale)
 
 
+def completion(step: np.ndarray, amount: np.ndarray) -> tuple[int, int]:
+    """Rows' total completion time, exactly, as a numerator over their
+    amounts' scale: the sum of (step + 1) * amount, each row done at the end
+    of its step, and the last step + 1 (0 and 0 for no rows). ``step`` is
+    ascending int64, as a schedule's rows are step-major."""
+    if not step.size:
+        return 0, 0
+    starts = group_starts(step)
+    done = (step[starts] + 1).tolist()
+    sums = np.add.reduceat(summable(amount, amount.size), starts).tolist()
+    return sum(map(mul, done, sums)), done[-1]
+
+
 @dataclass(frozen=True, eq=False)
 class Metrics:
     """What :func:`compute_metrics` measures. ``scaled_delivered`` holds the
@@ -743,8 +760,8 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     most once. The first bad row, in row order, raises ``StructuralError``.
 
     One pass over the columns: rows are checked with masks, deliveries are
-    summed per commodity by :func:`delivery` and completion per step,
-    exactly, over the schedule's common denominator.
+    summed per commodity by :func:`delivery` and completion by
+    :func:`completion`, exactly, over the schedule's common denominator.
     """
     n = instance.n
     if schedule.n != n:
@@ -772,24 +789,16 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
         raise StructuralError(f"commodity ({u},{v}) leaves its destination at step {s}")
 
     arrivals = np.flatnonzero(dst == dest)
-    got = summable(amount[arrivals], arrivals.size)  # each sum takes one per row
-    when = step[arrivals]
-    total = makespan = 0
-    if got.size:
-        starts = group_starts(when)  # rows are step-major
-        done = (when[starts] + 1).tolist()
-        total = sum(map(mul, done, np.add.reduceat(got, starts).tolist()))
-        makespan = done[-1]
-    scale = schedule.scale
-    total_completion = Fraction(total, scale)
+    total, makespan = completion(step[arrivals], amount[arrivals])
+    total_completion = Fraction(total, schedule.scale)
     demand_sum = instance.total_demand
     avg = total_completion / demand_sum if demand_sum > 0 else Fraction(0)
+    delivered = delivery(origin, dest, src, dst, amount, n, arrivals, arrivals[:0])
     return Metrics(
         makespan=makespan,
         total_completion=total_completion,
         average_completion=avg,
-        scaled_delivered=(delivery(origin, dest, src, dst, amount, n, arrivals, arrivals[:0]),
-                          scale),
+        scaled_delivered=(delivered, schedule.scale),
     )
 
 

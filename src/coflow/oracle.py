@@ -202,7 +202,7 @@ def _one_sided_optimum(instance: Instance, axis: int) -> Fraction:
     # node's pairs ships when does not change the cost.
     column, scale = instance.scaled_demands
     total = 0
-    for s in square_sums(column.tolist(), instance.n)[axis]:
+    for s in square_sums(column, instance.n)[axis].tolist():
         k = 4 * s // scale
         total += (k + 1) * (8 * s - k * scale)
     return Fraction(total, 8 * scale)

@@ -408,9 +408,9 @@ def test_certify_fails_empty_and_surplus_matchings(tmp_path, capsys):
     ("edge-coloring", False), ("round-robin", False), ("auto", False), ("round-robin", True),
 ])
 def test_parcel_counts_past_int64_are_exit_two(tmp_path, capsys, algorithm, nominal):
-    # At B = 10^20 each demand is 10^20 / 3 unit parcels; a nominal B of
-    # 10^20 gives round robin a horizon of 2 ceil(10^20 / 3) steps. Neither
-    # count fits in int64.
+    # At B = 10^20 each of the six demands is 10^20 / 3 unit parcels; a
+    # nominal B of 10^20 gives round robin a horizon of 2 ceil(10^20 / 3)
+    # steps. Neither count fits in int64, and the cap refuses both.
     inst = tmp_path / "inst.json"
     load = "1" if nominal else str(10**20)
     run(capsys, "generate", "--n", "3", "--B", load, "--out", str(inst))
@@ -419,7 +419,8 @@ def test_parcel_counts_past_int64_are_exit_two(tmp_path, capsys, algorithm, nomi
         argv += ["--nominal-B", str(10**20)]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "fit in int64" in err, err
+    total, what = (2, "steps") if nominal else (6, "unit parcels")
+    assert err == f"error: {total * -(-10**20 // 3)} {what} exceed the cap of {MAX_PARCELS}\n"
 
 
 @pytest.mark.parametrize("algorithm", ["edge-coloring", "round-robin", "greedy"])

@@ -75,7 +75,9 @@ def test_delivery_is_the_reference_balance_and_the_metrics_sum(steps, seed, big_
     _, amount, scale = common_scale(inst, sched)
     src, dst, origin, dest, bad_edge, bad_commodity = node_columns(sched, N)
     valid = ~bad_edge & ~bad_commodity & (src != dst) & (amount > 0)
-    got = delivery(origin[valid], dest[valid], src[valid], dst[valid], amount[valid], N)
+    origin, dest, src, dst, amount = (c[valid] for c in (origin, dest, src, dst, amount))
+    got = delivery(origin, dest, src, dst, amount, N,
+                   np.flatnonzero(dst == dest), np.flatnonzero(src == dest))
     assert [F(x, scale) for x in got.tolist()] == want
 
     # Over the rows compute_metrics accepts: its delivered matrix is the
@@ -88,7 +90,8 @@ def test_delivery_is_the_reference_balance_and_the_metrics_sum(steps, seed, big_
     column, scale = metrics.scaled_delivered
     assert scale == clean.scale
     assert column.tolist() == delivery(
-        clean.origin, clean.dest, clean.src, clean.dst, clean.amount, N
+        clean.origin, clean.dest, clean.src, clean.dst, clean.amount, N,
+        np.flatnonzero(clean.dst == clean.dest), np.flatnonzero(clean.src == clean.dest),
     ).tolist()
 
 
@@ -99,7 +102,8 @@ def test_delivery_sums_int64_amounts_past_int64():
     rows = [Transfer(0, 1, 0, 1, F(2**62)), Transfer(2, 1, 0, 1, F(2**62))]
     sched = schedule_from_steps(3, [rows, rows[:1], [Transfer(1, 2, 0, 1, F(2**62))]])
     assert sched.amount.dtype == np.int64
-    got = delivery(sched.origin, sched.dest, sched.src, sched.dst, sched.amount, 3)
+    got = delivery(sched.origin, sched.dest, sched.src, sched.dst, sched.amount, 3,
+                   np.flatnonzero(sched.dst == sched.dest), np.flatnonzero(sched.src == sched.dest))
     assert got.dtype == object and got.tolist() == [0, 2**63, 0, 0, 0, 0, 0, 0, 0]
     clean = schedule_from_steps(3, [rows, rows[:1]])
     assert compute_metrics(inst, clean).delivered[0][1] == 3 * 2**62

@@ -1,8 +1,13 @@
 """Every block scheduler counts its rows before it builds them, and refuses a
 total past ``model.MAX_PARCELS`` with one message naming it; a horizon past
-the cap is refused too, and VLB's memory stays near its rows."""
+the cap is refused too, and so is an instance of more demand entries, and
+VLB's memory stays near its rows."""
 
+import json
 import random
+import resource
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -65,16 +70,51 @@ def test_block_horizon_past_the_cap_is_refused():
 
 
 def test_round_robin_horizon_past_the_cap_is_exit_two(tmp_path, capsys):
-    # A nominal B of 10^15 gives round robin at n = 3 two shifts of
-    # ceil(10^15 / 3) steps each for its six rows.
+    # A nominal B gives round robin n - 1 shifts of ceil(B / n) steps each:
+    # at n = 3 and B = 10^15 the horizon fits in int64, at n = 4 and B =
+    # 10^29 it does not.
     inst = tmp_path / "inst.json"
-    assert main(["generate", "--n", "3", "--B", "1", "--out", str(inst)]) == 0
-    capsys.readouterr()
-    code = main(["schedule", "--algorithm", "round-robin", "--instance", str(inst),
-                 "--nominal-B", str(10**15)])
-    out = capsys.readouterr()
-    assert (code, out.out) == (2, "")
-    assert out.err == f"error: {2 * -(-10**15 // 3)} steps exceed the cap of {model.MAX_PARCELS}\n"
+    for n, nominal in ((3, 10**15), (4, 10**29)):
+        assert main(["generate", "--n", str(n), "--B", "1", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        code = main(["schedule", "--algorithm", "round-robin", "--instance", str(inst),
+                     "--nominal-B", str(nominal)])
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        steps = (n - 1) * -(-nominal // n)
+        assert out.err == f"error: {steps} steps exceed the cap of {model.MAX_PARCELS}\n"
+
+
+# n = 100000 is 10^10 demand entries, 74.5 GiB of int64.
+ENTRIES = f"10000000000 demand entries exceed the cap of {model.MAX_PARCELS}"
+
+
+def test_uniform_instance_past_the_cap_is_refused():
+    with pytest.raises(StructuralError, match=f"^{ENTRIES}$"):
+        model.uniform_instance(100000, 2)
+
+
+def _limited_memory():
+    # At most 4 GB of address space: a command that tried to build the
+    # instance would fail with MemoryError rather than take the machine's.
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_demand_entries_past_the_cap_are_exit_two(tmp_path, command):
+    # The whole command, in its own process: exit 2, one line on stderr (no
+    # traceback) and nothing on stdout.
+    argv = ["generate", "--n", "100000", "--B", "2"]
+    if command == "experiment":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_values": [100000], "load_values": [2],
+                                      "algorithms": ["greedy"]}))
+        argv = ["experiment", "--config", str(config)]
+    done = subprocess.run([sys.executable, "-m", "coflow.cli", *argv], capture_output=True,
+                          text=True, timeout=120, preexec_fn=_limited_memory)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {ENTRIES}\n")
 
 
 def test_vlb_on_one_row_stays_near_its_rows():
