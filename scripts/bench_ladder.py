@@ -8,9 +8,10 @@ Usage (from the repository root):
 
 The cases:
 
-* ``instance-uniform-1024``, ``instance-random-sparse-1024``: write the
-  instance file (``dump_instance``) and read it back (``load_instance``),
-  at n=1024, B=2 (random-sparse with seed 1);
+* ``instance-uniform-1024``, ``instance-random-sparse-1024``: build the
+  instance (``generators.generate``), write the instance file
+  (``dump_instance``) and read it back (``load_instance``), at n=1024, B=2
+  (random-sparse with seed 1), recording the SHA-256 of the file;
 * ``trace-uniform-1024``: greedy trace encode (``model.document_text`` of
   ``GreedyTrace.document``, what ``schedule --trace-out`` writes), decode
   (``GreedyTrace.from_json`` of ``json.loads``), building and checking the
@@ -47,8 +48,11 @@ the record keeps every sample and their median. Where a case's stages feed
 each other (decode and certificate; the four commands; schedule, verify and
 metrics), each repeat runs them all in order, so that every sample follows
 exactly one run of the stage before it. ``--parent PATH`` runs every
-case also against the checkout at PATH (its ``src/``), alternating with this
-one, and records both sides. Each side then runs its own tier-1 suite
+case also against the checkout at PATH (its ``src/``), and records both
+sides. The sides take turns at running first, case by case (this checkout
+first in the first case), and each case's ``first`` names the side that
+ran first, so that a drift of the machine during a case does not always
+favour the same side. Each side then runs its own tier-1 suite
 (``python -m pytest -q --durations=10`` in its checkout), and the record
 keeps its wall time, its summary line and its ten slowest tests. The stamp
 names each side's commit, the SHA-256 of its ``src/coflow/*.py`` (as
@@ -133,13 +137,17 @@ def in_turn(stages: dict, repeats: int) -> dict:
 def instance_case(family: str, repeats: int, tmp: str) -> dict:
     from coflow import generators, model
 
+    generate = timed(lambda: generators.generate(family, 1024, Fraction(2), 1), repeats)
     inst = generators.generate(family, 1024, Fraction(2), 1)
     path = os.path.join(tmp, "inst.json")
     write = timed(lambda: model.dump_instance(inst, path), repeats)
     read = timed(lambda: model.load_instance(path), repeats)
+    with open(path, "rb") as fh:
+        digest = sha256(fh.read())
     return {
-        "stages_s": {"write": write, "read": read},
+        "stages_s": {"generate": generate, "write": write, "read": read},
         "bytes": os.path.getsize(path),
+        "sha256": digest,
         "ok": model.load_instance(path) == inst,
     }
 
@@ -399,10 +407,12 @@ def main(argv=None) -> int:
         "sides": {name: stamp(path) for name, path in sides.items()},
         "cases": {},
     }
-    for case in CASES:
-        record["cases"][case] = {}
-        for name, path in sides.items():
-            result = in_subprocess(case, path, args.repeats)
+    names = list(sides)
+    for k, case in enumerate(CASES):
+        turn = names[k % len(names):] + names[:k % len(names)]
+        record["cases"][case] = {"first": turn[0]}
+        for name in turn:
+            result = in_subprocess(case, sides[name], args.repeats)
             record["cases"][case][name] = result
             medians = ", ".join(
                 f"{stage} {s['median']:.3f} s" for stage, s in result["stages_s"].items()
@@ -420,7 +430,7 @@ def main(argv=None) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    ok = all(side["ok"] for sides_ in record["cases"].values() for side in sides_.values())
+    ok = all(record["cases"][case][name]["ok"] for case in CASES for name in sides)
     return 0 if ok else 1
 
 

@@ -20,7 +20,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import certificates, experiment, generators, oracle
-from .direct import ORDER_CHOICES, TRACE_COLUMNS, GreedyTrace, greedy_schedule
+from .direct import TRACE_COLUMNS, GreedyTrace, greedy_schedule
 from .errors import CoflowError
 from .indirect import elementary_basis_schedule
 from .model import (
@@ -79,7 +79,7 @@ def _build_schedule(args, instance):
     alg = args.algorithm
     nominal = parse_rational(args.nominal_B) if args.nominal_B else None
     if alg == "greedy":
-        schedule, trace = greedy_schedule(instance, order=args.order, seed=args.seed)
+        schedule, trace = greedy_schedule(instance)
         if args.trace_out:
             write_document(trace.document(), args.trace_out)
         return schedule
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--out")
-    p.add_argument("--order", choices=ORDER_CHOICES, default="lex")
     p.add_argument("--dimension", type=int, default=None)
     p.add_argument("--trace-out", help="write the greedy trace (its matchings) here")
     p.add_argument("--nominal-B", help="overstate the load bound used for regime choices")

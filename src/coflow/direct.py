@@ -19,7 +19,6 @@ the instance's common denominator), and a node's cap of 1 is that scale.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,7 +38,6 @@ from .model import (
 )
 from .rational import rational_parser
 
-ORDER_CHOICES = ("lex", "residual", "sums", "random")
 TRACE_FORMAT = "coflow-trace-v1"
 # The row columns of a trace document, in triple order.
 TRACE_COLUMNS = ("from", "to", "rate")
@@ -263,34 +261,14 @@ def _matching_fault(step, src, dst, rate, n: int, cap: int) -> str | None:
     return f"duplicate pair ({s},{d})"
 
 
-def _pair_order(live: list[int], residual: list[int], n: int, order: str, rng) -> list[int]:
-    """The flat indices ``i * n + j`` of the live pairs, in the order the
-    matching visits them; ``live`` is in flat-index order."""
-    if order == "lex":
-        return live
-    if order == "residual":
-        return sorted(live, key=lambda k: (-residual[k], k))
-    if order == "sums":
-        rows, cols = (sums.tolist() for sums in square_sums(int_column(residual), n))
-        return sorted(live, key=lambda k: (-(rows[k // n] + cols[k % n]), k))
-    if order == "random":
-        pairs = live[:]
-        rng.shuffle(pairs)
-        return pairs
-    raise ValueError(f"unknown pair order {order!r}")
-
-
-def greedy_schedule(
-    instance: Instance, order: str = "lex", seed: int | None = None
-) -> tuple[Schedule, GreedyTrace]:
+def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
     """Repeat maximal fractional matchings on the residuals until empty.
 
-    Each matching visits the pairs with residual left in the given order;
+    Each matching visits the pairs with residual left in row-major order;
     each pair takes the largest rate its residual and the two endpoint caps
     allow, so any pair left short has a saturated sender or receiver.
     """
     parcel_counts(instance)  # each row ships at most 1 of its pair: refuse past the cap
-    rng = random.Random(seed) if order == "random" else None
     n = instance.n
     column, scale = instance.scaled_demands
     residual = column.tolist()
@@ -303,7 +281,7 @@ def greedy_schedule(
             raise SchedulingError("greedy exceeded its defensive horizon")
         sent, received = [0] * n, [0] * n
         rows = len(rates)
-        for k in _pair_order(live, residual, n, order, rng):
+        for k in live:
             i, j = divmod(k, n)
             rate = min(residual[k], scale - sent[i], scale - received[j])
             if rate > 0:

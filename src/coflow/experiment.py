@@ -17,7 +17,7 @@ from operator import index
 
 from .certificates import lower_bounds
 from .direct import edge_coloring_schedule, greedy_schedule, smeared_fractional_schedule
-from .errors import SizeGuardError, StructuralError
+from .errors import NegativeDemandError, SizeGuardError, StructuralError
 from .generators import FAMILIES, generate
 from .indirect import (
     auto_schedule,
@@ -27,7 +27,7 @@ from .indirect import (
     round_robin_schedule,
     vlb_lift,
 )
-from .model import compute_metrics, read_json
+from .model import _check_nodes, compute_metrics, read_json
 from .rational import parse_rational, render_decimal, render_rational
 from .verifier import verify
 
@@ -81,6 +81,12 @@ class ExperimentConfig:
         for name in ("repetitions", "workers"):
             if getattr(self, name) < 1:
                 raise StructuralError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # Refuse, before any cell runs, an n or a load bound that generate would.
+        for n in self.n_values:
+            _check_nodes(n)
+        for load in self.load_values:
+            if load <= 0:
+                raise NegativeDemandError(f"load bound must be positive, got {load}")
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":

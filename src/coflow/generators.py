@@ -46,11 +46,19 @@ def random_sparse_instance(n: int, load, seed: int | None) -> Instance:
     """
     load, big = Fraction(load), lcm(*range(1, 13))
     rng = random.Random(seed)
+    bits = rng.getrandbits
+
+    def draw() -> int:
+        """``rng.randint(1, 12)``: the same rejection loop, without its calls."""
+        while (r := bits(4)) >= 12:
+            pass
+        return r + 1
+
     nums = [0] * (n * n)
     while not any(nums):
         for c in range(n * n):
             if c % (n + 1) and rng.random() < 0.5:  # off the diagonal
-                nums[c] = rng.randint(1, 12) * big // rng.randint(1, 12)
+                nums[c] = draw() * big // draw()
     # The load bound is top / L, so entry x / L becomes x * load / top.
     top = int(max(sums.max() for sums in square_sums(int_column(nums), n)))
     nums, scale = lowest_terms([x * load.numerator for x in nums], top * load.denominator)

@@ -41,7 +41,6 @@ from operator import index, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DiagonalDemandError,
@@ -631,8 +630,8 @@ class Blocks:
         self.ring = np.arange(2 * n) % n  # ring[x]: x mod n
         positive = (column > 0).reshape(n, n)
         self.senders = np.flatnonzero(positive.any(axis=1))  # origins of commodities
-        # Commodities per offset: row i of the doubled matrix from column i on.
-        self.per = sliding_window_view(np.tile(positive, 2).ravel(), n)[::2 * n + 1].sum(axis=0)
+        k = np.flatnonzero(positive)  # the commodities' cells i * n + j
+        self.per = np.bincount((k % n - k // n) % n, minlength=n)  # commodities per offset
 
     def add(self, slot: int, run: int, r, src, dst, factor) -> None:
         """Template rows (int columns, ``r`` ascending): in each of the ``run``

@@ -151,11 +151,7 @@ def _check_solution(instance, sender_cap, receiver_cap, horizon, x, duals, objec
 
 
 def solve_completion_lp(
-    instance: Instance,
-    sender_cap: Fraction,
-    receiver_cap: Fraction,
-    max_n: int = DEFAULT_MAX_N,
-    max_horizon: int = DEFAULT_MAX_HORIZON,
+    instance: Instance, sender_cap: Fraction, receiver_cap: Fraction
 ) -> LPSolution:
     """Exact optimum of the completion-time LP over every horizon.
 
@@ -172,26 +168,23 @@ def solve_completion_lp(
         raise StructuralError(
             f"LP caps must be positive, got {sender_cap} and {receiver_cap}"
         )
-    if instance.n > max_n:
-        raise SizeGuardError(
-            f"oracle guard: n={instance.n} exceeds {max_n} (override max_n to force)"
-        )
+    if instance.n > DEFAULT_MAX_N:
+        raise SizeGuardError(f"oracle guard: n={instance.n} exceeds {DEFAULT_MAX_N}")
     start = max(1, ceil(instance.load_bound / max(sender_cap, receiver_cap)))
-    for horizon in range(start, max_horizon + 1):
+    for horizon in range(start, DEFAULT_MAX_HORIZON + 1):
         sol = _solve_at_horizon(instance, sender_cap, receiver_cap, horizon)
         if sol is not None and all(
             y <= horizon + 1 for (kind, _, _), y in sol.duals.items() if kind == "demand"
         ):
             return sol
     raise SizeGuardError(
-        f"oracle guard: no optimum proved within horizon {max_horizon} "
-        "(override max_horizon to force)"
+        f"oracle guard: no optimum proved within horizon {DEFAULT_MAX_HORIZON}"
     )
 
 
-def opt_direct_fractional(instance: Instance, **guards) -> Fraction:
+def opt_direct_fractional(instance: Instance) -> Fraction:
     """Optimal direct fractional total completion time (caps 1, 1)."""
-    return solve_completion_lp(instance, Fraction(1), Fraction(1), **guards).objective
+    return solve_completion_lp(instance, Fraction(1), Fraction(1)).objective
 
 
 def _one_sided_optimum(instance: Instance, axis: int) -> Fraction:

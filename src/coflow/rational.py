@@ -45,8 +45,8 @@ def render_rational(q: Fraction | int) -> str:
         raise StructuralError(f"cannot render a rational: {exc}") from exc
 
 
-def render_decimal(q: Fraction, sig_digits: int = 6) -> str:
-    """Decimal rendering for display only; never used in any exact check."""
+def render_decimal(q: Fraction) -> str:
+    """Six significant digits, for display only; never used in any exact check."""
     if q == 0:
         return "0"
-    return f"{float(q):.{sig_digits}g}"
+    return f"{float(q):.6g}"

@@ -18,12 +18,28 @@ from math import ceil
 
 import numpy as np
 
+from coflow import direct
 from coflow.certificates import CertificateReport
 from coflow.direct import GreedyTrace
 from coflow.errors import NegativeDemandError, SchedulingError, StructuralError
 from coflow.model import Schedule, Transfer, scaled_column
 from coflow.rational import render_rational
 from reference_rows import schedule_from_steps
+
+
+# The orders in which a matching may visit the pairs with residual left:
+# row-major (the package's one order), by residual, by the pair's row and
+# column sums, and shuffled by a seed.
+ORDERS = ("lex", "residual", "sums", "random")
+
+
+def greedy_trace(instance, order, seed=None):
+    """A greedy run of ``instance`` whose matchings visit the pairs in
+    ``order``, as a ``GreedyTrace``: the package's own run for the row-major
+    order, and this module's run for the others."""
+    if order == "lex":
+        return direct.greedy_schedule(instance)[1]
+    return GreedyTrace(instance, greedy_schedule(instance, order, seed)[0])
 
 
 def fraction_matchings(trace):

@@ -86,9 +86,9 @@ def edge_coloring(instance):
     return schedule_from_steps(n, steps)
 
 
-def greedy(instance, order="lex", seed=None):
+def greedy(instance):
     """The schedule of greedy's trace, one step per matching."""
-    _, trace = greedy_schedule(instance, order=order, seed=seed)
+    _, trace = greedy_schedule(instance)
     steps = [
         [Transfer(i, j, i, j, Fraction(p, trace.scale)) for i, j, p in m]
         for m in trace.matchings

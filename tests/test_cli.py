@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_rows import row_document
 
-from coflow import cli
+from coflow import cli, experiment
 from coflow.certificates import build_certificate, check_certificate, lower_bounds
 from coflow.cli import INT_DIGITS_CAP, main, report_text
 from coflow.direct import GreedyTrace, greedy_schedule
@@ -515,6 +515,25 @@ def test_malformed_experiment_config_is_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, "experiment", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err == "error: repetitions must be at least 1, got 0\n"
+
+
+def test_experiment_config_is_refused_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    # A cell that generate would refuse, after cells it would run, is
+    # refused when the config is read: no cell runs and no CSV is written.
+    cfg, rows, ran = tmp_path / "cfg.json", tmp_path / "rows.csv", []
+    monkeypatch.setattr(experiment, "_run_cell", ran.append)
+    for bad, message in (
+        ({"n_values": [4, 100000]}, "10000000000 demand entries exceed the cap of 268435456"),
+        ({"n_values": [4, 1]}, "need at least 2 nodes, got n=1"),
+        ({"load_values": ["2", "0"]}, "load bound must be positive, got 0"),
+        ({"load_values": ["2", "-1/2"]}, "load bound must be positive, got -1/2"),
+    ):
+        obj = {"n_values": [4], "load_values": ["2"], "algorithms": ["greedy"],
+               "output": str(rows)}
+        cfg.write_text(json.dumps({**obj, **bad}))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg))
+        assert (code, out, err, ran) == (2, "", f"error: {message}\n", []), bad
+        assert not rows.exists(), bad
 
 
 GOOD_INSTANCE = {"n": 2, "demands": [["0", "1"], ["0", "0"]]}

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -13,7 +14,9 @@ from coflow.generators import (
     random_sparse_instance,
     single_row_instance,
 )
-from coflow.model import make_instance
+from coflow.model import (
+    _column_instance, int_column, lowest_terms, make_instance, square_sums,
+)
 
 
 def fraction_random_sparse(n, load, seed):
@@ -56,6 +59,29 @@ def test_random_sparse_equals_fraction_reference(n, load):
 ])
 def test_random_sparse_equals_fraction_reference_at_test_sizes(n, load):
     _same_instance(n, load, range(3))
+
+
+def randint_random_sparse(n, load, seed):
+    """``random_sparse_instance`` as it was written with ``rng.randint(1, 12)``
+    for each draw: the reference for the draws' random stream."""
+    load, big = F(load), lcm(*range(1, 13))
+    rng = random.Random(seed)
+    nums = [0] * (n * n)
+    while not any(nums):
+        for c in range(n * n):
+            if c % (n + 1) and rng.random() < 0.5:  # off the diagonal
+                nums[c] = rng.randint(1, 12) * big // rng.randint(1, 12)
+    top = int(max(sums.max() for sums in square_sums(int_column(nums), n)))
+    nums, scale = lowest_terms([x * load.numerator for x in nums], top * load.denominator)
+    return _column_instance(n, int_column(nums), scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 27, 32, 64, 1024])
+def test_random_sparse_draws_as_randint_does(n):
+    cases = ([(load, seed) for load in (F(1, 3), F(2), F(7, 3), F(9)) for seed in range(12)]
+             if n < 1024 else [(F(2), 1)])
+    for load, seed in cases:
+        assert random_sparse_instance(n, load, seed) == randint_random_sparse(n, load, seed)
 
 
 @pytest.mark.parametrize("n,load", [(3, F(1)), (4, F(5, 2)), (6, F(1, 3))])

@@ -55,17 +55,21 @@ def test_lp_solution_reports_flows():
     assert shipped == 1
 
 
-def test_size_guards_fire():
+def test_size_guards_fire(monkeypatch):
     big = uniform_instance(8, F(2))
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match="^oracle guard: n=8 exceeds 6$"):
         opt_direct_fractional(big)
-    # A demand of 30 needs 30 slots, past the default horizon guard of 24.
+    # A demand of 30 needs 30 slots, past the horizon guard of 24.
     long = make_instance(2, [[F(0), F(30)], [F(0), F(0)]])
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError,
+                       match="^oracle guard: no optimum proved within horizon 24$"):
         solve_completion_lp(long, F(1), F(1))
-    # Overrides lift the guards.
-    assert opt_direct_fractional(big, max_n=8, max_horizon=120) > 0
-    assert opt_direct_fractional(long, max_horizon=40) == 465  # 1 + ... + 30
+    # Raised guards let both through.
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_N", 8)
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_HORIZON", 120)
+    assert opt_direct_fractional(big) > 0
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_HORIZON", 40)
+    assert opt_direct_fractional(long) == 465  # 1 + ... + 30
 
 
 def test_search_passes_an_uncertified_horizon(monkeypatch):
@@ -88,9 +92,11 @@ def test_search_passes_an_uncertified_horizon(monkeypatch):
     assert sol.objective == first.objective
 
 
-def test_guard_override_passthrough():
+def test_guard_override_passthrough(monkeypatch):
     inst = uniform_instance(4, F(2))
-    assert opt_direct_fractional(inst, max_horizon=40) == opt_direct_fractional(inst)
+    want = opt_direct_fractional(inst)
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_HORIZON", 40)
+    assert opt_direct_fractional(inst) == want
 
 
 def test_bounds_never_exceed_direct_quadruple(tiny_corpus):
