@@ -44,7 +44,9 @@ The cases:
   1,047,552 rows copied over 2 steps: 2,095,104 rows, makespan 2).
 
 Each stage is timed ``--repeats`` times with the garbage collector on;
-the record keeps every sample and their median. Where a case's stages feed
+the record keeps every sample, their median and the process's RSS
+high-water after each sample (``rss_mb``), so that it shows which stage
+sets a case's ``peak_rss_mb``. Where a case's stages feed
 each other (decode and certificate; the four commands; schedule, verify and
 metrics), each repeat runs them all in order, so that every sample follows
 exactly one run of the stage before it. ``--parent PATH`` runs every
@@ -115,23 +117,34 @@ DIRECT_CASES = {
 }
 
 
+def high_water_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def timed(fn, repeats: int) -> dict:
-    samples = []
+    """The samples, their median, and the process's RSS high-water after
+    each sample (``rss_mb``)."""
+    samples, rss = [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - t0)
-    return {"median": statistics.median(samples), "samples": samples}
+        rss.append(high_water_mb())
+    return {"median": statistics.median(samples), "samples": samples, "rss_mb": rss}
 
 
 def in_turn(stages: dict, repeats: int) -> dict:
-    """Each stage's samples and median, the stages run in order once per
-    repeat, so that each sample follows one run of the stages before it."""
-    samples = {name: [] for name in stages}
+    """Each stage's samples, median and RSS high-waters (as :func:`timed`),
+    the stages run in order once per repeat, so that each sample follows
+    one run of the stages before it."""
+    runs = {name: {"samples": [], "rss_mb": []} for name in stages}
     for _ in range(repeats):
         for name, fn in stages.items():
-            samples[name] += timed(fn, 1)["samples"]
-    return {name: {"median": statistics.median(s), "samples": s} for name, s in samples.items()}
+            one = timed(fn, 1)
+            for field, values in runs[name].items():
+                values += one[field]
+    return {name: {"median": statistics.median(run["samples"]), **run}
+            for name, run in runs.items()}
 
 
 def instance_case(family: str, repeats: int, tmp: str) -> dict:
@@ -317,7 +330,7 @@ def run_case(case: str, repeats: int) -> dict:
             out = direct_case(case, repeats)
         else:
             out = cli_case(repeats, tmp)
-    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out["peak_rss_mb"] = high_water_mb()
     return out
 
 
@@ -415,7 +428,8 @@ def main(argv=None) -> int:
             result = in_subprocess(case, sides[name], args.repeats)
             record["cases"][case][name] = result
             medians = ", ".join(
-                f"{stage} {s['median']:.3f} s" for stage, s in result["stages_s"].items()
+                f"{stage} {s['median']:.3f} s ({s['rss_mb'][0]:.0f} MB)"
+                for stage, s in result["stages_s"].items()
             )
             print(f"{case:<32} {name:<7} {medians}; peak RSS {result['peak_rss_mb']:.1f} MB"
                   f"{'' if result['ok'] else '; NOT OK'}", file=sys.stderr)

@@ -363,7 +363,8 @@ def step_groups(step, src, dst, amount, n: int) -> tuple[tuple[np.ndarray, ...],
         keys, loads, first = _runs(codes, amount, np.arange(codes.size))
     else:
         order = np.argsort(codes)
-        keys, loads, first = _runs(codes[order], amount[order], order)
+        codes = codes[order]  # one copy of the codes alive at a time
+        keys, loads, first = _runs(codes, amount[order], order)
     del codes
     heads = keys // (n * n) * n + keys % n
     order = np.argsort(heads)
@@ -637,7 +638,8 @@ class Blocks:
         """Template rows (int columns, ``r`` ascending): in each of the ``run``
         slots from ``slot``, every commodity (i, j) with (j - i) mod n = r ships
         factor/common of its demand from i + src to i + dst (mod n)."""
-        self.pieces.append((slot, run, r, src % self.n, dst % self.n, np.full(r.shape, factor)))
+        factor = np.broadcast_to(factor, r.shape)  # a view: no column for one factor
+        self.pieces.append((slot, run, r, src % self.n, dst % self.n, factor))
 
     def _rows(self, r: np.ndarray) -> list[np.ndarray]:
         """The origin, dest - origin, demand group and template row of each row
@@ -669,13 +671,13 @@ class Blocks:
         total = sum(map(mul, map(itemgetter(1), pieces), sizes))
         capped(total, "rows")
         capped(horizon, "steps")
+        # The distinct factors, found before the row columns exist: a template
+        # row's table entry less its demand group is its factor's index times G.
+        values = distinct(np.concatenate([piece[5] for piece in pieces]))[0]
         counts, pos = np.zeros(horizon, np.int64), 0
         columns = [np.empty(total, np.int64) for _ in range(5)]  # src, dst, origin, dest, code
-        # Each template row's table entry less its demand group, and the entries used.
-        values, inverse = distinct(np.concatenate([piece[5] for piece in pieces]))
-        entries = np.split(inverse * size, np.cumsum([piece[2].size for piece in pieces]))
         used = np.zeros(len(values) * size, bool)
-        for (slot, run, r, src, dst, _), rows, entry in zip(pieces, sizes, entries):
+        for (slot, run, r, src, dst, factor), rows in zip(pieces, sizes):
             counts[slot:slot + run] = rows
             origin, shift, group, t = self._rows(r)
             # The piece's first slot is written in place, then copied over its run.
@@ -684,7 +686,7 @@ class Blocks:
             np.add(origin, shift, out=dest_at)
             np.take(self.ring, origin + src[t], out=src_at, mode="clip")
             np.take(self.ring, origin + dst[t], out=dst_at, mode="clip")
-            np.add(entry[t], group, out=code_at)
+            np.add((np.searchsorted(values, factor) * size)[t], group, out=code_at)
             used[code_at] = True
             for c in columns if run > 1 else ():
                 c[pos + rows:pos + run * rows].reshape(run - 1, rows)[:] = c[pos:pos + rows]
@@ -767,12 +769,14 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
         raise StructuralError("schedule node count does not match instance")
     step, amount = schedule.step, schedule.amount
     src, dst, origin, dest, bad_node, bad_pair = node_columns(schedule, n)
-    positive = instance.scaled_demands[0] > 0
-    pair = origin * n + dest
-    no_demand = ~positive[np.where(bad_pair, 0, pair)]
     non_positive = amount <= 0
     leaves = src == dest
-    bad = bad_node | bad_pair | no_demand | non_positive | leaves
+    bad = bad_node | bad_pair | non_positive | leaves
+    # The rows before the first bad commodity name pairs of 0..n-1, and only
+    # they can be the first bad row for want of demand.
+    head = int(bad_pair.argmax()) if bad_pair.any() else bad_pair.size
+    no_demand = ~(instance.scaled_demands[0] > 0).reshape(n, n)[origin[:head], dest[:head]]
+    bad[:head] |= no_demand
     if bad.any():
         r = int(bad.argmax())
         s = int(step[r])

@@ -6,15 +6,17 @@ flow conservation (data may wait at a node between steps), that no
 commodity leaves its destination (the destination is a sink), and finally
 demand satisfaction. Problems are reported as violations, never raised.
 
-It is one exact vectorized pass over the whole schedule's columns, with no
-loop over steps or rows. The schedule's amount numerators are brought to
-the common denominator of the demands and the transfers: int64 when every
-sum the pass forms fits in int64, Python ints in ``object`` arrays
-otherwise. Edge loads and node rates are ``model.step_groups`` sums per
-(step, edge) and (step, node), conservation is a running sum over events
-sorted per (commodity, node), what reached each destination is
-``model.delivery``, and every violation record is read off a mask over
-those arrays and sorted into the order a walk over the rows would meet it.
+It is one exact vectorized pass over the schedule's columns, with no loop
+over steps or rows. The schedule's amount numerators are brought to the
+common denominator of the demands and the transfers: int64 when every sum
+the pass forms fits in int64, Python ints in ``object`` arrays otherwise.
+Edge loads and node rates are ``model.step_groups`` sums per (step, edge)
+and (step, node), conservation is a running sum over events sorted per
+(commodity, node), taken over batches of whole commodities of about
+``BATCH`` events so that its temporaries are bounded by a batch, what
+reached each destination is ``model.delivery``, and every violation record
+is read off a mask over those arrays and sorted into the order a walk over
+the rows would meet it.
 The per-row loop in ``tests/reference_verify.py`` is the reference the pass
 must agree with.
 """
@@ -89,10 +91,12 @@ class VerificationReport:
         }
 
 
-# On the object dtype, conservation sums runs of whole keys of about this
-# many events at a time, so that few running sums (Python ints) are alive at
-# once.
-_CHUNK = 1 << 12
+# Conservation runs over batches of whole commodities of about this many
+# balance events (fewer than this many plus one commodity's), so that its
+# event-length temporaries hold one batch on either dtype. On Python ints a
+# batch's running sums are that many new ints of the scale's size, which
+# keeps the batch small; the int64 path pays some 50 numpy calls a batch.
+BATCH = 1 << 12
 
 
 def _edge_checks(step, src, dst, amount, n, scale, row, records) -> tuple[int, bool]:
@@ -122,73 +126,85 @@ def _edge_checks(step, src, dst, amount, n, scale, row, records) -> tuple[int, b
     return int(loads.max(initial=0)), integral
 
 
-def _conservation(comm, demand, step, src, dst, origin, dest, amount, n, horizon):
+def _conservation(comm, demand, step, src, dst, origin, dest, amount, n):
     """The valid rows whose outflow overdraws their (commodity, node): a
     running balance of every (commodity, node) over its events.
 
     The events are keyed (origin*n + dest)*n + node: each origin's stock,
     then per step the outflows in row order and the arrivals, which count
-    from the next step. They are laid out in that order, valid row k of a
-    step whose rows are first..first+count-1 putting its outflow at
-    first + k and its arrival at first + count + k, past the stocks; a
-    stable sort by key keeps each key's events in it. Running sums restart
-    at each key and are taken over chunks of whole keys: one chunk on the
-    int64 dtype, and chunks of about ``_CHUNK`` events on the object dtype.
+    from the next step. The pairs (origin, dest), row-major, are cut into
+    batches where each further ``BATCH`` events (a stock per commodity, two
+    per row) end, and the rows are partitioned by their pair's batch with
+    one stable sort of a narrow batch id. A batch lays out its stocks, then
+    per step the outflows of its rows in that step and their arrivals; a
+    stable sort by key keeps each key's events in that order, and one
+    running sum over the batch restarts at each key. So every event-length
+    temporary, on either dtype, holds one batch: fewer than ``BATCH`` events
+    plus its largest commodity's.
     """
-    stocks = comm.size
-    per_step = np.bincount(step, minlength=horizon)
-    first = np.cumsum(per_step) - per_step
-    out_at = first[step]
-    out_at += np.arange(step.size)
-    out_at += stocks
-    size = stocks + 2 * step.size
-    key = np.empty(size, np.int64)
-    change = np.empty(size, amount.dtype)
-    outflow = np.zeros(size, bool)
-    key[:stocks] = comm * n + comm // n
-    change[:stocks] = demand[comm]
-    at = (origin * n + dest) * n  # in place below: fewer row-sized temporaries
-    at += src
-    key[out_at] = at
-    change[out_at] = amount
-    outflow[out_at] = True
-    at -= src
-    at += dst
-    out_at += per_step[step]  # now each row's arrival
-    key[out_at] = at
-    change[out_at] = amount
-    del out_at, at
-
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    bounds = np.append(group_starts(key), size)  # key g's events: bounds[g]:bounds[g + 1]
-    del key
-    outflow = outflow[order]
-    change = change[order]
-    # Chunks of whole keys; cuts are key (group) indices.
-    chunk = _CHUNK if change.dtype == object else size + 1
-    cuts = sorted({*np.searchsorted(bounds[:-1], np.arange(0, size, chunk)).tolist(),
-                   bounds.size - 1})
+    pair = origin * n  # in place below: one row-sized int64 temporary
+    pair += dest
+    per = np.bincount(pair, minlength=n * n)  # rows per pair
+    batch = 2 * per
+    batch[comm] += 1
+    np.cumsum(batch, out=batch)
+    batch //= BATCH
+    last = int(batch[-1])
+    rows_of = batch.astype(np.min_scalar_type(last))[pair]  # radix-sorted when 16 bits or narrower
+    del pair
+    cut = np.searchsorted(batch, np.arange(last + 2))  # batch b's pairs: cut[b]:cut[b + 1]
+    row_at = np.concatenate(([0], np.cumsum(per)))[cut].tolist()
+    stock_at = np.searchsorted(comm, cut).tolist()
+    cut = cut.tolist()
+    del per, batch
+    order = np.argsort(rows_of, kind="stable")
+    del rows_of
     short = [np.zeros(0, np.int64)]
-    for g0, g1 in zip(cuts, cuts[1:]):
-        lo, hi = bounds[g0], bounds[g1]
-        held = change[lo:hi]
-        if held.dtype == object:  # the chunk's running sums, freed with it
-            held = held.copy()
-        np.negative(held, out=held, where=outflow[lo:hi])
-        local = bounds[g0:g1 + 1] - lo
+    for lo, hi, c0, c1, p0, p1 in zip(row_at, row_at[1:], stock_at, stock_at[1:], cut, cut[1:]):
+        if lo == hi:
+            continue
+        rows, stock = order[lo:hi], comm[c0:c1]
+        k, m = stock.size, hi - lo
+        size = k + 2 * m
+        # Batch row j of a step whose batch rows are first..end-1: its
+        # outflow at k + first + j and its arrival at k + end + j.
+        s = step[rows]
+        bounds = np.ones(m + 1, bool)
+        np.not_equal(s[1:], s[:-1], out=bounds[1:-1])
+        bounds = np.flatnonzero(bounds)  # each step's first batch row, then m
+        run = bounds[1:] - bounds[:-1]
+        j = np.arange(k, k + m)
+        out_at = np.repeat(bounds[:-1], run)
+        out_at += j
+        in_at = np.repeat(bounds[1:], run)
+        in_at += j
+        # Keys counted from the batch's first pair, radix-sorted when they fit 16 bits.
+        at = origin[rows] * n
+        at += dest[rows]
+        at -= p0
+        at *= n
+        key = np.empty(size, np.min_scalar_type((p1 - p0) * n))
+        key[:k] = (stock - p0) * n + stock // n
+        key[out_at] = at + src[rows]
+        at += dst[rows]
+        key[in_at] = at
+        change = np.empty(size, amount.dtype)
+        change[:k] = demand[stock]
+        moved = amount[rows]
+        change[in_at] = moved
+        change[out_at] = np.negative(moved, out=moved)
+        outflow = np.zeros(size, bool)
+        outflow[out_at] = True
+        sort = np.argsort(key, kind="stable")
+        starts = group_starts(key[sort])
+        change = change[sort]
         # Take each key's total off the next key's first event, so that one
         # running sum restarts at every key.
-        totals = np.add.reduceat(held, local[:-1])
-        held[local[1:-1]] -= totals[:-1]
-        del totals
-        np.cumsum(held, out=held)
-        short.append(order[lo:hi][outflow[lo:hi] & (held < 0)])
-
-    # An outflow event sits at stocks + 2 * first[s] + j for row j of step s.
-    events = np.concatenate(short) - stocks
-    s = np.searchsorted(2 * first, events, side="right") - 1
-    return events - first[s]
+        totals = np.add.reduceat(change, starts)
+        change[starts[1:]] -= totals[:-1]
+        np.cumsum(change, out=change)
+        short.append(rows[np.searchsorted(out_at, sort[outflow[sort] & (change < 0)])])
+    return np.concatenate(short)
 
 
 def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
@@ -248,7 +264,7 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
     direct = bool((src == origin).all() and (dst == dest).all())
     max_load, integral = _edge_checks(step, src, dst, amount, n, scale, row, records)
 
-    short = _conservation(comm, demand, step, src, dst, origin, dest, amount, n, schedule.horizon)
+    short = _conservation(comm, demand, step, src, dst, origin, dest, amount, n)
     for k in short.tolist():
         s = int(step[k])
         records.append((

@@ -2,6 +2,8 @@
 between the vectorized pass and the per-row reference loop."""
 
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 from reference_rows import schedule_from_steps
 from reference_verify import verify as _reference_verify
 
+from coflow import verifier
 from coflow.direct import greedy_schedule
 from coflow.errors import StructuralError
-from coflow.indirect import hypercube_schedule
+from coflow.indirect import auto_schedule, hypercube_schedule
 from coflow.model import (
     Transfer,
+    common_scale,
     compute_metrics,
     make_instance,
     uniform_instance,
@@ -210,6 +214,20 @@ amount_st = st.one_of(st.just(F(0)), small_amount_st, big_amount_st)
 transfer_st = st.builds(
     Transfer, src=NODE, dst=NODE, origin=NODE, dest=NODE, amount=amount_st
 )
+steps_st = st.lists(st.lists(transfer_st, max_size=8), max_size=5)
+
+
+def _random_schedules(steps, seed, big_demands):
+    """A random 4-node instance (small or beyond-int64 denominators) and the
+    schedule of ``steps``."""
+    rng = random.Random(seed)
+    den = BIG_PRIME if big_demands else 1
+    demands = [
+        [F(rng.randint(0, 4), rng.randint(1, 4) * den) if i != j else F(0)
+         for j in range(4)]
+        for i in range(4)
+    ]
+    return make_instance(4, demands), schedule_from_steps(4, steps)
 
 
 def _sorted_violations(report):
@@ -218,21 +236,108 @@ def _sorted_violations(report):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    steps=st.lists(st.lists(transfer_st, max_size=8), max_size=5),
+    steps=steps_st,
     seed=st.integers(0, 10**6),
     big_demands=st.booleans(),
 )
 def test_fast_and_reference_paths_agree(steps, seed, big_demands):
-    rng = random.Random(seed)
-    den = BIG_PRIME if big_demands else 1
-    demands = [
-        [F(rng.randint(0, 4), rng.randint(1, 4) * den) if i != j else F(0)
-         for j in range(4)]
-        for i in range(4)
-    ]
-    inst = make_instance(4, demands)
-    sched = schedule_from_steps(4, steps)
+    inst, sched = _random_schedules(steps, seed, big_demands)
     fast = verify(inst, sched)
     ref = _reference_verify(inst, sched)
     assert _sorted_violations(fast) == _sorted_violations(ref)
     assert fast == ref  # the whole report, violations in the loop's order
+
+
+@st.composite
+def forged_schedules(draw):
+    """A genuine schedule of a random instance (small or beyond-int64
+    denominators), then a few of its rows forged: moved to another step,
+    rerouted, resized or duplicated."""
+    n = draw(st.integers(3, 6))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    den = BIG_PRIME if draw(st.booleans()) else 1
+    demands = [
+        [F(rng.randint(0, 3), rng.randint(1, 3) * den) if i != j else F(0) for j in range(n)]
+        for i in range(n)
+    ]
+    demands[0][1] = demands[0][1] or F(1, den)
+    inst = make_instance(n, demands)
+    build = draw(st.sampled_from([hypercube_schedule, auto_schedule,
+                                  lambda inst: greedy_schedule(inst)[0]]))
+    steps = [list(step.transfers) for step in build(inst).steps]
+    rows = [(s, k) for s, step in enumerate(steps) for k in range(len(step))]
+    for _ in range(draw(st.integers(0, 3))):
+        s, k = rows[draw(st.integers(0, len(rows) - 1))]
+        t = steps[s][k]
+        edit = draw(st.sampled_from(["move", "reroute", "resize", "duplicate"]))
+        if edit == "move":
+            steps[draw(st.integers(0, len(steps) - 1))].append(t)
+            steps[s][k] = t._replace(amount=F(0))  # kept in place, reported as non-positive
+        elif edit == "reroute":
+            steps[s][k] = t._replace(dst=draw(st.integers(0, n - 1)))
+        elif edit == "resize":
+            steps[s][k] = t._replace(amount=t.amount * draw(st.sampled_from([F(1, 2), 2, -1])))
+        else:
+            steps[s].insert(k, t)
+    return inst, schedule_from_steps(n, steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.one_of(
+        forged_schedules(),
+        st.builds(_random_schedules, steps_st, st.integers(0, 10**6), st.booleans()),
+    ),
+    batch=st.integers(1, 8),
+)
+def test_batched_conservation_agrees_with_the_reference(case, batch):
+    # With batches of a few events, most batches hold one commodity, most
+    # commodities span several BATCHes, and the cuts fall everywhere.
+    inst, sched = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "BATCH", batch)
+        fast = verify(inst, sched)
+    assert fast == _reference_verify(inst, sched)  # violations in the loop's order
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_a_commodity_larger_than_a_batch(big, monkeypatch):
+    # Commodity (0, 1) ships four rows of 1/8 a step over three steps: 24
+    # events against a batch of 4, beside small commodities on either side,
+    # and its demand of 1/2 is overdrawn from step 1 on.
+    den = BIG_PRIME if big else 1
+    inst = make_instance(3, [[0, F(1, 2 * den), F(1, 4 * den)], [F(1, 4 * den), 0, 0], [0, 0, 0]])
+    eighth, quarter = F(1, 8 * den), F(1, 4 * den)
+    steps = [
+        [Transfer(0, 1, 0, 1, eighth)] * 4 + [Transfer(0, 2, 0, 2, quarter)],
+        [Transfer(0, 1, 0, 1, eighth)] * 4 + [Transfer(1, 0, 1, 0, quarter)],
+        [Transfer(0, 1, 0, 1, eighth)] * 4 + [Transfer(0, 2, 0, 2, quarter)],
+    ]
+    sched = schedule_from_steps(3, steps)
+    monkeypatch.setattr(verifier, "BATCH", 4)
+    rows = Counter((t.origin, t.dest) for step in sched.steps for t in step.transfers)
+    assert 2 * max(rows.values()) > verifier.BATCH  # two balance events a row
+    assert (common_scale(inst, sched)[1].dtype == object) is big
+    report = verify(inst, sched)
+    assert [(v.kind, v.step) for v in report.violations] == (
+        [("conservation", 1)] * 4 + [("conservation", 2)] * 5
+    )
+    assert report == _reference_verify(inst, sched)
+
+
+def test_verify_peak_stays_below_the_schedule():
+    # Conservation's temporaries are bounded by a batch, so what verify holds
+    # beyond a live VLB schedule stays below the schedule's own columns.
+    inst = uniform_instance(64, 2)
+    sched = auto_schedule(inst, nominal_load=F(2))
+    columns = sum(c.nbytes for c in (sched.counts, sched.step, sched.src, sched.dst,
+                                     sched.origin, sched.dest, sched.amount))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = verify(inst, sched)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.feasible
+    assert peak < columns
