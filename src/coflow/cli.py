@@ -154,10 +154,11 @@ def cmd_experiment(args) -> int:
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None}
     )
-    rows = experiment.run_experiment(config)
-    if not config.output:
-        for row in rows:
-            print(",".join(str(row[c]) for c in experiment.CSV_COLUMNS))
+    rows = experiment.stream_rows(config)
+    if config.output:
+        experiment.write_csv(rows, config.output)
+    else:
+        experiment.write_rows(rows, sys.stdout)
     return 0
 
 

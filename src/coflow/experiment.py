@@ -2,17 +2,22 @@
 
 Cells are independent jobs; rows come back in deterministic order no
 matter how many workers run them, and everything except wall time is
-bit-for-bit reproducible from (family, n, B, seed).
+bit-for-bit reproducible from (family, n, B, seed). The grid is lazy and
+rows stream out as cells complete, so a sweep's memory does not grow with
+its cell count.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import index
 
 from .certificates import lower_bounds
@@ -167,35 +172,80 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def run_experiment(config: ExperimentConfig) -> list[dict]:
-    """Run every cell of the grid; returns rows in deterministic order."""
-    cells = [
-        (config.family, n, load, alg, config.seed + rep)
-        for n in config.n_values
-        for load in config.load_values
-        for alg in config.algorithms
-        for rep in range(config.repetitions)
-    ]
+def stream_rows(config: ExperimentConfig) -> Iterator[dict]:
+    """Run the cells of the grid lazily; yields each row, in grid order, as
+    its cell completes."""
+    # product holds each of its inputs as a tuple, so the repetitions, which
+    # may number in the billions, stay a range in the innermost loop.
+    seeds = range(config.seed, config.seed + config.repetitions)
+    cells = ((config.family, n, load, alg, seed)
+             for n, load, alg in product(config.n_values, config.load_values, config.algorithms)
+             for seed in seeds)
+    count = (len(config.n_values) * len(config.load_values) * len(config.algorithms)
+             * config.repetitions)
     # A pool starts all its workers at once, so it gets no more than there
     # are cells to run and cores to run them on.
-    workers = min(config.workers, len(cells), _usable_cores())
+    workers = min(config.workers, count, _usable_cores())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, cells))
-    else:
-        rows = [_run_cell(c) for c in cells]
-    if config.output:
-        write_csv(rows, config.output)
-    return rows
+        return _pooled(cells, workers)
+    return map(_run_cell, cells)
 
 
-def write_csv(rows: list[dict], path: str) -> None:
+def _pool(workers: int):
+    """A pool of ``workers`` processes, started the platform's default way
+    (fork on Linux up to Python 3.13). A sweep on one worker loads no pool
+    modules at all."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    if not hasattr(sys, "get_int_max_str_digits"):  # before 3.10.7: no limit
+        return ProcessPoolExecutor(max_workers=workers)
+    # A worker that is not forked starts at the default int-string limit of
+    # 4,300 digits, which the rationals of a row may pass; it gets the
+    # command's limit instead.
+    return ProcessPoolExecutor(max_workers=workers, initializer=sys.set_int_max_str_digits,
+                               initargs=(sys.get_int_max_str_digits(),))
+
+
+def _pooled(cells: Iterator[tuple], workers: int) -> Iterator[dict]:
+    """Rows of ``cells`` from a pool, in grid order, with at most two cells
+    per worker submitted and not yet yielded. A failed cell, or a consumer
+    that stops early, cancels the cells not yet started."""
+    with _pool(workers) as pool:
+        window = deque()
+        try:
+            for cell in cells:
+                window.append(pool.submit(_run_cell, cell))
+                if len(window) == 2 * workers:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def run_experiment(config: ExperimentConfig) -> list[dict]:
+    """Run every cell of the grid; returns rows in deterministic order.
+    ``config.output`` is not written here: ``write_csv(stream_rows(config),
+    path)`` writes each row as its cell completes."""
+    return list(stream_rows(config))
+
+
+def write_rows(rows: Iterable[dict], fh) -> None:
+    """Write the schema line, the header and then each row as it comes,
+    flushed, so a sweep cut short keeps every row before the cut."""
+    writer = csv.writer(fh)
+    writer.writerow([SCHEMA_VERSION])
+    writer.writerow(CSV_COLUMNS)
+    fh.flush()
+    for row in rows:
+        writer.writerow([row[c] for c in CSV_COLUMNS])
+        fh.flush()
+
+
+def write_csv(rows: Iterable[dict], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([SCHEMA_VERSION])
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([row[c] for c in CSV_COLUMNS])
+        write_rows(rows, fh)
 
 
 def read_csv(path: str) -> list[dict]:
