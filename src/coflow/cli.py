@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import signal
 import sys
 from fractions import Fraction
 from functools import cache
@@ -22,7 +23,6 @@ from json.encoder import encode_basestring_ascii
 from . import certificates, experiment, generators, oracle
 from .direct import TRACE_COLUMNS, GreedyTrace, greedy_schedule
 from .errors import CoflowError
-from .indirect import elementary_basis_schedule
 from .model import (
     compute_metrics,
     document_text,
@@ -83,15 +83,11 @@ def _build_schedule(args, instance):
         if args.trace_out:
             write_document(trace.document(), args.trace_out)
         return schedule
-    if alg == "elementary-basis" and args.dimension is not None:
-        return elementary_basis_schedule(
-            instance, d=args.dimension, nominal_load=nominal
-        )
     return experiment.ALGORITHMS[alg](instance, nominal)
 
 
 def cmd_generate(args) -> int:
-    instance = generators.generate(args.family, args.n, parse_rational(args.B), args.seed)
+    instance = generators.generate(args.family, args.n, parse_rational(args.B), args.seed or 0)
     if args.out:
         dump_instance(instance, args.out)
     else:
@@ -150,15 +146,21 @@ def cmd_oracle(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = experiment.ExperimentConfig.load(args.config)
-    overrides = {"seed": args.seed, "output": args.out or None, "workers": args.workers}
+    overrides = {"seed": args.seed, "workers": args.workers}
     config = dataclasses.replace(
         config, **{k: v for k, v in overrides.items() if v is not None}
     )
     rows = experiment.stream_rows(config)
-    if config.output:
-        experiment.write_csv(rows, config.output)
-    else:
-        experiment.write_rows(rows, sys.stdout)
+    # SIGTERM exits as sys.exit does, through the stream, so that a pool's
+    # shutdown stops its workers; the caller's handler is back after.
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    try:
+        if args.out:
+            experiment.write_csv(rows, args.out)
+        else:
+            experiment.write_rows(rows, sys.stdout)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 
@@ -201,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--out")
-    p.add_argument("--dimension", type=int, default=None)
     p.add_argument("--trace-out", help="write the greedy trace (its matchings) here")
     p.add_argument("--nominal-B", help="overstate the load bound used for regime choices")
 

@@ -36,7 +36,7 @@ from .model import (
     integer_document, json_lists, node_columns, parcel_counts, parcel_schedule, scaled_column,
     square_sums, step_groups, summable, unit_parcels,
 )
-from .rational import rational_parser
+from .rational import parse_rational
 
 TRACE_FORMAT = "coflow-trace-v1"
 # The row columns of a trace document, in triple order.
@@ -224,7 +224,7 @@ def _matchings_document(obj, n: int) -> tuple[list[int], np.ndarray, np.ndarray,
                     f"matching {t}: {x!r} is not [sender, receiver, rate]"
                 )
     rows = list(chain.from_iterable(raw))
-    rate, scale = scaled_column(list(map(rational_parser(), map(itemgetter(2), rows))))
+    rate, scale = scaled_column(list(map(parse_rational, map(itemgetter(2), rows))))
     senders, receivers = (int_column(list(map(itemgetter(k), rows))) for k in (0, 1))
     return list(map(len, raw)), senders, receivers, rate, scale
 

@@ -15,7 +15,7 @@ import sys
 import time
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 from operator import index
@@ -74,7 +74,6 @@ class ExperimentConfig:
     family: str = "uniform"
     seed: int = 0
     repetitions: int = 1
-    output: str | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -100,9 +99,9 @@ class ExperimentConfig:
             if not (isinstance(algorithms, list)
                     and all(type(a) is str for a in algorithms)):
                 raise TypeError(f"algorithms is not a list of names: {algorithms!r}")
-            output = obj.get("output")
-            if not (output is None or type(output) is str):
-                raise TypeError(f"output is not a path or null: {output!r}")
+            unknown = sorted(set(obj) - {f.name for f in fields(ExperimentConfig)})
+            if unknown:
+                raise TypeError(f"unknown key(s) {unknown}")
             return ExperimentConfig(
                 n_values=tuple(index(x) for x in obj["n_values"]),
                 load_values=tuple(parse_rational(str(x)) for x in obj["load_values"]),
@@ -110,7 +109,6 @@ class ExperimentConfig:
                 family=obj.get("family", "uniform"),
                 seed=index(obj.get("seed", 0)),
                 repetitions=index(obj.get("repetitions", 1)),
-                output=output,
                 workers=index(obj.get("workers", 1)),
             )
         except (KeyError, TypeError) as exc:
@@ -226,8 +224,8 @@ def _pooled(cells: Iterator[tuple], workers: int) -> Iterator[dict]:
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Run every cell of the grid; returns rows in deterministic order.
-    ``config.output`` is not written here: ``write_csv(stream_rows(config),
-    path)`` writes each row as its cell completes."""
+    ``write_csv(stream_rows(config), path)`` writes each row as its cell
+    completes."""
     return list(stream_rows(config))
 
 

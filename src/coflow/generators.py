@@ -15,7 +15,7 @@ from .model import (
 FAMILIES = ("uniform", "random-sparse", "adversarial-single-row")
 
 
-def generate(family: str, n: int, load, seed: int | None = None) -> Instance:
+def generate(family: str, n: int, load, seed: int = 0) -> Instance:
     """Build an instance of the named family; reproducible per seed.
 
     uniform: every off-diagonal entry load/n. random-sparse: random small
@@ -36,7 +36,7 @@ def generate(family: str, n: int, load, seed: int | None = None) -> Instance:
     raise StructuralError(f"unknown instance family {family!r}")
 
 
-def random_sparse_instance(n: int, load, seed: int | None) -> Instance:
+def random_sparse_instance(n: int, load, seed: int = 0) -> Instance:
     """Sparse random demands, rescaled so the load bound is exactly ``load``.
 
     Entries are ratios of random integers in 1..12 (kept exact); roughly

@@ -6,8 +6,8 @@ schemes:
 
 * round robin: every nonzero cyclic shift, repeated ceil(B/n) times;
 * offset digits (:class:`CyclicScheme`), for every n: the hypercube in
-  radix 2, the elementary basis in radix ceil(n^(1/d)), and the grid, the
-  elementary basis with d = 2;
+  radix 2, the elementary basis in radix ceil(n^(1/d)), and the grid in
+  radix ceil(n^(1/2));
 * VLB lifting: the offset digits twice, spreading every commodity uniformly
   over all intermediate nodes, to handle arbitrary demand matrices.
 
@@ -20,7 +20,7 @@ time, each row a factor of its commodity's demand.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, isqrt, lcm
 
 import numpy as np
 
@@ -44,8 +44,7 @@ class CyclicScheme:
     horizon d (q-1) ceil(B/q).
     """
 
-    def __init__(self, n: int, q: int, load: Fraction | int = 1):
-        load = Fraction(load)
+    def __init__(self, n: int, q: int, load: Fraction):
         self.powers = [1]
         while self.powers[-1] < n:
             self.powers.append(self.powers[-1] * q)
@@ -86,28 +85,15 @@ def regime_dimension(n: int, load: Fraction) -> int:
     return next(d for d in range(1, n) if load**d >= n)
 
 
-def _elementary_radix(n: int, load: Fraction, d: int | None = None) -> int:
-    """The radix of the elementary basis: the least q with q^d >= n. ``d``
-    defaults to the smallest dimension with B^d >= n (the regime choice for
-    2 <= B <= n), and the scheme then takes the digit count of its radix; a
-    given ``d`` that would leave a digit unused is refused. Without ``d``, B <= 2
-    takes radix 2, as B^d >= n gives 2^d >= n (and B <= 1 has no such d)."""
-    given = d is not None
-    if not given:
-        if load <= 2:
-            return 2
-        d = regime_dimension(n, load)
-    elif d < 1:
-        raise StructuralError(f"dimension must be at least 1, got d={d}")
-    # Past the binary digit count of n - 1 the radix is 2: q**d stays small.
-    q = 2
-    while d <= (n - 1).bit_length() and q**d < n:
+def _elementary_radix(n: int, load: Fraction) -> int:
+    """The radix of the elementary basis: 2 for B <= 2, as B^d >= n gives
+    2^d >= n (and B <= 1 has no such d); above that the least q with
+    q^d >= n, d the smallest dimension with B^d >= n."""
+    if load <= 2:
+        return 2
+    d, q = regime_dimension(n, load), 2
+    while q**d < n:
         q += 1
-    digits = len(CyclicScheme(n, q).rounds)
-    if given and digits < d:
-        raise StructuralError(
-            f"dimension d={d} leaves a digit unused at n={n}: radix {q} needs {digits}"
-        )
     return q
 
 
@@ -155,23 +141,19 @@ def hypercube_schedule(instance: Instance) -> Schedule:
 
 
 def elementary_basis_schedule(
-    instance: Instance,
-    d: int | None = None,
-    nominal_load: Fraction | None = None,
+    instance: Instance, nominal_load: Fraction | None = None
 ) -> Schedule:
-    """Offset-digit routes in radix the least q with q^d >= n.
-
-    ``d`` defaults to the smallest dimension with B^d >= n (the regime
-    choice for 2 <= B <= n), and to radix 2 for B <= 2; a given ``d`` with
-    q^(d-1) >= n, which would leave a digit unused, is refused.
-    """
+    """Offset-digit routes in radix the least q with q^d >= n, d the
+    smallest dimension with B^d >= n (the regime choice for 2 < B <= n), and
+    in radix 2 for B <= 2."""
     load = _regime_load(instance, nominal_load)
-    return _route_directly(instance, _elementary_radix(instance.n, load, d))
+    return _route_directly(instance, _elementary_radix(instance.n, load))
 
 
 def grid_schedule(instance: Instance) -> Schedule:
-    """The two-digit elementary basis: a row shift, then a column shift."""
-    return elementary_basis_schedule(instance, d=2)
+    """Two offset digits in radix the least q with q^2 >= n: a row shift,
+    then a column shift."""
+    return _route_directly(instance, isqrt(instance.n - 1) + 1)
 
 
 def vlb_lift(instance: Instance, nominal_load: Fraction | None = None) -> Schedule:

@@ -48,7 +48,7 @@ from .errors import (
     NegativeDemandError,
     StructuralError,
 )
-from .rational import parse_rational, rational_parser, render_rational
+from .rational import parse_rational, render_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 INT64_MAX = 2**63 - 1
@@ -186,9 +186,8 @@ class Instance:
             if demands.size != n * n:
                 raise DimensionError(f"demand matrix is not {n}x{n}")
             return _column_instance(n, demands, scale)
-        parse = rational_parser()
         try:
-            demands = [[parse(x) for x in row] for row in obj["demands"]]
+            demands = [[parse_rational(x) for x in row] for row in obj["demands"]]
             n = index(obj["n"])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise StructuralError(f"malformed instance: {exc}") from exc
@@ -473,7 +472,6 @@ class Schedule:
             if declared != n:
                 raise StructuralError(f"schedule is for n={declared}, the instance has n={n}")
         else:
-            parse = rational_parser()
             try:
                 steps = [step["transfers"] for step in obj["steps"]]
                 rows = list(chain.from_iterable(steps))
@@ -484,7 +482,8 @@ class Schedule:
                     for get, source in ((itemgetter("from"), rows), (itemgetter("to"), rows),
                                         (itemgetter(0), commodity), (itemgetter(1), commodity))
                 ]
-                amount, scale = scaled_column(list(map(parse, map(itemgetter("amount"), rows))))
+                amounts = map(parse_rational, map(itemgetter("amount"), rows))
+                amount, scale = scaled_column(list(amounts))
                 horizon = index(obj["horizon"])
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise StructuralError(f"malformed schedule: {exc}") from exc

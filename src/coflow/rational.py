@@ -7,8 +7,6 @@ Reports, and the documents earlier versions wrote, render a rational as
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from typing import Callable
 
 from .errors import StructuralError
 
@@ -23,14 +21,6 @@ def parse_rational(text: str | int) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"not a rational: {text!r}") from exc
-
-
-def rational_parser() -> Callable[[object], Fraction]:
-    """``parse_rational`` that parses each distinct string once; make one per
-    document. Only ``str`` values reach the memo: ``1``, ``1.0`` and ``True``
-    hash alike, so every other value goes to ``parse_rational`` each time."""
-    parse_str = cache(parse_rational)
-    return lambda text: parse_str(text) if type(text) is str else parse_rational(text)
 
 
 def render_rational(q: Fraction | int) -> str:

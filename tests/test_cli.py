@@ -320,16 +320,11 @@ def test_nominal_b_flag(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("dimension", ["0", "-1", "5", "20000"])
-def test_dimension_below_one_is_exit_two(tmp_path, capsys, dimension):
-    inst = tmp_path / "inst.json"
-    run(capsys, "generate", "--n", "16", "--B", "4", "--out", str(inst))
-    code, out, err = run(capsys, "schedule", "--algorithm", "elementary-basis",
-                         "--instance", str(inst), "--dimension", dimension)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert "supported size" not in err
+def test_generate_without_a_seed_prints_seed_zero(capsys):
+    argv = ("generate", "--family", "random-sparse", "--n", "6", "--B", "7/3")
+    first, second, zero = (run(capsys, *argv, *seed) for seed in ((), (), ("--seed", "0")))
+    assert first == second == zero
+    assert first[0] == 0 and first[1]
 
 def test_bad_rational_is_exit_two(capsys):
     code, _, err = run(capsys, "bounds", "--n", "4", "--B", "two")
@@ -510,11 +505,24 @@ def test_malformed_experiment_config_is_exit_two(tmp_path, capsys):
         assert code == 2, bad
         assert out == ""
         assert err.startswith("error: malformed experiment config"), bad
+        # Rows go to --out or stdout only: the key is unknown whatever its value.
+        assert ("unknown key(s) ['output']" in err) == ("output" in bad), bad
     # No repetitions would run no cells and print nothing: refused instead.
     cfg.write_text(json.dumps({**obj, "repetitions": 0}))
     code, out, err = run(capsys, "experiment", "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err == "error: repetitions must be at least 1, got 0\n"
+
+
+def test_experiment_config_names_a_key_it_does_not_know(tmp_path, capsys):
+    # A misspelt key would otherwise run with its default: one repetition.
+    cfg, rows = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    cfg.write_text(json.dumps({"n_values": [4], "load_values": ["2"],
+                               "algorithms": ["greedy"], "repetition": 3}))
+    code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out", str(rows))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed experiment config: unknown key(s) ['repetition']\n"
+    assert not rows.exists()
 
 
 def test_experiment_config_is_refused_before_any_cell_runs(tmp_path, capsys, monkeypatch):
@@ -528,10 +536,9 @@ def test_experiment_config_is_refused_before_any_cell_runs(tmp_path, capsys, mon
         ({"load_values": ["2", "0"]}, "load bound must be positive, got 0"),
         ({"load_values": ["2", "-1/2"]}, "load bound must be positive, got -1/2"),
     ):
-        obj = {"n_values": [4], "load_values": ["2"], "algorithms": ["greedy"],
-               "output": str(rows)}
+        obj = {"n_values": [4], "load_values": ["2"], "algorithms": ["greedy"]}
         cfg.write_text(json.dumps({**obj, **bad}))
-        code, out, err = run(capsys, "experiment", "--config", str(cfg))
+        code, out, err = run(capsys, "experiment", "--config", str(cfg), "--out", str(rows))
         assert (code, out, err, ran) == (2, "", f"error: {message}\n", []), bad
         assert not rows.exists(), bad
 

@@ -19,6 +19,7 @@ from coflow import experiment
 from coflow.cli import main
 from coflow.errors import StructuralError
 from coflow.experiment import (
+    ALGORITHMS,
     CSV_COLUMNS,
     SCHEMA_VERSION,
     ExperimentConfig,
@@ -27,6 +28,9 @@ from coflow.experiment import (
     run_experiment,
     write_csv,
 )
+from coflow.generators import FAMILIES, generate
+from coflow.model import compute_metrics
+from coflow.verifier import verify
 
 CONFIG = ExperimentConfig(
     n_values=(4, 8),
@@ -295,3 +299,63 @@ def test_a_billion_repetitions_run_in_flat_memory(tmp_path, workers):
         child.stderr.close()
     assert rows > 0 and more > 100
     assert grown < 4096, f"RSS grew by {grown} kB over {more} rows"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_algorithm_routes_two_nodes(family):
+    # Every scheduler accepts n = 2, the grid too, whose two digits are one
+    # there: its route is the hypercube's.
+    for load in (F(1, 2), F(2), F(3)):
+        instance = generate(family, 2, load, seed=1)
+        for name, build in ALGORITHMS.items():
+            schedule = build(instance, load)
+            assert verify(instance, schedule).feasible, (name, load)
+            assert compute_metrics(instance, schedule).delivered == instance.demands, (name, load)
+
+
+def _group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(experiment._usable_cores() < 2, reason="a pool needs two cores")
+def test_sigterm_ends_a_pooled_sweep_whole(tmp_path):
+    # SIGTERM to the sweep's own process, not to its group, shuts its pool
+    # down: the command exits 128 + SIGTERM, no worker is left, and the rows
+    # written stay. The command runs in its own session, so that nothing it
+    # started outlives the test.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    cfg.write_text(json.dumps({"n_values": [4], "load_values": ["2"],
+                               "algorithms": ["smeared"], "repetitions": 10**6}))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "coflow.cli", "experiment", "--config", str(cfg),
+         "--workers", "2", "--out", str(out)],
+        stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.exists() and _data_rows(out)):
+            assert child.poll() is None, child.stderr.read()
+            assert time.monotonic() < deadline, "no row within 60 s"
+            time.sleep(0.05)
+        written = _data_rows(out)
+        child.send_signal(signal.SIGTERM)
+        code = child.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while _group_alive(child.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = _group_alive(child.pid)
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # the group has ended
+            os.killpg(child.pid, signal.SIGKILL)
+        child.wait(timeout=60)
+        err = child.stderr.read()
+        child.stderr.close()
+    assert (code, err) == (128 + signal.SIGTERM, b"")
+    assert not left, "a pool worker outlived the sweep"
+    rows = read_csv(str(out))
+    assert len(rows) >= written
+    assert {(r["algorithm"], r["feasible"]) for r in rows} == {("smeared", "True")}

@@ -15,6 +15,7 @@ from coflow.certificates import lower_bounds
 from coflow.errors import StructuralError
 from coflow.generators import random_sparse_instance
 from coflow.indirect import (
+    _route_directly,
     auto_schedule,
     elementary_basis_schedule,
     grid_schedule,
@@ -55,7 +56,8 @@ def test_hypercube_makespan_is_log_n(n, makespan):
 )
 def test_elementary_basis_makespan(n, load, d, makespan):
     inst = uniform_instance(n, load)
-    metrics = _check(inst, elementary_basis_schedule(inst, d=d))
+    q = next(q for q in range(2, n + 1) if q**d >= n)
+    metrics = _check(inst, _route_directly(inst, q))
     assert metrics.makespan == makespan
 
 
@@ -87,7 +89,7 @@ def test_elementary_basis_load_just_above_one_returns_at_once():
 def test_base_two_elementary_matches_hypercube():
     inst = uniform_instance(8, F(2))
     hyper = hypercube_schedule(inst)
-    elem = elementary_basis_schedule(inst, d=3)
+    elem = _route_directly(inst, 2)  # d=3
     assert hyper.horizon == elem.horizon
     for a, b in zip(hyper.steps, elem.steps):
         assert sorted(a.transfers) == sorted(b.transfers)
@@ -242,7 +244,7 @@ def test_grid_schedule_phases():
     # and 2 in steps 0 and 1, digit 1 by 3 and 6 in steps 2 and 3.
     inst = uniform_instance(9, F(1))
     sched = grid_schedule(inst)
-    assert sched == elementary_basis_schedule(inst, d=2)
+    assert sched == _route_directly(inst, 3)
     assert _check(inst, sched).makespan == 4
     for s, step in enumerate(sched.steps):
         for t in step.transfers:
@@ -275,9 +277,8 @@ def _size_case(n, load, seed):
     uniform = uniform_instance(n, load)
     direct = [(hypercube_schedule(uniform), 2),
               (elementary_basis_schedule(uniform, nominal_load=load), _radix(n, load))]
-    if n > 2:  # at n=2 the grid's second digit is unused, and refused
-        q = next(q for q in range(2, n + 1) if q * q >= n)
-        direct.append((grid_schedule(uniform), q))
+    q = next(q for q in range(2, n + 1) if q * q >= n)
+    direct.append((grid_schedule(uniform), q))
     for sched, q in direct:
         metrics = _check(uniform, sched)
         assert metrics.delivered == uniform.demands, q
@@ -320,22 +321,6 @@ def test_one_multiplicity_per_radix_overloads_n6():
     one_slot = reference_routes.route_directly(inst, 3, F(2))  # every m = 1
     assert one_slot.horizon == 3
     assert not verify(inst, one_slot).feasible
-
-
-@pytest.mark.parametrize("d", [0, -1, 5, 20000])
-def test_dimension_below_one_rejected(d):
-    # Below 1, or so large that a digit goes unused: refused before 2**d is
-    # formed.
-    match = r"dimension (must be at least 1|d=\d+ leaves a digit unused at n=16)"
-    with pytest.raises(StructuralError, match=match):
-        elementary_basis_schedule(uniform_instance(16, F(4)), d=d)
-
-
-def test_dimension_that_leaves_a_digit_unused_rejected():
-    # n=9, d=3: radix 2 is too small (8 < 9), radix 3 needs only two digits.
-    with pytest.raises(StructuralError, match="radix 3 needs 2"):
-        elementary_basis_schedule(uniform_instance(9, F(3)), d=3)
-    assert elementary_basis_schedule(uniform_instance(9, F(3)), d=2).horizon == 4
 
 
 def test_auto_dispatch_by_load_regime():

@@ -48,7 +48,6 @@ from coflow.model import (
 )
 from coflow.rational import (
     parse_rational,
-    rational_parser,
     render_decimal,
     render_rational,
 )
@@ -726,7 +725,6 @@ def test_metrics_rejects_node_count_mismatch():
 def test_parse_render_round_trip(text, value):
     assert parse_rational(text) == value
     assert parse_rational(render_rational(value)) == value
-    assert rational_parser()(text) == value
     assert render_rational(value) == text
 
 
