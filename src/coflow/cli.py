@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import signal
 import sys
 from fractions import Fraction
@@ -242,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command under Python's int-string limit raised to
-    ``INT_DIGITS_CAP``, and restore the caller's limit after."""
+    ``INT_DIGITS_CAP``, and restore the caller's limit after. A reader that
+    closes stdout early (``| head``) ends the command as SIGPIPE would, exit
+    141, with no error line."""
     args = build_parser().parse_args(argv)
     # Pythons before 3.10.7 have no limit to raise.
     limited = hasattr(sys, "set_int_max_str_digits")
@@ -250,7 +253,22 @@ def main(argv=None) -> int:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(INT_DIGITS_CAP)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # As the signal module's docs advise: stdout goes to devnull, so that
+        # the flush at exit does not fail again. A stdout with no descriptor
+        # (an in-process caller's) is left alone.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 128 + signal.SIGPIPE
     except (CoflowError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -130,7 +130,9 @@ class GreedyTrace:
         # Walk the steps on the residual: a step fails when its rows on a pair
         # ship more than the pair's residual, or when it leaves a pair with
         # residual and room at both ends (the first such pair, row-major).
-        residual, pair = demand.copy(), src * n + dst
+        # pair indexes every step of the walk: intp, which numpy indexes with
+        # as it is, where int32 would be converted at each use.
+        residual, pair = demand.copy(), src * np.intp(n) + dst
         room_s, room_r, square = sent != cap, received != cap, residual.reshape(n, n)
         ends = np.cumsum(schedule.counts).tolist()
         failure = None
@@ -235,7 +237,9 @@ def _matching_fault(step, src, dst, rate, n: int, cap: int) -> str | None:
     one, its first row with a self-loop, a non-positive rate or a pair seen
     before in the step (in that order), else its first sender, then its first
     receiver, whose rates add up to more than ``cap``, a rate of 1. None if
-    there is none. ``src`` and ``dst`` are int64 in 0..n-1."""
+    there is none. ``src`` and ``dst`` are int32 in 0..n-1, as
+    ``model.node_columns`` gives them; ``model.step_groups`` widens its keys
+    where they pass int32."""
     rate = summable(rate, step.size)  # a total sums at most one rate per row
     (_, _, firsts), *sides = step_groups(step, src, dst, rate, n)
     repeat = np.ones(step.size, bool)
@@ -295,7 +299,7 @@ def greedy_schedule(instance: Instance) -> tuple[Schedule, GreedyTrace]:
     # Each row ships to its own commodity. Each pair's rates add up to its
     # demand, so no factor of scale divides every rate: scale is already the
     # least common denominator.
-    src, dst = np.divmod(np.array(cells, np.int64), n)
+    src, dst = np.divmod(np.array(cells, np.int32), n)  # int32, as Schedule holds them
     schedule = Schedule(n, counts, src, dst, src, dst, int_column(rates), scale)
     return schedule, GreedyTrace(instance, schedule)
 

@@ -1,9 +1,14 @@
 """Core domain types: instances, schedules and metrics.
 
 Everything is exact. An instance's demands are integer numerators over one
-common denominator, and a schedule is columnar: its step counts, int64 node
+common denominator, and a schedule is columnar: its step counts, node
 columns and integer amount numerators over one common denominator, so that
-the verifier and the metrics read it in whole-schedule numpy passes.
+the verifier and the metrics read it in whole-schedule numpy passes. Node
+columns are int32 whenever every id fits (:func:`node_column`, which every
+in-range id does: n <= 2^14 by ``MAX_PARCELS``), and so is the cached step
+column when the horizon fits; the two keys that can pass 2^31 widen to
+int64 where they are formed, in :func:`step_groups` and in the verifier's
+conservation.
 :class:`fractions.Fraction` appears only in derived values, in read-only
 views, which take their entries from one memo per instance, and in the
 ``"p/q"`` documents earlier versions wrote: instance and schedule files
@@ -22,8 +27,9 @@ Instances, schedules and traces give their documents as fields and numpy
 columns, and :func:`document_text` writes the bytes of ``json.dumps`` of
 their ``to_json()``, each column read off a table of strings where its
 values' span allows; :func:`read_json` reads each integer column back into
-an int64 column in C, and any other text through ``json``. Types are
-immutable after construction and safe to share across threads.
+an int64 column in C (int32 for the node columns, where every id fits), and
+any other text through ``json``. Types are immutable after construction and
+safe to share across threads.
 
 Time convention: step index ``s`` covers the interval ``[s, s+1]``; data
 moved during step ``s`` completes at time ``s + 1``.
@@ -52,13 +58,18 @@ from .rational import parse_rational, render_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 INT64_MAX = 2**63 - 1
-# The most rows (unit parcels or Blocks rows) or steps of one schedule: its
-# five int64 row columns take 10 GiB at the cap. Past it, nothing is built.
+INT32_MAX = 2**31 - 1
+# The most rows (unit parcels or Blocks rows) or steps of one schedule, and
+# of demand entries (n^2) of one instance: at the cap a schedule's int32 node
+# and int64 amount columns take 6 GiB. Past it, nothing is built.
 MAX_PARCELS = 1 << 28
 COLUMNS_FORMAT = "coflow-columns-v1"
 INSTANCE_FORMAT = "coflow-instance-v1"
+# The node columns of a column or trace document, which read_json reads as
+# int32 where every id fits.
+NODE_COLUMNS = ("from", "to", "origin", "dest")
 # The row columns of a column document, in the order of Schedule's fields.
-ROW_COLUMNS = ("from", "to", "origin", "dest", "amount")
+ROW_COLUMNS = (*NODE_COLUMNS, "amount")
 
 
 def square_sums(column: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +320,9 @@ def delivery(origin, dest, src, dst, amount, n: int, arrive, leave) -> np.ndarra
     """What the rows ``arrive`` bring to each commodity's destination, less
     what the rows ``leave`` take out of it: one exact value per cell (origin,
     dest) of the n x n matrix, row-major, :func:`summable` over those rows.
-    Node ids are int64 in 0..n-1; ``arrive`` and ``leave`` index the rows
+    Node ids are int32 in 0..n-1, and origin*n + dest, below n^2 <= 2^28,
+    fits int32, unlike the keys :func:`step_groups` and the verifier's
+    conservation widen to int64; ``arrive`` and ``leave`` index the rows
     with dst == dest and with src == dest that are to count."""
     rows = np.concatenate((arrive, leave))
     moved = summable(amount[rows], rows.size)
@@ -319,13 +332,27 @@ def delivery(origin, dest, src, dst, amount, n: int, arrive, leave) -> np.ndarra
     return total
 
 
+def node_column(column: np.ndarray) -> np.ndarray:
+    """A node column as a :class:`Schedule` holds it: int32 when every id
+    fits, which every id in 0..n-1 does, and otherwise ``column`` itself
+    (int64, or ``object`` when an id does not fit in int64). The one width
+    rule for node columns: a schedule narrows what its builder did not."""
+    if column.dtype in (np.int32, object):
+        return column
+    if column.size and not -INT32_MAX - 1 <= column.min() <= column.max() <= INT32_MAX:
+        return column
+    return column.astype(np.int32)
+
+
 def node_columns(schedule: Schedule, n: int) -> tuple[np.ndarray, ...]:
-    """The schedule's src, dst, origin and dest columns as int64 (in an
-    ``object`` column, one beyond int64, every id outside 0..n-1 becomes -1),
+    """The schedule's src, dst, origin and dest columns as int32 (in a wider
+    column, one with an id past int32, every id outside 0..n-1 becomes -1),
     and two row masks: an edge node outside 0..n-1, and a commodity that is
-    not two distinct nodes of 0..n-1."""
+    not two distinct nodes of 0..n-1. A key made of them that can pass 2^31
+    is widened where it is formed (:func:`step_groups`, the verifier's
+    conservation)."""
     nodes = [
-        np.where((c >= 0) & (c < n), c, -1).astype(np.int64) if c.dtype == object else c
+        c if c.dtype == np.int32 else np.where((c >= 0) & (c < n), c, -1).astype(np.int32)
         for c in (schedule.src, schedule.dst, schedule.origin, schedule.dest)
     ]
     src, dst, origin, dest = nodes
@@ -352,12 +379,19 @@ def step_groups(step, src, dst, amount, n: int) -> tuple[tuple[np.ndarray, ...],
     """A schedule's rows grouped per (step, edge), keyed (step*n + src)*n +
     dst, per (step, sender), keyed step*n + src, and per (step, receiver),
     keyed step*n + dst: for each, the keys ascending, each group's summed
-    amount and its first row. Node ids are int64 in 0..n-1 and ``amount``
-    is :func:`summable` over the rows. The rows are sorted once, by edge
-    key (not at all when already in that order, as a greedy trace's are);
-    the senders come out sorted with the edges, and only the receivers are
-    sorted again."""
-    codes = (step * n + src) * n + dst  # fits for any schedule and instance in memory
+    amount and its first row. Node ids are int32 in 0..n-1 and ``amount``
+    is :func:`summable` over the rows. The keys are int32 only when every
+    one fits, (last step + 1) * n^2 <= 2^31, and int64 otherwise. The rows
+    are sorted once, by edge key (not at all when already in that order, as
+    a greedy trace's are); the senders come out sorted with the edges, and
+    only the receivers are sorted again."""
+    # numpy keeps int32 * int in int32 and wraps: the key width is the
+    # explicit scalar's. int64 fits for any schedule and instance in memory.
+    top = (int(step.max(initial=0)) + 1) * n * n
+    codes = step * (np.int32 if top <= INT32_MAX + 1 else np.int64)(n)
+    codes += src
+    codes *= n
+    codes += dst
     if (codes[1:] >= codes[:-1]).all():
         keys, loads, first = _runs(codes, amount, np.arange(codes.size))
     else:
@@ -379,13 +413,17 @@ class Schedule:
     Step t moves the next ``counts[t]`` rows, so rows are step-major by
     construction. Row r moves ``Fraction(amount[r], scale)`` of commodity
     (``origin[r]``, ``dest[r]``) over the edge ``src[r]`` -> ``dst[r]``.
-    ``counts`` and the node columns are int64 (a node column is ``object``
-    only when an id does not fit), and ``amount`` holds integer numerators
-    over ``scale``, the lcm of the amounts' denominators: int64, or Python
-    ints in ``object`` when one does not fit. The columns are read-only, and
-    schedules compare by them. Row columns of different lengths, or counts
-    that are negative or do not add up to the row count, raise
-    ``StructuralError``.
+    ``counts`` is int64. The node columns are int32 whenever every id fits
+    (:func:`node_column`, applied here, so that the width is decided in one
+    place and schedules that compare equal have one dtype): int64, or
+    ``object`` when an id does not fit in int64, only where an id is past
+    int32. Builders write int32 directly, so the constructor copies nothing
+    they build. The keys that can pass 2^31 are widened to int64 where they
+    are formed: in :func:`step_groups` and in the verifier's conservation. ``amount`` holds integer numerators over ``scale``, the lcm
+    of the amounts' denominators: int64, or Python ints in ``object`` when
+    one does not fit. The columns are read-only, and schedules compare by
+    them. Row columns of different lengths, or counts that are negative or
+    do not add up to the row count, raise ``StructuralError``.
 
     Most schedulers build one with :class:`Blocks` or
     :func:`parcel_schedule`; ``to_json`` writes the columns as JSON integer
@@ -410,6 +448,11 @@ class Schedule:
         if counts.size and (counts.min() < 0 or counts.max() > rows) or counts.sum() != rows:
             raise StructuralError(f"counts do not add up to {rows} rows")
         object.__setattr__(self, "counts", counts.astype(np.int64))
+        # A column given for two fields (a trace's src and origin) stays one.
+        nodes = {name: getattr(self, name) for name in ("src", "dst", "origin", "dest")}
+        narrow = {id(column): node_column(column) for column in nodes.values()}
+        for name, column in nodes.items():
+            object.__setattr__(self, name, narrow[id(column)])
         for column in (self.counts, *self._columns()):
             column.flags.writeable = False
 
@@ -434,8 +477,10 @@ class Schedule:
 
     @cached_property
     def step(self) -> np.ndarray:
-        """The step of each row, int64: a read-only view, built on first use."""
-        step = np.repeat(np.arange(self.horizon, dtype=np.int64), self.counts)
+        """The step of each row, int32 when the horizon fits (int64 past
+        2^31 steps): a read-only view, built on first use."""
+        dtype = np.int32 if self.horizon <= INT32_MAX + 1 else np.int64
+        step = np.repeat(np.arange(self.horizon, dtype=dtype), self.counts)
         step.flags.writeable = False
         return step
 
@@ -516,10 +561,11 @@ def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: t
     whose ``format`` must be ``form``, checked before anything converts them:
     each scalar a JSON integer and each column a list of them (bool, float,
     string and null refused: np.int64 would truncate 1.9 and take true for
-    a node) or an int64 column, which :func:`read_json` gives only for such
-    a list, and the ``scale`` scalar at least 1. Each failure raises
-    ``StructuralError`` naming ``kind``. The columns come back as
-    :func:`int_column`s, the last one and ``scale`` in lowest terms."""
+    a node) or an int32 or int64 column, which :func:`read_json` gives only
+    for such a list, and the ``scale`` scalar at least 1. Each failure
+    raises ``StructuralError`` naming ``kind``. A list comes back as an
+    :func:`int_column` and a numpy column as itself, the last one and
+    ``scale`` in lowest terms."""
     if obj["format"] != form:
         raise StructuralError(f"unknown {kind} format {obj['format']!r:.60}")
     try:
@@ -530,7 +576,7 @@ def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: t
         names = ", ".join(scalars[:-1]) + " and " + scalars[-1]
         raise StructuralError(f"malformed {kind}: {names} must be integers")
     for key, column in zip(columns, values[len(scalars):]):
-        if isinstance(column, np.ndarray) and column.dtype == np.int64:
+        if isinstance(column, np.ndarray) and column.dtype in (np.int32, np.int64):
             continue
         if type(column) is not list or not set(map(type, column)) <= {int}:
             raise StructuralError(f"malformed {kind}: {key} is not a list of integers")
@@ -538,7 +584,8 @@ def integer_document(obj: dict, kind: str, form: str, scalars: tuple, columns: t
     if values[at] < 1:
         raise StructuralError(f"{kind} scale must be positive, got {values[at]}")
     values[-1], values[at] = lowest_terms(values[-1], values[at])
-    values[len(scalars):] = map(int_column, values[len(scalars):])
+    values[len(scalars):] = (c if isinstance(c, np.ndarray) else int_column(c)
+                             for c in values[len(scalars):])
     return values
 
 
@@ -558,12 +605,12 @@ def lowest_terms(nums: list[int] | np.ndarray, scale: int) -> tuple[list[int] | 
 
 
 def commodity_columns(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Origin and destination columns of every commodity, in
-    ``Instance.commodities()`` order, and their demands as integer
-    numerators over the instance's common denominator, with that
-    denominator."""
+    """Origin and destination columns of every commodity, int32 as a
+    schedule's node columns, in ``Instance.commodities()`` order, and their
+    demands as integer numerators over the instance's common denominator,
+    with that denominator."""
     column, scale = instance.scaled_demands
-    cells = np.flatnonzero(column > 0)
+    cells = np.flatnonzero(column > 0).astype(np.int32)  # below n^2 <= MAX_PARCELS
     return cells // instance.n, cells % instance.n, column[cells], scale
 
 
@@ -674,7 +721,8 @@ class Blocks:
         # row's table entry less its demand group is its factor's index times G.
         values = distinct(np.concatenate([piece[5] for piece in pieces]))[0]
         counts, pos = np.zeros(horizon, np.int64), 0
-        columns = [np.empty(total, np.int64) for _ in range(5)]  # src, dst, origin, dest, code
+        # src, dst, origin and dest, int32 as the schedule holds them, and code.
+        columns = [*(np.empty(total, np.int32) for _ in range(4)), np.empty(total, np.int64)]
         used = np.zeros(len(values) * size, bool)
         for (slot, run, r, src, dst, factor), rows in zip(pieces, sizes):
             counts[slot:slot + run] = rows
@@ -812,11 +860,11 @@ def json_lists(document: dict) -> dict:
 
 
 def column_text(column: np.ndarray) -> str:
-    """``json.dumps(column.tolist())``. An int64 column whose values span at
-    most its size is read off a table of the strings of the values it holds,
-    placed over that span, and joined in C; any other column goes to
+    """``json.dumps(column.tolist())``. An int32 or int64 column whose values
+    span at most its size is read off a table of the strings of the values it
+    holds, placed over that span, and joined in C; any other column goes to
     ``json.dumps``."""
-    if column.dtype == np.int64 and column.size:
+    if column.dtype in (np.int32, np.int64) and column.size:
         low, high = int(column.min()), int(column.max())
         if high - low <= column.size:
             held = np.flatnonzero(np.bincount(column - low))
@@ -855,16 +903,17 @@ WHITESPACE = json.decoder.WHITESPACE.match
 scan_value = json.JSONDecoder().scan_once
 
 
-def canonical_column(text: str, start: int) -> tuple[np.ndarray, int] | None:
-    """The int64 column of the JSON list that opens at ``text[start]``, and
-    the index after it, when that list is the :func:`column_text` of the
+def canonical_column(text: str, start: int, dtype=np.int64) -> tuple[np.ndarray, int] | None:
+    """The ``dtype`` column of the JSON list that opens at ``text[start]``,
+    and the index after it, when that list is the :func:`column_text` of the
     column, so that it decodes to the column's values as ``json.loads``
-    would; None for any other text."""
+    would (a value that wrapped in ``dtype`` does not); None for any other
+    text."""
     end = text.find("]", start) + 1
     if not end:
         return None
     try:
-        column = np.fromstring(text[start + 1:end - 1], np.int64, sep=",")
+        column = np.fromstring(text[start + 1:end - 1], dtype, sep=",")
     except ValueError:  # text numpy does not read as integers
         return None
     return (column, end) if column_text(column) == text[start:end] else None
@@ -873,8 +922,11 @@ def canonical_column(text: str, start: int) -> tuple[np.ndarray, int] | None:
 def scan_object(text: str, columns: tuple) -> dict | None:
     """``json.loads(text)`` when ``text`` is one JSON object, each key's
     value read by json's own scanner but a :func:`canonical_column` under a
-    key in ``columns``, which stays an int64 column; None when ``text`` is
-    not a JSON object, or is one that ``json.loads`` refuses."""
+    key in ``columns``, which stays an int64 column, or an int32 one under a
+    key in ``NODE_COLUMNS`` (the ids of a list with one past int32 go to
+    json's scanner): each node column is parsed straight into the width a
+    :class:`Schedule` holds it in. None when ``text`` is not a JSON object,
+    or is one that ``json.loads`` refuses."""
     try:
         document, i = {}, WHITESPACE(text).end()
         if not text.startswith("{", i):
@@ -888,7 +940,8 @@ def scan_object(text: str, columns: tuple) -> dict | None:
             if not text.startswith(":", i):
                 return None
             i = WHITESPACE(text, i + 1).end()
-            column = key in columns and text.startswith("[", i) and canonical_column(text, i)
+            column = key in columns and text.startswith("[", i) and canonical_column(
+                text, i, np.int32 if key in NODE_COLUMNS else np.int64)
             document[key], i = column or scan_value(text, i)
             i = WHITESPACE(text, i).end()
             if not text.startswith(",", i):
@@ -902,10 +955,11 @@ def scan_object(text: str, columns: tuple) -> dict | None:
 def read_json(path: str, columns: tuple = ()):
     """The JSON document in ``path``, as ``json.load`` reads it, but that
     the value of each key in ``columns`` written as :func:`column_text`
-    writes it is an int64 column (see :func:`scan_object`). Text that does
-    not decode (not UTF-8, not JSON, or an integer literal beyond Python's
-    int-string limit, 4,300 digits by default and ``cli.INT_DIGITS_CAP`` in a
-    command) raises ``StructuralError``, with ``json``'s message."""
+    writes it is an int64 column, or int32 for a node column (see
+    :func:`scan_object`). Text that does not decode (not UTF-8, not JSON, or
+    an integer literal beyond Python's int-string limit, 4,300 digits by
+    default and ``cli.INT_DIGITS_CAP`` in a command) raises
+    ``StructuralError``, with ``json``'s message."""
     try:
         with open(path) as fh:
             text = fh.read()

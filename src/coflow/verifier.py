@@ -140,9 +140,10 @@ def _conservation(comm, demand, step, src, dst, origin, dest, amount, n):
     stable sort by key keeps each key's events in that order, and one
     running sum over the batch restarts at each key. So every event-length
     temporary, on either dtype, holds one batch: fewer than ``BATCH`` events
-    plus its largest commodity's.
+    plus its largest commodity's. Node ids are int32, and so is each pair
+    (below n^2); the keys, up to n^3, are formed in int64.
     """
-    pair = origin * n  # in place below: one row-sized int64 temporary
+    pair = origin * n  # in place below: one row-sized int32 temporary, below n^2
     pair += dest
     per = np.bincount(pair, minlength=n * n)  # rows per pair
     batch = 2 * per
@@ -178,8 +179,10 @@ def _conservation(comm, demand, step, src, dst, origin, dest, amount, n):
         out_at += j
         in_at = np.repeat(bounds[1:], run)
         in_at += j
-        # Keys counted from the batch's first pair, radix-sorted when they fit 16 bits.
-        at = origin[rows] * n
+        # Keys counted from the batch's first pair, radix-sorted when they fit
+        # 16 bits. They pass int32 (a sparse batch spans up to n^2 pairs, n
+        # keys each): the explicit int64 n keeps numpy from wrapping them.
+        at = origin[rows] * np.int64(n)
         at += dest[rows]
         at -= p0
         at *= n

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction as F
@@ -1015,3 +1016,34 @@ def test_every_report_prints_as_json_dumps_with_indent_two():
     for report in reports:
         obj = report if isinstance(report, dict) else report.to_json()
         assert report_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_a_closed_stdout_ends_the_command_as_sigpipe_would():
+    # ``coflow generate --n 300 --B 2 | head -c 20``: the reader closes the
+    # pipe after 20 of some 270 kB. The command exits 128 + SIGPIPE, as
+    # SIGTERM gives 143, and prints no error line, not even at exit.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "coflow.cli", "generate", "--n", "300", "--B", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        head = child.stdout.read(20)
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert head == b'{"format": "coflow-i'
+    assert (child.returncode, err) == (141, b"")
+
+
+def test_a_closed_stdout_in_process_keeps_the_callers_stdout(monkeypatch):
+    # A caller's stdout with no file descriptor is not pointed at devnull.
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cmd_bounds", closed)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["bounds", "--n", "4", "--B", "2"])
+        assert sys.stdout is out
+    assert (code, out.getvalue()) == (141, "")

@@ -26,6 +26,7 @@ from coflow.experiment import ALGORITHMS
 from coflow.generators import FAMILIES, generate
 from coflow.model import (
     INT64_MAX,
+    NODE_COLUMNS,
     ROW_COLUMNS,
     Instance,
     Schedule,
@@ -282,7 +283,7 @@ def test_schedule_from_steps_round_trip():
     assert sched.horizon == 5
     assert [list(step.transfers) for step in sched.steps] == steps
     assert sched.src.dtype == sched.amount.dtype == object
-    assert sched.step.dtype == np.int64
+    assert sched.step.dtype == np.int32  # the horizon fits
     # One Fraction per distinct amount, however often the rows repeat it.
     assert sched.steps[0].transfers[0].amount is sched.steps[2].transfers[3].amount
     assert sched == schedule_from_steps(3, steps)
@@ -290,7 +291,7 @@ def test_schedule_from_steps_round_trip():
     assert Schedule.from_json(json.loads(json.dumps(sched.to_json())), 3) == sched
     assert Schedule.from_json(json.loads(json.dumps(row_document(sched))), 3) == sched
     small = schedule_from_steps(2, [[Transfer(0, 1, 0, 1, half)], []])
-    assert small.src.dtype == small.amount.dtype == np.int64
+    assert (small.src.dtype, small.amount.dtype) == (np.int32, np.int64)
     assert small.scale == 2
 
 
@@ -430,7 +431,8 @@ def wire_documents() -> tuple:
 def _outcome(read, kind: str, instance: Instance):
     """The document ``read()`` gives, with its columns as lists, and what
     ``from_json`` builds of it; an error as its type and message. Only the
-    document's column keys may hold numpy columns, and only int64 ones."""
+    document's column keys may hold numpy columns: int32 node columns and
+    int64 others."""
     build = {"instance": Instance.from_json,
              "schedule": lambda doc: Schedule.from_json(doc, instance.n),
              "trace": lambda doc: GreedyTrace.from_json(doc, instance)}[kind]
@@ -442,7 +444,8 @@ def _outcome(read, kind: str, instance: Instance):
     if isinstance(doc, dict):
         for key, value in doc.items():
             if isinstance(value, np.ndarray):
-                assert key in COLUMNS[kind] and value.dtype == np.int64, key
+                assert key in COLUMNS[kind] and value.dtype == (
+                    np.int32 if key in NODE_COLUMNS else np.int64), key
         plain = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
     try:
         built = build(doc)
@@ -453,7 +456,7 @@ def _outcome(read, kind: str, instance: Instance):
 
 def assert_read_as_json_reads(text: str, kind: str, instance: Instance, path: str) -> None:
     """``read_json(path, columns)`` gives what ``json.load`` gives, each
-    column it reads as an int64 column holding the same values, and the same
+    column it reads as a numpy column holding the same values, and the same
     instance, schedule or trace (dtypes included), or the same error."""
     with open(path, "w") as fh:
         fh.write(text)

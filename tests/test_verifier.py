@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_rows import schedule_from_steps
@@ -16,6 +17,8 @@ from coflow.direct import greedy_schedule
 from coflow.errors import StructuralError
 from coflow.indirect import auto_schedule, hypercube_schedule
 from coflow.model import (
+    INSTANCE_FORMAT,
+    Instance,
     Transfer,
     common_scale,
     compute_metrics,
@@ -341,3 +344,60 @@ def test_verify_peak_stays_below_the_schedule():
         tracemalloc.stop()
     assert report.feasible
     assert peak < columns
+
+
+def _sparse_instance(n, demands):
+    """The n-node instance with demand d at each (i, j): d of ``demands``,
+    and 0 elsewhere."""
+    column = np.zeros(n * n, np.int64)
+    for (i, j), d in demands.items():
+        column[i * n + j] = d
+    return Instance.from_json({"format": INSTANCE_FORMAT, "n": n, "scale": 1, "demands": column})
+
+
+def _assert_same_report(report, want):
+    """``report == want``, with the unmet demand compared as columns over
+    one scale: at n = 2048 its n x n ``Fraction`` views take seconds."""
+    fields = lambda r: (r.feasible, r.violations, r.max_edge_load, r.is_integral, r.is_direct,
+                        r.scaled_unmet[1])
+    assert fields(report) == fields(want)
+    assert np.array_equal(report.scaled_unmet[0], want.scaled_unmet[0])
+
+
+def test_conservation_keys_past_int32_stay_apart():
+    # At n = 2048 the keys of (0, 1) and (1024, 1), (pair*n + node) with
+    # pairs 1 and 2^21 + 1, differ by 2^32 at every node, and both pairs fall
+    # in one batch. (1024, 1) relays through node 5; (0, 1) leaves node 5,
+    # where it holds none, before that relay moves on. In int32 the relay's
+    # arrival would pay for the forged row.
+    n = 2048
+    inst = _sparse_instance(n, {(0, 1): 1, (1024, 1): 1})
+    sched = schedule_from_steps(n, [
+        [Transfer(1024, 5, 1024, 1, F(1))],
+        [Transfer(5, 1, 0, 1, F(1))],
+        [Transfer(5, 1, 1024, 1, F(1))],
+    ])
+    report = verify(inst, sched)
+    assert [(v.kind, v.step, v.where) for v in report.violations] == [
+        ("conservation", 1, (0, 1, 5))]
+    _assert_same_report(report, _reference_verify(inst, sched))
+
+
+def test_edge_keys_past_int32_keep_their_step():
+    # At n = 1024 a row in step 2100 has the edge key (2100*n + src)*n + dst
+    # above 2^31: its capacity and node-rate records keep step 2100, after
+    # those of step 0.
+    n = 1024
+    inst = _sparse_instance(n, {(0, 1): 2, (0, 2): 1, (3, 4): 2})
+    steps = [[] for _ in range(2101)]
+    steps[0] = [Transfer(3, 4, 3, 4, F(1)), Transfer(3, 4, 3, 4, F(1))]
+    steps[2100] = [Transfer(0, 1, 0, 1, F(1)), Transfer(0, 2, 0, 2, F(1)),
+                   Transfer(0, 1, 0, 1, F(1))]
+    sched = schedule_from_steps(n, steps)
+    assert (2100 * n + 0) * n + 1 > 2**31
+    report = verify(inst, sched)
+    assert [(v.kind, v.step, v.where) for v in report.violations] == [
+        ("capacity", 0, (3, 4)), ("node_rate", 0, (3,)), ("node_rate", 0, (4,)),
+        ("capacity", 2100, (0, 1)), ("node_rate", 2100, (0,)), ("node_rate", 2100, (1,)),
+    ]
+    _assert_same_report(report, _reference_verify(inst, sched))
