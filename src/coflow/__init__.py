@@ -28,6 +28,7 @@ from .indirect import (
 from .model import (
     Instance,
     Metrics,
+    ScaledMatrix,
     Schedule,
     Step,
     Transfer,
@@ -45,7 +46,7 @@ from .verifier import VerificationReport, verify
 
 __all__ = [
     "BoundsReport", "DualCertificate", "GreedyTrace",
-    "Instance", "Metrics", "Schedule", "Step",
+    "Instance", "Metrics", "ScaledMatrix", "Schedule", "Step",
     "Transfer", "VerificationReport", "auto_schedule", "build_certificate",
     "check_certificate", "compute_metrics",
     "edge_coloring_schedule", "elementary_basis_schedule", "greedy_schedule",

@@ -71,12 +71,15 @@ def build_certificate(trace: GreedyTrace) -> DualCertificate:
 @dataclass(frozen=True)
 class CertificateReport:
     """``obj_sum`` is None for a certificate whose scale or table shape is
-    not its trace's."""
+    not its trace's. :attr:`ok` is derived: no failures."""
 
-    ok: bool
     failures: tuple[str, ...]
     total_completion: Fraction
     obj_sum: Fraction | None
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -119,7 +122,7 @@ def check_certificate(
             and _shaped_like(cert.senders, replay.senders)
             and _shaped_like(cert.receivers, replay.receivers)):
         failures.append("the certificate's scale or table shape does not match the trace")
-        return CertificateReport(False, tuple(failures), alg, None)
+        return CertificateReport(tuple(failures), alg, None)
 
     n, steps = len(replay.senders[0]), len(replay.senders)
     first = lambda bad: next(((i, t) for i in range(n) for t in range(steps) if bad(i, t)), None)
@@ -139,12 +142,7 @@ def check_certificate(
         failures.append(
             f"dual objective sum {obj_sum} below half of greedy value {alg}"
         )
-    return CertificateReport(
-        ok=not failures,
-        failures=tuple(failures),
-        total_completion=alg,
-        obj_sum=obj_sum,
-    )
+    return CertificateReport(tuple(failures), alg, obj_sum)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ import numpy as np
 from .coloring import color_bipartite_multigraph
 from .errors import SchedulingError, StructuralError
 from .model import (
-    Blocks, Instance, Schedule, as_rows, commodity_columns, common_scale, completion, int_column,
+    Blocks, Instance, Schedule, commodity_columns, common_scale, completion, int_column,
     integer_document, json_lists, node_columns, parcel_counts, parcel_schedule, scaled_column,
     square_sums, step_groups, summable, unit_parcels,
 )
@@ -161,11 +161,11 @@ class GreedyTrace:
         step rebuilds only the rows its matching ships from, and every entry
         comes from the instance's ``fractions`` memo, so equal entries of two
         traces' views are the same object."""
-        n, (column, den) = self.instance.n, self.instance.scaled_demands
-        value = self.instance.fractions(self.scale).__getitem__
-        residual = [x * (self.scale // den) for x in column.tolist()]
-        view = list(as_rows(list(map(value, residual)), n))
-        rows = list(map(list, view))
+        n, demands = self.instance.n, self.instance.scaled_demands
+        value, up = self.instance.fractions(self.scale).__getitem__, self.scale // demands.scale
+        residual = [x * up for x in demands.column.tolist()]
+        rows = demands.rows(lambda x: value(x * up))
+        view = list(map(tuple, rows))
         out = [tuple(view)]
         for triples in self.matchings:
             for i, j, p in triples:

@@ -1,14 +1,16 @@
 """Core domain types: instances, schedules and metrics.
 
-Everything is exact. An instance's demands are integer numerators over one
-common denominator, and a schedule is columnar: its step counts, node
-columns and integer amount numerators over one common denominator, so that
-the verifier and the metrics read it in whole-schedule numpy passes. Node
-columns are int32 whenever every id fits (:func:`node_column`, which every
-in-range id does: n <= 2^14 by ``MAX_PARCELS``), and so is the cached step
-column when the horizon fits; the two keys that can pass 2^31 widen to
-int64 where they are formed, in :func:`step_groups` and in the verifier's
-conservation.
+Everything is exact. An instance's demands, and the delivered and unmet
+matrices of the reports, are each a :class:`ScaledMatrix`, the one
+exact-matrix value: integer numerators over one common denominator, with
+one equality on integers and one row view. A schedule is columnar: its
+step counts, node columns and integer amount numerators over one common
+denominator, so that the verifier and the metrics read it in
+whole-schedule numpy passes. Node columns are int32 whenever every id fits
+(:func:`node_column`, which every in-range id does: n <= 2^14 by
+``MAX_PARCELS``), and so is the cached step column when the horizon fits;
+the two keys that can pass 2^31 widen to int64 where they are formed, in
+:func:`step_groups` and in the verifier's conservation.
 :class:`fractions.Fraction` appears only in derived values, in read-only
 views, which take their entries from one memo per instance, and in the
 ``"p/q"`` documents earlier versions wrote: instance and schedule files
@@ -38,6 +40,7 @@ moved during step ``s`` completes at time ``s + 1``.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -87,18 +90,38 @@ def over_scale(nums: Sequence[int], scale: int, form=lambda q: q) -> list:
     return list(map(value.__getitem__, nums))
 
 
-def as_rows(flat: list, n: int) -> Matrix:
-    """The n x n matrix held row-major in ``flat``, as row tuples."""
-    return tuple(tuple(flat[a:a + n]) for a in range(0, n * n, n))
+class ScaledMatrix(namedtuple("ScaledMatrix", "column scale")):
+    """An exact n x n matrix: its entries, row-major, as integer numerators
+    (int64, or Python ints in ``object``) in a ``column`` that the
+    constructor makes read-only, over ``scale``. Two are equal when their
+    values are, over either scale and dtype, compared on integers."""
 
+    __slots__ = ()
 
-def square_rows(scaled: tuple[np.ndarray, int], form=lambda q: q) -> list[list]:
-    """The rows of the square matrix held row-major in ``scaled``, a column
-    of numerators and their scale, each entry ``form(Fraction(x, scale))``
-    (see :func:`over_scale`)."""
-    column, scale = scaled
-    flat, n = over_scale(column.tolist(), scale, form), isqrt(column.size)
-    return [flat[a:a + n] for a in range(0, n * n, n)]
+    def __new__(cls, column: np.ndarray, scale: int):
+        column.flags.writeable = False
+        return super().__new__(cls, column, scale)
+
+    def __eq__(self, other):
+        if not isinstance(other, ScaledMatrix):
+            return NotImplemented
+        (a, s), (b, t) = self, other
+        if s != t:  # a/s == b/t: each side times the other's scale less their gcd
+            common = gcd(s, t)
+            a, b = (c * k if max(k, max_abs(c) * k) <= INT64_MAX else c.astype(object) * k
+                    for c, k in ((a, t // common), (b, s // common)))
+        return np.array_equal(a, b)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def rows(self, form=None) -> list[list]:
+        """The matrix as row lists, each entry ``form(x)`` of its numerator
+        x, made once per distinct x: by default ``Fraction(x, scale)``."""
+        nums = self.column.tolist()
+        value = {x: form(x) if form else Fraction(x, self.scale) for x in set(nums)}
+        flat, n = list(map(value.__getitem__, nums)), isqrt(len(nums))
+        return [flat[a:a + n] for a in range(0, n * n, n)]
 
 
 class FractionMemo(dict):
@@ -113,16 +136,14 @@ class FractionMemo(dict):
         return self.setdefault(x, Fraction(x, self.scale))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Instance:
     """A coflow instance: node count and exact demands.
 
-    ``scaled_demands`` holds the demands, row-major, as a
-    :func:`scaled_column`: integer numerators over the lcm of their
-    denominators (a read-only column), and that lcm. ``load_bound`` is the
-    maximum row or column sum of the demands, a lower bound on the makespan
-    of any feasible schedule. :attr:`demands` is a ``Fraction`` view of the
-    column. Instances compare by their columns, like schedules.
+    ``scaled_demands`` holds the demands as a :class:`ScaledMatrix`: integer
+    numerators over the lcm of their denominators, and that lcm. Instances
+    compare by value. :attr:`load_bound` is derived from the column, and
+    :attr:`demands` is a ``Fraction`` view of it.
 
     Every ``Fraction`` view of the instance and of its greedy traces draws
     its entries from one memo held here (:meth:`fractions`), so equal
@@ -130,22 +151,18 @@ class Instance:
     """
 
     n: int
-    scaled_demands: tuple[np.ndarray, int]
-    load_bound: Fraction
-
-    def __post_init__(self):
-        self.scaled_demands[0].flags.writeable = False
+    scaled_demands: ScaledMatrix
 
     def __reduce__(self):
-        # Rebuilt through the constructor, so the column is read-only again
-        # and the cached views are not pickled.
-        return Instance, (self.n, self.scaled_demands, self.load_bound)
+        # Rebuilt through the constructor, so the cached views are not pickled.
+        return Instance, (self.n, self.scaled_demands)
 
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        (a, scale), (b, other_scale) = self.scaled_demands, other.scaled_demands
-        return (self.n, scale, a.dtype) == (other.n, other_scale, b.dtype) and np.array_equal(a, b)
+    @cached_property
+    def load_bound(self) -> Fraction:
+        """The largest row or column sum: a lower bound on any makespan."""
+        column, scale = self.scaled_demands
+        rows, cols = square_sums(column, self.n)
+        return Fraction(int(max(rows.max(), cols.max())), scale)
 
     @cached_property
     def _fractions(self) -> dict[int, FractionMemo]:
@@ -160,8 +177,8 @@ class Instance:
     def demands(self) -> Matrix:
         """The demand matrix, its entries from :meth:`fractions`: a
         read-only view, built on first use."""
-        column, scale = self.scaled_demands
-        return as_rows(list(map(self.fractions(scale).__getitem__, column.tolist())), self.n)
+        scale = self.scaled_demands.scale
+        return tuple(map(tuple, self.scaled_demands.rows(self.fractions(scale).__getitem__)))
 
     @property
     def total_demand(self) -> Fraction:
@@ -207,7 +224,7 @@ class Instance:
 
 def make_instance(n: int, demands: Sequence[Sequence]) -> Instance:
     """Validate a demand matrix of ints and ``Fraction``s and build an
-    Instance with its load bound."""
+    Instance."""
     if len(demands) != n or any(len(row) != n for row in demands):
         raise DimensionError(f"demand matrix is not {n}x{n}")
     return _column_instance(n, *scaled_column(list(chain.from_iterable(demands))))
@@ -223,7 +240,7 @@ def _check_nodes(n: int) -> None:
 
 def _column_instance(n: int, column: np.ndarray, scale: int) -> Instance:
     """Validate the row-major demand numerators of an n x n instance over
-    ``scale`` and build it with its load bound."""
+    ``scale`` and build it."""
     _check_nodes(n)
     matrix = column.reshape(n, n)
     diagonal = matrix.diagonal() != 0
@@ -234,9 +251,7 @@ def _column_instance(n: int, column: np.ndarray, scale: int) -> Instance:
         if diagonal[i]:
             raise DiagonalDemandError(f"nonzero diagonal demand at ({i},{i})")
         raise NegativeDemandError(f"negative demand at ({i},{int(negative[i].argmax())})")
-    rows, cols = square_sums(column, n)
-    load = Fraction(int(max(rows.max(), cols.max())), scale)
-    return Instance(n=n, scaled_demands=(column, scale), load_bound=load)
+    return Instance(n, ScaledMatrix(column, scale))
 
 
 def uniform_instance(n: int, load: Fraction | int | str) -> Instance:
@@ -762,40 +777,29 @@ def completion(step: np.ndarray, amount: np.ndarray) -> tuple[int, int]:
     return sum(map(mul, done, sums)), done[-1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Metrics:
     """What :func:`compute_metrics` measures. ``scaled_delivered`` holds the
-    amount delivered per commodity, row-major, as integer numerators over a
-    scale (a read-only column, as ``Instance.scaled_demands``), and
+    amount delivered per commodity as a :class:`ScaledMatrix`, and
     :attr:`delivered` is its ``Fraction`` view. Metrics compare by value."""
 
     makespan: int
     total_completion: Fraction
     average_completion: Fraction
-    scaled_delivered: tuple[np.ndarray, int]
-
-    def __post_init__(self):
-        self.scaled_delivered[0].flags.writeable = False
-
-    def _values(self) -> tuple:
-        return self.makespan, self.total_completion, self.average_completion, self.delivered
-
-    def __eq__(self, other):
-        if not isinstance(other, Metrics):
-            return NotImplemented
-        return self._values() == other._values()
+    scaled_delivered: ScaledMatrix
 
     @cached_property
     def delivered(self) -> Matrix:
         """The delivered matrix: a read-only view, built on first use."""
-        return tuple(map(tuple, square_rows(self.scaled_delivered)))
+        return tuple(map(tuple, self.scaled_delivered.rows()))
 
     def to_json(self) -> dict:
+        scale = self.scaled_delivered.scale
         return {
             "makespan": self.makespan,
             "total_completion": render_rational(self.total_completion),
             "average_completion": render_rational(self.average_completion),
-            "delivered": square_rows(self.scaled_delivered, render_rational),
+            "delivered": self.scaled_delivered.rows(lambda x: render_rational(Fraction(x, scale))),
         }
 
 
@@ -844,12 +848,7 @@ def compute_metrics(instance: Instance, schedule: Schedule) -> Metrics:
     demand_sum = instance.total_demand
     avg = total_completion / demand_sum if demand_sum > 0 else Fraction(0)
     delivered = delivery(origin, dest, src, dst, amount, n, arrivals, arrivals[:0])
-    return Metrics(
-        makespan=makespan,
-        total_completion=total_completion,
-        average_completion=avg,
-        scaled_delivered=(delivered, schedule.scale),
-    )
+    return Metrics(makespan, total_completion, avg, ScaledMatrix(delivered, schedule.scale))
 
 
 def json_lists(document: dict) -> dict:

@@ -6,21 +6,29 @@ Reports, and the documents earlier versions wrote, render a rational as
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import StructuralError
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
+    """Parse "p/q" or "p" into a Fraction. A decimal exponent or count of
+    fractional digits past the int-string limit (``cli.INT_DIGITS_CAP`` in a
+    command) is refused before ``Fraction`` builds that power of ten."""
     if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise StructuralError(f"not a rational: {text!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     try:
-        return Fraction(text.strip())
+        mantissa, _, exponent = text.strip().lower().partition("e")
+        power = max(len(mantissa.partition(".")[2]), abs(int(exponent or 0)))
+        if not limit or power <= limit:
+            return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise StructuralError(f"not a rational: {text!r}") from exc
+    raise StructuralError(f"a power of ten past the {limit}-digit limit: {text!r:.60}")
 
 
 def render_rational(q: Fraction | int) -> str:

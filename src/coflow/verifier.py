@@ -16,7 +16,8 @@ and (step, node), conservation is a running sum over events sorted per
 ``BATCH`` events so that its temporaries are bounded by a batch, what
 reached each destination is ``model.delivery``, and every violation record
 is read off a mask over those arrays and sorted into the order a walk over
-the rows would meet it.
+the rows would meet it. The report derives ``feasible`` from its own
+values, and compares its unmet demand as a ``model.ScaledMatrix``.
 The per-row loop in ``tests/reference_verify.py`` is the reference the pass
 must agree with.
 """
@@ -31,7 +32,7 @@ from operator import itemgetter
 import numpy as np
 
 from .model import (
-    Instance, Matrix, Schedule, common_scale, delivery, group_starts, node_columns, square_rows,
+    Instance, Matrix, Schedule, ScaledMatrix, common_scale, delivery, group_starts, node_columns,
     step_groups,
 )
 from .rational import render_rational
@@ -45,39 +46,31 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VerificationReport:
     """What :func:`verify` found. ``scaled_unmet`` holds the demand left
-    unmet per commodity (negative where more arrived), row-major, as integer
-    numerators over a scale (a read-only column, as
-    ``Instance.scaled_demands``), and :attr:`unmet_demand` is its
-    ``Fraction`` view. Reports compare by value."""
+    unmet per commodity (negative where more arrived) as a
+    ``model.ScaledMatrix``, and :attr:`unmet_demand` is its ``Fraction``
+    view. Reports compare by value. :attr:`feasible` is derived: no
+    violation, and no unmet entry above 0."""
 
-    feasible: bool
     violations: tuple[Violation, ...]
     max_edge_load: Fraction
-    scaled_unmet: tuple[np.ndarray, int]
+    scaled_unmet: ScaledMatrix
     is_integral: bool
     is_direct: bool
 
-    def __post_init__(self):
-        self.scaled_unmet[0].flags.writeable = False
-
-    def _values(self) -> tuple:
-        return (self.feasible, self.violations, self.max_edge_load, self.unmet_demand,
-                self.is_integral, self.is_direct)
-
-    def __eq__(self, other):
-        if not isinstance(other, VerificationReport):
-            return NotImplemented
-        return self._values() == other._values()
+    @cached_property
+    def feasible(self) -> bool:
+        return not self.violations and not (self.scaled_unmet.column > 0).any()
 
     @cached_property
     def unmet_demand(self) -> Matrix:
         """The unmet demand matrix: a read-only view, built on first use."""
-        return tuple(map(tuple, square_rows(self.scaled_unmet)))
+        return tuple(map(tuple, self.scaled_unmet.rows()))
 
     def to_json(self) -> dict:
+        scale = self.scaled_unmet.scale
         return {
             "feasible": self.feasible,
             "violations": [
@@ -85,7 +78,7 @@ class VerificationReport:
                 for v in self.violations
             ],
             "max_edge_load": render_rational(self.max_edge_load),
-            "unmet_demand": square_rows(self.scaled_unmet, render_rational),
+            "unmet_demand": self.scaled_unmet.rows(lambda x: render_rational(Fraction(x, scale))),
             "is_integral": self.is_integral,
             "is_direct": self.is_direct,
         }
@@ -169,10 +162,7 @@ def _conservation(comm, demand, step, src, dst, origin, dest, amount, n):
         size = k + 2 * m
         # Batch row j of a step whose batch rows are first..end-1: its
         # outflow at k + first + j and its arrival at k + end + j.
-        s = step[rows]
-        bounds = np.ones(m + 1, bool)
-        np.not_equal(s[1:], s[:-1], out=bounds[1:-1])
-        bounds = np.flatnonzero(bounds)  # each step's first batch row, then m
+        bounds = np.append(group_starts(step[rows]), m)  # each step's first batch row, then m
         run = bounds[1:] - bounds[:-1]
         j = np.arange(k, k + m)
         out_at = np.repeat(bounds[:-1], run)
@@ -281,11 +271,5 @@ def verify(instance: Instance, schedule: Schedule) -> VerificationReport:
     unmet = np.where(demand > 0, demand - delivered, 0)
 
     records.sort(key=itemgetter(0))
-    return VerificationReport(
-        feasible=not records and not (unmet > 0).any(),
-        violations=tuple(v for _, v in records),
-        max_edge_load=Fraction(max_load, scale),
-        scaled_unmet=(unmet, scale),
-        is_integral=integral,
-        is_direct=direct,
-    )
+    return VerificationReport(tuple(v for _, v in records), Fraction(max_load, scale),
+                              ScaledMatrix(unmet, scale), is_integral=integral, is_direct=direct)

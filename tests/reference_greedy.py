@@ -308,7 +308,7 @@ def check_certificate(instance, trace, cert):
     if not (shaped(cert.alpha_s, n) and shaped(cert.alpha_r, n)
             and shaped(cert.beta_s, steps) and shaped(cert.beta_r, steps)):
         failures.append("the certificate's scale or table shape does not match the trace")
-        return CertificateReport(False, tuple(failures), alg, None)
+        return CertificateReport(tuple(failures), alg, None)
 
     pairs = [(i, j) for i in range(n) for j in range(n)]
     bad = next(((i, j) for i, j in pairs if cert.alpha_s[i][j] != 4 * cert.beta_s[i][0]), None)
@@ -337,7 +337,6 @@ def check_certificate(instance, trace, cert):
             f"dual objective sum {obj_sum} below half of greedy value {alg}"
         )
     return CertificateReport(
-        ok=not failures,
         failures=tuple(failures),
         total_completion=alg,
         obj_sum=obj_sum,

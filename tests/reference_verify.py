@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from coflow.model import Instance, Schedule, int_column
+from coflow.model import Instance, ScaledMatrix, Schedule, int_column
 from coflow.rational import render_rational
 from coflow.verifier import VerificationReport, Violation
 
@@ -141,26 +141,20 @@ def walk(instance: Instance, schedule: Schedule) -> tuple[VerificationReport, di
         for key, a in inflows:
             balance[key] = bget(key, 0) + a
 
-    met = True
     unmet = []  # row-major numerators over scale
     for i in range(n):
         base = i * n * n
         for j, d in enumerate(instance.demands[i]):
             num = d.numerator
             if num > 0:
-                short = num * mult[d.denominator] - balance.get(base + j * n + j, 0)
-                if short > 0:
-                    met = False
-                unmet.append(short)
+                unmet.append(num * mult[d.denominator] - balance.get(base + j * n + j, 0))
             else:
                 unmet.append(0)
 
-    feasible = not violations and met
     return VerificationReport(
-        feasible=feasible,
         violations=tuple(violations),
         max_edge_load=Fraction(max_load, scale),
-        scaled_unmet=(int_column(unmet), scale),
+        scaled_unmet=ScaledMatrix(int_column(unmet), scale),
         is_integral=integral,
         is_direct=direct,
     ), balance

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -331,6 +332,24 @@ def test_bad_rational_is_exit_two(capsys):
     code, _, err = run(capsys, "bounds", "--n", "4", "--B", "two")
     assert code == 2
     assert "error" in err
+
+
+def test_a_power_of_ten_past_the_digit_cap_is_exit_two_at_once(tmp_path, capsys):
+    # Fraction("1e-N") builds 10^N before anything checks its size: about 13 s
+    # at N = 10^7, where each reader now refuses the text first.
+    huge = "1e-10000000"
+    cfg, inst = tmp_path / "cfg.json", tmp_path / "inst.json"
+    cfg.write_text(json.dumps({"n_values": [4], "load_values": [huge], "algorithms": ["greedy"]}))
+    inst.write_text(json.dumps({"n": 2, "demands": [["0", huge], ["0", "0"]]}))
+    for argv in (["generate", "--n", "2", "--B", huge],
+                 ["bounds", "--n", "2", "--B", "1e9999999"],
+                 ["experiment", "--config", str(cfg)],
+                 ["verify", "--instance", str(inst), "--schedule", str(inst)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert f"past the {INT_DIGITS_CAP}-digit limit" in err, argv
 
 
 def test_understated_nominal_b_is_exit_two(tmp_path, capsys):

@@ -29,6 +29,7 @@ from coflow.model import (
     NODE_COLUMNS,
     ROW_COLUMNS,
     Instance,
+    ScaledMatrix,
     Schedule,
     Transfer,
     column_text,
@@ -259,11 +260,53 @@ def test_reports_hold_read_only_columns_and_compare_by_value():
     assert report.unmet_demand is report.unmet_demand and metrics.delivered is metrics.delivered
     # The same values over another scale, or in another dtype, are the same report.
     column, scale = metrics.scaled_delivered
-    assert replace(metrics, scaled_delivered=(column * 3, scale * 3)) == metrics
-    assert replace(metrics, scaled_delivered=(column * 3, scale)) != metrics
+    assert replace(metrics, scaled_delivered=ScaledMatrix(column * 3, scale * 3)) == metrics
+    assert replace(metrics, scaled_delivered=ScaledMatrix(column * 3, scale)) != metrics
     column, scale = report.scaled_unmet
-    assert replace(report, scaled_unmet=(column.astype(object), scale * 5)) == report
-    assert replace(report, scaled_unmet=(column + 1, scale)) != report
+    assert replace(report, scaled_unmet=ScaledMatrix(column.astype(object), scale * 5)) == report
+    assert replace(report, scaled_unmet=ScaledMatrix(column + 1, scale)) != report
+    # Derived fields are not constructor values.
+    assert report.feasible and not replace(report, scaled_unmet=ScaledMatrix(column + 1, scale)).feasible
+
+
+# Scales on either side of int64, so that a cross product can pass it.
+scales = st.one_of(st.integers(1, 12), st.integers(INT64_MAX - 2, 2**80))
+
+
+@st.composite
+def scaled_pairs(draw):
+    """Two square ScaledMatrix values: the second the first's values over
+    another scale, one of them moved or not, or drawn on its own; each
+    column int64 where its values fit, or ``object``."""
+    def matrix(nums, scale):
+        column = int_column(nums)
+        return ScaledMatrix(column.astype(object) if draw(st.booleans()) else column, scale)
+
+    entry = st.one_of(st.integers(-5, 5), st.integers(-INT64_MAX - 1, INT64_MAX), past_int64)
+    n = draw(st.integers(1, 3))
+    nums, scale = draw(st.lists(entry, min_size=n * n, max_size=n * n)), draw(scales)
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        return matrix(nums, scale), matrix(draw(st.lists(entry, min_size=m * m, max_size=m * m)),
+                                           draw(scales))
+    factor = draw(scales)
+    other = [x * factor for x in nums]
+    if draw(st.booleans()):
+        other[draw(st.integers(0, n * n - 1))] += draw(st.sampled_from([-1, 1]))
+    return matrix(nums, scale), matrix(other, scale * factor)
+
+
+@settings(max_examples=300)
+@given(pair=scaled_pairs())
+# All zeros in int64 over a 67-bit scale: the cross factor alone passes int64.
+@example(pair=(ScaledMatrix(np.zeros(4, np.int64), 2**66 + 1), ScaledMatrix(np.zeros(4, np.int64), 1)))
+@example(pair=(ScaledMatrix(np.array([0, 1, 0, 0], np.int64), 2**66 + 1),
+               ScaledMatrix(np.array([0, 1, 0, 0], object), 2**66 + 1)))
+def test_scaled_matrices_are_equal_when_their_fraction_rows_are(pair):
+    a, b = pair
+    want = a.rows() == b.rows()
+    assert (a == b, b == a, a != b) == (want, want, not want)
+    assert not a.column.flags.writeable and not b.column.flags.writeable
 
 
 def test_schedule_from_steps_round_trip():
